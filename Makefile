@@ -10,8 +10,12 @@ check: vet build race cover bench-tune-smoke bench-eco-smoke
 vet:
 	$(GO) vet ./...
 
+# perfbench/ is a Go module of its own, which the root's ./... never
+# reaches; vetting and testing it here makes an engine API change break
+# now, not at the next benchmark run.
 build:
 	$(GO) build ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"sort"
 
 	"mrlegal/internal/design"
 	"mrlegal/internal/geom"
@@ -378,17 +377,9 @@ func (l *Legalizer) captureContent(win geom.Rect, rowCnt []int32, recs []content
 			if !s.Span.Overlaps(span) {
 				continue
 			}
-			cells := s.Cells()
-			i := sort.Search(len(cells), func(i int) bool {
-				c := l.D.Cell(cells[i])
-				return c.X+c.W > span.Lo
-			})
-			for ; i < len(cells); i++ {
-				c := l.D.Cell(cells[i])
-				if c.X >= span.Hi {
-					break
-				}
-				recs = append(recs, contentRec{id: cells[i], x: int32(c.X), w: int32(c.W)})
+			for _, id := range l.G.CellsOverlapping(s, span) {
+				c := l.D.Cell(id)
+				recs = append(recs, contentRec{id: id, x: int32(c.X), w: int32(c.W)})
 				n++
 			}
 		}
@@ -423,21 +414,13 @@ func (l *Legalizer) verifyMemo(m *extractMemo) bool {
 			if !s.Span.Overlaps(span) {
 				continue
 			}
-			cells := s.Cells()
-			i := sort.Search(len(cells), func(i int) bool {
-				c := l.D.Cell(cells[i])
-				return c.X+c.W > span.Lo
-			})
-			for ; i < len(cells); i++ {
-				c := l.D.Cell(cells[i])
-				if c.X >= span.Hi {
-					break
-				}
+			for _, id := range l.G.CellsOverlapping(s, span) {
 				if n >= want {
 					return false
 				}
+				c := l.D.Cell(id)
 				rec := m.content[ci+n]
-				if rec.id != cells[i] || rec.x != int32(c.X) || rec.w != int32(c.W) {
+				if rec.id != id || rec.x != int32(c.X) || rec.w != int32(c.W) {
 					return false
 				}
 				n++

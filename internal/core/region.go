@@ -14,7 +14,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -253,33 +252,45 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	sc.sortedIDs = len(sc.ids)
 	n := len(sc.ids)
 
+	// One packed-integer sort gives the global (x, id) order: local index
+	// order is ID order, and every local cell lies inside the window, so
+	// x−win.X fits the high half of the key.
+	sc.xKeys = grow(sc.xKeys, n)
+	for li := range sc.cells {
+		sc.xKeys[li] = uint64(sc.cells[li].x-win.X)<<32 | uint64(li)
+	}
+	slices.Sort(sc.xKeys)
+	sc.xOrder = grow(sc.xOrder, n)
+	for i, k := range sc.xKeys {
+		sc.xOrder[i] = int32(uint32(k))
+	}
+
 	// Per-row cell lists (IDs and local indices, sorted by x) and the
-	// inverse position table. Each list keeps one slot of headroom so the
-	// realization's temporary target insert never reallocates.
+	// inverse position table. Walking xOrder appends each row's cells in
+	// x order; x is distinct within a legal row, so that order is unique.
+	// Each list keeps one slot of headroom so the realization's temporary
+	// target insert never reallocates.
 	sc.rowLists = growOuter(sc.rowLists, win.H)
 	sc.rowIdx = growOuter(sc.rowIdx, win.H)
 	sc.rowPos = growOuter(sc.rowPos, win.H)
 	for rel := range r.Segs {
-		ls := &r.Segs[rel]
-		idxs := sc.rowIdx[rel][:0]
-		if ls.Valid {
-			for li := range sc.cells {
-				lc := &sc.cells[li]
-				if lc.y <= ls.Row && ls.Row < lc.y+lc.h {
-					idxs = append(idxs, int32(li))
-				}
-			}
-			slices.SortFunc(idxs, func(a, b int32) int {
-				return cmp.Compare(sc.cells[a].x, sc.cells[b].x)
-			})
+		sc.rowIdx[rel] = sc.rowIdx[rel][:0]
+	}
+	for _, li := range sc.xOrder {
+		lc := &sc.cells[li]
+		for h := 0; h < lc.h; h++ {
+			rel := r.RelRow(lc.y + h)
+			sc.rowIdx[rel] = append(sc.rowIdx[rel], li)
 		}
-		idxs = slices.Grow(idxs, 1)
+	}
+	for rel := range r.Segs {
+		idxs := slices.Grow(sc.rowIdx[rel], 1)
 		lst := slices.Grow(sc.rowLists[rel][:0], len(idxs)+1)
 		for _, li := range idxs {
 			lst = append(lst, sc.ids[li])
 		}
 		sc.rowIdx[rel], sc.rowLists[rel] = idxs, lst
-		ls.Cells = lst
+		r.Segs[rel].Cells = lst
 
 		pos := grow(sc.rowPos[rel], n)
 		fill32(pos, -1)
@@ -337,30 +348,25 @@ func chooseLocalSeg(g *segment.Grid, d *design.Design, y int, winSpan geom.Span,
 				bestDist = dist
 			}
 		}
-		for _, id := range s.Cells() {
+		// Only a cell whose maximally inflated span reaches base can cut
+		// it, and those form one contiguous run of the x-sorted list.
+		reach := geom.Span{Lo: base.Lo - infl, Hi: base.Hi + infl}
+		for _, id := range g.CellsOverlapping(s, reach) {
 			if !nonLocal[id] {
 				continue
 			}
 			c := d.Cell(id)
-			// Cells are x-sorted; once even the maximal inflation cannot
-			// reach base.Hi, no later cell can either. (Breaking on a
-			// fixed cell's own un-inflated span would be wrong: a later
-			// movable cell's inflated span could still intersect.)
-			if c.X-infl >= base.Hi {
-				break
-			}
 			cInf := 0
 			if infl > 0 && !c.Fixed {
 				cInf = infl
 			}
 			lo, hi := c.X-cInf, c.X+c.W+cInf
-			if hi <= cur {
+			// lo >= base.Hi only for a fixed (un-inflated) cell in the
+			// run's inflated right margin.
+			if hi <= cur || lo >= base.Hi {
 				continue
 			}
-			if lo >= base.Hi {
-				continue
-			}
-			emit(cur, min(lo, base.Hi))
+			emit(cur, lo)
 			cur = max(cur, hi)
 			if cur >= base.Hi {
 				break
@@ -385,23 +391,11 @@ func spanDist(sp geom.Span, x int) int {
 
 // computeBounds fills in the leftmost and rightmost placements xL/xR of
 // every local cell (§5.1.1) with a two-pass multi-segment squeeze. Cells
-// are processed in ascending current-x order, which is consistent with the
-// per-segment order because the current placement is legal. The (x, id)
-// order is kept in sc.xOrder for the exact evaluator to reuse.
+// are processed in extract's (x, id) order sc.xOrder, which is consistent
+// with the per-segment order because the current placement is legal.
 func (r *Region) computeBounds() {
 	sc := r.sc
 	n := len(sc.cells)
-	sc.xOrder = grow(sc.xOrder, n)
-	for i := range sc.xOrder {
-		sc.xOrder[i] = int32(i)
-	}
-	slices.SortFunc(sc.xOrder, func(a, b int32) int {
-		ca, cb := &sc.cells[a], &sc.cells[b]
-		if ca.x != cb.x {
-			return cmp.Compare(ca.x, cb.x)
-		}
-		return cmp.Compare(ca.id, cb.id)
-	})
 	cons := sc.cons
 	if cons != nil {
 		// Per-row index of the most recently squeezed cell, for the

@@ -83,6 +83,7 @@ type scratch struct {
 	rowLists   [][]design.CellID      // per-row cell lists backing LocalSeg.Cells
 	rowIdx     [][]int32              // per-row local indices, parallel to rowLists
 	rowPos     [][]int32              // rowPos[rel][li] = position of local cell li in row rel, -1 when absent
+	xKeys      []uint64               // (x−win.X)<<32 | local index, sorted into xOrder
 	xOrder     []int32                // local indices sorted by (x, id)
 	cursor     []int                  // computeBounds per-row cursor
 

@@ -59,6 +59,7 @@ type Grid struct {
 // call Insert (or RebuildOccupancy) for those.
 func Build(d *design.Design) *Grid {
 	g := &Grid{d: d, rows: make([][]*Segment, d.NumRows())}
+	blocked := blockedByRow(d)
 	for ri := range d.Rows {
 		row := &d.Rows[ri]
 		if ri == 0 {
@@ -67,8 +68,7 @@ func Build(d *design.Design) *Grid {
 			g.xspan.Lo = min(g.xspan.Lo, row.Span.Lo)
 			g.xspan.Hi = max(g.xspan.Hi, row.Span.Hi)
 		}
-		blocked := blockedSpans(d, row)
-		free := subtractSpans(row.Span, blocked)
+		free := subtractSpans(row.Span, blocked[row.Y])
 		segs := make([]*Segment, 0, len(free))
 		for i, sp := range free {
 			segs = append(segs, &Segment{Row: row.Y, Index: i, Span: sp})
@@ -78,23 +78,28 @@ func Build(d *design.Design) *Grid {
 	return g
 }
 
-// blockedSpans returns the x spans of row that are unusable, unsorted and
-// possibly overlapping.
-func blockedSpans(d *design.Design, row *design.Row) []geom.Span {
-	var out []geom.Span
-	rowRect := geom.Rect{X: row.Span.Lo, Y: row.Y, W: row.Span.Len(), H: 1}
-	for _, b := range d.Blockages {
-		if ov := rowRect.Intersect(b); !ov.Empty() {
-			out = append(out, geom.Span{Lo: ov.X, Hi: ov.X2()})
+// blockedByRow returns, per row index, the x spans of that row that are
+// unusable — blockages and fixed placed cells clipped to the row —
+// unsorted and possibly overlapping. Each blocking rectangle is visited
+// once and bucketed into the rows it covers, so the build is linear in
+// the design rather than rows × cells.
+func blockedByRow(d *design.Design) [][]geom.Span {
+	out := make([][]geom.Span, d.NumRows())
+	add := func(r geom.Rect) {
+		for y := max(r.Y, 0); y < min(r.Y2(), len(out)); y++ {
+			row := d.RowAt(y)
+			rowRect := geom.Rect{X: row.Span.Lo, Y: row.Y, W: row.Span.Len(), H: 1}
+			if ov := rowRect.Intersect(r); !ov.Empty() {
+				out[y] = append(out[y], geom.Span{Lo: ov.X, Hi: ov.X2()})
+			}
 		}
 	}
+	for _, b := range d.Blockages {
+		add(b)
+	}
 	for i := range d.Cells {
-		c := &d.Cells[i]
-		if !c.Fixed || !c.Placed {
-			continue
-		}
-		if ov := rowRect.Intersect(c.Rect()); !ov.Empty() {
-			out = append(out, geom.Span{Lo: ov.X, Hi: ov.X2()})
+		if c := &d.Cells[i]; c.Fixed && c.Placed {
+			add(c.Rect())
 		}
 	}
 	return out
@@ -270,20 +275,28 @@ func (g *Grid) ShiftX(id design.CellID, newX int) {
 	c.X = newX
 }
 
+// CellsOverlapping returns the run of s's cell list whose occupied
+// extent [X, X+W) overlaps the non-empty span sp, in list order. Lists
+// are x-sorted and non-overlapping, so left and right edges both ascend
+// and both ends of the run are binary searches: the cost is O(log n)
+// however long the segment. The slice aliases the segment's list;
+// callers must not mutate it or keep it across a grid mutation.
+func (g *Grid) CellsOverlapping(s *Segment, sp geom.Span) []design.CellID {
+	cells := s.cells
+	i := sort.Search(len(cells), func(i int) bool {
+		c := &g.d.Cells[cells[i]]
+		return c.X+c.W > sp.Lo
+	})
+	j := i + sort.Search(len(cells)-i, func(k int) bool { return g.cellX(cells[i+k]) >= sp.Hi })
+	return cells[i:j]
+}
+
 // FreeAt reports whether the rectangle (x, y, w, h) lies fully on free
 // sites: contained in one segment per row and overlapping no placed cell.
 func (g *Grid) FreeAt(x, y, w, h int) bool {
 	for dy := 0; dy < h; dy++ {
 		s := g.SegmentContaining(y+dy, x, w)
-		if s == nil {
-			return false
-		}
-		// First cell whose right edge exceeds x:
-		i := sort.Search(len(s.cells), func(i int) bool {
-			c := &g.d.Cells[s.cells[i]]
-			return c.X+c.W > x
-		})
-		if i < len(s.cells) && g.cellX(s.cells[i]) < x+w {
+		if s == nil || len(g.CellsOverlapping(s, geom.Span{Lo: x, Hi: x + w})) > 0 {
 			return false
 		}
 	}
@@ -296,21 +309,11 @@ func (g *Grid) FreeAt(x, y, w, h int) bool {
 // reused buffer as dst makes the call allocation-free once warm.
 func (g *Grid) CellsIn(win geom.Rect, dst []design.CellID) []design.CellID {
 	base := len(dst)
+	sp := geom.Span{Lo: win.X, Hi: win.X2()}
 	for y := win.Y; y < win.Y2(); y++ {
 		for _, s := range g.RowSegments(y) {
-			if !s.Span.Overlaps(geom.Span{Lo: win.X, Hi: win.X2()}) {
-				continue
-			}
-			i := sort.Search(len(s.cells), func(i int) bool {
-				c := &g.d.Cells[s.cells[i]]
-				return c.X+c.W > win.X
-			})
-			for ; i < len(s.cells); i++ {
-				id := s.cells[i]
-				if g.cellX(id) >= win.X2() {
-					break
-				}
-				dst = append(dst, id)
+			if s.Span.Overlaps(sp) {
+				dst = append(dst, g.CellsOverlapping(s, sp)...)
 			}
 		}
 	}
