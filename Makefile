@@ -144,9 +144,10 @@ bench-eco-smoke:
 serve-smoke:
 	$(GO) run ./scripts/servesmoke
 
-# Quick allocation/latency smoke over the MLL hot path (CI gate).
+# Quick allocation/latency smoke over the MLL hot path and the placement
+# checksum (CI gate).
 bench-smoke:
-	$(GO) test -run xxx -bench 'SingleMLLCall|RegionExtraction|InsertionPointEnumeration' \
+	$(GO) test -run xxx -bench 'SingleMLLCall|RegionExtraction|InsertionPointEnumeration|PlacementChecksum' \
 		-benchtime 100x -benchmem .
 
 clean:

@@ -250,6 +250,49 @@ func benchExtract(b *testing.B, g *segment.Grid) {
 	}
 }
 
+// BenchmarkPlacementChecksum digests every cell of a legalized
+// GenerateSized design, as each session frame does. At 50k cells (the
+// eco_stream design) every field is below 2^16; at 200k cells (the
+// large_200k design) two IDs in three are not, and take the kernel's
+// general path.
+func BenchmarkPlacementChecksum(b *testing.B) {
+	b.Run("sized_50k", func(b *testing.B) {
+		d, err := ecoDesign()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchChecksum(b, d)
+	})
+	b.Run("sized_200k", func(b *testing.B) {
+		g, err := longRowGrid()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchChecksum(b, g.Design())
+	})
+}
+
+// ecoDesign legalizes one 50k-cell GenerateSized design once per test
+// binary.
+var ecoDesign = sync.OnceValues(func() (*design.Design, error) {
+	d := bengen.GenerateSized(bengen.SizeSpec{Name: "sized_50k", NumCells: 50_000, Seed: 1})
+	l, err := core.NewLegalizer(d, core.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	return d, l.Legalize()
+})
+
+var checksumSink uint64
+
+func benchChecksum(b *testing.B, d *design.Design) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		checksumSink = d.PlacementChecksum()
+	}
+}
+
 func BenchmarkInsertionPointEnumeration(b *testing.B) {
 	p := prepared(b, "fft_1", 200)
 	d := p.Bench.D.Clone()

@@ -122,8 +122,8 @@ func readFrame(r io.Reader, buf []byte, maxFrame int) ([]byte, error) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, badf("truncated frame body (%d of %d bytes): %v", 0, n, err)
+	if got, err := io.ReadFull(r, buf); err != nil {
+		return buf, badf("truncated frame body (%d of %d bytes): %v", got, n, err)
 	}
 	return buf, nil
 }

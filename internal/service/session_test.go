@@ -233,6 +233,13 @@ func TestSessionDeltaErrors(t *testing.T) {
 	}
 }
 
+func TestReadFrameTruncatedBody(t *testing.T) {
+	_, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 99, 'x'}), nil, 1<<20)
+	if err == nil || !strings.Contains(err.Error(), "(1 of 99 bytes)") {
+		t.Fatalf("got %v, want a truncated-body error reporting 1 of 99 bytes", err)
+	}
+}
+
 func TestSessionAdmissionCaps(t *testing.T) {
 	_, ts := newTestServer(t, func(cfg *Config) {
 		cfg.Sessions = jobq.SessionConfig{MaxSessions: 2, PerTenant: 1}
