@@ -65,19 +65,16 @@ bench-constraint-smoke:
 		-run 'TestConstraintPluginsMatchAcrossModes|TestConstraintFiltersActuallyFire|TestConstraintLowerBoundProperty|TestCacheConstraintEpochIsolation'
 	$(GO) test -race ./internal/experiments -run TestGoldenConstraintPlacements
 
-# Regenerate the benchmark artifacts: BENCH_parallel.json (scale-400
-# Table-1 flow once per worker count), BENCH_prune.json (best-first search
+# Regenerate the benchmark artifacts: BENCH_prune.json (best-first search
 # vs exhaustive sweep), BENCH_cache.json (extraction cache off vs on),
 # BENCH_shard.json (spatial sharding size x K sweep), BENCH_tune.json
 # (adaptive search guidance: exhaustive / static / online / replay) and
 # BENCH_eco.json (incremental session delta batches vs full
 # relegalization); see docs/PERFORMANCE.md. Results depend on the
 # machine; num_cpu, go_max_procs and speedup_valid are recorded in the
-# parallel, shard and eco artifacts — on a single-CPU box every speedup
-# field is suppressed.
+# shard and eco artifacts — on a single-CPU box every speedup field is
+# suppressed.
 bench-json:
-	$(GO) run ./cmd/mrbench -experiment parallel -scale 400 -workers 1,2,4 \
-		-json BENCH_parallel.json -no-progress
 	$(GO) run ./cmd/mrbench -experiment prune -scale 400 \
 		-json BENCH_prune.json -no-progress
 	$(GO) run ./cmd/mrbench -experiment cache -scale 200 -rx 4 -ry 1 \
@@ -91,8 +88,8 @@ bench-json:
 
 # Shard-parity smoke (CI gate): a small design legalized with 4 spatial
 # shards under the race detector must be byte-identical to the serial
-# run across both search modes and cache states, with zero claim-board
-# traffic (docs/PERFORMANCE.md §7).
+# run across both search modes and cache states, with most cells
+# legalized as shard-interior cells (docs/PERFORMANCE.md §7).
 bench-shard-smoke:
 	$(GO) test -race -short ./internal/core \
 		-run 'TestShardMatchesSerialAcrossK|TestShardZeroClaimTraffic'

@@ -7,8 +7,6 @@
 //	mrbench -experiment evalablation                 # approx vs exact (E4)
 //	mrbench -experiment window -bench fft_1          # Rx/Ry sweep (E5)
 //	mrbench -experiment baselines                    # Abacus/greedy (E6)
-//	mrbench -experiment parallel -scale 400 \
-//	        -json BENCH_parallel.json                # worker sweep (docs/PERFORMANCE.md)
 //	mrbench -experiment prune -scale 400 \
 //	        -json BENCH_prune.json                   # best-first search vs exhaustive
 //	mrbench -experiment cache -scale 400 \
@@ -30,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -42,7 +39,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("experiment", "table1", "table1 | relax | evalablation | window | baselines | heightmix | order | scaling | parallel | prune | cache | shard | tune | eco")
+		exp     = flag.String("experiment", "table1", "table1 | relax | evalablation | window | baselines | heightmix | order | scaling | prune | cache | shard | tune | eco")
 		scale   = flag.Int("scale", 200, "benchmark downscale factor (1 = paper-size, large = fast)")
 		skipILP = flag.Bool("skip-ilp", false, "skip the (slow) ILP baseline columns")
 		only    = flag.String("only", "", "comma-separated benchmark name filter")
@@ -52,12 +49,11 @@ func main() {
 		ry      = flag.Int("ry", 0, "local region half-height Ry override (0 = paper default 5)")
 		nodes   = flag.Int("ilp-nodes", 0, "branch & bound node cap per local MILP (0 = default)")
 		quietP  = flag.Bool("no-progress", false, "suppress per-benchmark progress lines")
-		workers = flag.String("workers", "", "comma-separated worker counts for -experiment parallel (default \"1,NumCPU\")")
 		shards  = flag.String("shards", "", "comma-separated shard counts for -experiment shard (default \"1,2,4,8\")")
 		sizes   = flag.String("sizes", "", "comma-separated synthetic design sizes for -experiment shard/eco (default \"5000,20000\")")
 
 		deltaFracs = flag.String("delta-fracs", "", "comma-separated perturbed-cell fractions for -experiment eco (default \"0.001,0.01,0.05\")")
-		jsonOut    = flag.String("json", "", "write the parallel experiment's report as JSON to this file instead of a table")
+		jsonOut    = flag.String("json", "", "write the prune, cache, shard, tune or eco experiment's report as JSON to this file instead of a table")
 
 		metrics   = flag.Bool("metrics", false, "emit the accumulated Prometheus text exposition once to stdout after the experiment (see docs/OBSERVABILITY.md)")
 		traceFlag = flag.String("trace-out", "", "write the per-cell JSONL placement trace of every run to this file")
@@ -66,7 +62,7 @@ func main() {
 	flag.Parse()
 	// Explicitly-passed zero or negative counts are configuration errors,
 	// not requests for the "auto" default — fail fast with usage.
-	if err := rejectNonPositiveListFlags("workers", "shards", "sizes"); err != nil {
+	if err := rejectNonPositiveListFlags("shards", "sizes"); err != nil {
 		fmt.Fprintf(os.Stderr, "mrbench: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -164,44 +160,14 @@ func main() {
 	case "scaling":
 		rows := experiments.RunScaling(cfg, *bench, []int{800, 400, 200, 100, 50, 25})
 		experiments.PrintScaling(os.Stdout, *bench, rows)
-	case "parallel":
-		counts, err := parseWorkers(*workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mrbench: -workers: %v\n", err)
-			stop()
-			os.Exit(2)
-		}
-		for _, w := range counts {
-			if w > runtime.NumCPU() {
-				fmt.Fprintf(os.Stderr, "mrbench: warning: -workers %d exceeds NumCPU %d; the run is marked oversubscribed in the report and its speedup is not meaningful\n",
-					w, runtime.NumCPU())
-			}
-		}
-		rep := experiments.RunParallel(cfg, counts)
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err == nil {
-				err = experiments.WriteParallelJSON(f, rep)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mrbench: %v\n", err)
-				stop()
-				os.Exit(1)
-			}
-		} else {
-			experiments.PrintParallel(os.Stdout, rep)
-		}
 	case "shard":
-		shardCounts, err := parseWorkers(*shards)
+		shardCounts, err := parseCounts(*shards)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mrbench: -shards: %v\n", err)
 			stop()
 			os.Exit(2)
 		}
-		sizeList, err := parseWorkers(*sizes)
+		sizeList, err := parseCounts(*sizes)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mrbench: -sizes: %v\n", err)
 			stop()
@@ -270,7 +236,7 @@ func main() {
 			experiments.PrintTune(os.Stdout, rep)
 		}
 	case "eco":
-		sizeList, err := parseWorkers(*sizes)
+		sizeList, err := parseCounts(*sizes)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mrbench: -sizes: %v\n", err)
 			stop()
@@ -380,8 +346,8 @@ func parseFracs(s string) ([]float64, error) {
 	return out, nil
 }
 
-// parseWorkers parses a comma-separated list of worker counts.
-func parseWorkers(s string) ([]int, error) {
+// parseCounts parses a comma-separated list of positive counts.
+func parseCounts(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
@@ -389,7 +355,7 @@ func parseWorkers(s string) ([]int, error) {
 	for _, f := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad worker count %q", f)
+			return nil, fmt.Errorf("bad count %q", f)
 		}
 		out = append(out, n)
 	}

@@ -66,8 +66,8 @@ func main() {
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell placement deadline (0 = none)")
 		bestEffort  = flag.Bool("best-effort", false, "place as many cells as possible and report failures instead of aborting")
 		auditEvery  = flag.Int("audit-every", 0, "run a full invariant audit every N placements, rolling back the batch on violation (0 = off)")
-		workers     = flag.Int("workers", 0, "planning goroutines per round (0 = NumCPU, 1 = serial; results are identical either way)")
-		shards      = flag.Int("shards", 0, "spatial die shards per round (0 = off; overrides -workers, results are identical at any count)")
+		workers     = flag.Int("workers", 0, "shard count when -shards is unset (default and 1 = serial, N > 1 = N spatial shards; results are identical either way)")
+		shards      = flag.Int("shards", 0, "spatial die shards per round (default = -workers, 1 = serial; overrides -workers, results are identical at any count)")
 		tuneFlag    = flag.String("tune", "off", "adaptive search guidance: off | online | replay (docs/PERFORMANCE.md §8)")
 		tuneLogPath = flag.String("tune-log", "", "policy log file: read as the recorded policy with -tune replay, written with the recorded policy after a -tune online run")
 
@@ -296,10 +296,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  MLL phase times  : extract %s, enumerate %s, evaluate %s, realize %s\n",
 				ph.Extract.Round(time.Millisecond), ph.Enumerate.Round(time.Millisecond),
 				ph.Evaluate.Round(time.Millisecond), ph.Realize.Round(time.Millisecond))
-		}
-		if sc := l.SchedCounters(); sc.Dispatched > 0 {
-			fmt.Fprintf(os.Stderr, "  scheduler        : %d dispatched, %d deferred, %d invalidated\n",
-				sc.Dispatched, sc.Deferred, sc.Invalidated)
 		}
 	}
 	if *svg != "" {

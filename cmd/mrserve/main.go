@@ -42,7 +42,7 @@ func main() {
 		queueBound = flag.Int("queue-bound", 64, "global queued-job bound; submissions beyond it answer 429")
 		perTenant  = flag.Int("per-tenant", 16, "per-tenant in-flight (queued+running) cap; beyond it answers 429")
 		jobTimeout = flag.Duration("job-timeout", 5*time.Minute, "default per-job deadline when the client sets none")
-		maxWorkers = flag.Int("max-workers", 0, "cap on per-job planning workers a submission may request (0 = default 4)")
+		maxWorkers = flag.Int("max-workers", 0, "cap on the per-job workers (shard count) a submission may request (0 = default 4)")
 		maxShards  = flag.Int("max-shards", 0, "cap on per-job spatial shard counts a submission may request (0 = default 16)")
 		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain deadline; jobs still running after it are canceled")
 		maxBody    = flag.Int64("max-body", 64<<20, "maximum request body size in bytes")

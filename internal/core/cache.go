@@ -41,7 +41,7 @@ import (
 //
 // Concurrency: lookups run in extractPlan under gridMu (either side);
 // stores run on the commit side — under gridMu's write lock during
-// parallel rounds, single-threaded otherwise — and entries are immutable
+// sharded rounds, single-threaded otherwise — and entries are immutable
 // once published (a store over a live key publishes a new entry aliasing
 // the old immutable slabs). Capacity trims happen only at round boundaries
 // (or outside Legalize runs), never mid-round, so eviction timing can
@@ -56,7 +56,7 @@ import (
 // routing, so cache counters stay reproducible per configuration, and
 // placements never depend on cache content in the first place (every
 // verdict is content-validated), so they stay byte-identical across
-// serial, claim-board and sharded drivers.
+// the serial and sharded drivers.
 //
 // See docs/PERFORMANCE.md §6 for the design notes and the admissibility
 // argument for carry-forward seeds.
@@ -605,7 +605,7 @@ func (l *Legalizer) cacheStore(sc *scratch, err error) {
 
 // cacheFlush publishes the entry a failed attempt marked via cacheStore.
 // It runs on the commit side (attempt's rollback path: under gridMu's
-// write lock during parallel rounds, single-threaded otherwise), after the
+// write lock during sharded rounds, single-threaded otherwise), after the
 // transaction rollback restored the window to its plan-time content, so
 // the dependency generations and the content signature are captured here —
 // only for attempts that actually store, never on the per-lookup path. For

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"time"
 
@@ -204,41 +203,21 @@ func (l *Legalizer) run(ctx context.Context) (*Report, error) {
 	return rep, st.fatal
 }
 
-// roundWorkers resolves how many planning workers a round over n cells
-// uses. Cfg.Workers: 1 (or a 1-cell round) is serial; 0 is auto
-// (runtime.NumCPU()); external solvers are always serial because a
-// LocalSolver may carry mutable state the engine cannot shard.
-func (l *Legalizer) roundWorkers(n int) int {
-	w := l.Cfg.Workers
-	if w == 1 || l.Cfg.Solver != nil {
-		return 1
-	}
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
-	if w > n {
-		w = n
-	}
-	if w < 2 {
-		return 1
-	}
-	return w
-}
-
-// roundShards resolves the shard count of the spatially-sharded round
-// driver for a round over n cells: up to Cfg.Shards spans, capped by the
-// cell count. 0 means sharding is off and placeRound falls through to
-// the claim-board parallel driver or the serial loop per Cfg.Workers.
-// External solvers are always serial.
+// roundShards resolves the shard count of a round over n cells:
+// Cfg.Shards, or Cfg.Workers when Shards is 0, capped by the cell count.
+// A count above 1 selects the spatially-sharded driver (shard.go);
+// anything else, including the default Workers = 0, is the serial loop.
+// External solvers are always serial because a LocalSolver may carry
+// mutable state the engine cannot shard.
 func (l *Legalizer) roundShards(n int) int {
+	if l.Cfg.Solver != nil {
+		return 1
+	}
 	k := l.Cfg.Shards
-	if k <= 0 || l.Cfg.Solver != nil || n == 0 {
-		return 0
+	if k == 0 {
+		k = l.Cfg.Workers
 	}
-	if k > n {
-		k = n
-	}
-	return k
+	return min(k, n)
 }
 
 // roundTargets fills st.targets with the desired position of every cell
@@ -277,9 +256,8 @@ func (l *Legalizer) roundTargets(cells []design.CellID, k, rx, ry int, st *runSt
 // k ≥ 1, and returns the cells that remain unplaced. With EscalateWindow
 // on, late rounds use progressively larger local-region windows so dense
 // instances whose solutions need compaction beyond one window still
-// terminate. Rounds with more than one resolved worker plan cells
-// concurrently (see placeRoundParallel); commits always happen in cell
-// order, so both paths produce identical results.
+// terminate. Rounds that resolve to more than one shard run the
+// spatially-sharded driver, which produces the serial result.
 func (l *Legalizer) placeRound(cells []design.CellID, k int, st *runState) []design.CellID {
 	// Trim the extraction cache only at round boundaries: a mid-round
 	// eviction could make a later lookup's hit/miss verdict depend on how
@@ -295,18 +273,13 @@ func (l *Legalizer) placeRound(cells []design.CellID, k int, st *runState) []des
 	l.tuneBeginRound(k, rx, ry)
 	targets := l.roundTargets(cells, k, rx, ry, st)
 	var failed []design.CellID
-	if ks := l.roundShards(len(cells)); ks > 0 {
+	if ks := l.roundShards(len(cells)); ks > 1 {
 		failed = l.placeRoundShard(cells, targets, k, ks, st)
 	} else {
-		w := l.roundWorkers(len(cells))
 		if l.om != nil {
-			l.om.roundWorkers.Set(int64(w))
+			l.om.roundWorkers.Set(1)
 		}
-		if w > 1 {
-			failed = l.placeRoundParallel(cells, targets, k, w, st)
-		} else {
-			failed = l.placeRoundSerial(cells, targets, k, st)
-		}
+		failed = l.placeRoundSerial(cells, targets, k, st)
 	}
 	if l.tuner != nil {
 		// Fold the round's observations into the bandit after every worker
@@ -359,8 +332,8 @@ func (l *Legalizer) tuneBeginRound(k, rx, ry int) {
 
 // tuneObserve feeds one applied attempt's outcome to the tuner: whether
 // the cell's family placed, how many insertion points the attempt
-// evaluated (the s1−s0 stats delta; the serial and claim-board drivers
-// pass merged legalizer stats, shard workers their own pre-merge shard)
+// evaluated (the s1−s0 stats delta; the serial driver passes merged
+// legalizer stats, shard workers their own pre-merge shard)
 // and the winner's window depth from the scratch. Attempts that never
 // ran an MLL search (direct placements) say nothing about the family's
 // radii and are skipped.
@@ -396,7 +369,7 @@ func (l *Legalizer) placeRoundSerial(cells []design.CellID, targets []planTarget
 			return l.placeAt(id, targets[i].tx, targets[i].ty, targets[i].rx, targets[i].ry)
 		})
 		if l.om != nil {
-			l.observeAttempt(id, k, targets[i].rx, targets[i].ry, -1, s0, time.Since(t0), err)
+			l.observeAttempt(id, k, targets[i].rx, targets[i].ry, -1, s0, &l.stats, time.Since(t0), err)
 		}
 		l.tuneObserve(id, s0, l.stats, l.sc, err)
 		if err != nil {

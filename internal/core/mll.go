@@ -93,26 +93,22 @@ type Config struct {
 	// single-row cells land. On.
 	TallFirst bool
 
-	// Workers sets how many goroutines plan MLL calls concurrently during
-	// Legalize rounds. The scheduler (internal/sched) only overlaps cells
-	// whose claims — MLL window plus snapped direct-placement footprint —
-	// are disjoint, and commits strictly in the seeded round order, so the
-	// result is byte-identical for every worker count. 0 means auto
-	// (runtime.NumCPU()); 1 preserves the fully serial behavior. Runs with
-	// an external Solver are always serial (solvers may carry mutable
-	// state).
+	// Workers is the shard count used when Shards is 0. 0 and 1 both mean
+	// the serial loop of Algorithm 1, which is the default; a larger
+	// value runs the spatially-sharded driver with that many shards (see
+	// Shards). Placements are byte-identical either way.
 	Workers int
 
 	// Shards selects the spatially-sharded round driver: the die's
 	// x-extent is partitioned into up to Shards contiguous column spans
 	// (boundaries at quantiles of the round's claim centers), one worker
 	// goroutine exclusively owning each span. Interior cells — those
-	// whose claims lie inside one span and are disjoint from every
-	// earlier seam claim — legalize with zero claim-board traffic; the
-	// remaining seam cells replay in a sequential pass in strict round
-	// order, so placements stay byte-identical to the serial driver at
-	// every shard count (docs/PERFORMANCE.md §7). 0 disables sharding and
-	// falls back to the claim-board driver selected by Workers. Ignored
+	// whose claims lie inside one span — legalize concurrently; the
+	// remaining seam cells run on a sequential thread in strict round
+	// order, with dependency edges ordering every conflicting
+	// seam–interior pair, so placements stay byte-identical to the serial
+	// driver at every shard count (docs/PERFORMANCE.md §7). 0 defers to
+	// Workers; a resolved count of 1 or less is the serial loop. Ignored
 	// with an external Solver. When AuditEvery > 0 the audit cadence is
 	// per shard during the interior pass, so audit bookkeeping (not
 	// placement legality) can differ from the serial schedule.
@@ -279,12 +275,12 @@ type Stats struct {
 // offers both full legalization (Algorithm 1) and incremental MLL calls.
 //
 // Concurrency contract: the exported API is single-goroutine — exactly
-// one goroutine may call into a Legalizer at a time. Legalize itself
-// fans planning work out to Cfg.Workers internal goroutines; during such
-// a run, gridMu arbitrates design/grid access (planners hold the read
-// side while snapshotting a region, the coordinator holds the write side
-// while committing) and every counter increment lands in a per-worker
-// scratch shard that only the coordinator merges into stats. No other
+// one goroutine may call into a Legalizer at a time. A sharded Legalize
+// run fans the round out to one goroutine per shard plus a seam thread;
+// during such a run, gridMu arbitrates design/grid access (planners hold
+// the read side while snapshotting a region, committers hold the write
+// side) and every counter increment lands in a per-thread scratch shard
+// that the owning goroutine merges into stats after the join. No other
 // goroutine may touch the design, the grid or the legalizer while a run
 // is in flight.
 type Legalizer struct {
@@ -309,9 +305,8 @@ type Legalizer struct {
 	txn *Txn
 
 	// sc is the scratch of the serial path (single-cell API calls and
-	// Workers=1 rounds); parallel rounds draw from pool instead.
-	sc   *scratch
-	pool []*scratch
+	// serial rounds); sharded rounds use shardScrs instead.
+	sc *scratch
 
 	// cache is the generation-stamped extraction cache (cache.go), lazily
 	// created by the first store. Planners read it under gridMu's read
@@ -324,11 +319,11 @@ type Legalizer struct {
 	// cacheStore parks the scratch here and attempt flushes it (cache.go).
 	pendingSc *scratch
 
-	// gridMu guards design and grid state during parallel rounds:
+	// gridMu guards design and grid state during sharded rounds:
 	// planners take the read side for the snapshot phase (snap/FreeAt/
-	// ExtractRegion), the coordinator takes the write side for commits,
-	// audits and rollbacks. Serial paths take the (uncontended) read
-	// side too, keeping one code path.
+	// ExtractRegion), committers take the write side for commits, audits
+	// and rollbacks. Serial paths take the (uncontended) read side too,
+	// keeping one code path.
 	gridMu sync.RWMutex
 
 	// runCtx carries the cancellation context of the current Legalize
@@ -340,11 +335,6 @@ type Legalizer struct {
 	// are static for the life of a grid). Built lazily by widthFits.
 	rowMaxSeg []int
 
-	// schedCounters accumulates the reservation scheduler's activity
-	// across parallel rounds, for observability only (the numbers depend
-	// on worker timing, unlike Stats).
-	schedCounters sched.Counters
-
 	// shardScrs and shardCaches are the per-shard scratch slabs and
 	// extraction caches of the sharded round driver (shard.go), reused
 	// across rounds. Each slot is touched only by its owning shard
@@ -352,10 +342,10 @@ type Legalizer struct {
 	shardScrs   []*scratch
 	shardCaches []*extractCache
 
-	// shardCounters accumulates the shard router's activity. Unlike the
-	// claim board's counters these are deterministic for a fixed input
-	// and configuration: classification depends only on claim geometry
-	// and round order, never on worker timing.
+	// shardCounters accumulates the shard router's activity. It is
+	// deterministic for a fixed input and configuration: classification
+	// depends only on claim geometry and round order, never on worker
+	// timing.
 	shardCounters sched.ShardCounters
 
 	// tuner is the adaptive search-guidance controller, nil when
@@ -606,25 +596,6 @@ func (l *Legalizer) resetCancel(sc *scratch) {
 	}
 }
 
-// planCell computes the full placement decision for one cell into
-// sc.plan without mutating any design or grid state: the direct
-// placement probe, then the MLL plan (extract + enumerate + evaluate).
-// Grid reads happen under gridMu's read side, released before the
-// region-local enumeration, so parallel planners only serialize on the
-// snapshot. commitPlan applies the decision.
-func (l *Legalizer) planCell(sc *scratch, id design.CellID, tx, ty float64, rx, ry int) {
-	if l.om == nil {
-		l.planCellInner(sc, id, tx, ty, rx, ry)
-		return
-	}
-	// Observability wants the planning wall time per cell (the commit
-	// half is clocked by the coordinator; see observeAttempt). Kept out
-	// of planCellInner so the disabled path makes no time syscalls.
-	t0 := time.Now()
-	l.planCellInner(sc, id, tx, ty, rx, ry)
-	sc.planDur = time.Since(t0)
-}
-
 // armTune resets the scratch's per-attempt guidance state and installs
 // the current round's sweep cutoff for the cell's family. With no tuner
 // the fields stay at their neutral values, so the best-first search runs
@@ -641,7 +612,13 @@ func (l *Legalizer) armTune(sc *scratch, h int) {
 	}
 }
 
-func (l *Legalizer) planCellInner(sc *scratch, id design.CellID, tx, ty float64, rx, ry int) {
+// planCell computes the full placement decision for one cell into
+// sc.plan without mutating any design or grid state: the direct
+// placement probe, then the MLL plan (extract + enumerate + evaluate).
+// Grid reads happen under gridMu's read side, released before the
+// region-local enumeration, so shard planners only serialize on the
+// snapshot. commitPlan applies the decision.
+func (l *Legalizer) planCell(sc *scratch, id design.CellID, tx, ty float64, rx, ry int) {
 	sc.plan = plan{id: id, tx: tx, ty: ty, rx: rx, ry: ry}
 	l.resetCancel(sc)
 	c := l.D.Cell(id)
@@ -741,8 +718,8 @@ func (l *Legalizer) selectPlan(sc *scratch, r *Region, tx, ty float64) {
 }
 
 // commitPlan applies a computed plan, mutating design and grid. It must
-// run inside a transaction boundary (attempt); during parallel rounds
-// the coordinator additionally holds gridMu's write side. The direct
+// run inside a transaction boundary (attempt); during sharded rounds
+// the committing thread additionally holds gridMu's write side. The direct
 // placement retries as an inline MLL when the grid insert fails (fault
 // injection is the only such path — the planned slot was probed free).
 // A failed commit publishes the attempt's knowledge — a no-insertion-point
@@ -980,7 +957,7 @@ func (sc *scratch) retainBest(ip *InsertionPoint) {
 // candidates compare equal — the winner is independent of enumeration
 // order, which is what lets the best-first search and the exhaustive
 // scanline sweep return the identical insertion point (and what keeps
-// parallel runs byte-identical at every worker count).
+// sharded runs byte-identical at every shard count).
 func betterCand(aEv Evaluation, a *InsertionPoint, bEv Evaluation, b *InsertionPoint) bool {
 	if aEv.Cost != bEv.Cost {
 		return aEv.Cost < bEv.Cost

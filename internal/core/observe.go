@@ -10,7 +10,7 @@ import (
 
 // This file is the engine side of the observability layer
 // (internal/obs): metric handles resolved once at legalizer construction,
-// and the recording helpers the driver, the parallel coordinator, the MLL
+// and the recording helpers the serial and sharded drivers, the MLL
 // merge point and the transaction layer call.
 //
 // Discipline: every caller nil-checks l.om first, so the disabled
@@ -42,8 +42,7 @@ type obsMetrics struct {
 	failedCells     *obs.Gauge
 
 	// MLL pipeline activity (mirrors Stats; fed at the scratch merge
-	// point so parallel speculation that the serial driver would not have
-	// done is never counted).
+	// point).
 	directPlacements *obs.Counter
 	mllCalls         *obs.Counter
 	mllSuccesses     *obs.Counter
@@ -65,13 +64,8 @@ type obsMetrics struct {
 	auditRuns      *obs.Counter
 	auditRollbacks *obs.Counter
 
-	// Parallel scheduler activity.
-	schedDispatched  *obs.Counter
-	schedDeferred    *obs.Counter
-	schedInvalidated *obs.Counter
-	schedBatches     *obs.Counter
-	schedBatched     *obs.Counter
-	workerPlans      *obs.ShardedCounter
+	// Plans computed per shard lane.
+	workerPlans *obs.ShardedCounter
 
 	// Spatial shard router activity (shard.go).
 	shardInterior  *obs.Counter
@@ -115,7 +109,7 @@ func newObsMetrics(o *obs.Observer) *obsMetrics {
 		attemptFailures: r.Counter("mrlegal_cell_attempt_failures_total", "Cell placement attempts that failed (the cell is retried in a later round)."),
 		rounds:          r.Counter("mrlegal_rounds_total", "Algorithm-1 rounds executed."),
 		unplaced:        r.Gauge("mrlegal_unplaced_cells", "Cells still unplaced at the start of the current round."),
-		roundWorkers:    r.Gauge("mrlegal_round_workers", "Planning workers used by the current round."),
+		roundWorkers:    r.Gauge("mrlegal_round_workers", "Shard workers used by the current round (1 on the serial loop)."),
 		placedCells:     r.Gauge("mrlegal_placed_cells", "Movable cells placed at the end of the run."),
 		failedCells:     r.Gauge("mrlegal_failed_cells", "Movable cells unplaced at the end of the run."),
 
@@ -139,12 +133,7 @@ func newObsMetrics(o *obs.Observer) *obsMetrics {
 		auditRuns:      r.Counter("mrlegal_audit_runs_total", "Mid-run invariant audits executed."),
 		auditRollbacks: r.Counter("mrlegal_audit_rollbacks_total", "Audits that detected a violation and rolled back a batch."),
 
-		schedDispatched:  r.Counter("mrlegal_sched_dispatched_total", "Claims handed to planning workers (includes re-dispatches)."),
-		schedDeferred:    r.Counter("mrlegal_sched_deferred_total", "Eligibility checks that found a conflicting earlier claim."),
-		schedInvalidated: r.Counter("mrlegal_sched_invalidated_total", "Dispatched claims discarded by a generation bump."),
-		schedBatches:     r.Counter("mrlegal_sched_batches_total", "Batched claim-board scans (NextBatch round-trips)."),
-		schedBatched:     r.Counter("mrlegal_sched_batched_total", "Claims dispatched through batched board scans."),
-		workerPlans:      r.ShardedCounter("mrlegal_worker_plans_total", "Plans computed, sharded per planning worker and merged on read.", obsWorkerShards),
+		workerPlans: r.ShardedCounter("mrlegal_worker_plans_total", "Plans computed, sharded per planning worker and merged on read.", obsWorkerShards),
 
 		shardInterior:  r.Counter("mrlegal_shard_interior_cells_total", "Cells owned exclusively by one spatial shard (zero claim traffic)."),
 		shardSeam:      r.Counter("mrlegal_shard_seam_cells_total", "Boundary-crossing cells routed to the sequential seam thread."),
@@ -181,8 +170,7 @@ func (l *Legalizer) timing() bool { return l.Cfg.PhaseTiming || l.om != nil }
 
 // addMerge mirrors one scratch's stats shard and phase times into the
 // metric registry. Called from mergeScratch (owner goroutine) just before
-// the shard is cleared, so metrics count exactly what Stats counts —
-// discarded speculative plans never reach here.
+// the shard is cleared, so metrics count exactly what Stats counts.
 func (m *obsMetrics) addMerge(s *Stats, p *PhaseTimes) {
 	m.directPlacements.Add(int64(s.DirectPlacements))
 	m.mllCalls.Add(int64(s.MLLCalls))
@@ -227,50 +215,16 @@ func outcomeFor(err error) obs.CellOutcome {
 }
 
 // observeAttempt records one driver placement attempt: counters, the
-// attempt-duration histogram and a ring/trace event. s0 is the legalizer
-// stats snapshot taken before the attempt; the delta against the current
-// totals is the attempt's own work (both driver paths merge the scratch
-// before calling here). worker is −1 on the serial path.
-func (l *Legalizer) observeAttempt(id design.CellID, round, rx, ry, worker int, s0 Stats, dur time.Duration, err error) {
+// attempt-duration histogram and a ring/trace event. s0 is the snapshot
+// of the stats d taken before the attempt, so the delta is the attempt's
+// own work: the serial loop passes the merged legalizer stats, a shard
+// worker its own scratch shard (merged into l.stats only after the round
+// joins, so a worker never reads l.stats). worker is the shard lane, −1
+// on the serial loop. Shard workers call this on their own goroutine
+// after the commit critical section; every handle it touches is atomic
+// or internally locked.
+func (l *Legalizer) observeAttempt(id design.CellID, round, rx, ry, worker int, s0 Stats, d *Stats, dur time.Duration, err error) {
 	m := l.om
-	d := &l.stats
-	ev := obs.CellEvent{
-		Cell:      int(id),
-		Round:     round,
-		WinW:      rx,
-		WinH:      ry,
-		Evaluated: d.InsertionPoints - s0.InsertionPoints,
-		Pruned: (d.CandidatesPruned - s0.CandidatesPruned) +
-			(d.SearchNodesCut - s0.SearchNodesCut) +
-			(d.WindowsPruned - s0.WindowsPruned),
-		Worker: worker,
-		Dur:    dur,
-	}
-	m.attempts.Inc()
-	if err == nil {
-		if d.DirectPlacements > s0.DirectPlacements {
-			ev.Outcome = obs.OutcomeDirect
-		} else {
-			ev.Outcome = obs.OutcomeMLL
-		}
-		ev.Disp = l.D.Cell(id).DispSites(l.D.SiteW, l.D.SiteH)
-		m.placements.Inc()
-	} else {
-		ev.Outcome = outcomeFor(err)
-		m.attemptFailures.Inc()
-	}
-	m.attemptSeconds.Observe(dur.Seconds())
-	m.o.RecordCell(ev)
-}
-
-// observeShardAttempt is observeAttempt for shard workers, which must
-// not read l.stats (their shard is merged into it only after the round
-// joins): the attempt's work deltas come from the worker's own scratch
-// shard instead. Runs on the worker goroutine after its commit critical
-// section; every handle it touches is atomic or internally locked.
-func (l *Legalizer) observeShardAttempt(id design.CellID, round, rx, ry, worker int, s0 Stats, sc *scratch, dur time.Duration, err error) {
-	m := l.om
-	d := &sc.stats
 	ev := obs.CellEvent{
 		Cell:      int(id),
 		Round:     round,

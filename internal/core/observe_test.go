@@ -116,9 +116,7 @@ func TestMetricsMirrorStats(t *testing.T) {
 		}
 		attempts := snap.Counters["mrlegal_cell_attempts_total"]
 		if got := snap.Counters["mrlegal_worker_plans_total"]; workers > 1 && got != attempts {
-			// Parallel rounds plan each committed attempt exactly once
-			// (speculative re-plans happen on the coordinator, not workers,
-			// only after invalidation; they re-dispatch and re-count).
+			// Sharded rounds plan each attempt exactly once on its lane.
 			if got < attempts {
 				t.Errorf("workers=%d: worker plans %d < attempts %d", workers, got, attempts)
 			}

@@ -1,8 +1,9 @@
 package core_test
 
-// Equivalence and chaos tests for the region-parallel driver: whatever
-// worker count is configured, a seeded run must be byte-identical to the
-// serial one — placements, stats, failure sets and verifier output.
+// Driver-selection and equivalence tests for Config.Workers: 0 and 1 run
+// the serial loop, a larger count runs the spatially-sharded driver with
+// that many shards, and whatever the count, a seeded run must reproduce
+// the serial placements, failure sets, verifier output and round count.
 
 import (
 	"bytes"
@@ -13,8 +14,9 @@ import (
 	"mrlegal/internal/bengen"
 	"mrlegal/internal/core"
 	"mrlegal/internal/design"
-	"mrlegal/internal/faultinject"
 	"mrlegal/internal/gp"
+	"mrlegal/internal/obs"
+	"mrlegal/internal/sched"
 	"mrlegal/internal/verify"
 )
 
@@ -37,8 +39,11 @@ type runOutcome struct {
 	rounds     int
 	audits     int
 	rollbacks  int
+	routing    sched.ShardCounters
 }
 
+// legalizeWithWorkers legalizes d at the given Workers count and checks
+// that the driver the resolved shard count selects is the one that ran.
 func legalizeWithWorkers(t *testing.T, d *design.Design, cfg core.Config, workers int) runOutcome {
 	t.Helper()
 	cfg.Workers = workers
@@ -53,8 +58,15 @@ func legalizeWithWorkers(t *testing.T, d *design.Design, cfg core.Config, worker
 	if err := l.G.CheckConsistency(); err != nil {
 		t.Fatalf("workers=%d: grid inconsistent: %v", workers, err)
 	}
-	if workers > 1 && l.SchedCounters().Dispatched == 0 {
-		t.Fatalf("workers=%d: scheduler never dispatched; parallel path not exercised", workers)
+	k := cfg.Shards
+	if k == 0 {
+		k = workers
+	}
+	if sctr := l.ShardCounters(); (sctr.Interior+sctr.Seam > 0) != (k > 1) {
+		t.Fatalf("workers=%d shards=%d: wrong driver ran (shard routing %+v)", workers, cfg.Shards, sctr)
+	}
+	if ctr := l.SchedCounters(); ctr != (sched.Counters{}) {
+		t.Fatalf("workers=%d: claim scheduler counters moved: %+v", workers, ctr)
 	}
 	var fails bytes.Buffer
 	for _, f := range rep.Failed {
@@ -75,37 +87,14 @@ func legalizeWithWorkers(t *testing.T, d *design.Design, cfg core.Config, worker
 		rounds:     rep.Rounds,
 		audits:     rep.AuditRuns,
 		rollbacks:  rep.AuditRollbacks,
-	}
-}
-
-func assertOutcomesEqual(t *testing.T, name string, serial, parallel runOutcome, workers int) {
-	t.Helper()
-	if !bytes.Equal(serial.placement, parallel.placement) {
-		t.Errorf("%s: placements differ between Workers=1 and Workers=%d", name, workers)
-	}
-	if serial.stats != parallel.stats {
-		t.Errorf("%s: stats differ between Workers=1 and Workers=%d:\n%+v\n%+v",
-			name, workers, serial.stats, parallel.stats)
-	}
-	if serial.failures != parallel.failures {
-		t.Errorf("%s: failure sets differ:\nserial:\n%sworkers=%d:\n%s",
-			name, serial.failures, workers, parallel.failures)
-	}
-	if serial.violations != parallel.violations {
-		t.Errorf("%s: verify.Check results differ:\nserial:\n%sworkers=%d:\n%s",
-			name, serial.violations, workers, parallel.violations)
-	}
-	if serial.rounds != parallel.rounds || serial.audits != parallel.audits || serial.rollbacks != parallel.rollbacks {
-		t.Errorf("%s: report counters differ: serial (rounds %d, audits %d, rollbacks %d) vs workers=%d (rounds %d, audits %d, rollbacks %d)",
-			name, serial.rounds, serial.audits, serial.rollbacks,
-			workers, parallel.rounds, parallel.audits, parallel.rollbacks)
+		routing:    l.ShardCounters(),
 	}
 }
 
 // TestParallelMatchesSerialOnTable1 runs every Table-1 benchmark (scaled
 // down) through the full generate → global-place → legalize flow with
-// Workers=1 and Workers=4 and requires fully legal, byte-identical
-// outcomes with identical verifier output.
+// Workers=1 (serial) and Workers=4 (four shards) and requires fully
+// legal, byte-identical outcomes with identical verifier output.
 func TestParallelMatchesSerialOnTable1(t *testing.T) {
 	scale := 1500
 	if testing.Short() {
@@ -119,7 +108,7 @@ func TestParallelMatchesSerialOnTable1(t *testing.T) {
 			cfg.Seed = 3
 			serial := legalizeWithWorkers(t, b.D.Clone(), cfg, 1)
 			par := legalizeWithWorkers(t, b.D.Clone(), cfg, 4)
-			assertOutcomesEqual(t, spec.Name, serial, par, 4)
+			assertShardMatchesSerial(t, spec.Name, serial, par, 4)
 			if serial.failures != "" {
 				t.Errorf("benchmark not fully placed:\n%s", serial.failures)
 			}
@@ -131,8 +120,8 @@ func TestParallelMatchesSerialOnTable1(t *testing.T) {
 }
 
 // TestParallelDeterminismAcrossWorkerCounts sweeps worker counts on one
-// denser instance with audits enabled, so the invalidation path (audit
-// rollback → generation bump → re-plan) is exercised too.
+// denser instance with audits enabled. Audit cadence is per shard, so
+// only the audit bookkeeping may differ from the serial run.
 func TestParallelDeterminismAcrossWorkerCounts(t *testing.T) {
 	b := bengen.Generate(bengen.Spec{Name: "par-det", NumCells: 700, Density: 0.7, Seed: 21})
 	cfg := core.DefaultConfig()
@@ -141,41 +130,68 @@ func TestParallelDeterminismAcrossWorkerCounts(t *testing.T) {
 	serial := legalizeWithWorkers(t, b.D.Clone(), cfg, 1)
 	for _, workers := range []int{2, 4, 7} {
 		par := legalizeWithWorkers(t, b.D.Clone(), cfg, workers)
-		assertOutcomesEqual(t, "par-det", serial, par, workers)
-	}
-}
-
-// TestParallelChaosMatchesSerial is the parallel arm of the chaos suite:
-// insert failures, realize panics and audit violations at co-prime
-// periods, under multiple worker counts. Faults fire during commits, which
-// happen in seeded order on the coordinator, so even the injected fault
-// sequence — and therefore the whole run — must match the serial one.
-func TestParallelChaosMatchesSerial(t *testing.T) {
-	b := bengen.Generate(bengen.Spec{Name: "par-chaos", NumCells: 400, Density: 0.6, Seed: 11})
-	run := func(workers int) (runOutcome, *faultinject.Injector) {
-		cfg := core.DefaultConfig()
-		cfg.AuditEvery = 17
-		inj := &faultinject.Injector{FailInsertEvery: 13, PanicRealizeEvery: 29, FailAuditEvery: 5}
-		cfg.Faults = inj
-		return legalizeWithWorkers(t, b.D.Clone(), cfg, workers), inj
-	}
-	serial, _ := run(1)
-	for _, workers := range []int{3, 4} {
-		par, inj := run(workers)
-		if inj.InjectedInsertFailures == 0 || inj.InjectedPanics == 0 || inj.InjectedAuditFailures == 0 {
-			t.Fatalf("workers=%d: not all fault classes fired: %+v", workers, inj)
+		assertShardMatchesSerial(t, "par-det", serial, par, workers)
+		if par.audits == 0 || par.rollbacks != 0 {
+			t.Errorf("workers=%d: audits %d, rollbacks %d; want audits and no rollbacks", workers, par.audits, par.rollbacks)
 		}
-		assertOutcomesEqual(t, "par-chaos", serial, par, workers)
 	}
 }
 
-// TestWorkersAutoSelection pins the documented Config.Workers semantics:
-// 0 resolves to NumCPU, 1 is serial, and a Solver forces serial planning.
+// TestWorkersAutoSelection pins the default: DefaultConfig (Workers 0)
+// legalizes a Table-1 design on the serial loop — no shard routing, no
+// claim scheduling, and the round-workers gauge reads 1.
 func TestWorkersAutoSelection(t *testing.T) {
-	b := bengen.Generate(bengen.Spec{Name: "auto", NumCells: 200, Density: 0.5, Seed: 4})
+	spec := bengen.Table1Specs(2000)[0]
+	b := bengen.Generate(spec)
+	gp.Place(b.D, b.NL, gp.Config{Seed: spec.Seed})
 	cfg := core.DefaultConfig()
-	cfg.Seed = 2
-	serial := legalizeWithWorkers(t, b.D.Clone(), cfg, 1)
+	if cfg.Workers != 0 || cfg.Shards != 0 {
+		t.Fatalf("DefaultConfig workers=%d shards=%d, want 0 and 0", cfg.Workers, cfg.Shards)
+	}
+	o := obs.New(obs.Options{})
+	cfg.Obs = o
 	auto := legalizeWithWorkers(t, b.D.Clone(), cfg, 0)
-	assertOutcomesEqual(t, "auto", serial, auto, 0)
+	if g := o.Registry().Snapshot().Gauges["mrlegal_round_workers"]; g != 1 {
+		t.Errorf("mrlegal_round_workers = %d, want 1", g)
+	}
+	cfg.Obs = nil
+	serial := legalizeWithWorkers(t, b.D.Clone(), cfg, 1)
+	assertShardMatchesSerial(t, spec.Name, serial, auto, 0)
+	if auto.stats != serial.stats {
+		t.Errorf("Workers=0 and Workers=1 stats differ:\n%+v\n%+v", auto.stats, serial.stats)
+	}
+}
+
+// TestWorkersSelectShardDriver pins the mapping of Workers and Shards
+// onto drivers: the shard count is Shards, or Workers when Shards is 0,
+// and only a count above 1 runs the shard driver. Every combination
+// reproduces the serial placement checksum.
+func TestWorkersSelectShardDriver(t *testing.T) {
+	base := shardTestDesign(1200, 17)
+	cfg := core.DefaultConfig()
+	cfg.Seed = 4
+	d := base.Clone()
+	legalizeWithWorkers(t, d, cfg, 1)
+	want := d.PlacementChecksum()
+	for _, tc := range []struct {
+		workers, shards int
+		sharded         bool
+	}{
+		{workers: 4, shards: 0, sharded: true},
+		{workers: 0, shards: 3, sharded: true},
+		{workers: 4, shards: 1, sharded: false},
+		{workers: 0, shards: 0, sharded: false},
+	} {
+		c := cfg
+		c.Shards = tc.shards
+		d := base.Clone()
+		out := legalizeWithWorkers(t, d, c, tc.workers)
+		if (out.routing.Interior > 0) != tc.sharded {
+			t.Errorf("workers=%d shards=%d: interior cells %d, want sharded=%v",
+				tc.workers, tc.shards, out.routing.Interior, tc.sharded)
+		}
+		if got := d.PlacementChecksum(); got != want {
+			t.Errorf("workers=%d shards=%d: checksum %016x, serial %016x", tc.workers, tc.shards, got, want)
+		}
+	}
 }

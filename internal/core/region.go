@@ -52,8 +52,8 @@ type LocalSeg struct {
 //
 // A region is a pure snapshot: after extraction, enumeration and
 // evaluation read only region-local state, never the grid or design —
-// this is what lets the parallel driver plan regions concurrently while
-// the coordinator commits elsewhere.
+// this is what lets the shard driver plan regions concurrently while
+// another thread commits elsewhere.
 type Region struct {
 	D   *design.Design
 	G   *segment.Grid

@@ -62,12 +62,10 @@ type plan struct {
 // queues, plus the per-attempt cancellation state and the stats shard.
 //
 // Concurrency contract: a scratch belongs to exactly one goroutine at a
-// time. The serial driver uses the legalizer's own scratch; the parallel
-// driver hands each planning task a scratch from a pool and transfers
-// ownership to the coordinator together with the plan (the channel send
-// is the synchronization point). Stats accumulate in the shard and are
-// merged into Legalizer.stats only by the goroutine that owns the
-// legalizer, so the hot path needs no atomics.
+// time. The serial driver uses the legalizer's own scratch; the sharded
+// driver gives each shard thread its own scratch for the round. Stats
+// accumulate in the shard and are merged into Legalizer.stats only by the
+// goroutine that owns the legalizer, so the hot path needs no atomics.
 type scratch struct {
 	region Region
 
@@ -148,8 +146,7 @@ type scratch struct {
 	phases PhaseTimes
 
 	// --- observability (set only when an observer is attached) ---
-	planDur time.Duration // planCell wall time of the current plan
-	worker  int           // planning worker index, -1 on the serial path
+	worker int // shard lane of the planning thread, -1 on the serial path
 
 	// --- per-attempt cancellation state (was on Legalizer; moved here so
 	// concurrent planners poll independent deadlines) ---
@@ -177,7 +174,8 @@ func (l *Legalizer) scratchFor() *scratch {
 
 // mergeScratch folds the scratch's stats shard and phase times into the
 // legalizer totals and clears the shard. Only the goroutine owning the
-// legalizer (the serial caller, or the parallel coordinator) calls this.
+// legalizer (the serial caller, or the sharded driver after its join)
+// calls this.
 func (l *Legalizer) mergeScratch(sc *scratch) {
 	if l.om != nil {
 		l.om.addMerge(&sc.stats, &sc.phases)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,9 +12,9 @@ import (
 	"mrlegal/internal/verify"
 )
 
-// This file implements the spatially-sharded round driver: the coarse-
-// grained alternative to the claim-board engine in parallel.go, selected
-// by Config.Shards. The shape of one round:
+// This file implements the spatially-sharded round driver, the only
+// parallel round driver, selected by Config.Shards (or Config.Workers
+// when Shards is 0; see roundShards). The shape of one round:
 //
 //	schedule ─▶ K shard workers place their interior cells concurrently
 //	            (plan under gridMu.RLock, commit under gridMu.Lock on a
@@ -64,7 +65,7 @@ import (
 // 0..K-1, seam thread last) after the join so every deterministic total
 // is a fixed-order sum. Failed cells are reported sorted by round
 // index, matching the serial driver's order (audit-rollback reruns
-// excepted, as in the claim-board driver).
+// excepted).
 
 // shardFail records one failed round index; a nil err means "keep the
 // cell's previous failure reason" (early stop, not a fresh verdict).
@@ -143,6 +144,40 @@ func (p *shardProgress) stop() {
 	p.cond.Broadcast()
 }
 
+// claimFor computes the 2-D reservation of one round cell: the union
+// bounding box of its MLL window and its snapped direct-placement
+// footprint (the snap position depends only on static row data, so it is
+// computable before any planning). Every grid read that can influence the
+// cell's plan, and every write its commit can make, falls inside this
+// box, which is what lets the shard schedule treat disjoint claims as
+// independent.
+func (l *Legalizer) claimFor(id design.CellID, tx, ty float64, rx, ry int) sched.Claim {
+	c := l.D.Cell(id)
+	xc := int(math.Round(tx))
+	yc := int(math.Round(ty))
+	cl := sched.Claim{
+		X0: xc - rx, X1: xc + rx + c.W,
+		Y0: yc - ry, Y1: yc + ry + c.H,
+	}
+	if x, y, ok := l.snap(c, tx, ty); ok {
+		cl.X0 = min(cl.X0, x)
+		cl.X1 = max(cl.X1, x+c.W)
+		cl.Y0 = min(cl.Y0, y)
+		cl.Y1 = max(cl.Y1, y+c.H)
+	}
+	if l.cons != nil {
+		// Constraint plugins read one max-gap of context beyond the window
+		// (inflated extraction span, direct-placement neighbor probe), so
+		// the reservation widens by the same margin to keep concurrent plans
+		// conflict-serialized on everything they can observe.
+		if mg := l.cons.MaxGap(); mg > 0 {
+			cl.X0 -= mg
+			cl.X1 += mg
+		}
+	}
+	return cl
+}
+
 // ensureShardSlots grows the per-thread scratch and cache pools to k
 // entries. Both are reused across rounds and runs, so shard-local memo
 // state keeps paying off over retry rounds.
@@ -159,7 +194,7 @@ func (l *Legalizer) ensureShardSlots(k int) {
 }
 
 // placeRoundShard is placeRound's sharded engine. cells and targets are
-// parallel slices in round order; k is the requested shard count (≥ 1,
+// parallel slices in round order; k is the requested shard count (≥ 2,
 // already capped by the cell count).
 func (l *Legalizer) placeRoundShard(cells []design.CellID, targets []planTarget, round, k int, st *runState) []design.CellID {
 	n := len(cells)
@@ -353,7 +388,7 @@ func (l *Legalizer) runShardWorker(w *shardWorker, schedule *sched.ShardSchedule
 		l.gridMu.Unlock()
 		prog.advance(w.wid, idx)
 		if l.om != nil {
-			l.observeShardAttempt(id, round, targets[idx].rx, targets[idx].ry, w.wid, s0, w.sc, time.Since(t0), err)
+			l.observeAttempt(id, round, targets[idx].rx, targets[idx].ry, w.wid, s0, &w.sc.stats, time.Since(t0), err)
 		}
 		// Worker-side observation from the thread's own (pre-merge) stats
 		// shard; the tuner's accumulators are commutative, so the fold at
@@ -424,6 +459,10 @@ func (l *Legalizer) shardAudit(w *shardWorker) []int {
 }
 
 // ShardCounters returns the cumulative shard-routing activity of sharded
-// rounds (zero otherwise). Unlike SchedCounters these are deterministic
-// for a fixed input and configuration.
+// rounds (zero otherwise). They are deterministic for a fixed input and
+// configuration.
 func (l *Legalizer) ShardCounters() sched.ShardCounters { return l.shardCounters }
+
+// SchedCounters always returns zero counters: no driver schedules claims
+// cell by cell. It stays for callers that read the counters.
+func (l *Legalizer) SchedCounters() sched.Counters { return sched.Counters{} }

@@ -21,53 +21,12 @@ import (
 	"mrlegal/internal/verify"
 )
 
-// legalizeWithShards mirrors legalizeWithWorkers for the shard driver.
-// It asserts the opposite scheduler property: sharded rounds must incur
-// ZERO claim-board traffic (interior cells are owned, not claimed).
+// legalizeWithShards is legalizeWithWorkers for an explicit shard count
+// with Workers at its serial default.
 func legalizeWithShards(t *testing.T, d *design.Design, cfg core.Config, shards int) runOutcome {
 	t.Helper()
 	cfg.Shards = shards
-	l, err := core.NewLegalizer(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := l.LegalizeBestEffort(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.G.CheckConsistency(); err != nil {
-		t.Fatalf("shards=%d: grid inconsistent: %v", shards, err)
-	}
-	if shards > 0 {
-		ctr := l.SchedCounters()
-		if ctr.Dispatched != 0 || ctr.Deferred != 0 || ctr.Batched != 0 {
-			t.Fatalf("shards=%d: claim-board traffic on the shard path: %+v", shards, ctr)
-		}
-		sctr := l.ShardCounters()
-		if sctr.Interior+sctr.Seam == 0 {
-			t.Fatalf("shards=%d: shard classifier never ran", shards)
-		}
-	}
-	var fails bytes.Buffer
-	for _, f := range rep.Failed {
-		fmt.Fprintf(&fails, "%s\n", f)
-	}
-	var viols bytes.Buffer
-	for _, v := range verify.Check(d, verify.Options{
-		RequirePlaced:  len(rep.Failed) == 0,
-		PowerAlignment: cfg.PowerAlign,
-	}, 0) {
-		fmt.Fprintf(&viols, "%s\n", v)
-	}
-	return runOutcome{
-		placement:  placementSnapshot(d),
-		stats:      l.Stats(),
-		failures:   fails.String(),
-		violations: viols.String(),
-		rounds:     rep.Rounds,
-		audits:     rep.AuditRuns,
-		rollbacks:  rep.AuditRollbacks,
-	}
+	return legalizeWithWorkers(t, d, cfg, 0)
 }
 
 // assertShardMatchesSerial compares everything except Stats, which
@@ -140,9 +99,9 @@ func TestShardMatchesSerialAcrossK(t *testing.T) {
 	}
 }
 
-// TestShardZeroClaimTraffic pins the tentpole's defining property: with
-// the shard driver active, the claim board is never consulted and the
-// overwhelming share of cells legalize as interior cells.
+// TestShardZeroClaimTraffic pins the shard driver's defining property:
+// no cell goes through per-cell claim scheduling, and the overwhelming
+// share of cells legalize as interior cells.
 func TestShardZeroClaimTraffic(t *testing.T) {
 	d := shardTestDesign(1200, 31)
 	cfg := core.DefaultConfig()
@@ -157,7 +116,7 @@ func TestShardZeroClaimTraffic(t *testing.T) {
 	}
 	if ctr := l.SchedCounters(); ctr.Dispatched != 0 || ctr.Deferred != 0 ||
 		ctr.Invalidated != 0 || ctr.Batches != 0 || ctr.Batched != 0 {
-		t.Fatalf("claim-board traffic in shard mode: %+v", ctr)
+		t.Fatalf("claim scheduler counters moved in shard mode: %+v", ctr)
 	}
 	sctr := l.ShardCounters()
 	if sctr.Interior == 0 {

@@ -21,6 +21,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"mrlegal/internal/design"
 	"mrlegal/internal/geom"
@@ -71,11 +73,32 @@ func Write(w io.Writer, d *design.Design, nl *netlist.Netlist) error {
 	return bw.Flush()
 }
 
+// escape makes a name one field of its line: Read splits fields on every
+// unicode.IsSpace rune (and lines on '\n'), so each such rune becomes '_'.
+// Other bytes, invalid UTF-8 included, pass through unchanged.
 func escape(s string) string {
 	if s == "" {
 		return "_"
 	}
-	return strings.ReplaceAll(s, " ", "_")
+	i := 0
+	for i < len(s) && s[i] > ' ' && s[i] < utf8.RuneSelf {
+		i++ // printable ASCII, never a space rune
+	}
+	if i == len(s) {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	for len(s) > 0 {
+		r, n := utf8.DecodeRuneInString(s)
+		if unicode.IsSpace(r) {
+			b.WriteByte('_')
+		} else {
+			b.WriteString(s[:n])
+		}
+		s = s[n:]
+	}
+	return b.String()
 }
 
 // Read parses a design and netlist from r. The returned netlist is empty

@@ -142,3 +142,43 @@ cell c 0 1.5 0.25
 		t.Fatalf("parse result wrong: %+v", d)
 	}
 }
+
+// TestRoundTripWhitespaceNames: Read splits fields on every Unicode space
+// rune and lines on '\n', so Write must turn each such rune in a name
+// into '_' or the output stops parsing (a '\n' would even inject a line).
+func TestRoundTripWhitespaceNames(t *testing.T) {
+	names := []string{"a b", "a\tb", "a\rb", "a\nb", "a\u00a0b", "a\u2028b", "a\u3000\u0085b", "\tlead", "trail ", ""}
+	want := []string{"a_b", "a_b", "a_b", "a_b", "a_b", "a_b", "a__b", "_lead", "trail_", "_"}
+	d := design.New("d\tx", 200, 2000)
+	d.Rows = append(d.Rows, design.Row{Y: 0, Span: geom.Span{Lo: 0, Hi: 100}})
+	nl := netlist.New()
+	for i, name := range names {
+		m := d.AddMaster(design.Master{Name: name, Width: 1, Height: 1, BottomRail: design.VSS})
+		id := d.AddCell(name, m, float64(i), 0)
+		nl.AddNet(name, netlist.Pin{Cell: id})
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, d, nl); err != nil {
+		t.Fatal(err)
+	}
+	d2, nl2, err := Read(&buf)
+	if err != nil {
+		t.Fatalf("written design does not parse: %v", err)
+	}
+	if d2.Name != "d_x" {
+		t.Errorf("design name %q, want %q", d2.Name, "d_x")
+	}
+	if len(d2.Cells) != len(names) || len(d2.Lib) != len(names) || len(nl2.Nets) != len(names) {
+		t.Fatalf("read %d cells, %d masters, %d nets; want %d each",
+			len(d2.Cells), len(d2.Lib), len(nl2.Nets), len(names))
+	}
+	for i := range names {
+		if d2.Cells[i].Name != want[i] || d2.Lib[i].Name != want[i] || nl2.Nets[i].Name != want[i] {
+			t.Errorf("name %q read back as cell %q, master %q, net %q; want %q",
+				names[i], d2.Cells[i].Name, d2.Lib[i].Name, nl2.Nets[i].Name, want[i])
+		}
+		if d2.Cells[i].GX != float64(i) || nl2.Nets[i].Pins[0].Cell != design.CellID(i) {
+			t.Errorf("cell %d fields shifted after its name", i)
+		}
+	}
+}

@@ -1,29 +1,17 @@
-// Package sched provides the conflict-detecting reservation scheduler of
-// the region-parallel legalization driver.
+// Package sched provides the spatial shard scheduler of the parallel
+// legalization driver (shard.go).
 //
 // The driver processes the cells of one Algorithm-1 round in a fixed
 // seeded order. Each cell owns a 2-D claim — its MLL window (row span ×
-// x span) padded by the realization safety margin — and the paper's
-// locality argument (§2.1.3) guarantees that an MLL call mutates design
-// and grid state only inside that claim. Two cells whose claims are
-// disjoint therefore have independent local problems and may be planned
-// concurrently.
-//
-// The Board hands out work under one invariant that makes the parallel
-// run byte-identical to the serial one:
-//
-//	a cell may start planning only when every earlier cell in the round
-//	order whose claim overlaps its own has already been applied
-//	(committed or failed), and applies happen in strict round order.
-//
-// Under that invariant the state inside a cell's claim at planning time
-// is exactly the state the serial driver would have shown it, commits of
-// concurrently planned cells touch disjoint state, and applying them in
-// round order reproduces the serial undo-log, audit batching and failure
-// ordering bit for bit.
+// x span) united with its snapped direct-placement footprint — and the
+// paper's locality argument (§2.1.3) guarantees that an MLL call reads
+// and mutates design and grid state only inside that claim. Two cells
+// whose claims are disjoint therefore have independent local problems
+// and commute. The shard schedule partitions the die into column spans
+// so that most claims fall inside one span, and orders every conflicting
+// pair that straddles threads, which keeps a sharded run byte-identical
+// to the serial one.
 package sched
-
-import "fmt"
 
 // Claim is a half-open 2-D reservation: sites [X0,X1) × rows [Y0,Y1).
 type Claim struct {
@@ -39,148 +27,13 @@ func (c Claim) Overlaps(o Claim) bool {
 // Empty reports whether the claim covers no area.
 func (c Claim) Empty() bool { return c.X1 <= c.X0 || c.Y1 <= c.Y0 }
 
-type state uint8
-
-const (
-	pending state = iota // not yet handed to a worker
-	dispatched
-	applied
-)
-
-// Counters is the scheduler activity snapshot, for observability. It is
-// deliberately kept out of the legalizer's deterministic Stats: deferral
-// counts depend on worker timing, not on the input.
+// Counters holds per-cell claim-scheduling activity. No driver schedules
+// claims cell by cell, so every field reads zero; the type stays for
+// callers that read it.
 type Counters struct {
 	Dispatched  int64 // claims handed to workers (includes re-dispatches)
 	Deferred    int64 // eligibility checks that found a conflicting earlier claim
 	Invalidated int64 // dispatched claims discarded by a generation bump
-	Batches     int64 // NextBatch scans (board round-trips)
-	Batched     int64 // claims dispatched through NextBatch
+	Batches     int64 // batched board scans
+	Batched     int64 // claims dispatched through batched scans
 }
-
-// Add accumulates another snapshot into c.
-func (c *Counters) Add(o Counters) {
-	c.Dispatched += o.Dispatched
-	c.Deferred += o.Deferred
-	c.Invalidated += o.Invalidated
-	c.Batches += o.Batches
-	c.Batched += o.Batched
-}
-
-// Board schedules one ordered sequence of claims. It is not
-// concurrency-safe: exactly one coordinator goroutine owns it, workers
-// never touch it (they only receive indices through channels).
-type Board struct {
-	claims    []Claim
-	st        []state
-	head      int // first un-applied index; applies are strictly in order
-	lookahead int // dispatch horizon beyond head, bounds reorder memory
-	ctr       Counters
-}
-
-// NewBoard builds a board over claims in round order. lookahead bounds
-// how far past the apply frontier the board will dispatch (≥ 1).
-func NewBoard(claims []Claim, lookahead int) *Board {
-	if lookahead < 1 {
-		lookahead = 1
-	}
-	return &Board{claims: claims, st: make([]state, len(claims)), lookahead: lookahead}
-}
-
-// Next returns the round index of the next cell eligible for planning,
-// or ok == false when nothing inside the horizon can be dispatched right
-// now. The head cell is always eligible when pending, so the round can
-// never stall.
-func (b *Board) Next() (int, bool) {
-	hi := min(len(b.claims), b.head+b.lookahead)
-	for i := b.head; i < hi; i++ {
-		if b.st[i] != pending {
-			continue
-		}
-		if b.blocked(i) {
-			b.ctr.Deferred++
-			continue
-		}
-		b.st[i] = dispatched
-		b.ctr.Dispatched++
-		return i, true
-	}
-	return 0, false
-}
-
-// NextBatch dispatches every currently-eligible cell inside the horizon
-// in one scan, appending their round indices to out (at most max of
-// them) and returning the extended slice. It is the batched form of
-// Next: one board round-trip claims many cells, amortizing the per-call
-// eligibility rescans that dominate claim traffic on dense rounds.
-//
-// Dispatch order and the dispatched set are identical to calling Next in
-// a loop until it returns ok == false or max cells are taken: blocked
-// only inspects claim geometry over [head, i), never dispatch state, so
-// claiming cell i during the scan cannot change the verdict for any
-// later cell in the same scan.
-func (b *Board) NextBatch(out []int, max int) []int {
-	b.ctr.Batches++
-	hi := min(len(b.claims), b.head+b.lookahead)
-	n0 := len(out)
-	for i := b.head; i < hi && len(out)-n0 < max; i++ {
-		if b.st[i] != pending {
-			continue
-		}
-		if b.blocked(i) {
-			b.ctr.Deferred++
-			continue
-		}
-		b.st[i] = dispatched
-		b.ctr.Dispatched++
-		out = append(out, i)
-	}
-	b.ctr.Batched += int64(len(out) - n0)
-	return out
-}
-
-// blocked reports whether an earlier un-applied claim overlaps claim i.
-// Every j in [head, i) is un-applied by construction, whatever its
-// dispatch state: its commit has not landed yet, so cell i's window
-// content could still change.
-func (b *Board) blocked(i int) bool {
-	for j := b.head; j < i; j++ {
-		if b.claims[j].Overlaps(b.claims[i]) {
-			return true
-		}
-	}
-	return false
-}
-
-// Undispatch returns a dispatched-but-unapplied cell to the pending
-// state (its plan arrived stale after a generation bump and must be
-// recomputed).
-func (b *Board) Undispatch(i int) {
-	if b.st[i] != dispatched {
-		panic(fmt.Sprintf("sched: Undispatch(%d) in state %d", i, b.st[i]))
-	}
-	b.st[i] = pending
-	b.ctr.Invalidated++
-}
-
-// Applied marks the head cell applied and advances the frontier. Applies
-// must arrive in strict round order; anything else is a driver bug.
-func (b *Board) Applied(i int) {
-	if i != b.head {
-		panic(fmt.Sprintf("sched: Applied(%d) out of order, head is %d", i, b.head))
-	}
-	if b.st[i] != dispatched {
-		panic(fmt.Sprintf("sched: Applied(%d) in state %d", i, b.st[i]))
-	}
-	b.st[i] = applied
-	b.head++
-}
-
-// Head returns the apply frontier: the number of cells applied so far.
-func (b *Board) Head() int { return b.head }
-
-// Done reports whether every cell has been applied.
-func (b *Board) Done() bool { return b.head == len(b.claims) }
-
-// Counters returns the activity snapshot.
-func (b *Board) Counters() Counters { return b.ctr }

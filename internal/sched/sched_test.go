@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestClaimOverlaps(t *testing.T) {
 	a := Claim{X0: 0, X1: 10, Y0: 0, Y1: 2}
@@ -31,175 +28,5 @@ func TestClaimOverlaps(t *testing.T) {
 	}
 	if (Claim{X0: 0, X1: 1, Y0: 0, Y1: 1}).Empty() {
 		t.Error("unit claim should not be empty")
-	}
-}
-
-// row returns a single-row claim on [x0,x1).
-func row(x0, x1 int) Claim { return Claim{X0: x0, X1: x1, Y0: 0, Y1: 1} }
-
-func TestBoardDispatchesDisjointClaims(t *testing.T) {
-	// Four pairwise-disjoint claims: all dispatchable immediately within
-	// the horizon.
-	b := NewBoard([]Claim{row(0, 10), row(20, 30), row(40, 50), row(60, 70)}, 4)
-	var got []int
-	for {
-		i, ok := b.Next()
-		if !ok {
-			break
-		}
-		got = append(got, i)
-	}
-	if len(got) != 4 {
-		t.Fatalf("dispatched %v, want all four", got)
-	}
-	for k, i := range got {
-		if i != k {
-			t.Fatalf("dispatch order %v, want ascending round order", got)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		b.Applied(i)
-	}
-	if !b.Done() {
-		t.Fatal("board should be done")
-	}
-}
-
-func TestBoardBlocksOverlapUntilApplied(t *testing.T) {
-	// Claims 0 and 1 overlap; 2 is disjoint from both.
-	b := NewBoard([]Claim{row(0, 10), row(5, 15), row(40, 50)}, 3)
-	i, ok := b.Next()
-	if !ok || i != 0 {
-		t.Fatalf("first dispatch = %d, %v", i, ok)
-	}
-	// 1 is blocked by un-applied 0; 2 is free.
-	i, ok = b.Next()
-	if !ok || i != 2 {
-		t.Fatalf("second dispatch = %d, %v, want 2 (claim 1 blocked)", i, ok)
-	}
-	if _, ok := b.Next(); ok {
-		t.Fatal("nothing else should be dispatchable")
-	}
-	b.Applied(0)
-	i, ok = b.Next()
-	if !ok || i != 1 {
-		t.Fatalf("after applying 0, dispatch = %d, %v, want 1", i, ok)
-	}
-	if c := b.Counters(); c.Deferred == 0 {
-		t.Error("blocked eligibility checks should count as deferred")
-	}
-}
-
-func TestBoardHonorsLookahead(t *testing.T) {
-	claims := []Claim{row(0, 1), row(10, 11), row(20, 21), row(30, 31)}
-	b := NewBoard(claims, 2)
-	if i, ok := b.Next(); !ok || i != 0 {
-		t.Fatalf("dispatch = %d, %v", i, ok)
-	}
-	if i, ok := b.Next(); !ok || i != 1 {
-		t.Fatalf("dispatch = %d, %v", i, ok)
-	}
-	// Index 2 is outside [head, head+2) until the head advances.
-	if i, ok := b.Next(); ok {
-		t.Fatalf("dispatched %d beyond the lookahead horizon", i)
-	}
-	b.Applied(0)
-	if i, ok := b.Next(); !ok || i != 2 {
-		t.Fatalf("after advancing head, dispatch = %d, %v, want 2", i, ok)
-	}
-}
-
-func TestBoardUndispatchRequeues(t *testing.T) {
-	b := NewBoard([]Claim{row(0, 1), row(10, 11)}, 2)
-	b.Next() // 0
-	i, _ := b.Next()
-	if i != 1 {
-		t.Fatalf("dispatch = %d, want 1", i)
-	}
-	b.Undispatch(1)
-	if c := b.Counters(); c.Invalidated != 1 {
-		t.Fatalf("Invalidated = %d, want 1", c.Invalidated)
-	}
-	// 1 is pending again and must be re-dispatchable.
-	if i, ok := b.Next(); !ok || i != 1 {
-		t.Fatalf("re-dispatch = %d, %v, want 1", i, ok)
-	}
-}
-
-func TestBoardPanicsOnOutOfOrderApply(t *testing.T) {
-	b := NewBoard([]Claim{row(0, 1), row(10, 11)}, 2)
-	b.Next()
-	b.Next()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Applied out of order should panic")
-		}
-	}()
-	b.Applied(1)
-}
-
-func TestBoardPanicsOnUndispatchPending(t *testing.T) {
-	b := NewBoard([]Claim{row(0, 1)}, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Undispatch of a pending cell should panic")
-		}
-	}()
-	b.Undispatch(0)
-}
-
-// TestBoardInvariantRandomized drives a board with random claims and a
-// coordinator that applies, defers and occasionally invalidates in random
-// order, asserting the scheduling invariant at every dispatch: no earlier
-// un-applied claim overlaps the dispatched one, and applies advance in
-// strict round order.
-func TestBoardInvariantRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(40)
-		claims := make([]Claim, n)
-		for i := range claims {
-			x := rng.Intn(100)
-			y := rng.Intn(6)
-			claims[i] = Claim{X0: x, X1: x + 1 + rng.Intn(20), Y0: y, Y1: y + 1 + rng.Intn(3)}
-		}
-		b := NewBoard(claims, 1+rng.Intn(8))
-		outstanding := map[int]bool{}
-		applied := 0
-		for !b.Done() {
-			// Dispatch as much as possible.
-			for {
-				i, ok := b.Next()
-				if !ok {
-					break
-				}
-				for j := applied; j < i; j++ {
-					if claims[j].Overlaps(claims[i]) {
-						t.Fatalf("trial %d: dispatched %d while overlapping un-applied %d", trial, i, j)
-					}
-				}
-				outstanding[i] = true
-			}
-			if !outstanding[b.Head()] {
-				t.Fatalf("trial %d: head %d not dispatched and nothing to do", trial, b.Head())
-			}
-			// Occasionally invalidate a non-head outstanding cell.
-			if rng.Intn(4) == 0 {
-				for i := range outstanding {
-					if i != b.Head() {
-						b.Undispatch(i)
-						delete(outstanding, i)
-						break
-					}
-				}
-			}
-			h := b.Head()
-			b.Applied(h)
-			delete(outstanding, h)
-			applied = h + 1
-		}
-		if applied != n {
-			t.Fatalf("trial %d: applied %d of %d", trial, applied, n)
-		}
 	}
 }

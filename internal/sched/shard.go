@@ -2,7 +2,7 @@ package sched
 
 import "sort"
 
-// Spatial sharding: the coarse-grained alternative to per-cell claiming.
+// Spatial sharding.
 //
 // A ShardPlan partitions the die's x-extent into K contiguous column
 // spans. A cell whose claim lies entirely inside one span is *interior*
@@ -110,10 +110,9 @@ func (p *ShardPlan) ShardOf(x int) int {
 // thread.
 const SeamShard = -1
 
-// ShardCounters records one round's shard routing outcomes. Unlike the
-// claim board's Counters these are deterministic for a fixed input and
-// shard count: the schedule depends only on claim geometry and round
-// order, never on worker timing.
+// ShardCounters records one round's shard routing outcomes. They are
+// deterministic for a fixed input and shard count: the schedule depends
+// only on claim geometry and round order, never on worker timing.
 type ShardCounters struct {
 	Interior       int64 // cells owned exclusively by one shard (zero claim traffic)
 	Seam           int64 // boundary-crossing cells routed to the seam thread

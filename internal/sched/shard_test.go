@@ -19,85 +19,6 @@ func randClaims(rng *rand.Rand, n, dieW, dieH int) []Claim {
 	return cls
 }
 
-// TestNextBatchMatchesNextLoop: NextBatch must dispatch exactly the set
-// and order that a Next() loop would, for any board state. Run both
-// against identical random boards through a full apply schedule.
-func TestNextBatchMatchesNextLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		claims := randClaims(rng, 40, 400, 40)
-		look := 1 + rng.Intn(16)
-		a := NewBoard(claims, look)
-		b := NewBoard(claims, look)
-		var adisp, bdisp []int
-		for !a.Done() {
-			for {
-				i, ok := a.Next()
-				if !ok {
-					break
-				}
-				adisp = append(adisp, i)
-			}
-			bdisp = b.NextBatch(bdisp, len(claims))
-			if len(adisp) != len(bdisp) {
-				t.Fatalf("trial %d: loop dispatched %v, batch %v", trial, adisp, bdisp)
-			}
-			for k := range adisp {
-				if adisp[k] != bdisp[k] {
-					t.Fatalf("trial %d: order differs: %v vs %v", trial, adisp, bdisp)
-				}
-			}
-			if len(adisp) == 0 {
-				t.Fatalf("trial %d: stalled with no dispatch", trial)
-			}
-			// Apply the head (always dispatched first) on both boards.
-			h := a.Head()
-			a.Applied(h)
-			b.Applied(h)
-			adisp = filterOut(adisp, h)
-			bdisp = filterOut(bdisp, h)
-		}
-		if !b.Done() {
-			t.Fatalf("trial %d: boards disagree on Done", trial)
-		}
-		ca, cb := a.Counters(), b.Counters()
-		if ca.Dispatched != cb.Dispatched {
-			t.Fatalf("trial %d: dispatch counts differ: %d vs %d", trial, ca.Dispatched, cb.Dispatched)
-		}
-		if cb.Batched != cb.Dispatched {
-			t.Fatalf("trial %d: Batched=%d should equal Dispatched=%d on the batch board",
-				trial, cb.Batched, cb.Dispatched)
-		}
-		if cb.Batches == 0 {
-			t.Fatalf("trial %d: Batches counter never advanced", trial)
-		}
-	}
-}
-
-func filterOut(s []int, v int) []int {
-	out := s[:0]
-	for _, x := range s {
-		if x != v {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// TestNextBatchRespectsMax: the max argument caps how many claims one
-// scan may dispatch, in strict scan order.
-func TestNextBatchRespectsMax(t *testing.T) {
-	b := NewBoard([]Claim{row(0, 10), row(20, 30), row(40, 50), row(60, 70)}, 4)
-	got := b.NextBatch(nil, 2)
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("NextBatch(max=2) = %v, want [0 1]", got)
-	}
-	got = b.NextBatch(got[:0], 10)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("second NextBatch = %v, want [2 3]", got)
-	}
-}
-
 // TestPlanShardsPartition: spans must tile [lo,hi) exactly, honor the
 // minimum width, and never exceed k.
 func TestPlanShardsPartition(t *testing.T) {

@@ -32,8 +32,9 @@ type Limits struct {
 	MaxNets int
 	// MaxDeadline caps the client-requested job deadline. Default 10m.
 	MaxDeadline time.Duration
-	// MaxWorkers caps the per-job planning goroutines a client may
-	// request. Default 4 (the pool provides cross-job parallelism).
+	// MaxWorkers caps the per-job "workers" value a client may request,
+	// which runs that many spatial shards when "shards" is absent.
+	// Default 4 (the pool provides cross-job parallelism).
 	MaxWorkers int
 	// MaxShards caps the per-job spatial shard count a client may
 	// request. Default 16.
@@ -315,7 +316,7 @@ func decodeSubmitReq(req *SubmitRequest, base core.Config, lim Limits) (*jobPayl
 			return nil, err
 		}
 	}
-	if err := validateDesign(d, lim); err != nil {
+	if err := validateDesign(d, nl, lim); err != nil {
 		return nil, err
 	}
 
@@ -347,9 +348,6 @@ func buildDesign(dj *DesignJSON, lim Limits) (*design.Design, *netlist.Netlist, 
 	}
 	if len(dj.Cells) > lim.MaxCells {
 		return nil, nil, badf("design: %d cells exceeds the limit of %d", len(dj.Cells), lim.MaxCells)
-	}
-	if len(dj.Nets) > lim.MaxNets {
-		return nil, nil, badf("design: %d nets exceeds the limit of %d", len(dj.Nets), lim.MaxNets)
 	}
 	if len(dj.Masters) == 0 && len(dj.Cells) > 0 {
 		return nil, nil, badf("design: cells without masters")
@@ -455,7 +453,7 @@ func readBookshelf(bj *BookshelfJSON) (*design.Design, *netlist.Netlist, error) 
 // service's resource limits, regardless of which decoder produced the
 // design. Text and Bookshelf parsers accept some shapes the engine
 // would panic on; this is the single gate in front of NewLegalizer.
-func validateDesign(d *design.Design, lim Limits) error {
+func validateDesign(d *design.Design, nl *netlist.Netlist, lim Limits) error {
 	if len(d.Rows) == 0 {
 		return badf("design: at least one row is required")
 	}
@@ -464,6 +462,9 @@ func validateDesign(d *design.Design, lim Limits) error {
 	}
 	if len(d.Cells) > lim.MaxCells {
 		return badf("design: %d cells exceeds the limit of %d", len(d.Cells), lim.MaxCells)
+	}
+	if len(nl.Nets) > lim.MaxNets {
+		return badf("design: %d nets exceeds the limit of %d", len(nl.Nets), lim.MaxNets)
 	}
 	seen := make([]bool, len(d.Rows))
 	for i := range d.Rows {

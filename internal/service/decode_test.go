@@ -157,6 +157,61 @@ func TestDecodeSubmitRejects(t *testing.T) {
 	}
 }
 
+// TestDecodeSubmitNetLimit: Limits.MaxNets gates every design source,
+// not only the JSON design — the same 3-net design is rejected at
+// MaxNets 2 and admitted at MaxNets 3 whichever way it is submitted.
+func TestDecodeSubmitNetLimit(t *testing.T) {
+	text := "design d 200 2000\nrow 0 0 20\nmaster m 1 1 VSS\n" +
+		"cell a 0 1 0\ncell b 0 5 0\n" +
+		"net n0 0 0 0 1 0 0\nnet n1 0 0 0 - 9 0\nnet n2 1 0 0 - 0 0\n"
+	d, nl, err := iodesign.Read(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := bookshelf.NewMemFS()
+	if err := bookshelf.Write(fs, "bs", d, nl); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for name, buf := range fs.Files {
+		files[name] = buf.String()
+	}
+	dj := &DesignJSON{
+		Name: "d", SiteW: 200, SiteH: 2000,
+		Rows:    []RowJSON{{Y: 0, Lo: 0, Hi: 20}},
+		Masters: []MasterJSON{{Name: "m", Width: 1, Height: 1, Rail: "VSS"}},
+		Cells:   []CellJSON{{Name: "a", Master: 0, GX: 1}, {Name: "b", Master: 0, GX: 5}},
+		Nets: []NetJSON{
+			{Name: "n0", Pins: []PinJSON{{Cell: 0}, {Cell: 1}}},
+			{Name: "n1", Pins: []PinJSON{{Cell: 0}, {Cell: -1, DX: 9}}},
+			{Name: "n2", Pins: []PinJSON{{Cell: 1}, {Cell: -1}}},
+		},
+	}
+	for _, src := range []struct {
+		name string
+		req  SubmitRequest
+	}{
+		{"design_text", SubmitRequest{DesignText: text}},
+		{"design", SubmitRequest{Design: dj}},
+		{"bookshelf", SubmitRequest{Bookshelf: &BookshelfJSON{Aux: "bs.aux", Files: files}}},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			body := submitJSON(t, src.req)
+			_, err := DecodeSubmit(strings.NewReader(body), core.DefaultConfig(), Limits{MaxNets: 2})
+			if code, ok := IsBadRequest(err); !ok || !strings.Contains(err.Error(), "3 nets exceeds the limit of 2") {
+				t.Fatalf("MaxNets 2: got %v (code %q), want a 3-nets bad request", err, code)
+			}
+			p, err := DecodeSubmit(strings.NewReader(body), core.DefaultConfig(), Limits{MaxNets: 3})
+			if err != nil {
+				t.Fatalf("MaxNets 3: %v", err)
+			}
+			if len(p.nl.Nets) != 3 {
+				t.Fatalf("admitted %d nets, want 3", len(p.nl.Nets))
+			}
+		})
+	}
+}
+
 // TestDecodeSubmitDeadlineCapped checks a client deadline beyond
 // Limits.MaxDeadline is clamped, not rejected.
 func TestDecodeSubmitDeadlineCapped(t *testing.T) {
