@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race cover fuzz fuzz-search fuzz-cache fuzz-constraints fuzz-submit fuzz-tune fuzz-eco bench-json bench-smoke bench-shard-smoke bench-tune-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
+.PHONY: check vet build test race cover fuzz fuzz-search fuzz-constraints fuzz-submit fuzz-eco bench-json bench-smoke bench-shard-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
 
-check: vet build race cover bench-tune-smoke bench-eco-smoke
+check: vet build race cover bench-eco-smoke
 
 vet:
 	$(GO) vet ./...
@@ -39,13 +39,6 @@ fuzz-search:
 	$(GO) test ./internal/core -run FuzzBestFirstMatchesExhaustive \
 		-fuzz FuzzBestFirstMatchesExhaustive -fuzztime 30s
 
-# Short fuzz session over the extraction-cache soundness property: a
-# snapshot accepted by validation must equal a fresh extraction after any
-# Insert/Remove/ShiftX interleaving (docs/PERFORMANCE.md §6).
-fuzz-cache:
-	$(GO) test ./internal/core -run FuzzCachedExtractionMatchesFresh \
-		-fuzz FuzzCachedExtractionMatchesFresh -fuzztime 30s
-
 # Short fuzz session over the constraint-plugin admissibility property:
 # every plugin's lower-bound term must stay below the realized horizontal
 # cost of any candidate its own filters admit, and the best-first search
@@ -58,18 +51,17 @@ fuzz-constraints:
 # Constraint-plugin differential smoke (CI gate): each plugin alone and
 # all three composed must produce byte-identical placements across
 # workers x shards x search modes under the race detector, pass the
-# plugins' verify.Check oracles with zero violations, and never leak a
-# cached verdict across rule configurations (docs/CONSTRAINTS.md).
+# plugins' verify.Check oracles with zero violations, and a rule set
+# swapped on a live legalizer must take effect at the next call
+# (docs/CONSTRAINTS.md).
 bench-constraint-smoke:
 	$(GO) test -race -short ./internal/core \
-		-run 'TestConstraintPluginsMatchAcrossModes|TestConstraintFiltersActuallyFire|TestConstraintLowerBoundProperty|TestCacheConstraintEpochIsolation'
+		-run 'TestConstraintPluginsMatchAcrossModes|TestConstraintFiltersActuallyFire|TestConstraintLowerBoundProperty|TestConstraintSwapTakesEffect'
 	$(GO) test -race ./internal/experiments -run TestGoldenConstraintPlacements
 
 # Regenerate the benchmark artifacts: BENCH_prune.json (best-first search
-# vs exhaustive sweep), BENCH_cache.json (extraction cache off vs on),
-# BENCH_shard.json (spatial sharding size x K sweep), BENCH_tune.json
-# (adaptive search guidance: exhaustive / static / online / replay) and
-# BENCH_eco.json (incremental session delta batches vs full
+# vs exhaustive sweep), BENCH_shard.json (spatial sharding size x K
+# sweep) and BENCH_eco.json (incremental session delta batches vs full
 # relegalization); see docs/PERFORMANCE.md. Results depend on the
 # machine; num_cpu, go_max_procs and speedup_valid are recorded in the
 # shard and eco artifacts — on a single-CPU box every speedup field is
@@ -77,39 +69,18 @@ bench-constraint-smoke:
 bench-json:
 	$(GO) run ./cmd/mrbench -experiment prune -scale 400 \
 		-json BENCH_prune.json -no-progress
-	$(GO) run ./cmd/mrbench -experiment cache -scale 200 -rx 4 -ry 1 \
-		-json BENCH_cache.json -no-progress
 	$(GO) run ./cmd/mrbench -experiment shard -sizes 5000,20000 -shards 1,2,4,8 \
 		-json BENCH_shard.json -no-progress
-	$(GO) run ./cmd/mrbench -experiment tune -scale 400 -rx 60 -ry 10 \
-		-json BENCH_tune.json -no-progress
 	$(GO) run ./cmd/mrbench -experiment eco -sizes 5000,20000 \
 		-delta-fracs 0.001,0.01,0.05 -json BENCH_eco.json -no-progress
 
-# Shard-parity smoke (CI gate): a small design legalized with 4 spatial
-# shards under the race detector must be byte-identical to the serial
-# run across both search modes and cache states, with most cells
+# Shard-parity smoke (CI gate): a small design legalized with 1-8 spatial
+# shards under the race detector must reproduce the serial run's
+# placement and Stats across both search modes, with most cells
 # legalized as shard-interior cells (docs/PERFORMANCE.md §7).
 bench-shard-smoke:
 	$(GO) test -race -short ./internal/core \
 		-run 'TestShardMatchesSerialAcrossK|TestShardZeroClaimTraffic'
-
-# Search-guidance equivalence smoke (CI gate): Tune=off must hold the
-# pinned golden checksums, the tune unit suite must pass, and a replayed
-# policy log must reproduce the online run's placement checksum across
-# workers {1,4} x shards {1,4} under the race detector
-# (docs/PERFORMANCE.md §8).
-bench-tune-smoke:
-	$(GO) test -race ./internal/tune
-	$(GO) test -race ./internal/experiments \
-		-run 'TestTuneReplayMatchesOnline|TestTuneOffMatchesUntuned|TestGoldenPlacements'
-
-# Short fuzz session over the policy-log round-trip property: decoding
-# arbitrary bytes never panics, and an accepted log re-encodes to the
-# same decision sequence (docs/PERFORMANCE.md §8).
-fuzz-tune:
-	$(GO) test ./internal/tune -run FuzzPolicyLogRoundTrip \
-		-fuzz FuzzPolicyLogRoundTrip -fuzztime 30s
 
 # Short fuzz session over the job-submission decoder — the boundary
 # between the network and the engine (docs/SERVICE.md).
@@ -125,11 +96,11 @@ fuzz-eco:
 		-fuzz FuzzDecodeDelta -fuzztime 30s
 
 # ECO-equivalence smoke (CI gate): on a Table-1 subset, session delta
-# batches applied over designs legalized with workers {1,4} x extraction
-# cache on/off must stay legal, pass the fixed-point oracle, and produce
-# cache-independent placements; plus the session engine's own suite and
-# the eco benchmark plumbing, all under the race detector
-# (docs/PERFORMANCE.md §9).
+# batches applied over designs legalized with workers {1,4} must stay
+# legal, pass the fixed-point oracle, and give the same placement at
+# both worker counts; plus the session engine's own suite and the eco
+# benchmark plumbing, all under the race detector (docs/PERFORMANCE.md
+# §9).
 bench-eco-smoke:
 	$(GO) test -race -short ./internal/core -run 'TestSession'
 	$(GO) test -race ./internal/experiments -run 'TestEcoEquivalence|TestRunEcoSmoke'

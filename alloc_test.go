@@ -51,28 +51,13 @@ func moveCellAllocs(t *testing.T, cfg core.Config) float64 {
 }
 
 // TestSingleMLLCallAllocs pins the disabled-observability hot path to the
-// 8 allocs/op contract. DefaultConfig has the extraction cache on, so this
-// is also the cache-on steady-state guard: lookups, signature captures and
-// snapshot restores must all run out of reused scratch buffers.
+// 8 allocs/op contract.
 func TestSingleMLLCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race runtime")
 	}
 	if avg := moveCellAllocs(t, core.DefaultConfig()); avg > maxMoveCellAllocs {
 		t.Errorf("MoveCell with obs disabled: %.2f allocs/op, contract is ≤ %d", avg, maxMoveCellAllocs)
-	}
-}
-
-// TestSingleMLLCallAllocsCacheOff pins the same contract with the
-// extraction cache disabled, so neither cache state regresses the other.
-func TestSingleMLLCallAllocsCacheOff(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are perturbed by the race runtime")
-	}
-	cfg := core.DefaultConfig()
-	cfg.ExtractCache = false
-	if avg := moveCellAllocs(t, cfg); avg > maxMoveCellAllocs {
-		t.Errorf("MoveCell with cache disabled: %.2f allocs/op, contract is ≤ %d", avg, maxMoveCellAllocs)
 	}
 }
 

@@ -9,12 +9,8 @@
 //	mrbench -experiment baselines                    # Abacus/greedy (E6)
 //	mrbench -experiment prune -scale 400 \
 //	        -json BENCH_prune.json                   # best-first search vs exhaustive
-//	mrbench -experiment cache -scale 400 \
-//	        -json BENCH_cache.json                   # extraction cache off vs on
 //	mrbench -experiment shard -sizes 20000,1000000 \
 //	        -json BENCH_shard.json                   # spatial sharding sweep (§7)
-//	mrbench -experiment tune -scale 400 \
-//	        -json BENCH_tune.json                    # adaptive search guidance (§8)
 //	mrbench -experiment eco -sizes 5000,20000 \
 //	        -delta-fracs 0.001,0.01,0.05 \
 //	        -json BENCH_eco.json                     # incremental vs full relegalization (§9)
@@ -39,7 +35,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("experiment", "table1", "table1 | relax | evalablation | window | baselines | heightmix | order | scaling | prune | cache | shard | tune | eco")
+		exp     = flag.String("experiment", "table1", "table1 | relax | evalablation | window | baselines | heightmix | order | scaling | prune | shard | eco")
 		scale   = flag.Int("scale", 200, "benchmark downscale factor (1 = paper-size, large = fast)")
 		skipILP = flag.Bool("skip-ilp", false, "skip the (slow) ILP baseline columns")
 		only    = flag.String("only", "", "comma-separated benchmark name filter")
@@ -53,7 +49,7 @@ func main() {
 		sizes   = flag.String("sizes", "", "comma-separated synthetic design sizes for -experiment shard/eco (default \"5000,20000\")")
 
 		deltaFracs = flag.String("delta-fracs", "", "comma-separated perturbed-cell fractions for -experiment eco (default \"0.001,0.01,0.05\")")
-		jsonOut    = flag.String("json", "", "write the prune, cache, shard, tune or eco experiment's report as JSON to this file instead of a table")
+		jsonOut    = flag.String("json", "", "write the prune, shard or eco experiment's report as JSON to this file instead of a table")
 
 		metrics   = flag.Bool("metrics", false, "emit the accumulated Prometheus text exposition once to stdout after the experiment (see docs/OBSERVABILITY.md)")
 		traceFlag = flag.String("trace-out", "", "write the per-cell JSONL placement trace of every run to this file")
@@ -217,24 +213,6 @@ func main() {
 		} else {
 			experiments.PrintPrune(os.Stdout, rep)
 		}
-	case "tune":
-		rep := experiments.RunTune(cfg)
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err == nil {
-				err = experiments.WriteTuneJSON(f, rep)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mrbench: %v\n", err)
-				stop()
-				os.Exit(1)
-			}
-		} else {
-			experiments.PrintTune(os.Stdout, rep)
-		}
 	case "eco":
 		sizeList, err := parseCounts(*sizes)
 		if err != nil {
@@ -273,24 +251,6 @@ func main() {
 			}
 		} else {
 			experiments.PrintEco(os.Stdout, rep)
-		}
-	case "cache":
-		rep := experiments.RunCache(cfg)
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err == nil {
-				err = experiments.WriteCacheJSON(f, rep)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mrbench: %v\n", err)
-				stop()
-				os.Exit(1)
-			}
-		} else {
-			experiments.PrintCache(os.Stdout, rep)
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "mrbench: unknown experiment %q\n", *exp)

@@ -33,7 +33,6 @@ import (
 	"mrlegal/internal/obs"
 	"mrlegal/internal/profiling"
 	"mrlegal/internal/render"
-	"mrlegal/internal/tune"
 	"mrlegal/internal/verify"
 )
 
@@ -55,7 +54,6 @@ func main() {
 		noalign = flag.Bool("noalign", false, "relax the power-line alignment constraint")
 		exact   = flag.Bool("exact", false, "use exact insertion-point evaluation instead of the paper's approximation")
 		exhaust = flag.Bool("exhaustive-search", false, "evaluate every insertion point instead of the pruned best-first search (same result, more work)")
-		noCache = flag.Bool("no-extract-cache", false, "disable the extraction cache in front of the MLL region extraction (same result, more work)")
 		useILP  = flag.Bool("ilp", false, "use the ILP local solver baseline instead of MLL")
 		consStr = flag.String("constraints", "", "constraint plugins, ';'-separated specs: fence:x0=..,y0=..,x1=..,y1=..[,minh=N] | spacing:gap=G[,minw=M] | tpl:sep=S (docs/CONSTRAINTS.md)")
 		seed    = flag.Int64("seed", 1, "retry-offset random seed")
@@ -68,8 +66,6 @@ func main() {
 		auditEvery  = flag.Int("audit-every", 0, "run a full invariant audit every N placements, rolling back the batch on violation (0 = off)")
 		workers     = flag.Int("workers", 0, "shard count when -shards is unset (default and 1 = serial, N > 1 = N spatial shards; results are identical either way)")
 		shards      = flag.Int("shards", 0, "spatial die shards per round (default = -workers, 1 = serial; overrides -workers, results are identical at any count)")
-		tuneFlag    = flag.String("tune", "off", "adaptive search guidance: off | online | replay (docs/PERFORMANCE.md §8)")
-		tuneLogPath = flag.String("tune-log", "", "policy log file: read as the recorded policy with -tune replay, written with the recorded policy after a -tune online run")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve live Prometheus metrics at http://ADDR/metrics during the run (':0' picks a free port; see docs/OBSERVABILITY.md)")
 		traceFlag   = flag.String("trace-out", "", "write the per-cell JSONL placement trace to this file ('-' = stdout)")
@@ -131,7 +127,6 @@ func main() {
 	cfg.PowerAlign = !*noalign
 	cfg.ExactEval = *exact
 	cfg.ExhaustiveSearch = *exhaust
-	cfg.ExtractCache = !*noCache
 	cfg.Seed = *seed
 	cfg.CellTimeout = *cellTimeout
 	cfg.AuditEvery = *auditEvery
@@ -146,26 +141,6 @@ func main() {
 		fatal(err)
 	}
 	cfg.Constraints = cons
-	tuneMode, err := tune.ParseMode(*tuneFlag)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Tune = tuneMode
-	if tuneMode == tune.Replay {
-		if *tuneLogPath == "" {
-			fatal(errors.New("-tune replay requires -tune-log"))
-		}
-		f, err := os.Open(*tuneLogPath)
-		if err != nil {
-			fatal(err)
-		}
-		lg, err := tune.DecodeLog(f)
-		f.Close()
-		if err != nil {
-			fatal(fmt.Errorf("tune-log: %w", err))
-		}
-		cfg.TuneLog = lg
-	}
 
 	// Observability: a shared observer feeds the -metrics-addr exposition
 	// and the -trace-out JSONL sink (docs/OBSERVABILITY.md).
@@ -239,20 +214,6 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	if tuneMode == tune.Online && *tuneLogPath != "" {
-		f, err := os.Create(*tuneLogPath)
-		if err != nil {
-			fatal(err)
-		}
-		err = l.RecordedTuneLog().Encode(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(fmt.Errorf("tune-log: %w", err))
-		}
-	}
-
 	flushTrace()
 	if observer != nil {
 		if err := observer.TraceErr(); err != nil {
@@ -281,16 +242,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  best-first search: %d evaluated, %d candidates pruned, %d subtrees cut, %d windows pruned\n",
 				st.InsertionPoints, st.CandidatesPruned, st.SearchNodesCut, st.WindowsPruned)
 		}
-		if st.ExtractCacheHits > 0 || st.ExtractCacheMisses > 0 || st.ExtractCacheInvalidations > 0 {
-			fmt.Fprintf(os.Stderr, "  extract cache    : %d hits, %d misses, %d invalidated, %d seeded bounds\n",
-				st.ExtractCacheHits, st.ExtractCacheMisses, st.ExtractCacheInvalidations, st.SeedBoundsApplied)
-		}
 		if st.ConstraintFiltered > 0 {
 			fmt.Fprintf(os.Stderr, "  constraints      : %d candidate positions filtered\n", st.ConstraintFiltered)
-		}
-		if st.TuneDecisions > 0 {
-			fmt.Fprintf(os.Stderr, "  search guidance  : %d decisions, %d windows promoted, %d cutoff window skips\n",
-				st.TuneDecisions, st.TuneWindowsPromoted, st.TuneWinCutSkips)
 		}
 		if ph := l.Phases(); ph.Total() > 0 {
 			fmt.Fprintf(os.Stderr, "  MLL phase times  : extract %s, enumerate %s, evaluate %s, realize %s\n",

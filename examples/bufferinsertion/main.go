@@ -143,8 +143,8 @@ func main() {
 	stats := ses.Stats()
 	fmt.Printf("inserted %d/%d buffers (%d failed); placement legal, fixed-point holds, full path legal\n",
 		inserted, inserted+failed, failed)
-	fmt.Printf("session: %d batches, %d deltas, %d dirty cells, cache hit rate %.2f\n",
-		stats.Batches, stats.Deltas, stats.DirtyCells, stats.CacheHitRate)
+	fmt.Printf("session: %d batches, %d deltas, %d dirty cells\n",
+		stats.Batches, stats.Deltas, stats.DirtyCells)
 	fmt.Printf("HPWL before %.4g, after %.4g (buffers add pins, so a small increase is expected)\n",
 		hpwl0, nl.HPWL(d))
 }

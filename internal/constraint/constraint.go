@@ -53,8 +53,7 @@ type Constraint interface {
 
 	// Spec returns the canonical textual form of the plugin, parseable
 	// by Parse. Two plugins with equal Spec strings enforce identical
-	// rules; Set signatures (and therefore extraction-cache epochs) are
-	// built from it.
+	// rules; Set signatures are built from it.
 	Spec() string
 
 	// NumClasses returns how many equivalence classes the plugin
@@ -165,8 +164,7 @@ func (s *Set) Len() int {
 
 // Signature returns the canonical textual form of the whole set — the
 // plugins' Spec strings joined with ";". Two sets with equal signatures
-// enforce identical rules; the engine keys extraction-cache epochs by
-// it. The empty signature means no constraints.
+// enforce identical rules. The empty signature means no constraints.
 func (s *Set) Signature() string {
 	if s == nil {
 		return ""

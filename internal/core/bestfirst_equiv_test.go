@@ -23,9 +23,6 @@ func neutralizeSearchCounters(s core.Stats) core.Stats {
 	s.CandidatesPruned = 0
 	s.SearchNodesCut = 0
 	s.WindowsPruned = 0
-	// Carry-forward seed bounds only feed the best-first search; the
-	// exhaustive sweep never applies one.
-	s.SeedBoundsApplied = 0
 	return s
 }
 

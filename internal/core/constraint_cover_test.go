@@ -14,7 +14,6 @@ import (
 	"mrlegal/internal/design"
 	"mrlegal/internal/dtest"
 	"mrlegal/internal/geom"
-	"mrlegal/internal/tune"
 )
 
 // refusingSolver is a LocalSolver stub that never finds a solution.
@@ -44,9 +43,8 @@ func coverSpacing(t *testing.T, minW, gap int) *constraint.Spacing {
 
 // NewLegalizer must reject configurations the engine cannot honor:
 // plugins ride the built-in enumeration, so an external Solver cannot
-// be combined with a non-empty constraint set; replay guidance needs a
-// recorded log; a corrupt incoming placement surfaces as an error, not
-// a broken grid.
+// be combined with a non-empty constraint set; a corrupt incoming
+// placement surfaces as an error, not a broken grid.
 func TestNewLegalizerConfigGuards(t *testing.T) {
 	d := dtest.Flat(2, 20)
 	cfg := DefaultConfig()
@@ -54,12 +52,6 @@ func TestNewLegalizerConfigGuards(t *testing.T) {
 	cfg.Constraints = coverSet(t, coverSpacing(t, 1, 1))
 	if _, err := NewLegalizer(d, cfg); err == nil {
 		t.Fatal("NewLegalizer accepted an external Solver combined with constraint plugins")
-	}
-
-	cfg = DefaultConfig()
-	cfg.Tune = tune.Replay // no TuneLog recorded
-	if _, err := NewLegalizer(d, cfg); err == nil {
-		t.Fatal("NewLegalizer accepted Tune=Replay without a policy log")
 	}
 
 	bad := dtest.Flat(1, 10)

@@ -18,6 +18,7 @@ import (
 	"mrlegal/internal/constraint"
 	"mrlegal/internal/core"
 	"mrlegal/internal/design"
+	"mrlegal/internal/dtest"
 	"mrlegal/internal/geom"
 	"mrlegal/internal/gp"
 	"mrlegal/internal/verify"
@@ -199,5 +200,73 @@ func TestConstraintFiltersActuallyFire(t *testing.T) {
 	}
 	if !diverged {
 		t.Error("every constrained placement matched the unconstrained one; rules never bound")
+	}
+}
+
+// TestConstraintSwapTakesEffect swaps the rule set on one live
+// Legalizer, under an open session, and checks that every swap changes
+// behaviour at the next call: a spacing set makes the next placement
+// leave the gap and makes Session.Verify report a pair planted closer
+// than the gap; swapping back to nil makes the next placement abut again
+// and clears that report.
+func TestConstraintSwapTakesEffect(t *testing.T) {
+	const gap = 3
+	d := dtest.Flat(1, 200)
+	left := dtest.Placed(d, 10, 1, 0, 0)    // [0,10), against the die edge
+	right := dtest.Placed(d, 10, 1, 100, 0) // [100,110)
+	m := dtest.Master(d, 5, 1, d.RowBottomRail(0))
+	l, err := core.NewLegalizer(d, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.NewSession(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// insert places a new 5-site cell whose nearest free slot abuts a
+	// neighbour's right edge at x, and returns where it landed.
+	insert := func(tag string, x int) core.DeltaResult {
+		t.Helper()
+		rep, err := s.ApplyDelta(context.Background(), []core.Delta{{Op: core.DeltaInsert, Master: m, TX: float64(x)}})
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		return rep.Results[0]
+	}
+
+	planted := insert("no rules", 110)
+	if planted.X != 110 {
+		t.Fatalf("no rules: placed at x=%d, want 110 (abutting)", planted.X)
+	}
+	if vs := s.Verify(0); len(vs) != 0 {
+		t.Fatalf("no rules: Verify reported %v", vs)
+	}
+
+	sp, err := constraint.NewSpacing(1, gap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := constraint.NewSet(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Cfg.Constraints = set
+	if got := insert("spacing", 10); got.X != 10+gap {
+		t.Fatalf("spacing: placed at x=%d, want %d (gap %d after the neighbour)", got.X, 10+gap, gap)
+	}
+	vs := s.Verify(0)
+	if len(vs) != 1 || len(vs[0].Cells) != 2 || vs[0].Cells[0] != right || vs[0].Cells[1] != planted.Cell {
+		t.Fatalf("spacing: Verify = %v, want one violation for cells %d and %d", vs, right, planted.Cell)
+	}
+
+	l.Cfg.Constraints = nil
+	if vs := s.Verify(0); len(vs) != 0 {
+		t.Fatalf("back to nil: Verify still reported %v", vs)
+	}
+	if got := insert("back to nil", 10+gap+5); got.X != 10+gap+5 {
+		t.Fatalf("back to nil: placed at x=%d, want %d (abutting)", got.X, 10+gap+5)
+	}
+	if c := d.Cell(left); c.X != 0 || !c.Placed {
+		t.Fatalf("left neighbour moved to x=%d", c.X)
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"mrlegal/internal/design"
 	"mrlegal/internal/obs"
-	"mrlegal/internal/tune"
 	"mrlegal/internal/verify"
 )
 
@@ -55,17 +54,12 @@ func (l *Legalizer) LegalizeBestEffort(ctx context.Context) (*Report, error) {
 	return l.run(ctx)
 }
 
-// planTarget is one cell's jittered desired position for a round, with
-// the retry-window half-extents its attempt uses (per-cell because the
-// tuner scales radii per cell family; without a tuner every cell carries
-// the round's global radii). The targets of a whole round are drawn from
-// the seeded rng in cell order before any planning starts, so the random
-// stream is identical at every worker count — and, because rangeInt
-// consumes exactly one rng step whatever its argument, identical whether
-// the tuner rescaled the radii or not.
+// planTarget is one cell's jittered desired position for a round. The
+// targets of a whole round are drawn from the seeded rng in cell order
+// before any planning starts, so the random stream is identical at every
+// shard count.
 type planTarget struct {
 	tx, ty float64
-	rx, ry int
 }
 
 // runState threads the transactional bookkeeping of one run through the
@@ -231,23 +225,18 @@ func (l *Legalizer) roundTargets(cells []design.CellID, k, rx, ry int, st *runSt
 	bounds := l.D.Bounds()
 	for i, id := range cells {
 		c := l.D.Cell(id)
-		crx, cry := rx, ry
-		if l.tuner != nil {
-			f := tune.FamilyOf(c.H)
-			crx, cry = l.tuneRx[f], l.tuneRy[f]
-		}
 		tx, ty := c.GX, c.GY
 		if k > 1 {
-			// Retry jitter follows the (escalated, tuner-scaled) radii so
-			// late-round retries explore a region as large as the window
-			// they get, clamped to the die: an off-chip target centers the
-			// MLL window over empty space and wastes the round.
-			tx += float64(l.rng.rangeInt(crx * (k - 1)))
-			ty += float64(l.rng.rangeInt(cry * (k - 1)))
+			// Retry jitter follows the (escalated) radii so late-round
+			// retries explore a region as large as the window they get,
+			// clamped to the die: an off-chip target centers the MLL window
+			// over empty space and wastes the round.
+			tx += float64(l.rng.rangeInt(rx * (k - 1)))
+			ty += float64(l.rng.rangeInt(ry * (k - 1)))
 			tx = math.Min(math.Max(tx, float64(bounds.X)), float64(bounds.X2()-c.W))
 			ty = math.Min(math.Max(ty, float64(bounds.Y)), float64(bounds.Y2()-c.H))
 		}
-		st.targets[i] = planTarget{tx: tx, ty: ty, rx: crx, ry: cry}
+		st.targets[i] = planTarget{tx: tx, ty: ty}
 	}
 	return st.targets
 }
@@ -259,94 +248,24 @@ func (l *Legalizer) roundTargets(cells []design.CellID, k, rx, ry int, st *runSt
 // terminate. Rounds that resolve to more than one shard run the
 // spatially-sharded driver, which produces the serial result.
 func (l *Legalizer) placeRound(cells []design.CellID, k int, st *runState) []design.CellID {
-	// Trim the extraction cache only at round boundaries: a mid-round
-	// eviction could make a later lookup's hit/miss verdict depend on how
-	// many unrelated stores a particular worker interleaving committed
-	// first (see cache.go).
-	l.cacheTrim()
 	rx, ry := l.Cfg.Rx, l.Cfg.Ry
 	if l.Cfg.EscalateWindow && k > 4 {
 		scale := 1 + (k-4)/2
 		rx *= scale
 		ry *= scale
 	}
-	l.tuneBeginRound(k, rx, ry)
 	targets := l.roundTargets(cells, k, rx, ry, st)
-	var failed []design.CellID
 	if ks := l.roundShards(len(cells)); ks > 1 {
-		failed = l.placeRoundShard(cells, targets, k, ks, st)
-	} else {
-		if l.om != nil {
-			l.om.roundWorkers.Set(1)
-		}
-		failed = l.placeRoundSerial(cells, targets, k, st)
+		return l.placeRoundShard(cells, targets, k, rx, ry, ks, st)
 	}
-	if l.tuner != nil {
-		// Fold the round's observations into the bandit after every worker
-		// has joined — the only point where adaptive state may change, so
-		// decisions are a pure function of input, configuration and seed.
-		pulls0 := l.tuner.ArmPulls()
-		l.tuner.EndRound()
-		if l.om != nil {
-			l.om.tuneArmPulls.Add(l.tuner.ArmPulls() - pulls0)
-		}
-	}
-	return failed
-}
-
-// tuneBeginRound applies the tuner's round-k policy before any planning
-// starts: each family's decision arm scales the round's (escalated) base
-// radii, and its sweep cutoff is published for armTune to install
-// per-attempt. No-op without a tuner.
-func (l *Legalizer) tuneBeginRound(k, rx, ry int) {
-	if l.tuner == nil {
-		return
-	}
-	decs := l.tuner.BeginRound(k)
-	for f, d := range decs {
-		arm := tune.ArmAt(d.Arm)
-		l.tuneRx[f] = arm.Scale(rx)
-		l.tuneRy[f] = arm.Scale(ry)
-		l.tuneCut[f] = d.WinCut
-	}
-	l.stats.TuneDecisions += int64(len(decs))
 	if l.om != nil {
-		l.om.tuneDecisions.Add(int64(len(decs)))
-		for f, d := range decs {
-			// One trace event per policy decision: the effective radii in
-			// the window fields, the arm index and cutoff in the activity
-			// fields, Cell -1 marking a non-cell event.
-			l.om.o.RecordCell(obs.CellEvent{
-				Cell:      -1,
-				Round:     k,
-				Outcome:   obs.OutcomeTuneDecision,
-				WinW:      l.tuneRx[f],
-				WinH:      l.tuneRy[f],
-				Evaluated: int64(d.Arm),
-				Pruned:    int64(d.WinCut),
-				Worker:    -1,
-			})
-		}
+		l.om.roundWorkers.Set(1)
 	}
-}
-
-// tuneObserve feeds one applied attempt's outcome to the tuner: whether
-// the cell's family placed, how many insertion points the attempt
-// evaluated (the s1−s0 stats delta; the serial driver passes merged
-// legalizer stats, shard workers their own pre-merge shard)
-// and the winner's window depth from the scratch. Attempts that never
-// ran an MLL search (direct placements) say nothing about the family's
-// radii and are skipped.
-func (l *Legalizer) tuneObserve(id design.CellID, s0, s1 Stats, sc *scratch, err error) {
-	if l.tuner == nil || s1.MLLCalls == s0.MLLCalls {
-		return
-	}
-	l.tuner.Observe(tune.FamilyOf(l.D.Cell(id).H), err == nil,
-		s1.InsertionPoints-s0.InsertionPoints, sc.tuneWinDepth)
+	return l.placeRoundSerial(cells, targets, k, rx, ry, st)
 }
 
 // placeRoundSerial is placeRound's single-goroutine engine.
-func (l *Legalizer) placeRoundSerial(cells []design.CellID, targets []planTarget, k int, st *runState) []design.CellID {
+func (l *Legalizer) placeRoundSerial(cells []design.CellID, targets []planTarget, k, rx, ry int, st *runState) []design.CellID {
 	var failed []design.CellID
 	for i, id := range cells {
 		if l.runCtx.Err() != nil {
@@ -359,19 +278,16 @@ func (l *Legalizer) placeRoundSerial(cells []design.CellID, targets []planTarget
 		}
 		var s0 Stats
 		var t0 time.Time
-		if l.om != nil || l.tuner != nil {
-			s0 = l.stats
-		}
 		if l.om != nil {
+			s0 = l.stats
 			t0 = time.Now()
 		}
 		err := l.attempt(id, func() error {
-			return l.placeAt(id, targets[i].tx, targets[i].ty, targets[i].rx, targets[i].ry)
+			return l.placeAt(id, targets[i].tx, targets[i].ty, rx, ry)
 		})
 		if l.om != nil {
-			l.observeAttempt(id, k, targets[i].rx, targets[i].ry, -1, s0, &l.stats, time.Since(t0), err)
+			l.observeAttempt(id, k, rx, ry, -1, s0, &l.stats, time.Since(t0), err)
 		}
-		l.tuneObserve(id, s0, l.stats, l.sc, err)
 		if err != nil {
 			st.lastErr[id] = err
 			failed = append(failed, id)

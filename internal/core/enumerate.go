@@ -334,68 +334,13 @@ func (r *Region) searchBest(wt, ht int, tx, ty float64, allowRow func(absBottomR
 	combo := grow(sc.combo, ht)
 	sc.combo = combo
 
-	// Guided window promotion: rotate the historically-winning window (the
-	// extraction cache's carry-forward seed row, when the tuner is active)
-	// to the front of the visit order. The rotation preserves the sorted
-	// order of every other window; promoIdx remembers the promoted
-	// window's original rank so the bulk sweep cut below — which relies on
-	// the lb-sorted order — starts past the front, and so winner depths
-	// keep reporting promotion-independent sorted ranks. Visiting the
-	// likely winner first only tightens the incumbent earlier; every prune
-	// it enables is against the same admissible bounds, so the surviving
-	// minimum (and therefore the placement) is unchanged — see
-	// docs/PERFORMANCE.md §8.
-	promoIdx := -1
-	if sc.tunePromote >= 0 {
-		for i, w := range sc.winOrder {
-			if r.AbsRow(int(w.t)) == int(sc.tunePromote) {
-				if i > 0 {
-					pw := sc.winOrder[i]
-					copy(sc.winOrder[1:i+1], sc.winOrder[:i])
-					sc.winOrder[0] = pw
-					promoIdx = i
-					sc.stats.TuneWindowsPromoted++
-				}
-				break
-			}
-		}
-	}
-	cut := int(sc.tuneCut)
-
 	for wi, w := range sc.winOrder {
-		if cut > 0 && wi >= cut {
-			// Learned sweep cutoff: the tuner's winner-depth statistics say
-			// windows this deep never win. Heuristic, not a proof — the
-			// truncation is recorded (cutTruncated) so the attempt's failure
-			// can never be memoized as a no-insertion-point verdict.
-			sc.stats.TuneWinCutSkips += int64(len(sc.winOrder) - wi)
-			sc.cutTruncated = true
-			return
-		}
 		// The row bound is exact in floating point (see evaluate.go), so
 		// the sweep cut needs no slack: every remaining window's cheapest
 		// candidate already costs more than the incumbent.
 		if w.lb > *incumbent {
-			if promoIdx < 0 || wi > 0 {
-				sc.stats.WindowsPruned += int64(len(sc.winOrder) - wi)
-				return
-			}
-			// The promoted front window is out of sorted position: skip it
-			// alone, the sorted suffix may still hold cheaper windows.
-			sc.stats.WindowsPruned++
-			continue
-		}
-		// Promotion-independent sorted rank of this window, stamped into
-		// the winner depth when a yield below becomes the retained best.
-		switch {
-		case promoIdx < 0:
-			sc.curWinRank = wi
-		case wi == 0:
-			sc.curWinRank = promoIdx
-		case wi <= promoIdx:
-			sc.curWinRank = wi - 1
-		default:
-			sc.curWinRank = wi
+			sc.stats.WindowsPruned += int64(len(sc.winOrder) - wi)
+			return
 		}
 		if !r.searchOneWindow(int(w.t), wt, ht, tx, w.row, incumbent, yield) {
 			return

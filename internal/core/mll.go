@@ -13,7 +13,6 @@ import (
 	"mrlegal/internal/obs"
 	"mrlegal/internal/sched"
 	"mrlegal/internal/segment"
-	"mrlegal/internal/tune"
 	"mrlegal/internal/verify"
 )
 
@@ -59,24 +58,6 @@ type Config struct {
 	// benchmarks (mrbench -experiment prune).
 	ExhaustiveSearch bool
 
-	// ExtractCache enables the generation-stamped window memo in front of
-	// ExtractRegion (cache.go): repeated MLL attempts over an unchanged
-	// window restore the extracted snapshot by copy, a memoized
-	// no-insertion-point verdict skips extraction and search outright, and
-	// a failed realization seeds the next attempt's best-first incumbent.
-	// Placements are byte-identical with the cache on or off — the memo
-	// only short-circuits provably identical work (docs/PERFORMANCE.md §6)
-	// — though search-activity counters (InsertionPoints, prune counts)
-	// naturally shrink when whole searches are skipped. Ignored when an
-	// external Solver is set or MaxInsertionPoints > 0: a capped search
-	// proves nothing about the uncapped candidate set. On in DefaultConfig.
-	ExtractCache bool
-
-	// ExtractCacheCap bounds the number of retained window memos (FIFO by
-	// first insertion, trimmed at round boundaries); <= 0 means the
-	// default of 64.
-	ExtractCacheCap int
-
 	// EscalateWindow is an implementation extension over the paper: when a
 	// cell stays unplaced after several retry rounds, the local-region
 	// window grows with the round number until it covers the chip. The
@@ -106,8 +87,8 @@ type Config struct {
 	// whose claims lie inside one span — legalize concurrently; the
 	// remaining seam cells run on a sequential thread in strict round
 	// order, with dependency edges ordering every conflicting
-	// seam–interior pair, so placements stay byte-identical to the serial
-	// driver at every shard count (docs/PERFORMANCE.md §7). 0 defers to
+	// seam–interior pair, so placements and Stats stay identical to the
+	// serial driver at every shard count (docs/PERFORMANCE.md §7). 0 defers to
 	// Workers; a resolved count of 1 or less is the serial loop. Ignored
 	// with an external Solver. When AuditEvery > 0 the audit cadence is
 	// per shard during the interior pass, so audit bookkeeping (not
@@ -132,9 +113,8 @@ type Config struct {
 	// constraint-free build (golden-gated). Incompatible with an
 	// external Solver — NewLegalizer rejects the combination, since
 	// solvers bypass the filter-aware enumeration the rules ride on.
-	// Swapping the set between runs on one Legalizer opens a fresh
-	// extraction-cache epoch: cached verdicts never leak across rule
-	// configurations.
+	// The set may be swapped between calls on one Legalizer: every entry
+	// point re-reads it.
 	Constraints *constraint.Set
 
 	// Solver, when non-nil, replaces the built-in enumerate-and-evaluate
@@ -162,22 +142,6 @@ type Config struct {
 	// engine's mutation points for chaos testing (see FaultInjector and
 	// internal/faultinject). Nil in production.
 	Faults FaultInjector
-
-	// Tune selects the adaptive search-guidance layer (internal/tune):
-	// tune.Off (the zero value) disables it entirely — placements, Stats
-	// and the rng stream are byte-identical to a build without the layer
-	// (golden-gated); tune.Online adapts per-family retry radii, window
-	// ordering and sweep cutoffs at round boundaries, recording every
-	// decision; tune.Replay re-applies the recorded log in TuneLog instead
-	// of deciding online, reproducing the recording run's placements
-	// exactly under the same configuration. Ignored (silently off, like
-	// ExtractCache) when an external Solver is set: guidance steers the
-	// built-in search only.
-	Tune tune.Mode
-
-	// TuneLog is the recorded policy log a tune.Replay run re-applies.
-	// Required when Tune == tune.Replay; ignored otherwise.
-	TuneLog *tune.Log
 
 	// Obs, when non-nil, attaches the observability layer: the metric
 	// registry, the per-cell trace ring and any configured sinks (see
@@ -209,7 +173,6 @@ func DefaultConfig() Config {
 		Seed:               1,
 		MaxRounds:          64,
 		MaxInsertionPoints: 0,
-		ExtractCache:       true,
 		EscalateWindow:     true,
 		TallFirst:          true,
 	}
@@ -238,27 +201,12 @@ type Stats struct {
 	SearchNodesCut   int64
 	WindowsPruned    int64
 
-	// Extraction-cache activity (all zero when Config.ExtractCache is off
-	// or the cache is disabled by a Solver or an insertion-point cap).
-	// Lookup verdicts are content-based — the generation counters are only
-	// a validation fast path — so the counters are worker-count invariant
-	// like every other field; see the cache.go file comment.
-	ExtractCacheHits          int64 // lookups that found a still-valid entry
-	ExtractCacheMisses        int64 // lookups that found no entry
-	ExtractCacheInvalidations int64 // lookups that found a stale entry
-	SeedBoundsApplied         int64 // searches seeded with a carry-forward incumbent
-
-	// Adaptive search-guidance activity (all zero when Config.Tune is
-	// tune.Off). TuneDecisions counts policy decisions applied at round
-	// boundaries (one per cell family per round); TuneWindowsPromoted
-	// counts best-first searches whose historically-winning window was
-	// rotated to the front of the visit order; TuneWinCutSkips counts
-	// windows never entered because the learned sweep cutoff truncated the
-	// visit list. Like the cache counters these are deterministic per
-	// configuration.
-	TuneDecisions       int64
-	TuneWindowsPromoted int64
-	TuneWinCutSkips     int64
+	// ExtractCacheHits, ExtractCacheMisses and ExtractCacheInvalidations
+	// are always zero: the engine keeps no extraction cache. They remain
+	// for callers that still read them.
+	ExtractCacheHits          int64
+	ExtractCacheMisses        int64
+	ExtractCacheInvalidations int64
 
 	// ConstraintFiltered counts placement options rejected by the
 	// active constraint set (Config.Constraints): candidate intervals
@@ -308,17 +256,6 @@ type Legalizer struct {
 	// serial rounds); sharded rounds use shardScrs instead.
 	sc *scratch
 
-	// cache is the generation-stamped extraction cache (cache.go), lazily
-	// created by the first store. Planners read it under gridMu's read
-	// side; all mutation happens on the commit side.
-	cache *extractCache
-
-	// pendingSc carries a scratch whose failed attempt wants to publish a
-	// cache entry; the publish (and its content capture) must wait until
-	// the attempt's transaction rollback has restored plan-time state, so
-	// cacheStore parks the scratch here and attempt flushes it (cache.go).
-	pendingSc *scratch
-
 	// gridMu guards design and grid state during sharded rounds:
 	// planners take the read side for the snapshot phase (snap/FreeAt/
 	// ExtractRegion), committers take the write side for commits, audits
@@ -335,12 +272,10 @@ type Legalizer struct {
 	// are static for the life of a grid). Built lazily by widthFits.
 	rowMaxSeg []int
 
-	// shardScrs and shardCaches are the per-shard scratch slabs and
-	// extraction caches of the sharded round driver (shard.go), reused
-	// across rounds. Each slot is touched only by its owning shard
-	// worker while a round is in flight.
-	shardScrs   []*scratch
-	shardCaches []*extractCache
+	// shardScrs are the per-shard scratch slabs of the sharded round
+	// driver (shard.go), reused across rounds. Each slot is touched only
+	// by its owning shard worker while a round is in flight.
+	shardScrs []*scratch
 
 	// shardCounters accumulates the shard router's activity. It is
 	// deterministic for a fixed input and configuration: classification
@@ -348,26 +283,11 @@ type Legalizer struct {
 	// timing.
 	shardCounters sched.ShardCounters
 
-	// tuner is the adaptive search-guidance controller, nil when
-	// Config.Tune is off (or an external Solver is set). Decisions are
-	// made only at round boundaries on the owner goroutine; workers feed
-	// it observations through its own mutex.
-	tuner *tune.Controller
-
-	// tuneRx/tuneRy/tuneCut hold the per-family effective radii and sweep
-	// cutoffs of the current round, written by placeRound before any
-	// planning starts and read-only while workers are in flight.
-	tuneRx, tuneRy, tuneCut [tune.NumFamilies]int
-
 	// cons is the resolved constraint set of the current configuration,
 	// nil when empty so the hot path stays on one pointer compare.
-	// consSrc and conSig track the Cfg.Constraints value and signature
-	// last synced, letting syncConstraints detect rule-set swaps and
-	// open a fresh extraction-cache epoch (cached verdicts depend on the
-	// active rules and must never survive a switch).
+	// consSrc is the Cfg.Constraints value last synced.
 	cons    *constraint.Set
 	consSrc *constraint.Set
-	conSig  string
 
 	// conCheck holds the plugins' post-placement checkers in
 	// verify.Options.Extra shape, wired into mid-run audits.
@@ -395,25 +315,7 @@ func NewLegalizer(d *design.Design, cfg Config) (*Legalizer, error) {
 	if cfg.Obs != nil {
 		l.om = newObsMetrics(cfg.Obs)
 	}
-	if cfg.Tune != tune.Off && cfg.Solver == nil {
-		t, err := tune.NewController(cfg.Tune, cfg.TuneLog)
-		if err != nil {
-			return nil, err
-		}
-		l.tuner = t
-	}
 	return l, nil
-}
-
-// RecordedTuneLog returns the policy log of every guidance decision the
-// run applied (nil when Config.Tune is off). An online run's log, fed
-// back through Config.TuneLog with Tune == tune.Replay under the same
-// configuration, reproduces its placements bit for bit.
-func (l *Legalizer) RecordedTuneLog() *tune.Log {
-	if l.tuner == nil {
-		return nil
-	}
-	return l.tuner.RecordedLog()
 }
 
 // Stats returns a snapshot of activity counters.
@@ -449,23 +351,13 @@ func (l *Legalizer) conAllowRowFn(sc *scratch, m *design.Master, h int) func(int
 	return func(y int) bool { return rail(y) && cons.AllowRow(cls, h, y) }
 }
 
-// syncConstraints resolves Cfg.Constraints into the hot-path fields,
-// opening a fresh extraction-cache epoch when the active rule set
-// changed: memos record rule-dependent state (squeezed bounds, gapped
-// intervals, no-insertion-point verdicts, carry-forward seeds), so a
-// cached verdict must never be served under different rules. Cheap when
-// nothing changed — one pointer compare, then a signature compare.
+// syncConstraints resolves Cfg.Constraints into the hot-path fields. Every
+// entry point calls it, so a set swapped into Cfg between calls takes
+// effect at the next one. Cheap when nothing changed: one pointer compare.
 func (l *Legalizer) syncConstraints() {
 	src := l.Cfg.Constraints
 	if src == l.consSrc {
 		return
-	}
-	if sig := src.Signature(); sig != l.conSig {
-		// The rules changed: drop the shared cache and every shard cache
-		// (their two-touch admission sets included).
-		l.cache = nil
-		l.shardCaches = nil
-		l.conSig = sig
 	}
 	l.consSrc = src
 	if src.Empty() {
@@ -564,9 +456,7 @@ func (l *Legalizer) mllAt(id design.CellID, tx, ty float64, rx, ry int) error {
 	sc := l.scratchFor()
 	sc.plan = plan{id: id, tx: tx, ty: ty, rx: rx, ry: ry}
 	l.resetCancel(sc)
-	c := l.D.Cell(id)
-	l.armTune(sc, c.H)
-	l.armConstraints(sc, c, tx)
+	l.armConstraints(sc, l.D.Cell(id), tx)
 	l.gridMu.RLock()
 	r := l.extractPlan(sc, id, tx, ty, rx, ry)
 	l.gridMu.RUnlock()
@@ -576,9 +466,6 @@ func (l *Legalizer) mllAt(id design.CellID, tx, ty float64, rx, ry int) error {
 		err = sc.plan.err
 	} else {
 		err = l.realizePlan(sc)
-	}
-	if err != nil {
-		l.cacheStore(sc, err)
 	}
 	l.mergeScratch(sc)
 	return err
@@ -596,22 +483,6 @@ func (l *Legalizer) resetCancel(sc *scratch) {
 	}
 }
 
-// armTune resets the scratch's per-attempt guidance state and installs
-// the current round's sweep cutoff for the cell's family. With no tuner
-// the fields stay at their neutral values, so the best-first search runs
-// exactly as before the layer existed.
-func (l *Legalizer) armTune(sc *scratch, h int) {
-	sc.tunePromote = -1
-	sc.tuneWinDepth = -1
-	sc.curWinRank = -1
-	sc.cutTruncated = false
-	if l.tuner != nil {
-		sc.tuneCut = int32(l.tuneCut[tune.FamilyOf(h)])
-	} else {
-		sc.tuneCut = 0
-	}
-}
-
 // planCell computes the full placement decision for one cell into
 // sc.plan without mutating any design or grid state: the direct
 // placement probe, then the MLL plan (extract + enumerate + evaluate).
@@ -622,7 +493,6 @@ func (l *Legalizer) planCell(sc *scratch, id design.CellID, tx, ty float64, rx, 
 	sc.plan = plan{id: id, tx: tx, ty: ty, rx: rx, ry: ry}
 	l.resetCancel(sc)
 	c := l.D.Cell(id)
-	l.armTune(sc, c.H)
 	l.armConstraints(sc, c, tx)
 	l.gridMu.RLock()
 	if x, y, ok := l.snap(c, tx, ty); ok && l.G.FreeAt(x, y, c.W, c.H) && l.constraintsOKAt(sc, c, x, y) {
@@ -656,7 +526,7 @@ func (l *Legalizer) extractPlan(sc *scratch, id design.CellID, tx, ty float64, r
 		W: 2*rx + c.W,
 		H: 2*ry + c.H,
 	}
-	r := l.cachedExtract(sc, c, win, tx, ty)
+	r := sc.extract(l.G, win)
 	if l.timing() {
 		sc.phases.Extract += time.Since(t0)
 	}
@@ -667,16 +537,6 @@ func (l *Legalizer) extractPlan(sc *scratch, id design.CellID, tx, ty float64, r
 // best insertion point (or records the failure) from the snapshot alone,
 // without touching the grid, so it runs outside gridMu.
 func (l *Legalizer) selectPlan(sc *scratch, r *Region, tx, ty float64) {
-	if sc.memoNoIP {
-		// A cached, still-valid entry proved no insertion point exists for
-		// this target shape (the verdict is target-position independent;
-		// see memoOutcome). Skip the search the way the fresh path would
-		// have failed it.
-		sc.stats.MLLFailures++
-		sc.plan.kind = planFailed
-		sc.plan.err = ErrNoInsertionPoint
-		return
-	}
 	c := l.D.Cell(sc.plan.id)
 	var t0 time.Time
 	if l.timing() {
@@ -722,19 +582,7 @@ func (l *Legalizer) selectPlan(sc *scratch, r *Region, tx, ty float64) {
 // the committing thread additionally holds gridMu's write side. The direct
 // placement retries as an inline MLL when the grid insert fails (fault
 // injection is the only such path — the planned slot was probed free).
-// A failed commit publishes the attempt's knowledge — a no-insertion-point
-// verdict or a carry-forward seed — into the extraction cache; running on
-// the commit side is what makes the store ordering worker-count invariant
-// (see cache.go).
 func (l *Legalizer) commitPlan(sc *scratch) error {
-	err := l.commitPlanInner(sc)
-	if err != nil {
-		l.cacheStore(sc, err)
-	}
-	return err
-}
-
-func (l *Legalizer) commitPlanInner(sc *scratch) error {
 	p := &sc.plan
 	switch p.kind {
 	case planFailed:
@@ -888,10 +736,6 @@ func (l *Legalizer) bestInsertionPoint(r *Region, c *design.Cell, tx, ty float64
 			found = true
 			bestEv = ev
 			sc.retainBest(ip)
-			// Promotion-independent sorted rank of the winning window
-			// (−1 under the exhaustive sweep), feeding the tuner's sweep
-			// cutoff statistics.
-			sc.tuneWinDepth = sc.curWinRank
 		}
 		if sc.cancelCheck() {
 			return false
@@ -902,16 +746,6 @@ func (l *Legalizer) bestInsertionPoint(r *Region, c *design.Cell, tx, ty float64
 		r.enumerate(c.W, c.H, allow, score)
 	} else {
 		incumbent := math.Inf(1)
-		if sc.seedOK {
-			// Carry-forward bound from a prior failed realization over
-			// content-identical state: the prior best candidate still
-			// exists and costs at most seedCost at this target (costs are
-			// 1-Lipschitz in tx), so this is an admissible incumbent —
-			// pruning stays strict, so the winner under betterCand is
-			// unchanged (docs/PERFORMANCE.md §6).
-			incumbent = sc.seedCost
-			sc.stats.SeedBoundsApplied++
-		}
 		r.searchBest(c.W, c.H, tx, ty, allow, &incumbent, func(ip *InsertionPoint) bool {
 			if !score(ip) {
 				return false

@@ -51,10 +51,6 @@ type obsMetrics struct {
 	candidatesPruned *obs.Counter
 	searchNodesCut   *obs.Counter
 	windowsPruned    *obs.Counter
-	cacheHits        *obs.Counter
-	cacheMisses      *obs.Counter
-	cacheInvalidated *obs.Counter
-	seedBounds       *obs.Counter
 	cellsPushed      *obs.Counter
 	conFiltered      *obs.Counter
 
@@ -72,21 +68,12 @@ type obsMetrics struct {
 	shardSeam      *obs.Counter
 	shardSyncEdges *obs.Counter
 
-	// Adaptive search-guidance activity (internal/tune).
-	tuneDecisions       *obs.Counter
-	tuneArmPulls        *obs.Counter
-	tuneWindowsPromoted *obs.Counter
-	tuneWinCutSkips     *obs.Counter
-
-	// Incremental (ECO) session activity (session.go). The per-session
-	// extraction-cache hit rate is the quotient of the engine's cache
-	// counters over a session's lifetime and is exposed through
-	// Session.Stats; these series aggregate across sessions.
-	ecoSessionsActive   *obs.Gauge
-	ecoDeltaBatches     *obs.Counter
-	ecoDeltaCells       *obs.Counter
-	ecoDirtyCells       *obs.Counter
-	ecoCacheInvalidated *obs.Counter
+	// Incremental (ECO) session activity (session.go), aggregated across
+	// sessions.
+	ecoSessionsActive *obs.Gauge
+	ecoDeltaBatches   *obs.Counter
+	ecoDeltaCells     *obs.Counter
+	ecoDirtyCells     *obs.Counter
 
 	// Distributions.
 	attemptSeconds *obs.Histogram
@@ -121,10 +108,6 @@ func newObsMetrics(o *obs.Observer) *obsMetrics {
 		candidatesPruned: r.Counter("mrlegal_search_candidates_pruned_total", "Fully-formed insertion points skipped by the best-first lower bound."),
 		searchNodesCut:   r.Counter("mrlegal_search_nodes_cut_total", "Partial-combination subtrees cut by the best-first lower bound."),
 		windowsPruned:    r.Counter("mrlegal_search_windows_pruned_total", "Candidate bottom rows never entered by the best-first search."),
-		cacheHits:        r.Counter("mrlegal_extract_cache_hits_total", "Extraction-cache lookups that found a still-valid window memo."),
-		cacheMisses:      r.Counter("mrlegal_extract_cache_misses_total", "Extraction-cache lookups that found no entry for the window."),
-		cacheInvalidated: r.Counter("mrlegal_extract_cache_invalidations_total", "Extraction-cache lookups that found a stale entry (window content changed)."),
-		seedBounds:       r.Counter("mrlegal_seed_bounds_applied_total", "Best-first searches seeded with a carry-forward incumbent from a prior attempt."),
 		cellsPushed:      r.Counter("mrlegal_cells_pushed_total", "Local cells moved aside by MLL realizations."),
 		conFiltered:      r.Counter("mrlegal_constraint_filtered_total", "Candidate positions rejected by constraint-plugin feasibility filters."),
 
@@ -139,16 +122,10 @@ func newObsMetrics(o *obs.Observer) *obsMetrics {
 		shardSeam:      r.Counter("mrlegal_shard_seam_cells_total", "Boundary-crossing cells routed to the sequential seam thread."),
 		shardSyncEdges: r.Counter("mrlegal_shard_sync_edges_total", "Cross-thread ordering edges over seam-interior claim conflicts."),
 
-		tuneDecisions:       r.Counter("mrlegal_tune_decisions_total", "Search-guidance policy decisions applied at round boundaries."),
-		tuneArmPulls:        r.Counter("mrlegal_tune_arm_pulls_total", "Bandit arm pulls credited with a round's observed reward."),
-		tuneWindowsPromoted: r.Counter("mrlegal_tune_windows_promoted_total", "Best-first searches that opened the historically-winning window first."),
-		tuneWinCutSkips:     r.Counter("mrlegal_tune_wincut_skips_total", "Candidate windows skipped by the learned sweep cutoff."),
-
-		ecoSessionsActive:   r.Gauge("mrlegal_eco_sessions_active", "Incremental legalization sessions currently open on this engine."),
-		ecoDeltaBatches:     r.Counter("mrlegal_eco_delta_batches_total", "Committed incremental delta batches."),
-		ecoDeltaCells:       r.Counter("mrlegal_eco_delta_cells_total", "Cell-level deltas applied by committed batches."),
-		ecoDirtyCells:       r.Counter("mrlegal_eco_dirty_cells_total", "Distinct cells perturbed by committed delta batches (targets plus pushed neighbors)."),
-		ecoCacheInvalidated: r.Counter("mrlegal_eco_cache_invalidated_total", "Extraction-cache entries dropped because their windows overlapped a batch's dirty region."),
+		ecoSessionsActive: r.Gauge("mrlegal_eco_sessions_active", "Incremental legalization sessions currently open on this engine."),
+		ecoDeltaBatches:   r.Counter("mrlegal_eco_delta_batches_total", "Committed incremental delta batches."),
+		ecoDeltaCells:     r.Counter("mrlegal_eco_delta_cells_total", "Cell-level deltas applied by committed batches."),
+		ecoDirtyCells:     r.Counter("mrlegal_eco_dirty_cells_total", "Distinct cells perturbed by committed delta batches (targets plus pushed neighbors)."),
 
 		attemptSeconds: r.Histogram("mrlegal_attempt_seconds", "Wall time of one cell placement attempt (plan + commit).", nil),
 		runSeconds:     r.Histogram("mrlegal_run_seconds", "Wall time of one full legalization run.", nil),
@@ -180,14 +157,8 @@ func (m *obsMetrics) addMerge(s *Stats, p *PhaseTimes) {
 	m.candidatesPruned.Add(s.CandidatesPruned)
 	m.searchNodesCut.Add(s.SearchNodesCut)
 	m.windowsPruned.Add(s.WindowsPruned)
-	m.cacheHits.Add(s.ExtractCacheHits)
-	m.cacheMisses.Add(s.ExtractCacheMisses)
-	m.cacheInvalidated.Add(s.ExtractCacheInvalidations)
-	m.seedBounds.Add(s.SeedBoundsApplied)
 	m.cellsPushed.Add(s.CellsPushed)
 	m.conFiltered.Add(s.ConstraintFiltered)
-	m.tuneWindowsPromoted.Add(s.TuneWindowsPromoted)
-	m.tuneWinCutSkips.Add(s.TuneWinCutSkips)
 	for i, d := range [4]time.Duration{p.Extract, p.Enumerate, p.Evaluate, p.Realize} {
 		if d > 0 {
 			m.phaseHists[i].Observe(d.Seconds())

@@ -158,10 +158,11 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	d := g.Design()
 	// Normalize the window to the grid: rows outside [0, NumRows) and
 	// x-extent beyond the die span hold no segments, so clipping changes
-	// nothing the fixpoint can see. The clipped rect doubles as the
-	// extraction-cache key (clipWin), so fresh and restored regions carry
-	// the same Win.
-	win = clipWin(g, win)
+	// nothing the fixpoint can see.
+	sp := g.XSpan()
+	xLo, xHi := max(win.X, sp.Lo), min(win.X2(), sp.Hi)
+	yLo, yHi := max(win.Y, 0), min(win.Y2(), d.NumRows())
+	win = geom.Rect{X: xLo, Y: yLo, W: xHi - xLo, H: yHi - yLo}
 	r := &sc.region
 	*r = Region{D: d, G: g, Win: win, sc: sc}
 	sc.ids = sc.ids[:0]
@@ -179,8 +180,8 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	// With gap-requiring constraints active, cells wholly outside the
 	// window but within MaxGap of its x-edges still constrain local
 	// cells; collect from the inflated window so their (inflated)
-	// spans participate in the subtraction below. Containment — and the
-	// cache key — stay on the un-inflated window.
+	// spans participate in the subtraction below. Containment stays on
+	// the un-inflated window.
 	infl := 0
 	colWin := win
 	if sc.cons != nil {

@@ -91,18 +91,10 @@ func (r *Report) Summary(maxFailures int) string {
 		fmt.Fprintf(&b, "\n  search: %d evaluated, %d candidates pruned, %d subtrees cut, %d windows pruned",
 			s.InsertionPoints, s.CandidatesPruned, s.SearchNodesCut, s.WindowsPruned)
 	}
-	if s := r.Stats; s.ExtractCacheHits > 0 || s.ExtractCacheMisses > 0 || s.ExtractCacheInvalidations > 0 {
-		fmt.Fprintf(&b, "\n  extract cache: %d hits, %d misses, %d invalidated, %d seeded bounds",
-			s.ExtractCacheHits, s.ExtractCacheMisses, s.ExtractCacheInvalidations, s.SeedBoundsApplied)
-	}
 	if sr := r.ShardRouting; sr.Interior > 0 || sr.Seam > 0 {
 		total := sr.Interior + sr.Seam
 		fmt.Fprintf(&b, "\n  shard routing: %d interior, %d seam (%.1f%% seam), %d sync edges, %d seam dispatched",
 			sr.Interior, sr.Seam, 100*float64(sr.Seam)/float64(total), sr.SyncEdges, sr.SeamDispatched)
-	}
-	if s := r.Stats; s.TuneDecisions > 0 {
-		fmt.Fprintf(&b, "\n  search guidance: %d decisions, %d windows promoted, %d cutoff window skips",
-			s.TuneDecisions, s.TuneWindowsPromoted, s.TuneWinCutSkips)
 	}
 	for i, f := range r.Failed {
 		if maxFailures > 0 && i >= maxFailures {

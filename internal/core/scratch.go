@@ -6,7 +6,6 @@ import (
 
 	"mrlegal/internal/constraint"
 	"mrlegal/internal/design"
-	"mrlegal/internal/geom"
 )
 
 // PhaseTimes breaks one legalization run's MLL work down by pipeline
@@ -102,13 +101,6 @@ type scratch struct {
 	mrSide   []int8         // per multi-row cell: side pinned by the partial combo
 	mrTouch  []int32        // stack of mrSide entries set on the current DFS path
 
-	// --- adaptive search guidance (per-attempt; armTune resets) ---
-	tunePromote  int32 // absolute row to open first, -1 = none (cache seedRow)
-	tuneCut      int32 // sweep cutoff in windows entered, 0 = none
-	tuneWinDepth int   // sorted rank of the winner's window, -1 = none
-	curWinRank   int   // sorted rank of the window currently being searched
-	cutTruncated bool  // the sweep was truncated by tuneCut this attempt
-
 	// --- constraint plugins (armConstraints resets per attempt) ---
 	cons     *constraint.Set // active set; nil = none (byte-identical fast path)
 	conTCls  uint8           // composite class of the target cell
@@ -127,19 +119,6 @@ type scratch struct {
 	movedMark []bool  // by local index
 	movedList []int32
 
-	// --- extraction cache (per-attempt lookup/capture state; cache.go) ---
-	cc        *extractCache // shard-local cache during sharded rounds; nil = the legalizer's shared cache
-	memo      *extractMemo  // valid entry found by the lookup, nil otherwise
-	memoKey   geom.Rect     // clipped window key of the current attempt
-	memoKeyOK bool          // a cache lookup happened this attempt
-	memoNoIP  bool          // entry proves no insertion point for this shape
-	seedOK    bool          // a carry-forward incumbent is available
-	seedCost  float64       // the incumbent (prior cost + |Δtx|)
-	storeKind uint8         // pending post-rollback publish (storeNone/NoIP/Seed)
-	depSegs   []depRec      // dependency capture buffer (flush time, reused)
-	ctRows    []int32       // content signature buffer: per-row counts
-	ctRecs    []contentRec  // content signature buffer: cell records
-
 	// --- per-attempt plan, stats shard, phase timing ---
 	plan   plan
 	stats  Stats
@@ -157,8 +136,7 @@ type scratch struct {
 }
 
 func newScratch() *scratch {
-	sc := &scratch{nonLocal: make(map[design.CellID]bool), worker: -1,
-		tunePromote: -1, tuneWinDepth: -1, curWinRank: -1}
+	sc := &scratch{nonLocal: make(map[design.CellID]bool), worker: -1}
 	sc.region.sc = sc
 	return sc
 }
@@ -191,13 +169,6 @@ func (l *Legalizer) mergeScratch(sc *scratch) {
 	d.WindowsPruned += s.WindowsPruned
 	d.CellsPushed += s.CellsPushed
 	d.RetryRounds += s.RetryRounds
-	d.TuneDecisions += s.TuneDecisions
-	d.TuneWindowsPromoted += s.TuneWindowsPromoted
-	d.TuneWinCutSkips += s.TuneWinCutSkips
-	d.ExtractCacheHits += s.ExtractCacheHits
-	d.ExtractCacheMisses += s.ExtractCacheMisses
-	d.ExtractCacheInvalidations += s.ExtractCacheInvalidations
-	d.SeedBoundsApplied += s.SeedBoundsApplied
 	d.ConstraintFiltered += s.ConstraintFiltered
 	sc.stats = Stats{}
 	l.phases.add(sc.phases)

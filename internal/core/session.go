@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"mrlegal/internal/design"
-	"mrlegal/internal/geom"
 	"mrlegal/internal/verify"
 )
 
@@ -25,15 +24,9 @@ import (
 // batch: the transaction rolls back and the design returns to the legal
 // state it had before ApplyDelta was called (all-or-nothing semantics).
 //
-// After a successful batch the session derives the dirty region from the
-// transaction's own undo log — the pre-batch and post-batch footprints of
-// every touched cell, target and pushed neighbors alike — and drops
-// exactly the extraction-cache entries whose windows overlap it (margin
-// zero is sufficient: a window's cached content depends only on cells
-// intersecting the window, see cache.go). The cache's content signatures
-// already make a stale entry self-invalidate on lookup, so this pass is
-// about accounting honesty (post-batch hits are real hits) and memory,
-// never correctness.
+// A successful batch reports how many distinct cells it perturbed,
+// targets and pushed neighbors alike. The transaction's undo log already
+// indexes each such cell once (Txn.Touched), so the count costs nothing.
 //
 // Correctness anchors (session_test.go, internal/experiments/eco.go):
 //   - verify.Check reports zero violations after every batch;
@@ -107,18 +100,8 @@ type DeltaReport struct {
 	// DirtyCells is the number of distinct cells the batch perturbed —
 	// targets, inserted cells and every neighbor a realization pushed.
 	DirtyCells int
-	// DirtyRects is the dirty region: pre- and post-batch footprints of
-	// every perturbed cell (margin zero; see the file comment).
-	DirtyRects []geom.Rect
-	// CacheInvalidated counts extraction-cache entries dropped because
-	// their windows overlapped the dirty region.
-	CacheInvalidated int
 	// Retries is the total extra jittered attempts the batch needed.
 	Retries int
-
-	// CacheHits / CacheMisses are the extraction-cache lookups this batch
-	// performed (the per-batch slice of Stats).
-	CacheHits, CacheMisses int64
 }
 
 // Session engine errors. They join the package taxonomy (errors.go) and
@@ -147,22 +130,13 @@ type Session struct {
 	batches    uint64
 	deltas     uint64
 	dirtyCells uint64
-	// Stats snapshot at open, for the per-session cache hit rate.
-	hits0, miss0 int64
-
-	// Reused buffers.
-	dirty   []geom.Rect
-	touched []design.CellID
 }
 
 // SessionStats is the lifetime activity of one session.
 type SessionStats struct {
-	Batches      uint64
-	Deltas       uint64
-	DirtyCells   uint64
-	CacheHits    int64 // extraction-cache hits since the session opened
-	CacheMisses  int64
-	CacheHitRate float64 // hits / (hits + misses); 0 when no lookups
+	Batches    uint64
+	Deltas     uint64
+	DirtyCells uint64
 }
 
 // NewSession opens an incremental session on l. The design must already
@@ -181,7 +155,7 @@ func NewSession(l *Legalizer) (*Session, error) {
 	if vs := verify.Check(l.D, l.verifyOptions(), 1); len(vs) > 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNotLegal, vs[0])
 	}
-	s := &Session{l: l, hits0: l.stats.ExtractCacheHits, miss0: l.stats.ExtractCacheMisses}
+	s := &Session{l: l}
 	if l.om != nil {
 		l.om.ecoSessionsActive.Add(1)
 	}
@@ -207,19 +181,7 @@ func (s *Session) Design() *design.Design { return s.l.D }
 
 // Stats returns the session's lifetime activity counters.
 func (s *Session) Stats() SessionStats {
-	hits := s.l.stats.ExtractCacheHits - s.hits0
-	miss := s.l.stats.ExtractCacheMisses - s.miss0
-	st := SessionStats{
-		Batches:     s.batches,
-		Deltas:      s.deltas,
-		DirtyCells:  s.dirtyCells,
-		CacheHits:   hits,
-		CacheMisses: miss,
-	}
-	if hits+miss > 0 {
-		st.CacheHitRate = float64(hits) / float64(hits+miss)
-	}
-	return st
+	return SessionStats{Batches: s.batches, Deltas: s.deltas, DirtyCells: s.dirtyCells}
 }
 
 // Verify re-checks the full design against the legalizer's configuration
@@ -277,7 +239,6 @@ func (s *Session) ApplyDelta(ctx context.Context, deltas []Delta) (*DeltaReport,
 	}
 
 	rep := &DeltaReport{Results: make([]DeltaResult, 0, len(deltas))}
-	hits0, miss0 := l.stats.ExtractCacheHits, l.stats.ExtractCacheMisses
 	preCells := len(l.D.Cells)
 
 	tx, err := l.Begin()
@@ -309,18 +270,10 @@ func (s *Session) ApplyDelta(ctx context.Context, deltas []Delta) (*DeltaReport,
 		rep.Results = append(rep.Results, res)
 	}
 
-	// Derive the dirty region from the undo log before committing
-	// discards it, then commit and drop overlapping cache entries.
-	s.dirty, s.touched = tx.touchedFootprints(s.dirty[:0], s.touched[:0])
-	rep.DirtyCells = len(s.touched)
-	rep.DirtyRects = append(rep.DirtyRects, s.dirty...)
+	// Count the perturbed cells before committing discards the undo log.
+	rep.DirtyCells = tx.Touched()
 	tx.Commit()
 	committed = true
-	rep.CacheInvalidated = l.cacheInvalidateRects(s.dirty)
-	l.cacheTrim()
-
-	rep.CacheHits = l.stats.ExtractCacheHits - hits0
-	rep.CacheMisses = l.stats.ExtractCacheMisses - miss0
 
 	s.batches++
 	s.deltas += uint64(len(deltas))
@@ -329,7 +282,6 @@ func (s *Session) ApplyDelta(ctx context.Context, deltas []Delta) (*DeltaReport,
 		l.om.ecoDeltaBatches.Inc()
 		l.om.ecoDeltaCells.Add(int64(len(deltas)))
 		l.om.ecoDirtyCells.Add(int64(rep.DirtyCells))
-		l.om.ecoCacheInvalidated.Add(int64(rep.CacheInvalidated))
 	}
 	return rep, nil
 }
@@ -495,30 +447,4 @@ func (s *Session) placeWithRetries(id design.CellID, tx0, ty0 float64, pre func(
 		}
 	}
 	return retries, err
-}
-
-// touchedFootprints reconstructs the batch's dirty region from the undo
-// log: every snapshot footprint of every touched cell (one record per
-// savepoint span, so this covers intermediate positions cached between
-// two deltas of the same batch, not just the pre-batch state) plus the
-// cell's current footprint. Returned rects carry no margin — a cached
-// window's content depends only on cells intersecting the window, so
-// overlap with a changed footprint is exactly the staleness criterion.
-func (t *Txn) touchedFootprints(rects []geom.Rect, ids []design.CellID) ([]geom.Rect, []design.CellID) {
-	seen := make(map[design.CellID]struct{}, len(t.latest))
-	for i := range t.log {
-		r := &t.log[i]
-		if r.prev.Placed {
-			rects = append(rects, r.prev.Rect())
-		}
-		if _, ok := seen[r.id]; ok {
-			continue
-		}
-		seen[r.id] = struct{}{}
-		ids = append(ids, r.id)
-		if c := t.l.D.Cell(r.id); c.Placed {
-			rects = append(rects, c.Rect())
-		}
-	}
-	return rects, ids
 }

@@ -53,7 +53,7 @@ import (
 // side (planCell), then take the write side for the whole
 // commit-attempt-rollback-audit critical section, installing their own
 // detached batch transaction into the legalizer's txn slot so the shared
-// touch/cache-flush plumbing routes to it. Interior commits of different
+// touch plumbing routes to it. Interior commits of different
 // shards touch disjoint state, so the lock only serializes the (short)
 // mutation windows, never the planning; on a multi-core box the
 // enumerate/evaluate work — the dominant cost — runs fully in parallel
@@ -78,7 +78,7 @@ type shardFail struct {
 // thread (shard == sched.SeamShard, lane K).
 type shardWorker struct {
 	shard int   // owning shard, or sched.SeamShard for the seam thread
-	wid   int   // progress-board lane and scratch/cache slot (seam: K)
+	wid   int   // progress-board lane and scratch slot (seam: K)
 	idxs  []int // round indices of the thread's cells, ascending
 	sc    *scratch
 	txn   *Txn // detached per-thread batch transaction
@@ -178,32 +178,17 @@ func (l *Legalizer) claimFor(id design.CellID, tx, ty float64, rx, ry int) sched
 	return cl
 }
 
-// ensureShardSlots grows the per-thread scratch and cache pools to k
-// entries. Both are reused across rounds and runs, so shard-local memo
-// state keeps paying off over retry rounds.
-func (l *Legalizer) ensureShardSlots(k int) {
-	for len(l.shardScrs) < k {
-		l.shardScrs = append(l.shardScrs, newScratch())
-	}
-	if !l.cacheEnabled() {
-		return
-	}
-	for len(l.shardCaches) < k {
-		l.shardCaches = append(l.shardCaches, newExtractCache())
-	}
-}
-
 // placeRoundShard is placeRound's sharded engine. cells and targets are
-// parallel slices in round order; k is the requested shard count (≥ 2,
-// already capped by the cell count).
-func (l *Legalizer) placeRoundShard(cells []design.CellID, targets []planTarget, round, k int, st *runState) []design.CellID {
+// parallel slices in round order; rx, ry are the round's window radii and
+// k is the requested shard count (≥ 2, already capped by the cell count).
+func (l *Legalizer) placeRoundShard(cells []design.CellID, targets []planTarget, round, rx, ry, k int, st *runState) []design.CellID {
 	n := len(cells)
 	sp := l.G.XSpan()
 	claims := make([]sched.Claim, n)
 	centers := make([]int, n)
 	maxW := 1
 	for i, id := range cells {
-		cl := l.claimFor(id, targets[i].tx, targets[i].ty, targets[i].rx, targets[i].ry)
+		cl := l.claimFor(id, targets[i].tx, targets[i].ty, rx, ry)
 		claims[i] = cl
 		x0, x1 := max(cl.X0, sp.Lo), min(cl.X1, sp.Hi)
 		if w := x1 - x0; w > maxW {
@@ -238,7 +223,9 @@ func (l *Legalizer) placeRoundShard(cells []design.CellID, targets []planTarget,
 
 	// Launch the K shard workers plus the seam thread (lane K), all
 	// coordinated through the progress board.
-	l.ensureShardSlots(K + 1)
+	for len(l.shardScrs) < K+1 {
+		l.shardScrs = append(l.shardScrs, newScratch())
+	}
 	workers := make([]*shardWorker, K+1)
 	prog := newShardProgress(K + 1)
 	var stop atomic.Bool
@@ -251,14 +238,11 @@ func (l *Legalizer) placeRoundShard(cells []design.CellID, targets []planTarget,
 		} else {
 			w.idxs = interior[s]
 		}
-		if l.cacheEnabled() {
-			w.sc.cc = l.shardCaches[s]
-		}
 		workers[s] = w
 		wg.Add(1)
 		go func(w *shardWorker) {
 			defer wg.Done()
-			l.runShardWorker(w, schedule, prog, cells, targets, round, &stop)
+			l.runShardWorker(w, schedule, prog, cells, targets, round, rx, ry, &stop)
 		}(w)
 	}
 	// Dependency waits block on a condition variable, which a context
@@ -285,7 +269,6 @@ func (l *Legalizer) placeRoundShard(cells []design.CellID, targets []planTarget,
 		if w.txn != nil && w.txn.Active() {
 			w.txn.Commit()
 		}
-		w.sc.cc = nil
 		l.mergeScratch(w.sc)
 		st.rep.AuditRuns += w.auditRuns
 		st.rep.AuditRollbacks += w.auditRollbacks
@@ -322,11 +305,10 @@ func (l *Legalizer) placeRoundShard(cells []design.CellID, targets []planTarget,
 // runShardWorker is the loop of one shard worker or the seam thread:
 // wait out the cell's cross-thread dependency edges, plan it against
 // the live grid under the read lock, then run the whole commit —
-// attempt, rollback, cache publication and the per-thread audit — as
-// one critical section under the write lock, with the thread's batch
-// transaction installed in the legalizer's slot so the shared
-// touch/flush plumbing routes to it.
-func (l *Legalizer) runShardWorker(w *shardWorker, schedule *sched.ShardSchedule, prog *shardProgress, cells []design.CellID, targets []planTarget, round int, stop *atomic.Bool) {
+// attempt, rollback and the per-thread audit — as one critical section
+// under the write lock, with the thread's batch transaction installed in
+// the legalizer's slot so the shared touch plumbing routes to it.
+func (l *Legalizer) runShardWorker(w *shardWorker, schedule *sched.ShardSchedule, prog *shardProgress, cells []design.CellID, targets []planTarget, round, rx, ry int, stop *atomic.Bool) {
 	K := schedule.K()
 	for pos, idx := range w.idxs {
 		if stop.Load() || l.runCtx.Err() != nil {
@@ -362,14 +344,12 @@ func (l *Legalizer) runShardWorker(w *shardWorker, schedule *sched.ShardSchedule
 		id := cells[idx]
 		var s0 Stats
 		var t0 time.Time
-		if l.om != nil || l.tuner != nil {
-			s0 = w.sc.stats
-		}
 		if l.om != nil {
+			s0 = w.sc.stats
 			t0 = time.Now()
 			w.sc.worker = w.wid
 		}
-		l.planCell(w.sc, id, targets[idx].tx, targets[idx].ty, targets[idx].rx, targets[idx].ry)
+		l.planCell(w.sc, id, targets[idx].tx, targets[idx].ty, rx, ry)
 		if l.om != nil {
 			l.om.workerPlans.Add(w.wid, 1)
 		}
@@ -388,12 +368,8 @@ func (l *Legalizer) runShardWorker(w *shardWorker, schedule *sched.ShardSchedule
 		l.gridMu.Unlock()
 		prog.advance(w.wid, idx)
 		if l.om != nil {
-			l.observeAttempt(id, round, targets[idx].rx, targets[idx].ry, w.wid, s0, &w.sc.stats, time.Since(t0), err)
+			l.observeAttempt(id, round, rx, ry, w.wid, s0, &w.sc.stats, time.Since(t0), err)
 		}
-		// Worker-side observation from the thread's own (pre-merge) stats
-		// shard; the tuner's accumulators are commutative, so the fold at
-		// EndRound is invariant to which lane reported first.
-		l.tuneObserve(id, s0, w.sc.stats, w.sc, err)
 		if err != nil {
 			w.failed = append(w.failed, shardFail{idx: idx, err: err})
 		}

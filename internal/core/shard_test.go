@@ -2,11 +2,8 @@ package core_test
 
 // Equivalence, determinism and chaos tests for the spatially-sharded
 // round driver. The byte-identity contract (docs/PERFORMANCE.md §7):
-// for any shard count, search mode and cache setting, placements,
-// failure sets and verifier output match the serial run exactly. Stats
-// are compared only when the extraction cache is off — per-shard cache
-// tables legitimately route hits differently than the shared serial
-// table, while placements stay cache-content independent.
+// for any shard count and search mode, placements, failure sets,
+// verifier output and Stats match the serial run exactly.
 
 import (
 	"bytes"
@@ -29,9 +26,8 @@ func legalizeWithShards(t *testing.T, d *design.Design, cfg core.Config, shards 
 	return legalizeWithWorkers(t, d, cfg, 0)
 }
 
-// assertShardMatchesSerial compares everything except Stats, which
-// differ across cache layouts; callers add the stats check when the
-// cache is off.
+// assertShardMatchesSerial compares placements, failure sets, verifier
+// output, round counts and Stats.
 func assertShardMatchesSerial(t *testing.T, name string, serial, shard runOutcome, shards int) {
 	t.Helper()
 	if !bytes.Equal(serial.placement, shard.placement) {
@@ -49,11 +45,15 @@ func assertShardMatchesSerial(t *testing.T, name string, serial, shard runOutcom
 		t.Errorf("%s: rounds differ: serial %d vs shards=%d %d",
 			name, serial.rounds, shards, shard.rounds)
 	}
+	if serial.stats != shard.stats {
+		t.Errorf("%s: stats differ:\nserial   %+v\nshards=%d %+v",
+			name, serial.stats, shards, shard.stats)
+	}
 }
 
 // shardTestDesign builds a compact but shard-worthy design directly
 // (GenerateSized needs no netlist or global-place pass, so the sweep
-// over K × mode × cache stays fast).
+// over K × mode stays fast).
 func shardTestDesign(n int, seed int64) *design.Design {
 	return bengen.GenerateSized(bengen.SizeSpec{
 		Name: fmt.Sprintf("shard-%d-%d", n, seed), NumCells: n, Density: 0.6, Seed: seed,
@@ -61,8 +61,8 @@ func shardTestDesign(n int, seed int64) *design.Design {
 }
 
 // TestShardMatchesSerialAcrossK is the seam-reconciliation property
-// test: every shard count, both search modes and both cache settings
-// must reproduce the serial placement byte for byte.
+// test: every shard count and both search modes must reproduce the
+// serial placement and Stats exactly.
 func TestShardMatchesSerialAcrossK(t *testing.T) {
 	n := 2500
 	if testing.Short() {
@@ -70,32 +70,23 @@ func TestShardMatchesSerialAcrossK(t *testing.T) {
 	}
 	base := shardTestDesign(n, 77)
 	for _, exhaustive := range []bool{false, true} {
-		for _, cache := range []bool{true, false} {
-			mode := "best-first"
-			if exhaustive {
-				mode = "exhaustive"
-			}
-			cname := "cache-on"
-			if !cache {
-				cname = "cache-off"
-			}
-			t.Run(mode+"/"+cname, func(t *testing.T) {
-				cfg := core.DefaultConfig()
-				cfg.Seed = 5
-				cfg.ExhaustiveSearch = exhaustive
-				cfg.ExtractCache = cache
-				serial := legalizeWithWorkers(t, base.Clone(), cfg, 1)
-				for _, k := range []int{1, 2, 4, 8} {
-					shard := legalizeWithShards(t, base.Clone(), cfg, k)
-					name := fmt.Sprintf("%s/%s/k=%d", mode, cname, k)
-					assertShardMatchesSerial(t, name, serial, shard, k)
-					if !cache && serial.stats != shard.stats {
-						t.Errorf("%s: stats differ with cache off:\n%+v\n%+v",
-							name, serial.stats, shard.stats)
-					}
-				}
-			})
+		mode := "best-first"
+		if exhaustive {
+			mode = "exhaustive"
 		}
+		// "cache-off" keeps the subtest names this sweep had while the
+		// extraction cache was a second axis; the cache has since been
+		// removed, so every leg runs the cache-off program.
+		t.Run(mode+"/cache-off", func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.Seed = 5
+			cfg.ExhaustiveSearch = exhaustive
+			serial := legalizeWithWorkers(t, base.Clone(), cfg, 1)
+			for _, k := range []int{1, 2, 4, 8} {
+				shard := legalizeWithShards(t, base.Clone(), cfg, k)
+				assertShardMatchesSerial(t, fmt.Sprintf("%s/k=%d", mode, k), serial, shard, k)
+			}
+		})
 	}
 }
 
@@ -130,9 +121,9 @@ func TestShardZeroClaimTraffic(t *testing.T) {
 	}
 }
 
-// TestShardStatsDeterministicRepeat: Stats in shard mode are not serial
-// Stats, but they are a pure function of (input, config) — two identical
-// runs must agree exactly, placements included.
+// TestShardStatsDeterministicRepeat: Stats in shard mode are a pure
+// function of (input, config) — two identical runs must agree exactly,
+// placements included.
 func TestShardStatsDeterministicRepeat(t *testing.T) {
 	base := shardTestDesign(1000, 13)
 	cfg := core.DefaultConfig()

@@ -213,30 +213,15 @@ func (l *Legalizer) attempt(id design.CellID, fn func() error) (err error) {
 		}
 		if err != nil {
 			err = l.cellErr(id, err)
-			rolled := true
 			if owned {
 				if rbErr := t.Rollback(); rbErr != nil {
 					err = fmt.Errorf("%v; %w", err, rbErr)
-					rolled = false
 				}
 			} else if rbErr := t.RollbackTo(mark); rbErr != nil {
 				err = fmt.Errorf("%v; %w", err, rbErr)
-				rolled = false
-			}
-			// A failed attempt may have parked a cache store (cache.go);
-			// publish it now that the rollback restored plan-time state.
-			// A failed rollback leaves the grid unusable — drop the store.
-			if sc := l.pendingSc; sc != nil {
-				l.pendingSc = nil
-				if rolled {
-					l.cacheFlush(sc)
-				} else {
-					sc.storeKind = storeNone
-				}
 			}
 			return
 		}
-		l.pendingSc = nil
 		if owned {
 			t.Commit()
 		}

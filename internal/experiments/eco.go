@@ -12,8 +12,7 @@ package experiments
 // Timing is deliberately conservative toward the incremental side: the
 // full baseline times only LegalizeBestEffort over the edited input
 // (legalizer construction excluded), while the incremental side times
-// ApplyDelta end to end — dirty-region derivation, retries and cache
-// invalidation included.
+// ApplyDelta end to end, retries included.
 
 import (
 	"context"
@@ -83,13 +82,12 @@ type EcoRun struct {
 	// FixedPoint: full legalization over the incremental result was a
 	// no-op (placement checksum unchanged) — the paper-faithful oracle.
 	FixedPoint bool `json:"fixed_point"`
-	// Dirty-region accounting from the measured batch.
-	DirtyCells       int     `json:"dirty_cells"`
-	CacheInvalidated int     `json:"cache_invalidated"`
-	Retries          int     `json:"retries"`
-	Checksum         string  `json:"checksum"`
-	AvgDispSites     float64 `json:"avg_disp_sites"`
-	Err              string  `json:"err,omitempty"`
+	// Dirty-cell accounting from the measured batch.
+	DirtyCells   int     `json:"dirty_cells"`
+	Retries      int     `json:"retries"`
+	Checksum     string  `json:"checksum"`
+	AvgDispSites float64 `json:"avg_disp_sites"`
+	Err          string  `json:"err,omitempty"`
 }
 
 // EcoBench is all runs of one synthetic design.
@@ -258,7 +256,6 @@ func runEcoOnce(legal *design.Design, cfg EcoConfig, frac float64) EcoRun {
 			run.WallIncrementalSeconds = wall
 		}
 		run.DirtyCells = drep.DirtyCells
-		run.CacheInvalidated = drep.CacheInvalidated
 		run.Retries = drep.Retries
 		var disp float64
 		for j, res := range drep.Results {

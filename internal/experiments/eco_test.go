@@ -57,11 +57,9 @@ func TestRunEcoSmoke(t *testing.T) {
 
 // TestEcoEquivalence is the CI equivalence smoke (docs/PERFORMANCE.md
 // §9): on a Table-1 subset, an ECO session built over designs legalized
-// with workers {1, 4} × extraction cache {on, off} must stay legal and
-// pass the fixed-point oracle after a mixed delta batch, and — for a
-// fixed worker count — the post-batch placement must be byte-identical
-// with the cache on and off (the cache is an accelerator, never a result
-// input).
+// with workers {1, 4} must stay legal and pass the fixed-point oracle
+// after a mixed delta batch, and the post-batch placement must be
+// byte-identical at both worker counts.
 func TestEcoEquivalence(t *testing.T) {
 	specs := bengen.Table1Specs(800)
 	subset := map[string]bool{"fft_a": true, "pci_bridge32_b": true}
@@ -70,49 +68,46 @@ func TestEcoEquivalence(t *testing.T) {
 			continue
 		}
 		b := bengen.Generate(spec)
+		checksums := make(map[int]string)
 		for _, workers := range []int{1, 4} {
-			checksums := make(map[bool]string)
-			for _, cache := range []bool{true, false} {
-				name := fmt.Sprintf("%s/w%d/cache=%v", spec.Name, workers, cache)
-				d := b.D.Clone()
-				cfg := core.DefaultConfig()
-				cfg.Workers = workers
-				cfg.ExtractCache = cache
-				l, err := core.NewLegalizer(d, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if _, err := l.LegalizeBestEffort(context.Background()); err != nil {
-					t.Fatalf("%s: legalize: %v", name, err)
-				}
-				ses, err := core.NewSession(l)
-				if err != nil {
-					t.Fatalf("%s: session: %v", name, err)
-				}
-				deltas := ecoDeltas(d, 12, 42)
-				deltas = append(deltas,
-					core.Delta{Op: core.DeltaInsert, Master: 0, TX: deltas[0].TX, TY: deltas[0].TY},
-					core.Delta{Op: core.DeltaDelete, Cell: deltas[1].Cell},
-				)
-				if _, err := ses.ApplyDelta(context.Background(), deltas); err != nil {
-					t.Fatalf("%s: apply: %v", name, err)
-				}
-				if v := ses.Verify(4); len(v) != 0 {
-					t.Fatalf("%s: %d violations after batch: %v", name, len(v), v[0])
-				}
-				fp, err := ses.FixedPoint(context.Background())
-				if err != nil {
-					t.Fatalf("%s: oracle: %v", name, err)
-				}
-				if !fp {
-					t.Fatalf("%s: fixed-point oracle failed", name)
-				}
-				checksums[cache] = fmt.Sprintf("%016x", d.PlacementChecksum())
+			name := fmt.Sprintf("%s/w%d", spec.Name, workers)
+			d := b.D.Clone()
+			cfg := core.DefaultConfig()
+			cfg.Workers = workers
+			l, err := core.NewLegalizer(d, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			if checksums[true] != checksums[false] {
-				t.Fatalf("%s workers=%d: cache changed the result: on=%s off=%s",
-					spec.Name, workers, checksums[true], checksums[false])
+			if _, err := l.LegalizeBestEffort(context.Background()); err != nil {
+				t.Fatalf("%s: legalize: %v", name, err)
 			}
+			ses, err := core.NewSession(l)
+			if err != nil {
+				t.Fatalf("%s: session: %v", name, err)
+			}
+			deltas := ecoDeltas(d, 12, 42)
+			deltas = append(deltas,
+				core.Delta{Op: core.DeltaInsert, Master: 0, TX: deltas[0].TX, TY: deltas[0].TY},
+				core.Delta{Op: core.DeltaDelete, Cell: deltas[1].Cell},
+			)
+			if _, err := ses.ApplyDelta(context.Background(), deltas); err != nil {
+				t.Fatalf("%s: apply: %v", name, err)
+			}
+			if v := ses.Verify(4); len(v) != 0 {
+				t.Fatalf("%s: %d violations after batch: %v", name, len(v), v[0])
+			}
+			fp, err := ses.FixedPoint(context.Background())
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", name, err)
+			}
+			if !fp {
+				t.Fatalf("%s: fixed-point oracle failed", name)
+			}
+			checksums[workers] = fmt.Sprintf("%016x", d.PlacementChecksum())
+		}
+		if checksums[1] != checksums[4] {
+			t.Fatalf("%s: post-batch placement differs between workers 1 and 4: %s vs %s",
+				spec.Name, checksums[1], checksums[4])
 		}
 	}
 }

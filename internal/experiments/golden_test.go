@@ -17,7 +17,6 @@ import (
 	"mrlegal/internal/core"
 	"mrlegal/internal/design"
 	"mrlegal/internal/geom"
-	"mrlegal/internal/tune"
 	"mrlegal/internal/verify"
 )
 
@@ -34,20 +33,13 @@ import (
 //	go test ./internal/experiments -run TestGoldenPlacements -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_checksums.txt from this run")
 
-// extractCache forces the extraction cache on or off across the whole
-// suite. The pinned checksums must hold in every state — CI runs the suite
-// once with "on" and once with "off" to pin the cache's byte-identity
-// guarantee against the same golden file (default "auto" = DefaultConfig,
-// which has the cache on).
-var extractCacheFlag = flag.String("extract-cache", "auto", "extraction cache state for the golden suite: auto | on | off")
-
 // goldenScale keeps the 20-benchmark × 4-configuration sweep fast enough
 // for CI race mode while still exercising multi-row cells and retries.
 const goldenScale = 800
 
 const goldenFile = "testdata/golden_checksums.txt"
 
-// goldenConfigs are the eight configurations whose placements must agree.
+// goldenConfigs are the nine configurations whose placements must agree.
 func goldenConfigs() []struct {
 	tag string
 	cfg core.Config
@@ -57,12 +49,6 @@ func goldenConfigs() []struct {
 		cfg core.Config
 	}
 	add := func(tag string, cfg core.Config) {
-		switch *extractCacheFlag {
-		case "on":
-			cfg.ExtractCache = true
-		case "off":
-			cfg.ExtractCache = false
-		}
 		out = append(out, struct {
 			tag string
 			cfg core.Config
@@ -89,14 +75,6 @@ func goldenConfigs() []struct {
 			cfg.ExhaustiveSearch = exhaustive
 			add(fmt.Sprintf("s%d/%s", shards, mode(exhaustive)), cfg)
 		}
-	}
-	// Tune=off byte-identity: the search-guidance layer wired but
-	// explicitly off must reproduce the untuned placements exactly
-	// (docs/PERFORMANCE.md §8).
-	{
-		cfg := core.DefaultConfig()
-		cfg.Tune = tune.Off
-		add("w1/tune-off", cfg)
 	}
 	// Empty-constraint-set byte-identity: a non-nil Set composing zero
 	// plugins must reproduce the unconstrained placements exactly — the
@@ -169,11 +147,6 @@ func writeGolden(t *testing.T, goldenFile, header string, sums map[string]uint64
 // byte-identical across worker counts and search modes — and (b) they
 // match the pinned golden values.
 func TestGoldenPlacements(t *testing.T) {
-	switch *extractCacheFlag {
-	case "auto", "on", "off":
-	default:
-		t.Fatalf("-extract-cache: bad value %q (want auto, on or off)", *extractCacheFlag)
-	}
 	specs := bengen.Table1Specs(goldenScale)
 	configs := goldenConfigs()
 
@@ -305,12 +278,6 @@ func TestGoldenConstraintPlacements(t *testing.T) {
 				cfg.Seed = 1
 				cfg.Workers = workers
 				cfg.Constraints = cs.set
-				switch *extractCacheFlag {
-				case "on":
-					cfg.ExtractCache = true
-				case "off":
-					cfg.ExtractCache = false
-				}
 				l, err := core.NewLegalizer(d, cfg)
 				if err != nil {
 					t.Fatalf("%s w%d: %v", key, workers, err)

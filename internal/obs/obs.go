@@ -110,11 +110,6 @@ const (
 	OutcomeAudit    CellOutcome = "audit_rollback"
 	OutcomePanic    CellOutcome = "panicked"
 	OutcomeError    CellOutcome = "error" // unclassified failure
-
-	// OutcomeTuneDecision marks a search-guidance policy decision event
-	// (Cell is -1): the effective retry radii ride in WinW/WinH, the
-	// bandit arm index in Evaluated and the sweep cutoff in Pruned.
-	OutcomeTuneDecision CellOutcome = "tune_decision"
 )
 
 // CellEvent is one entry of the per-cell trace: a single placement attempt

@@ -100,9 +100,9 @@ func TestGenerationBumps(t *testing.T) {
 	}
 }
 
-// TestGenerationEqualImpliesEqualContent spot-checks the contract the
-// extraction cache relies on: if a segment's generation is unchanged, its
-// cell list (membership, order and x positions) is unchanged.
+// TestGenerationEqualImpliesEqualContent spot-checks the Generation
+// contract: if a segment's generation is unchanged, its cell list
+// (membership, order and x positions) is unchanged.
 func TestGenerationEqualImpliesEqualContent(t *testing.T) {
 	d := dtest.Flat(2, 100)
 	g := segment.Build(d)

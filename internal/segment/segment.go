@@ -31,7 +31,7 @@ type Segment struct {
 	// in-place x shifts of listed cells. It is monotonic — rollbacks replay
 	// Insert/Remove and therefore advance it further, never rewind — so two
 	// equal generations imply byte-identical list content, which lets
-	// derived snapshots (core's extraction cache) validate in O(1).
+	// derived snapshots validate in O(1).
 	gen uint64
 }
 
@@ -145,8 +145,8 @@ func (g *Grid) Design() *design.Design { return g.d }
 
 // XSpan returns the union of all row extents — the horizontal die span.
 // Every segment (and so every placed cell) lies inside it, which is what
-// lets window clipping (core's extraction cache key) normalize away
-// off-die window area.
+// lets window clipping (core's region extraction) normalize away off-die
+// window area.
 func (g *Grid) XSpan() geom.Span { return g.xspan }
 
 // RowSegments returns the segments of row y, left to right. The slice is

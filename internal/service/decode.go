@@ -33,8 +33,9 @@ type Limits struct {
 	// MaxDeadline caps the client-requested job deadline. Default 10m.
 	MaxDeadline time.Duration
 	// MaxWorkers caps the per-job "workers" value a client may request,
-	// which runs that many spatial shards when "shards" is absent.
-	// Default 4 (the pool provides cross-job parallelism).
+	// which runs that many spatial shards when "shards" is absent (and is
+	// then capped by MaxShards too). Default 4 (the pool provides
+	// cross-job parallelism).
 	MaxWorkers int
 	// MaxShards caps the per-job spatial shard count a client may
 	// request. Default 16.
@@ -202,7 +203,6 @@ type ConfigJSON struct {
 	Seed             *int64 `json:"seed,omitempty"`
 	MaxRounds        *int   `json:"max_rounds,omitempty"`
 	ExhaustiveSearch *bool  `json:"exhaustive_search,omitempty"`
-	ExtractCache     *bool  `json:"extract_cache,omitempty"`
 	Workers          *int   `json:"workers,omitempty"`
 	Shards           *int   `json:"shards,omitempty"`
 	CellTimeoutMS    *int64 `json:"cell_timeout_ms,omitempty"`
@@ -528,6 +528,11 @@ func applyConfig(base core.Config, cj *ConfigJSON, lim Limits) (core.Config, err
 	if err := setInt(&cfg.Shards, cj.Shards, "shards", 0, lim.MaxShards); err != nil {
 		return cfg, err
 	}
+	// Workers is the shard count when Shards is 0, so a requested workers
+	// value must respect MaxShards too.
+	if cj.Workers != nil && cfg.Shards == 0 && cfg.Workers > lim.MaxShards {
+		return cfg, badf("config: workers=%d without shards runs %d shards, over the cap of %d", cfg.Workers, cfg.Workers, lim.MaxShards)
+	}
 	if err := setInt(&cfg.AuditEvery, cj.AuditEvery, "audit_every", 0, 1_000_000); err != nil {
 		return cfg, err
 	}
@@ -542,9 +547,6 @@ func applyConfig(base core.Config, cj *ConfigJSON, lim Limits) (core.Config, err
 	}
 	if cj.ExhaustiveSearch != nil {
 		cfg.ExhaustiveSearch = *cj.ExhaustiveSearch
-	}
-	if cj.ExtractCache != nil {
-		cfg.ExtractCache = *cj.ExtractCache
 	}
 	if cj.Constraints != nil {
 		set, err := constraint.Parse(*cj.Constraints)

@@ -136,6 +136,9 @@ func TestDecodeSubmitRejects(t *testing.T) {
 		{"config out of range", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{Rx: intp(-3)}}), Limits{}},
 		{"config workers over cap", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{Workers: intp(64)}}), Limits{}},
 		{"config shards over cap", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{Shards: intp(64)}}), Limits{}},
+		{"config workers over shard cap", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{Workers: intp(4)}}), Limits{MaxShards: 2}},
+		{"config extract_cache", strings.Replace(submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{}}),
+			`"config":{}`, `"config":{"extract_cache":true}`, 1), Limits{}},
 		{"config negative shards", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{Shards: intp(-1)}}), Limits{}},
 		{"config bad cell timeout", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{CellTimeoutMS: int64p(-5)}}), Limits{}},
 		{"config bad constraints", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{Constraints: strp("zoneplate:q=1")}}), Limits{}},

@@ -66,11 +66,10 @@ type DeltaResultJSON struct {
 // batch's report, or an error (in which case the batch rolled back and
 // the session still holds the previous legal placement).
 type DeltaFrameJSON struct {
-	Applied          int               `json:"applied"`
-	Results          []DeltaResultJSON `json:"results,omitempty"`
-	DirtyCells       int               `json:"dirty_cells,omitempty"`
-	CacheInvalidated int               `json:"cache_invalidated,omitempty"`
-	Retries          int               `json:"retries,omitempty"`
+	Applied    int               `json:"applied"`
+	Results    []DeltaResultJSON `json:"results,omitempty"`
+	DirtyCells int               `json:"dirty_cells,omitempty"`
+	Retries    int               `json:"retries,omitempty"`
 	// PlacementChecksum is the post-batch checksum (16 hex digits), the
 	// client's handle for checkpoint comparisons.
 	PlacementChecksum string     `json:"placement_checksum,omitempty"`
@@ -82,7 +81,6 @@ func encodeDeltaFrame(rep *core.DeltaReport, checksum uint64) *DeltaFrameJSON {
 	fr := &DeltaFrameJSON{
 		Applied:           len(rep.Results),
 		DirtyCells:        rep.DirtyCells,
-		CacheInvalidated:  rep.CacheInvalidated,
 		Retries:           rep.Retries,
 		PlacementChecksum: fmt.Sprintf("%016x", checksum),
 	}

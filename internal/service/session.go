@@ -54,16 +54,13 @@ type SessionJSON struct {
 
 // CheckpointJSON is the verification snapshot returned by checkpoint.
 type CheckpointJSON struct {
-	ID                string  `json:"id"`
-	PlacementChecksum string  `json:"placement_checksum"`
-	Legal             bool    `json:"legal"`
-	Violations        int     `json:"violations"`
-	Batches           uint64  `json:"batches"`
-	Deltas            uint64  `json:"deltas"`
-	DirtyCells        uint64  `json:"dirty_cells"`
-	CacheHits         int64   `json:"cache_hits"`
-	CacheMisses       int64   `json:"cache_misses"`
-	CacheHitRate      float64 `json:"cache_hit_rate"`
+	ID                string `json:"id"`
+	PlacementChecksum string `json:"placement_checksum"`
+	Legal             bool   `json:"legal"`
+	Violations        int    `json:"violations"`
+	Batches           uint64 `json:"batches"`
+	Deltas            uint64 `json:"deltas"`
+	DirtyCells        uint64 `json:"dirty_cells"`
 	// FixedPoint is present when the request asked for the oracle
 	// (?oracle=1): whether a full legalization pass over the session's
 	// placement is a no-op. Expensive — it runs the full engine.
@@ -295,9 +292,6 @@ func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request)
 			Batches:           stats.Batches,
 			Deltas:            stats.Deltas,
 			DirtyCells:        stats.DirtyCells,
-			CacheHits:         stats.CacheHits,
-			CacheMisses:       stats.CacheMisses,
-			CacheHitRate:      stats.CacheHitRate,
 		}
 		if oracle {
 			fp, ferr := st.ses.FixedPoint(r.Context())

@@ -50,7 +50,6 @@ import (
 	"mrlegal/internal/obs"
 	"mrlegal/internal/render"
 	"mrlegal/internal/service"
-	"mrlegal/internal/tune"
 	"mrlegal/internal/verify"
 )
 
@@ -116,30 +115,6 @@ type (
 	LocalSolver = core.LocalSolver
 )
 
-// Adaptive search-guidance types (see docs/PERFORMANCE.md §8). Config.Tune
-// selects the mode; TuneOff keeps placements byte-identical to an untuned
-// run, TuneOnline adapts retry radii, window visit order and sweep cutoffs
-// during the run, and TuneReplay re-executes a recorded policy log
-// deterministically.
-type (
-	// TuneMode selects the search-guidance mode for Config.Tune.
-	TuneMode = tune.Mode
-	// TuneLog is a recorded search-guidance policy log; feed one to
-	// Config.TuneLog with TuneReplay, or obtain one from
-	// Legalizer.RecordedTuneLog after a TuneOnline run.
-	TuneLog = tune.Log
-)
-
-// Search-guidance modes.
-const (
-	TuneOff    = tune.Off
-	TuneOnline = tune.Online
-	TuneReplay = tune.Replay
-)
-
-// ParseTuneMode parses "off" (or ""), "online" or "replay".
-func ParseTuneMode(s string) (TuneMode, error) { return tune.ParseMode(s) }
-
 // Robustness types (see docs/ROBUSTNESS.md).
 type (
 	// Report describes a LegalizeBestEffort run: which cells placed,
@@ -193,8 +168,8 @@ type (
 	DeltaOp = core.DeltaOp
 	// DeltaResult is the realized outcome of one delta.
 	DeltaResult = core.DeltaResult
-	// DeltaReport summarizes one committed batch: results, dirty region,
-	// cache activity.
+	// DeltaReport summarizes one committed batch: results, dirty-cell
+	// count and retries.
 	DeltaReport = core.DeltaReport
 	// SessionStats is a session's lifetime activity counters.
 	SessionStats = core.SessionStats
