@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race cover fuzz fuzz-search fuzz-constraints fuzz-submit fuzz-eco bench-json bench-smoke bench-shard-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
+.PHONY: check vet build test race cover examples fuzz fuzz-search fuzz-constraints fuzz-submit fuzz-eco bench-json bench-smoke bench-shard-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
 
-check: vet build race cover bench-eco-smoke
+check: vet build race cover examples bench-eco-smoke
 
 vet:
 	$(GO) vet ./...
@@ -27,6 +27,15 @@ race:
 # pre-observability level (see scripts/cover.sh and docs/OBSERVABILITY.md).
 cover:
 	sh scripts/cover.sh
+
+# Run every example end to end. Each exits non-zero (log.Fatal) when its
+# legality, fixed-point or full-path parity check fails; bufferinsertion
+# is the session API's end-to-end check.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/cellsizing
+	$(GO) run ./examples/detailedplace
+	$(GO) run ./examples/bufferinsertion
 
 # Short fuzz session over the bookshelf parser (satellite of the
 # robustness work; see docs/ROBUSTNESS.md).

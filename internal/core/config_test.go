@@ -1,0 +1,61 @@
+package core
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"mrlegal/internal/dtest"
+)
+
+// TestConfigValidate breaks one field of DefaultConfig per row: Validate
+// must name that field, and NewLegalizer must refuse the config.
+func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("DefaultConfig: %v", err)
+	}
+	cases := []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"Rx", func(c *Config) { c.Rx = -5 }},
+		{"Ry", func(c *Config) { c.Ry = -1 }},
+		{"MaxRounds", func(c *Config) { c.MaxRounds = 0 }},
+		{"MaxRounds", func(c *Config) { c.MaxRounds = -3 }},
+		{"MaxInsertionPoints", func(c *Config) { c.MaxInsertionPoints = -1 }},
+		{"Workers", func(c *Config) { c.Workers = -2 }},
+		{"Shards", func(c *Config) { c.Shards = -1 }},
+		{"AuditEvery", func(c *Config) { c.AuditEvery = -1 }},
+		{"CellTimeout", func(c *Config) { c.CellTimeout = -time.Second }},
+		{"Constraints", func(c *Config) {
+			c.Solver = refusingSolver{}
+			c.Constraints = coverSet(t, coverSpacing(t, 1, 1))
+		}},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig()
+		tc.mut(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), "Config."+tc.field) {
+			t.Errorf("%s: Validate() = %v, want an error naming Config.%s", tc.field, err, tc.field)
+			continue
+		}
+		if _, nerr := NewLegalizer(dtest.Flat(2, 20), cfg); nerr == nil || nerr.Error() != err.Error() {
+			t.Errorf("%s: NewLegalizer error %v, want %v", tc.field, nerr, err)
+		}
+	}
+}
+
+// TestConfigValidateAcceptsEdges pins the smallest value each bounded
+// field accepts, so Validate rejects only what no run can use.
+func TestConfigValidateAcceptsEdges(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Rx, cfg.Ry = 0, 0
+	cfg.MaxRounds = 1
+	cfg.MaxInsertionPoints, cfg.Workers, cfg.Shards, cfg.AuditEvery = 0, 0, 0, 0
+	cfg.CellTimeout = 0
+	cfg.Solver = refusingSolver{}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("edge values rejected: %v", err)
+	}
+}

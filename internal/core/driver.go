@@ -74,6 +74,16 @@ type runState struct {
 	canceled   bool
 	fatal      error
 	targets    []planTarget // per-round target buffer, reused
+
+	// home holds round-1 targets that differ from (GX, GY): a delta
+	// batch's targets (session.go). Nil on full runs.
+	home map[design.CellID]planTarget
+	// oneTxn keeps every round inside the caller's transaction, as a
+	// delta batch needs: rounds run the serial driver and skip the audit,
+	// since a shard or audit commit would land part of the batch.
+	oneTxn bool
+	// retried sums the cells entering each round after the first.
+	retried int
 }
 
 // run is the engine shared by the strict and best-effort entry points.
@@ -126,31 +136,7 @@ func (l *Legalizer) run(ctx context.Context) (*Report, error) {
 		return rep, err
 	}
 	st.txn = t
-
-	for k := 1; len(unplaced) > 0; k++ {
-		if ctx.Err() != nil {
-			st.canceled = true
-			for _, id := range unplaced {
-				st.lastErr[id] = ErrCanceled
-			}
-			break
-		}
-		if k > l.Cfg.MaxRounds {
-			break
-		}
-		rep.Rounds++
-		if k > 1 {
-			l.stats.RetryRounds++
-		}
-		if l.om != nil {
-			l.om.rounds.Inc()
-			l.om.unplaced.Set(int64(len(unplaced)))
-		}
-		unplaced = l.placeRound(unplaced, k, st)
-		if st.fatal != nil {
-			break
-		}
-	}
+	unplaced = l.ladder(unplaced, st)
 	if st.txn != nil && st.txn.Active() {
 		st.txn.Commit()
 	}
@@ -197,6 +183,39 @@ func (l *Legalizer) run(ctx context.Context) (*Report, error) {
 	return rep, st.fatal
 }
 
+// ladder is Algorithm 1's retry ladder, shared by full runs and delta
+// batches (session.go): it places cells in rounds k = 1, 2, ... until
+// none is left, MaxRounds is spent, l.runCtx is done or a fatal error
+// stops it, and returns the cells still unplaced.
+func (l *Legalizer) ladder(cells []design.CellID, st *runState) []design.CellID {
+	for k := 1; len(cells) > 0; k++ {
+		if l.runCtx.Err() != nil {
+			st.canceled = true
+			for _, id := range cells {
+				st.lastErr[id] = ErrCanceled
+			}
+			break
+		}
+		if k > l.Cfg.MaxRounds {
+			break
+		}
+		st.rep.Rounds++
+		if k > 1 {
+			l.stats.RetryRounds++
+			st.retried += len(cells)
+		}
+		if l.om != nil {
+			l.om.rounds.Inc()
+			l.om.unplaced.Set(int64(len(cells)))
+		}
+		cells = l.placeRound(cells, k, st)
+		if st.fatal != nil {
+			break
+		}
+	}
+	return cells
+}
+
 // roundShards resolves the shard count of a round over n cells:
 // Cfg.Shards, or Cfg.Workers when Shards is 0, capped by the cell count.
 // A count above 1 selects the spatially-sharded driver (shard.go);
@@ -216,7 +235,8 @@ func (l *Legalizer) roundShards(n int) int {
 
 // roundTargets fills st.targets with the desired position of every cell
 // for round k, consuming the seeded rng in strict cell order. Round 1
-// uses the input positions and draws nothing, matching Algorithm 1.
+// uses the home positions — (GX, GY) unless st.home says otherwise — and
+// draws nothing, matching Algorithm 1.
 func (l *Legalizer) roundTargets(cells []design.CellID, k, rx, ry int, st *runState) []planTarget {
 	if cap(st.targets) < len(cells) {
 		st.targets = make([]planTarget, len(cells))
@@ -226,6 +246,9 @@ func (l *Legalizer) roundTargets(cells []design.CellID, k, rx, ry int, st *runSt
 	for i, id := range cells {
 		c := l.D.Cell(id)
 		tx, ty := c.GX, c.GY
+		if p, ok := st.home[id]; ok {
+			tx, ty = p.tx, p.ty
+		}
 		if k > 1 {
 			// Retry jitter follows the (escalated) radii so late-round
 			// retries explore a region as large as the window they get,
@@ -246,7 +269,8 @@ func (l *Legalizer) roundTargets(cells []design.CellID, k, rx, ry int, st *runSt
 // on, late rounds use progressively larger local-region windows so dense
 // instances whose solutions need compaction beyond one window still
 // terminate. Rounds that resolve to more than one shard run the
-// spatially-sharded driver, which produces the serial result.
+// spatially-sharded driver, which produces the serial result, unless
+// st.oneTxn holds them to the serial one.
 func (l *Legalizer) placeRound(cells []design.CellID, k int, st *runState) []design.CellID {
 	rx, ry := l.Cfg.Rx, l.Cfg.Ry
 	if l.Cfg.EscalateWindow && k > 4 {
@@ -255,7 +279,7 @@ func (l *Legalizer) placeRound(cells []design.CellID, k int, st *runState) []des
 		ry *= scale
 	}
 	targets := l.roundTargets(cells, k, rx, ry, st)
-	if ks := l.roundShards(len(cells)); ks > 1 {
+	if ks := l.roundShards(len(cells)); ks > 1 && !st.oneTxn {
 		return l.placeRoundShard(cells, targets, k, rx, ry, ks, st)
 	}
 	if l.om != nil {
@@ -304,13 +328,13 @@ func (l *Legalizer) placeRoundSerial(cells []design.CellID, targets []planTarget
 	return failed
 }
 
-// maybeAudit runs the periodic invariant audit when due. On a violation
-// (real or injected) it rolls the batch transaction back to the last
-// committed state and returns the unwound cells so the round re-queues
-// them; otherwise it commits the batch. A fresh transaction is opened
-// either way.
+// maybeAudit runs the periodic invariant audit when due, never under
+// st.oneTxn. On a violation (real or injected) it rolls the batch
+// transaction back to the last committed state and returns the unwound
+// cells so the round re-queues them; otherwise it commits the batch. A
+// fresh transaction is opened either way.
 func (l *Legalizer) maybeAudit(st *runState) []design.CellID {
-	if l.Cfg.AuditEvery <= 0 || st.sinceAudit < l.Cfg.AuditEvery {
+	if st.oneTxn || l.Cfg.AuditEvery <= 0 || st.sinceAudit < l.Cfg.AuditEvery {
 		return nil
 	}
 	st.rep.AuditRuns++
@@ -318,14 +342,7 @@ func (l *Legalizer) maybeAudit(st *runState) []design.CellID {
 	if l.om != nil {
 		l.om.auditRuns.Inc()
 	}
-	bad := l.Cfg.Faults != nil && l.Cfg.Faults.OnAudit()
-	if !bad && len(verify.Check(l.D, verify.Options{PowerAlignment: l.Cfg.PowerAlign, Extra: l.conCheck}, 1)) > 0 {
-		bad = true
-	}
-	if !bad && l.G.CheckConsistency() != nil {
-		bad = true
-	}
-	if !bad {
+	if !l.auditFails() {
 		st.txn.Commit()
 		t, err := l.Begin()
 		if err != nil {
@@ -356,6 +373,27 @@ func (l *Legalizer) maybeAudit(st *runState) []design.CellID {
 	st.txn = t
 	st.batch = st.batch[:0]
 	return rolledBack
+}
+
+// auditFails runs the mid-run invariant audit — the injected fault hook,
+// then verify.Check and the grid's consistency check — and reports a
+// violation. The caller commits or rolls back its own transaction.
+func (l *Legalizer) auditFails() bool {
+	if l.Cfg.Faults != nil && l.Cfg.Faults.OnAudit() {
+		return true
+	}
+	return len(verify.Check(l.D, verify.Options{PowerAlignment: l.Cfg.PowerAlign, Extra: l.conCheck}, 1)) > 0 ||
+		l.G.CheckConsistency() != nil
+}
+
+// lift takes cell id out of the grid under the active transaction,
+// leaving it unplaced: the first step of every move and resize.
+func (l *Legalizer) lift(id design.CellID) {
+	l.touch(id)
+	if l.D.Cell(id).Placed {
+		l.G.Remove(id)
+		l.D.Unplace(id)
+	}
 }
 
 // placeAt tries the fast direct placement at the snapped target position
@@ -468,9 +506,7 @@ func (l *Legalizer) TryMoveCell(id design.CellID, tx, ty float64) error {
 		return l.TryPlaceCell(id, tx, ty)
 	}
 	return l.attempt(id, func() error {
-		l.touch(id)
-		l.G.Remove(id)
-		l.D.Unplace(id)
+		l.lift(id)
 		return l.placeAt(id, tx, ty, l.Cfg.Rx, l.Cfg.Ry)
 	})
 }
@@ -510,9 +546,7 @@ func (l *Legalizer) TryResizeCell(id design.CellID, newW int) error {
 		if !l.widthFits(l.D.MasterOf(id), newW, c.H) {
 			return ErrCellTooWide
 		}
-		l.touch(id)
-		l.G.Remove(id)
-		l.D.Unplace(id)
+		l.lift(id)
 		c.W = newW
 		return l.placeAt(id, float64(oldX), float64(oldY), l.Cfg.Rx, l.Cfg.Ry)
 	})

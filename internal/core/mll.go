@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -178,6 +179,33 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate reports the first field of c that no run can use, or nil.
+// NewLegalizer calls it, so a legalizer never starts from a silently
+// clamped or misread setting.
+func (c Config) Validate() error {
+	switch {
+	case c.Rx < 0:
+		return fmt.Errorf("core: Config.Rx = %d, want >= 0", c.Rx)
+	case c.Ry < 0:
+		return fmt.Errorf("core: Config.Ry = %d, want >= 0", c.Ry)
+	case c.MaxRounds < 1:
+		return fmt.Errorf("core: Config.MaxRounds = %d, want >= 1", c.MaxRounds)
+	case c.MaxInsertionPoints < 0:
+		return fmt.Errorf("core: Config.MaxInsertionPoints = %d, want >= 0 (0 = unlimited)", c.MaxInsertionPoints)
+	case c.Workers < 0:
+		return fmt.Errorf("core: Config.Workers = %d, want >= 0", c.Workers)
+	case c.Shards < 0:
+		return fmt.Errorf("core: Config.Shards = %d, want >= 0", c.Shards)
+	case c.AuditEvery < 0:
+		return fmt.Errorf("core: Config.AuditEvery = %d, want >= 0 (0 = off)", c.AuditEvery)
+	case c.CellTimeout < 0:
+		return fmt.Errorf("core: Config.CellTimeout = %v, want >= 0 (0 = off)", c.CellTimeout)
+	case c.Solver != nil && !c.Constraints.Empty():
+		return errors.New("core: Config.Constraints cannot be combined with an external Solver (plugins ride the built-in enumeration)")
+	}
+	return nil
+}
+
 // Stats counts legalizer activity, for reporting and benchmarks. All
 // fields are pure functions of the input and configuration — never of
 // worker timing — so seeded runs produce identical Stats at every worker
@@ -300,15 +328,15 @@ type Legalizer struct {
 // update net-length caches after a move.
 func (l *Legalizer) LastMoved() []design.CellID { return l.lastMoved }
 
-// NewLegalizer builds the segment grid for d (inserting any already
-// placed movable cells) and returns a ready legalizer.
+// NewLegalizer validates cfg, builds the segment grid for d (inserting
+// any already placed movable cells) and returns a ready legalizer.
 func NewLegalizer(d *design.Design, cfg Config) (*Legalizer, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	g := segment.Build(d)
 	if err := g.RebuildOccupancy(); err != nil {
 		return nil, err
-	}
-	if cfg.Solver != nil && !cfg.Constraints.Empty() {
-		return nil, errors.New("core: Config.Constraints cannot be combined with an external Solver (plugins ride the built-in enumeration)")
 	}
 	l := &Legalizer{D: d, G: g, Cfg: cfg, rng: newRNG(cfg.Seed)}
 	l.syncConstraints()

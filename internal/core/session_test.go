@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"mrlegal/internal/bengen"
@@ -143,6 +144,156 @@ func TestSessionBatchIsAtomic(t *testing.T) {
 	assertSessionLegal(t, s)
 }
 
+// TestSessionResultsAreCommittedPositions streams 200 move-only batches
+// over a 5k-cell design, targets within 20 sites and 4 rows of each
+// cell's input position, every tenth batch 400 deltas and the rest 20.
+// Every result must report its cell's state after the batch, including
+// results whose cell a later delta of the batch pushed or moved again.
+func TestSessionResultsAreCommittedPositions(t *testing.T) {
+	d := bengen.GenerateSized(bengen.SizeSpec{Name: "committed", NumCells: 5000, Density: 0.6, Seed: 3})
+	l, err := core.NewLegalizer(d, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Legalize(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.NewSession(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := movableCells(d)
+	pick := rand.New(rand.NewSource(3))
+	stale, total := 0, 0
+	for batch := 0; batch < 200; batch++ {
+		deltas := make([]core.Delta, 20)
+		if batch%10 == 9 {
+			deltas = make([]core.Delta, 400)
+		}
+		for j := range deltas {
+			c := d.Cell(ids[pick.Intn(len(ids))])
+			deltas[j] = core.Delta{Op: core.DeltaMove, Cell: c.ID,
+				TX: c.GX + float64(pick.Intn(41)-20), TY: c.GY + float64(pick.Intn(9)-4)}
+		}
+		rep, err := s.ApplyDelta(context.Background(), deltas)
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		for i, r := range rep.Results {
+			total++
+			if c := d.Cell(r.Cell); r.X != c.X || r.Y != c.Y || r.Placed != c.Placed {
+				if stale == 0 {
+					t.Errorf("batch %d delta %d: result (%d,%d,%v), cell %d at commit (%d,%d,%v)",
+						batch, i, r.X, r.Y, r.Placed, c.ID, c.X, c.Y, c.Placed)
+				}
+				stale++
+			}
+		}
+	}
+	if stale > 0 {
+		t.Fatalf("%d of %d results differ from their cell at commit", stale, total)
+	}
+	assertSessionLegal(t, s)
+}
+
+// TestSessionRepeatedCells pins how a batch treats a cell named by more
+// than one delta: the last target wins, a resize keeps the target of an
+// earlier move, and a later delete takes the cell off the placement
+// list. Edits all land before any placement, so an overridden target is
+// never placed at all.
+func TestSessionRepeatedCells(t *testing.T) {
+	s, l := legalSession(t, 300, 41, nil)
+	d := l.D
+	ids := movableCells(d)
+
+	// Move onto another cell, then back onto the cell's own footprint:
+	// the first target is never visited, so nothing moves.
+	c, o := d.Cell(ids[7]), d.Cell(ids[100])
+	x0, y0, sum0 := c.X, c.Y, d.PlacementChecksum()
+	rep, err := s.ApplyDelta(context.Background(), []core.Delta{
+		{Op: core.DeltaMove, Cell: c.ID, TX: float64(o.X), TY: float64(o.Y)},
+		{Op: core.DeltaMove, Cell: c.ID, TX: float64(x0), TY: float64(y0)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.PlacementChecksum(); got != sum0 || rep.DirtyCells != 1 {
+		t.Fatalf("move twice: checksum %016x -> %016x, %d dirty cells; want no change and 1", sum0, got, rep.DirtyCells)
+	}
+	for i, r := range rep.Results {
+		if r.X != x0 || r.Y != y0 || !r.Placed {
+			t.Fatalf("move twice: result %d at (%d,%d), want (%d,%d)", i, r.X, r.Y, x0, y0)
+		}
+	}
+
+	// Move to a free spot, then resize: the resize keeps the move's
+	// target, so the cell lands there at its new width.
+	c = d.Cell(ids[12])
+	w := c.W + 1
+	tx, ty, ok := freeSpotFar(l, c.ID, w, 10)
+	if !ok {
+		t.Fatal("no free spot for the resized cell")
+	}
+	rep, err = s.ApplyDelta(context.Background(), []core.Delta{
+		{Op: core.DeltaMove, Cell: c.ID, TX: float64(tx), TY: float64(ty)},
+		{Op: core.DeltaResize, Cell: c.ID, NewW: w},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c = d.Cell(c.ID); c.X != tx || c.Y != ty || c.W != w {
+		t.Fatalf("move then resize: cell at (%d,%d) w=%d, want (%d,%d) w=%d", c.X, c.Y, c.W, tx, ty, w)
+	}
+	for i, r := range rep.Results {
+		if r.X != tx || r.Y != ty || !r.Placed {
+			t.Fatalf("move then resize: result %d at (%d,%d), want (%d,%d)", i, r.X, r.Y, tx, ty)
+		}
+	}
+
+	// Move, then delete: the cell is never placed, and its footprint
+	// is left free.
+	c = d.Cell(ids[20])
+	x0, y0, w0, h0 := c.X, c.Y, c.W, c.H
+	rep, err = s.ApplyDelta(context.Background(), []core.Delta{
+		{Op: core.DeltaMove, Cell: c.ID, TX: float64(x0 + 25), TY: float64(y0)},
+		{Op: core.DeltaDelete, Cell: c.ID},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c = d.Cell(c.ID); !c.Dead || c.Placed || rep.DirtyCells != 1 {
+		t.Fatalf("move then delete: dead %v placed %v, %d dirty cells; want dead, unplaced, 1", c.Dead, c.Placed, rep.DirtyCells)
+	}
+	if rep.Results[0].Placed || rep.Results[1].Placed {
+		t.Fatalf("move then delete: results %+v, want both unplaced", rep.Results)
+	}
+	if !l.G.FreeAt(x0, y0, w0, h0) {
+		t.Fatal("move then delete: the deleted cell's footprint is still occupied")
+	}
+	assertSessionLegal(t, s)
+}
+
+// freeSpotFar returns the first free, rail-compatible site for cell id
+// at width w that lies more than minDist sites from the cell.
+func freeSpotFar(l *core.Legalizer, id design.CellID, w, minDist int) (x, y int, ok bool) {
+	d := l.D
+	c := d.Cell(id)
+	m := d.MasterOf(id)
+	for y = 0; y+c.H <= d.NumRows(); y++ {
+		if !d.RailCompatible(m, y) {
+			continue
+		}
+		sp := d.RowAt(y).Span
+		for x = sp.Lo; x+w <= sp.Hi; x++ {
+			far := y != c.Y || x > c.X+c.W+minDist || x+w < c.X-minDist
+			if far && l.G.FreeAt(x, y, w, c.H) {
+				return x, y, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
 func TestSessionValidation(t *testing.T) {
 	s, l := legalSession(t, 100, 5, nil)
 	d := l.D
@@ -166,6 +317,7 @@ func TestSessionValidation(t *testing.T) {
 		{"bad master", []core.Delta{{Op: core.DeltaInsert, Master: len(d.Lib)}}, core.ErrUnknownCell},
 		{"bad width", []core.Delta{{Op: core.DeltaResize, Cell: ids[0], NewW: 0}}, core.ErrInvalidWidth},
 		{"bad op", []core.Delta{{Op: core.DeltaOp(99), Cell: ids[0]}}, core.ErrUnknownCell},
+		{"deleted earlier in the batch", []core.Delta{{Op: core.DeltaDelete, Cell: ids[2]}, {Op: core.DeltaMove, Cell: ids[2]}}, core.ErrUnknownCell},
 	}
 	if fixed >= 0 {
 		cases = append(cases, struct {
@@ -309,6 +461,39 @@ func TestSessionCanceledContext(t *testing.T) {
 	if l.D.PlacementChecksum() != sum0 {
 		t.Fatal("canceled batch mutated the design")
 	}
+
+	// Canceled inside the retry ladder: before its first round, and
+	// after the first cell has been placed. Either way the batch fails
+	// with ErrCanceled and rolls back.
+	for _, n := range []int{1, 3} {
+		deltas := make([]core.Delta, 5)
+		for j := range deltas {
+			c := l.D.Cell(ids[j])
+			deltas[j] = core.Delta{Op: core.DeltaMove, Cell: c.ID, TX: c.GX + 9, TY: c.GY}
+		}
+		_, err := s.ApplyDelta(&errAfter{Context: context.Background(), n: n}, deltas)
+		if !errors.Is(err, core.ErrCanceled) {
+			t.Fatalf("n=%d: err = %v, want ErrCanceled", n, err)
+		}
+		if l.D.PlacementChecksum() != sum0 {
+			t.Fatalf("n=%d: batch canceled mid-ladder mutated the design", n)
+		}
+	}
+	assertSessionLegal(t, s)
+}
+
+// errAfter is a context whose Err turns to context.Canceled after n
+// calls, so a batch is canceled at a chosen check inside the ladder.
+type errAfter struct {
+	context.Context
+	n int
+}
+
+func (c *errAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
 }
 
 func TestSessionVerifyUsesPluginCheckers(t *testing.T) {

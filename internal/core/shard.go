@@ -9,7 +9,6 @@ import (
 
 	"mrlegal/internal/design"
 	"mrlegal/internal/sched"
-	"mrlegal/internal/verify"
 )
 
 // This file implements the spatially-sharded round driver, the only
@@ -405,15 +404,8 @@ func (l *Legalizer) shardAudit(w *shardWorker) []int {
 	if l.om != nil {
 		l.om.auditRuns.Inc()
 	}
-	bad := l.Cfg.Faults != nil && l.Cfg.Faults.OnAudit()
-	if !bad && len(verify.Check(l.D, verify.Options{PowerAlignment: l.Cfg.PowerAlign, Extra: l.conCheck}, 1)) > 0 {
-		bad = true
-	}
-	if !bad && l.G.CheckConsistency() != nil {
-		bad = true
-	}
 	var rolled []int
-	if bad {
+	if l.auditFails() {
 		w.auditRollbacks++
 		if l.om != nil {
 			l.om.auditRollbacks.Inc()

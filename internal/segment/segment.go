@@ -26,19 +26,7 @@ type Segment struct {
 	// cells overlapping this segment's row within Span, ordered by
 	// ascending x. Maintained by Grid.
 	cells []design.CellID
-
-	// gen counts content mutations of this segment's cell list, including
-	// in-place x shifts of listed cells. It is monotonic — rollbacks replay
-	// Insert/Remove and therefore advance it further, never rewind — so two
-	// equal generations imply byte-identical list content, which lets
-	// derived snapshots validate in O(1).
-	gen uint64
 }
-
-// Generation returns the segment's mutation counter. It advances on every
-// Insert, Remove or ShiftX touching the segment and on RebuildOccupancy;
-// equal generations imply identical cell-list content.
-func (s *Segment) Generation() uint64 { return s.gen }
 
 // Cells returns the ordered cell list. The slice is owned by the segment;
 // callers must not mutate it.
@@ -210,7 +198,6 @@ func (g *Grid) Insert(id design.CellID) error {
 		s.cells = append(s.cells, design.NoCell)
 		copy(s.cells[i+1:], s.cells[i:])
 		s.cells[i] = id
-		s.gen++
 	}
 	return nil
 }
@@ -229,7 +216,6 @@ func (g *Grid) Remove(id design.CellID) {
 			continue
 		}
 		s.cells = append(s.cells[:i], s.cells[i+1:]...)
-		s.gen++
 	}
 }
 
@@ -262,17 +248,9 @@ func (g *Grid) IndexOf(s *Segment, id design.CellID) int { return g.indexIn(s, i
 // ShiftX moves a placed cell horizontally to newX, updating its position.
 // The relative order within every segment list must be preserved by the
 // caller (the legalizer only shifts cells within their gaps), so the lists
-// need no structural update — only the design position changes, plus a
-// generation bump on every segment whose list content (the cell's x) the
-// shift rewrites.
+// need no structural update — only the design position changes.
 func (g *Grid) ShiftX(id design.CellID, newX int) {
-	c := &g.d.Cells[id]
-	for h := 0; h < c.H; h++ {
-		if s := g.SegmentAt(c.Y+h, c.X); s != nil {
-			s.gen++
-		}
-	}
-	c.X = newX
+	g.d.Cells[id].X = newX
 }
 
 // CellsOverlapping returns the run of s's cell list whose occupied
@@ -331,7 +309,6 @@ func (g *Grid) RebuildOccupancy() error {
 	for _, segs := range g.rows {
 		for _, s := range segs {
 			s.cells = s.cells[:0]
-			s.gen++ // the clear itself is a content change
 		}
 	}
 	var firstErr error

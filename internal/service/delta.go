@@ -58,8 +58,6 @@ type DeltaResultJSON struct {
 	X      int    `json:"x"`
 	Y      int    `json:"y"`
 	Placed bool   `json:"placed"`
-	// Retries counts extra jittered placement attempts beyond the first.
-	Retries int `json:"retries,omitempty"`
 }
 
 // DeltaFrameJSON is the payload of one response frame: the committed
@@ -86,12 +84,11 @@ func encodeDeltaFrame(rep *core.DeltaReport, checksum uint64) *DeltaFrameJSON {
 	}
 	for _, res := range rep.Results {
 		fr.Results = append(fr.Results, DeltaResultJSON{
-			Op:      res.Op.String(),
-			Cell:    int(res.Cell),
-			X:       res.X,
-			Y:       res.Y,
-			Placed:  res.Placed,
-			Retries: res.Retries,
+			Op:     res.Op.String(),
+			Cell:   int(res.Cell),
+			X:      res.X,
+			Y:      res.Y,
+			Placed: res.Placed,
 		})
 	}
 	return fr
