@@ -125,7 +125,7 @@ serve-smoke:
 # checksum (CI gate).
 bench-smoke:
 	$(GO) test -run xxx -bench 'SingleMLLCall|RegionExtraction|InsertionPointEnumeration|PlacementChecksum' \
-		-benchtime 100x -benchmem .
+		-benchtime 100x -benchmem . ./internal/core
 
 clean:
 	$(GO) clean ./...

@@ -199,31 +199,6 @@ func BenchmarkBaselineGreedy(b *testing.B) {
 
 // --- MLL primitive micro-benches ---
 
-func BenchmarkRegionExtraction(b *testing.B) {
-	b.Run("fft_1", func(b *testing.B) {
-		p := prepared(b, "fft_1", 200)
-		d := p.Bench.D.Clone()
-		l, err := core.NewLegalizer(d, core.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := l.Legalize(); err != nil {
-			b.Fatal(err)
-		}
-		benchExtract(b, l.G)
-	})
-	// fft_1's rows are short enough to hide a scan over whole segments;
-	// these hold about 550 cells, the shape of the repository
-	// benchmark's large_200k workload.
-	b.Run("sized_200k", func(b *testing.B) {
-		g, err := longRowGrid()
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchExtract(b, g)
-	})
-}
-
 // longRowGrid legalizes one 200k-cell GenerateSized design once per test
 // binary; the framework calls a sub-benchmark several times.
 var longRowGrid = sync.OnceValues(func() (*segment.Grid, error) {
@@ -234,21 +209,6 @@ var longRowGrid = sync.OnceValues(func() (*segment.Grid, error) {
 	}
 	return l.G, l.Legalize()
 })
-
-// benchExtract extracts the paper-default window (Rx = 30, Ry = 5) of a
-// 6-site single-row target at positions swept across the die.
-func benchExtract(b *testing.B, g *segment.Grid) {
-	bb := g.Design().Bounds()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x := bb.X + (i*37)%max(1, bb.W-66)
-		y := bb.Y + (i*13)%max(1, bb.H-11)
-		r := core.ExtractRegion(g, geom.Rect{X: x, Y: y, W: 66, H: 11})
-		if r.NumLocalCells() < 0 {
-			b.Fatal("impossible")
-		}
-	}
-}
 
 // BenchmarkPlacementChecksum digests every cell of a legalized
 // GenerateSized design, as each session frame does. At 50k cells (the

@@ -328,13 +328,24 @@ func (l *Legalizer) placeRoundSerial(cells []design.CellID, targets []planTarget
 	return failed
 }
 
-// maybeAudit runs the periodic invariant audit when due, never under
-// st.oneTxn. On a violation (real or injected) it rolls the batch
-// transaction back to the last committed state and returns the unwound
-// cells so the round re-queues them; otherwise it commits the batch. A
-// fresh transaction is opened either way.
+// maybeAudit runs after each placed cell, never under st.oneTxn. With
+// audits off, nothing can roll back past the placement just made, so it
+// drops the batch transaction's undo records and the batch is one cell.
+// Otherwise it runs the periodic invariant audit when due. On a
+// violation (real or injected) it rolls the batch transaction back to
+// the last committed state and returns the unwound cells so the round
+// re-queues them; otherwise it commits the batch. A fresh transaction is
+// opened either way.
 func (l *Legalizer) maybeAudit(st *runState) []design.CellID {
-	if st.oneTxn || l.Cfg.AuditEvery <= 0 || st.sinceAudit < l.Cfg.AuditEvery {
+	if st.oneTxn {
+		return nil
+	}
+	if l.Cfg.AuditEvery <= 0 {
+		st.txn.forget()
+		st.batch = st.batch[:0]
+		return nil
+	}
+	if st.sinceAudit < l.Cfg.AuditEvery {
 		return nil
 	}
 	st.rep.AuditRuns++

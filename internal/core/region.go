@@ -9,8 +9,9 @@
 //	points (§5.1.3) → evaluation (§5.2) → realization (§5.3, Algorithm 2).
 //
 // All intermediate state of one pipeline instance lives in a scratch
-// struct: the driver reuses one scratch per worker, so a warmed-up MLL
-// call performs almost no heap allocation.
+// struct. The serial driver reuses the legalizer's one scratch and each
+// shard thread reuses its own, so a warmed-up MLL call performs almost
+// no heap allocation.
 package core
 
 import (
@@ -138,8 +139,10 @@ func (r *Region) AbsRow(rel int) int { return rel + r.Win.Y }
 
 // ExtractRegion builds the local region for the given window (§2.1.3)
 // into a fresh scratch, so the returned region stays valid independently
-// of later extractions. The legalizer's internal callers use
-// scratch.extract directly to reuse buffers.
+// of later extractions. The fresh scratch costs allocations on every
+// call, among them a 4-byte non-local stamp per design cell (800 KB on a
+// 200k-cell design). The legalizer's internal callers use scratch.extract
+// directly to reuse buffers, and pay that once per scratch.
 //
 // Cells not completely inside the window are non-local. Each window row is
 // divided by blockages, segment boundaries and non-local cells into free
@@ -147,13 +150,17 @@ func (r *Region) AbsRow(rel int) int { return rel + r.Win.Y }
 // segment. A cell is local only when every row it spans contains it inside
 // that row's local segment; marking a cell non-local re-divides the rows,
 // so the division iterates to a fixpoint (this is how cells like i and c
-// in Figure 3 end up non-local despite being inside the window).
+// in Figure 3 end up non-local despite being inside the window). Each
+// pass after the first re-divides only the rows of the cells it demoted.
 func ExtractRegion(g *segment.Grid, win geom.Rect) *Region {
 	return newScratch().extract(g, win)
 }
 
 // extract is ExtractRegion into this scratch's reusable storage. The
 // returned region aliases the scratch; the next extract invalidates it.
+// It uses no map and sorts only the candidate IDs: window cells arrive
+// deduplicated from Grid.CellsIn, non-local marks are epoch stamps, and
+// xOrder comes from a counting sort.
 func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	d := g.Design()
 	// Normalize the window to the grid: rows outside [0, NumRows) and
@@ -170,11 +177,11 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	sc.multiRow = sc.multiRow[:0]
 	sc.candidates = sc.candidates[:0]
 	sc.sortedIDs = 0
-	clear(sc.nonLocal)
 	if win.Empty() {
 		r.Segs = nil
 		return r
 	}
+	sc.marks.reset(len(d.Cells))
 	winSpan := geom.Span{Lo: win.X, Hi: win.X2()}
 
 	// With gap-requiring constraints active, cells wholly outside the
@@ -194,7 +201,7 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	for _, id := range sc.all {
 		c := d.Cell(id)
 		if c.Fixed || !win.Contains(c.Rect()) {
-			sc.nonLocal[id] = true
+			sc.marks.add(id)
 		} else {
 			sc.candidates = append(sc.candidates, id)
 		}
@@ -204,41 +211,43 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	centerX := win.X + win.W/2
 	sc.segs = grow(sc.segs, win.H)
 	r.Segs = sc.segs
+	sc.rowDirty = grow(sc.rowDirty, win.H)
+	for rel := range sc.rowDirty {
+		sc.rowDirty[rel] = true
+	}
 	for {
-		// Divide each window row into free runs and choose the run
-		// closest to the window centre.
-		for rel := 0; rel < win.H; rel++ {
-			y := win.Y + rel
-			r.Segs[rel] = chooseLocalSeg(g, d, y, winSpan, sc.nonLocal, centerX, infl)
+		// Divide each window row whose non-local set changed into free
+		// runs and choose the run closest to the window centre.
+		for rel, dirty := range sc.rowDirty {
+			if dirty {
+				r.Segs[rel] = chooseLocalSeg(g, d, win.Y+rel, winSpan, &sc.marks, centerX, infl)
+				sc.rowDirty[rel] = false
+			}
 		}
 		// Demote cells that are not fully inside the chosen local
-		// segments of every row they span.
-		changed := false
+		// segments of every row they span, and mark those rows for
+		// re-division. Survivors keep their ID order.
+		kept := sc.candidates[:0]
 		for _, id := range sc.candidates {
-			if sc.nonLocal[id] {
+			c := d.Cell(id)
+			if r.fitsLocalSegs(c) {
+				kept = append(kept, id)
 				continue
 			}
-			c := d.Cell(id)
+			sc.marks.add(id)
 			for h := 0; h < c.H; h++ {
-				ls := &r.Segs[r.RelRow(c.Y+h)]
-				if !ls.Valid || !ls.Span.Contains(geom.Span{Lo: c.X, Hi: c.X + c.W}) {
-					sc.nonLocal[id] = true
-					changed = true
-					break
-				}
+				sc.rowDirty[r.RelRow(c.Y+h)] = true
 			}
 		}
-		if !changed {
+		if len(kept) == len(sc.candidates) {
 			break
 		}
+		sc.candidates = kept
 	}
 
-	// Populate the dense local-cell table (candidates are ID-sorted, so
-	// the local index order is the ID order).
+	// Populate the dense local-cell table (the surviving candidates are
+	// ID-sorted, so the local index order is the ID order).
 	for _, id := range sc.candidates {
-		if sc.nonLocal[id] {
-			continue
-		}
 		c := d.Cell(id)
 		var cls uint8
 		if sc.cons != nil {
@@ -253,17 +262,22 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	sc.sortedIDs = len(sc.ids)
 	n := len(sc.ids)
 
-	// One packed-integer sort gives the global (x, id) order: local index
-	// order is ID order, and every local cell lies inside the window, so
-	// x−win.X fits the high half of the key.
-	sc.xKeys = grow(sc.xKeys, n)
+	// A stable counting sort on x−win.X, fed in local-index (ID) order,
+	// gives the global (x, id) order; every local cell lies inside the
+	// window, so the key is below win.W.
+	sc.xCount = grow(sc.xCount, win.W+1)
+	clear(sc.xCount)
 	for li := range sc.cells {
-		sc.xKeys[li] = uint64(sc.cells[li].x-win.X)<<32 | uint64(li)
+		sc.xCount[sc.cells[li].x-win.X+1]++
 	}
-	slices.Sort(sc.xKeys)
+	for k := 1; k < len(sc.xCount); k++ {
+		sc.xCount[k] += sc.xCount[k-1]
+	}
 	sc.xOrder = grow(sc.xOrder, n)
-	for i, k := range sc.xKeys {
-		sc.xOrder[i] = int32(uint32(k))
+	for li := range sc.cells {
+		k := sc.cells[li].x - win.X
+		sc.xOrder[sc.xCount[k]] = int32(li)
+		sc.xCount[k]++
 	}
 
 	// Per-row cell lists (IDs and local indices, sorted by x) and the
@@ -304,6 +318,45 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	return r
 }
 
+// fitsLocalSegs reports whether cell c lies inside the chosen local
+// segment of every row it spans; c must lie inside the window.
+func (r *Region) fitsLocalSegs(c *design.Cell) bool {
+	cs := geom.Span{Lo: c.X, Hi: c.X + c.W}
+	for h := 0; h < c.H; h++ {
+		ls := &r.Segs[r.RelRow(c.Y+h)]
+		if !ls.Valid || !ls.Span.Contains(cs) {
+			return false
+		}
+	}
+	return true
+}
+
+// epochSet is a set of cell IDs kept as stamps in a dense slice indexed
+// by cell ID: a cell is in the set when its stamp equals the current
+// epoch. Emptying the set is one increment; the slice is cleared only
+// when the epoch wraps.
+type epochSet struct {
+	stamp []uint32
+	epoch uint32
+}
+
+// reset empties the set and sizes it for every ID below n. The slice
+// only grows, so a stamp left by an earlier epoch is always older than
+// the new one.
+func (s *epochSet) reset(n int) {
+	if len(s.stamp) < n {
+		s.stamp = append(s.stamp, make([]uint32, n-len(s.stamp))...)
+	}
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.stamp)
+		s.epoch = 1
+	}
+}
+
+func (s *epochSet) add(id design.CellID)      { s.stamp[id] = s.epoch }
+func (s *epochSet) has(id design.CellID) bool { return s.stamp[id] == s.epoch }
+
 // growOuter resizes a slice-of-slices to length n while keeping every
 // previously grown inner slice (and its capacity) reusable.
 func growOuter[T any](s [][]T, n int) [][]T {
@@ -325,7 +378,7 @@ func growOuter[T any](s [][]T, n int) [][]T {
 // every movable cell outside the local segments, which is what makes
 // cross-window gap enforcement sound. Fixed cells stay un-inflated —
 // they are walls, and the engine never requires gaps across walls.
-func chooseLocalSeg(g *segment.Grid, d *design.Design, y int, winSpan geom.Span, nonLocal map[design.CellID]bool, centerX, infl int) LocalSeg {
+func chooseLocalSeg(g *segment.Grid, d *design.Design, y int, winSpan geom.Span, nonLocal *epochSet, centerX, infl int) LocalSeg {
 	ls := LocalSeg{Row: y}
 	bestDist := 0
 	for _, s := range g.RowSegments(y) {
@@ -353,7 +406,7 @@ func chooseLocalSeg(g *segment.Grid, d *design.Design, y int, winSpan geom.Span,
 		// it, and those form one contiguous run of the x-sorted list.
 		reach := geom.Span{Lo: base.Lo - infl, Hi: base.Hi + infl}
 		for _, id := range g.CellsOverlapping(s, reach) {
-			if !nonLocal[id] {
+			if !nonLocal.has(id) {
 				continue
 			}
 			c := d.Cell(id)

@@ -69,20 +69,21 @@ type scratch struct {
 	region Region
 
 	// --- region extraction ---
-	all        []design.CellID        // window cell collection buffer
-	nonLocal   map[design.CellID]bool // demoted cells; cleared per extract
-	candidates []design.CellID        // movable fully-contained cells, by ID
-	ids        []design.CellID        // local cells, ascending ID; local index = position
-	cells      []localCell            // parallel to ids
-	sortedIDs  int                    // ids[:sortedIDs] is sorted; Realize appends its target past it
-	multiRow   []int32                // local indices of cells with h > 1
-	segs       []LocalSeg             // backing for Region.Segs
-	rowLists   [][]design.CellID      // per-row cell lists backing LocalSeg.Cells
-	rowIdx     [][]int32              // per-row local indices, parallel to rowLists
-	rowPos     [][]int32              // rowPos[rel][li] = position of local cell li in row rel, -1 when absent
-	xKeys      []uint64               // (x−win.X)<<32 | local index, sorted into xOrder
-	xOrder     []int32                // local indices sorted by (x, id)
-	cursor     []int                  // computeBounds per-row cursor
+	all        []design.CellID   // window cells, each once, in Grid.CellsIn's row-major order
+	marks      epochSet          // non-local and demoted cells; a new epoch per extract
+	candidates []design.CellID   // movable cells still local in the fixpoint, by ID
+	rowDirty   []bool            // window rows the fixpoint must re-divide
+	ids        []design.CellID   // local cells, ascending ID; local index = position
+	cells      []localCell       // parallel to ids
+	sortedIDs  int               // ids[:sortedIDs] is sorted; Realize appends its target past it
+	multiRow   []int32           // local indices of cells with h > 1
+	segs       []LocalSeg        // backing for Region.Segs
+	rowLists   [][]design.CellID // per-row cell lists backing LocalSeg.Cells
+	rowIdx     [][]int32         // per-row local indices, parallel to rowLists
+	rowPos     [][]int32         // rowPos[rel][li] = position of local cell li in row rel, -1 when absent
+	xCount     []int32           // counting-sort buckets by x−win.X, for xOrder
+	xOrder     []int32           // local indices sorted by (x, id)
+	cursor     []int             // computeBounds per-row cursor
 
 	// --- enumeration ---
 	intervals []Interval   // interval slab; stable once enumeration starts
@@ -136,7 +137,7 @@ type scratch struct {
 }
 
 func newScratch() *scratch {
-	sc := &scratch{nonLocal: make(map[design.CellID]bool), worker: -1}
+	sc := &scratch{worker: -1}
 	sc.region.sc = sc
 	return sc
 }

@@ -394,9 +394,15 @@ func (l *Legalizer) runShardWorker(w *shardWorker, schedule *sched.ShardSchedule
 // rollback restores a state the thread's own transaction log covers:
 // other lanes' commits touch disjoint or already-ordered state and
 // survive untouched. The returned round indices are the cells unwound
-// by a violation.
+// by a violation. With audits off it drops the batch transaction's undo
+// records instead, as maybeAudit does.
 func (l *Legalizer) shardAudit(w *shardWorker) []int {
-	if l.Cfg.AuditEvery <= 0 || w.sinceAudit < l.Cfg.AuditEvery {
+	if l.Cfg.AuditEvery <= 0 {
+		l.txn.forget()
+		w.batch = w.batch[:0]
+		return nil
+	}
+	if w.sinceAudit < l.Cfg.AuditEvery {
 		return nil
 	}
 	w.auditRuns++

@@ -14,7 +14,8 @@ import (
 // Savepoints (Mark / RollbackTo) subdivide a transaction: the driver opens
 // one transaction per audit batch and marks before each cell attempt, so a
 // failed or panicking attempt unwinds only its own cell set while committed
-// work from earlier attempts survives.
+// work from earlier attempts survives. With audits off a batch is one
+// cell: the driver drops the records after each placement (forget).
 //
 // Rollback restores state in two phases — first every touched cell is
 // removed from the grid, then snapshots are restored and pre-transaction
@@ -84,6 +85,20 @@ func (t *Txn) touch(id design.CellID) {
 func (t *Txn) Mark() int {
 	t.lastMark = len(t.log)
 	return t.lastMark
+}
+
+// forget drops every undo record and savepoint, leaving the transaction
+// open on the current state. A full run without audits calls it after
+// each placed cell, because no rollback can reach past the attempt that
+// is open, so the log holds one attempt's records instead of the run's.
+// The log and the latest index are reused in place: nothing is committed
+// or allocated.
+func (t *Txn) forget() {
+	for i := range t.log {
+		delete(t.latest, t.log[i].id)
+	}
+	t.log = t.log[:0]
+	t.lastMark = 0
 }
 
 // Commit makes every change since Begin permanent and releases the

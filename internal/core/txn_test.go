@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"mrlegal/internal/bengen"
 	"mrlegal/internal/design"
 	"mrlegal/internal/dtest"
 	"mrlegal/internal/verify"
@@ -125,6 +127,50 @@ func TestTxnSavepointRollsBackOnlyTail(t *testing.T) {
 	}
 }
 
+// TestTxnForgetThenRollback checks that forget leaves the transaction
+// able to undo what comes next: a cell moved before forget is
+// snapshotted again when the next span moves it, and rolling that span
+// back restores the position forget kept, not the one before Begin.
+func TestTxnForgetThenRollback(t *testing.T) {
+	d := dtest.Flat(2, 40)
+	a := dtest.Placed(d, 4, 1, 0, 0)
+	l, err := NewLegalizer(d, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn, err := l.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	move := func(x int) {
+		t.Helper()
+		l.touch(a)
+		l.G.Remove(a)
+		l.D.Place(a, x, 0)
+		if err := l.G.Insert(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	txn.Mark()
+	move(20)
+	txn.forget()
+	if n := txn.Touched(); n != 0 || len(txn.log) != 0 {
+		t.Fatalf("after forget: %d cells touched, %d records; want 0 and 0", n, len(txn.log))
+	}
+	mark := txn.Mark()
+	move(30)
+	if err := txn.RollbackTo(mark); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Cell(a).X; got != 20 {
+		t.Fatalf("a.X = %d after rollback, want 20 (the state forget kept)", got)
+	}
+	if err := l.G.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	txn.Commit()
+}
+
 func TestTxnRollbackFromHalfCommittedState(t *testing.T) {
 	// Simulate a crash between a design mutation and the matching grid
 	// update: the cell is marked placed but absent from the grid.
@@ -167,5 +213,92 @@ func TestTxnNestedBeginFails(t *testing.T) {
 	txn.Commit()
 	if _, err := l.Begin(); err != nil {
 		t.Fatalf("Begin after Commit = %v", err)
+	}
+}
+
+// undoProbe is a FaultInjector that injects nothing. At every primary
+// grid insert it reads how many undo records the active transaction
+// holds from before the current attempt's savepoint (Txn.lastMark), and
+// how many the attempt itself has logged. Inserts run under gridMu's
+// write side on every driver, so its fields need no lock of their own.
+type undoProbe struct {
+	l      *Legalizer
+	window int // with audits on: the AuditEvery cadence
+
+	inserts int
+	maxHeld int            // largest pre-savepoint record count seen
+	own     map[*Txn][]int // per transaction, each placement's own records
+	over    string         // first insert holding more than window placements' records
+}
+
+func (p *undoProbe) OnGridInsert(design.CellID) error {
+	t := p.l.txn
+	p.inserts++
+	held := t.lastMark
+	p.maxHeld = max(p.maxHeld, held)
+	if p.window > 0 {
+		hist := p.own[t]
+		recent := 0
+		for _, n := range hist[max(0, len(hist)-p.window):] {
+			recent += n
+		}
+		if held > recent && p.over == "" {
+			p.over = fmt.Sprintf("insert %d: %d records before the savepoint, the last %d placements logged %d",
+				p.inserts, held, p.window, recent)
+		}
+		p.own[t] = append(hist, len(t.log)-held)
+	}
+	return nil
+}
+
+func (p *undoProbe) OnRealize(design.CellID) {}
+func (p *undoProbe) OnAudit() bool           { return false }
+
+// TestUndoLogHoldsOnlyOpenAttempt checks that a full run without audits
+// keeps undo records for the open attempt only, serially and on the
+// shard driver, and that an audited run still keeps its batch's records
+// for the audit to roll back.
+func TestUndoLogHoldsOnlyOpenAttempt(t *testing.T) {
+	// The audited runs are smaller: each audit verifies the whole design.
+	for _, v := range []struct {
+		name       string
+		workers    int
+		auditEvery int
+		cells      int
+	}{
+		{"serial", 0, 0, 20_000},
+		{"workers4", 4, 0, 20_000},
+		{"serial audit50", 0, 50, 5_000},
+		{"workers4 audit50", 4, 50, 5_000},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			d := bengen.GenerateSized(bengen.SizeSpec{Name: "undo", NumCells: v.cells, Seed: 7})
+			p := &undoProbe{window: v.auditEvery, own: map[*Txn][]int{}}
+			cfg := DefaultConfig()
+			cfg.Workers, cfg.AuditEvery, cfg.Faults = v.workers, v.auditEvery, p
+			l, err := NewLegalizer(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.l = l
+			if err := l.Legalize(); err != nil {
+				t.Fatal(err)
+			}
+			if p.inserts < v.cells {
+				t.Fatalf("%d grid inserts for %d cells", p.inserts, v.cells)
+			}
+			if v.auditEvery == 0 {
+				if p.maxHeld != 0 {
+					t.Fatalf("an attempt found %d undo records from earlier attempts, want 0", p.maxHeld)
+				}
+				return
+			}
+			if p.over != "" {
+				t.Fatal(p.over)
+			}
+			if p.maxHeld == 0 {
+				t.Fatal("audited run kept no records across attempts")
+			}
+		})
 	}
 }

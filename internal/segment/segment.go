@@ -10,7 +10,6 @@ package segment
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"mrlegal/internal/design"
@@ -184,16 +183,17 @@ func (g *Grid) Insert(id design.CellID) error {
 	if !c.Placed {
 		return fmt.Errorf("segment: Insert unplaced cell %d", id)
 	}
-	segs := make([]*Segment, c.H)
+	// Validate every row before touching any list, then resolve each
+	// row's segment again to insert. Holding the segments instead would
+	// take a heap slice per call, and Insert runs once per placement.
 	for h := 0; h < c.H; h++ {
-		s := g.SegmentContaining(c.Y+h, c.X, c.W)
-		if s == nil {
+		if g.SegmentContaining(c.Y+h, c.X, c.W) == nil {
 			return fmt.Errorf("segment: cell %d (%s) at (%d,%d) w=%d not contained in a segment of row %d",
 				id, c.Name, c.X, c.Y, c.W, c.Y+h)
 		}
-		segs[h] = s
 	}
-	for _, s := range segs {
+	for h := 0; h < c.H; h++ {
+		s := g.SegmentContaining(c.Y+h, c.X, c.W)
 		i := g.lowerBound(s, c.X)
 		s.cells = append(s.cells, design.NoCell)
 		copy(s.cells[i+1:], s.cells[i:])
@@ -282,25 +282,27 @@ func (g *Grid) FreeAt(x, y, w, h int) bool {
 }
 
 // CellsIn appends to dst the distinct cells whose occupied area intersects
-// the window rectangle, and returns dst. Cells are reported once even when
-// they span several rows of the window, in ascending ID order. Passing a
-// reused buffer as dst makes the call allocation-free once warm.
+// the window rectangle, and returns dst. Each cell is reported once, at
+// the first window row it covers, so the order is row-major: rows bottom
+// to top, and within a row by segment and then by x. It is not ID order.
+// Passing a reused buffer as dst makes the call allocation-free once warm.
 func (g *Grid) CellsIn(win geom.Rect, dst []design.CellID) []design.CellID {
-	base := len(dst)
 	sp := geom.Span{Lo: win.X, Hi: win.X2()}
 	for y := win.Y; y < win.Y2(); y++ {
 		for _, s := range g.RowSegments(y) {
-			if s.Span.Overlaps(sp) {
-				dst = append(dst, g.CellsOverlapping(s, sp)...)
+			if !s.Span.Overlaps(sp) {
+				continue
+			}
+			for _, id := range g.CellsOverlapping(s, sp) {
+				// A multi-row cell sits in the list of every row it
+				// spans; take it only on its first row in the window.
+				if y == win.Y || g.d.Cells[id].Y == y {
+					dst = append(dst, id)
+				}
 			}
 		}
 	}
-	// Multi-row cells were collected once per spanned row; sort-and-compact
-	// dedups without a per-call map.
-	tail := dst[base:]
-	slices.Sort(tail)
-	tail = slices.Compact(tail)
-	return dst[:base+len(tail)]
+	return dst
 }
 
 // RebuildOccupancy clears every cell list and re-inserts all placed

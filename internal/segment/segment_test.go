@@ -185,6 +185,30 @@ func TestShiftXKeepsOrder(t *testing.T) {
 	}
 }
 
+// TestInsertAllocatesNothing pins Grid.Insert, which runs once per
+// placement and per rollback re-insert, to zero heap allocations once
+// the segment lists have room: a single-height and a double-height
+// insert/remove pair.
+func TestInsertAllocatesNothing(t *testing.T) {
+	d := dtest.Flat(4, 100)
+	g := segment.Build(d)
+	ids := []design.CellID{dtest.Placed(d, 5, 1, 10, 0), dtest.Placed(d, 5, 2, 30, 1)}
+	pair := func() {
+		for _, id := range ids {
+			if err := g.Insert(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range ids {
+			g.Remove(id)
+		}
+	}
+	pair() // give every list its capacity
+	if avg := testing.AllocsPerRun(100, pair); avg != 0 {
+		t.Fatalf("Insert/Remove allocate %.2f times per pair, want 0", avg)
+	}
+}
+
 func TestCellsIn(t *testing.T) {
 	d := dtest.Flat(4, 100)
 	g := segment.Build(d)
