@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race cover examples fuzz fuzz-search fuzz-constraints fuzz-submit fuzz-eco bench-json bench-smoke bench-shard-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
+.PHONY: check vet build test race cover examples fuzz fuzz-search fuzz-constraints fuzz-submit fuzz-design fuzz-eco bench-json bench-smoke bench-shard-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
 
 check: vet build race cover examples bench-eco-smoke
 
@@ -97,6 +97,11 @@ fuzz-submit:
 	$(GO) test ./internal/service -run FuzzDecodeSubmit \
 		-fuzz FuzzDecodeSubmit -fuzztime 30s
 
+# Short fuzz session over the design-text codec: Read and Write must
+# match the reference codec kept in internal/iodesign's tests.
+fuzz-design:
+	$(GO) test ./internal/iodesign -run FuzzRead -fuzz FuzzRead -fuzztime 30s
+
 # Short fuzz session over the ECO delta-frame decoder: malformed frames
 # and hostile JSON must map to stable bad_request errors, never a panic
 # (docs/SERVICE.md §8).
@@ -121,11 +126,11 @@ bench-eco-smoke:
 serve-smoke:
 	$(GO) run ./scripts/servesmoke
 
-# Quick allocation/latency smoke over the MLL hot path and the placement
-# checksum (CI gate).
+# Quick allocation/latency smoke over the MLL hot path, the placement
+# checksum, the text codec and the job-submission decoder (CI gate).
 bench-smoke:
-	$(GO) test -run xxx -bench 'SingleMLLCall|RegionExtraction|InsertionPointEnumeration|PlacementChecksum' \
-		-benchtime 100x -benchmem . ./internal/core
+	$(GO) test -run xxx -bench 'SingleMLLCall|RegionExtraction|InsertionPointEnumeration|PlacementChecksum|IodesignRoundTrip|DecodeSubmit' \
+		-benchtime 100x -benchmem . ./internal/core ./internal/service
 
 clean:
 	$(GO) clean ./...

@@ -47,13 +47,39 @@ func (nl *Netlist) AddNet(name string, pins ...Pin) int {
 }
 
 // BuildIndex (re)builds the cell → nets index for a design with n cells.
+// It counts each cell's pins, fills one []int32 in net order, and hands
+// each cell its sub-slice of it (nil for a cell on no net). A net that
+// lists a cell twice appears twice in its list.
 func (nl *Netlist) BuildIndex(numCells int) {
-	nl.byCell = make([][]int32, numCells)
+	// end[c+1] first counts cell c's pins. The prefix sum makes end[c]
+	// where cell c's run of flat starts, and filling moves it to where the
+	// run ends.
+	end := make([]int, numCells+1)
 	for ni := range nl.Nets {
 		for _, p := range nl.Nets[ni].Pins {
 			if p.Cell >= 0 && int(p.Cell) < numCells {
-				nl.byCell[p.Cell] = append(nl.byCell[p.Cell], int32(ni))
+				end[p.Cell+1]++
 			}
+		}
+	}
+	for c := 1; c <= numCells; c++ {
+		end[c] += end[c-1]
+	}
+	flat := make([]int32, end[numCells])
+	for ni := range nl.Nets {
+		for _, p := range nl.Nets[ni].Pins {
+			if p.Cell >= 0 && int(p.Cell) < numCells {
+				flat[end[p.Cell]] = int32(ni)
+				end[p.Cell]++
+			}
+		}
+	}
+	nl.byCell = make([][]int32, numCells)
+	lo := 0
+	for c := range nl.byCell {
+		if hi := end[c]; hi > lo {
+			nl.byCell[c] = flat[lo:hi:hi]
+			lo = hi
 		}
 	}
 }

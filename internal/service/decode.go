@@ -1,13 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"strings"
 	"time"
 
 	"mrlegal/internal/bookshelf"
@@ -105,7 +105,9 @@ type SubmitRequest struct {
 	Tenant string `json:"tenant,omitempty"`
 
 	// DesignText is a design in the mrlegal text format
-	// (internal/iodesign): the exact bytes `mrlegal -o -` emits.
+	// (internal/iodesign): the exact bytes `mrlegal -o -` emits. Clients
+	// set it; the server decodes the string from the body itself
+	// (spliceDesignText) and never reads this field.
 	DesignText string `json:"design_text,omitempty"`
 
 	// Design is a structured JSON design.
@@ -242,31 +244,40 @@ func DecodeSubmit(r io.Reader, base core.Config, lim Limits) (*jobPayload, error
 	return p, err
 }
 
-// decodeSubmitBody is DecodeSubmit plus access to the decoded request
-// envelope (the submit handler needs the tenant field).
-func decodeSubmitBody(r io.Reader, base core.Config, lim Limits) (p *jobPayload, req *SubmitRequest, err error) {
+// decodeSubmitBody is DecodeSubmit plus the request's tenant field (the
+// submit handler needs it). It reads the body whole, decodes design_text
+// itself straight into the bytes iodesign.Read parses, and hands
+// encoding/json the body with that string emptied (spliceDesignText), so
+// every other field keeps encoding/json's handling. The design text is
+// always the splice's: the server never reads SubmitRequest.DesignText.
+func decodeSubmitBody(r io.Reader, base core.Config, lim Limits) (p *jobPayload, tenant string, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			p, req, err = nil, nil, badf("invalid design: %v", rec)
+			p, tenant, err = nil, "", badf("invalid design: %v", rec)
 		}
 	}()
 
-	dec := json.NewDecoder(r)
+	var buf bytes.Buffer
+	if _, rerr := io.Copy(&buf, r); rerr != nil {
+		return nil, "", wrapDecodeErr(rerr)
+	}
+	body, text := spliceDesignText(buf.Bytes())
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	req = &SubmitRequest{}
+	req := &SubmitRequest{}
 	if derr := dec.Decode(req); derr != nil {
-		return nil, nil, wrapDecodeErr(derr)
+		return nil, "", wrapDecodeErr(derr)
 	}
 	// Trailing garbage after the JSON document is a malformed request,
 	// not an ignorable extra.
 	if derr := dec.Decode(new(json.RawMessage)); derr != io.EOF {
 		if derr == nil {
-			return nil, nil, badf("request body holds more than one JSON document")
+			return nil, "", badf("request body holds more than one JSON document")
 		}
-		return nil, nil, wrapDecodeErr(derr)
+		return nil, "", wrapDecodeErr(derr)
 	}
-	p, err = decodeSubmitReq(req, base, lim)
-	return p, req, err
+	p, err = decodeSubmitReq(req, text, base, lim)
+	return p, req.Tenant, err
 }
 
 // wrapDecodeErr keeps http.MaxBytesReader errors distinguishable (the
@@ -279,9 +290,11 @@ func wrapDecodeErr(err error) error {
 	return badf("malformed request: %v", err)
 }
 
-func decodeSubmitReq(req *SubmitRequest, base core.Config, lim Limits) (*jobPayload, error) {
+// decodeSubmitReq builds the payload from a decoded request whose
+// design_text is text.
+func decodeSubmitReq(req *SubmitRequest, text []byte, base core.Config, lim Limits) (*jobPayload, error) {
 	sources := 0
-	if req.DesignText != "" {
+	if len(text) > 0 {
 		sources++
 	}
 	if req.Design != nil {
@@ -300,8 +313,8 @@ func decodeSubmitReq(req *SubmitRequest, base core.Config, lim Limits) (*jobPayl
 		err error
 	)
 	switch {
-	case req.DesignText != "":
-		d, nl, err = iodesign.Read(strings.NewReader(req.DesignText))
+	case len(text) > 0:
+		d, nl, err = iodesign.Read(bytes.NewReader(text))
 		if err != nil {
 			return nil, badf("design_text: %v", err)
 		}
@@ -452,7 +465,10 @@ func readBookshelf(bj *BookshelfJSON) (*design.Design, *netlist.Netlist, error) 
 // grid assumes (segment.Build indexes rows by their Y field) plus the
 // service's resource limits, regardless of which decoder produced the
 // design. Text and Bookshelf parsers accept some shapes the engine
-// would panic on; this is the single gate in front of NewLegalizer.
+// would panic on, and some it would mis-report (a non-finite pin offset
+// makes HPWL NaN or infinite; a fixed cell with no position drops out of
+// the report; a pin on a missing cell makes the placement unreadable);
+// this is the single gate in front of NewLegalizer.
 func validateDesign(d *design.Design, nl *netlist.Netlist, lim Limits) error {
 	if len(d.Rows) == 0 {
 		return badf("design: at least one row is required")
@@ -494,6 +510,22 @@ func validateDesign(d *design.Design, nl *netlist.Netlist, lim Limits) error {
 		if c.Placed && (c.Y < 0 || c.Y >= len(d.Rows)) {
 			return badf("design: cell %q placed on row %d of %d", c.Name, c.Y, len(d.Rows))
 		}
+		if c.Fixed && !c.Placed {
+			return badf("design: cell %q is fixed but not placed", c.Name)
+		}
+	}
+	for i := range nl.Nets {
+		n := &nl.Nets[i]
+		for j, pin := range n.Pins {
+			if !finite(pin.DX) || !finite(pin.DY) {
+				return badf("design: net %q pin %d has non-finite offset", n.Name, j)
+			}
+		}
+	}
+	// A text design's second header drops the cells read before it but
+	// not the nets, which may then name cells the design lacks.
+	if err := nl.Validate(d); err != nil {
+		return badf("design: %v", err)
 	}
 	return nil
 }

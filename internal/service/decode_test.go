@@ -11,6 +11,7 @@ import (
 	"mrlegal/internal/bookshelf"
 	"mrlegal/internal/constraint"
 	"mrlegal/internal/core"
+	"mrlegal/internal/gp"
 	"mrlegal/internal/iodesign"
 )
 
@@ -109,12 +110,49 @@ func TestDecodeSubmitBookshelf(t *testing.T) {
 	}
 }
 
+// bookshelfBody converts a text design to a Bookshelf submission, with
+// edit applied to each file's content first when it is not nil.
+func bookshelfBody(t testing.TB, text string, edit func(name, content string) string) string {
+	t.Helper()
+	d, nl, err := iodesign.Read(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := bookshelf.NewMemFS()
+	if err := bookshelf.Write(fs, "bs", d, nl); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for name, buf := range fs.Files {
+		files[name] = buf.String()
+		if edit != nil {
+			files[name] = edit(name, files[name])
+		}
+	}
+	return submitJSON(t, SubmitRequest{Bookshelf: &BookshelfJSON{Aux: "bs.aux", Files: files}})
+}
+
 // TestDecodeSubmitRejects tables the 4xx paths: every malformed payload
 // must produce a bad-request error (never a panic), with the generic
 // bad_request code.
 func TestDecodeSubmitRejects(t *testing.T) {
 	tiny := Limits{MaxCells: 10, MaxRows: 8, MaxNets: 5}
 	valid := benchText(t, 5, 1)
+	twoCells := "design d 200 2000\nrow 0 0 20\nmaster m 1 1 VSS\ncell a 0 1 0\ncell b 0 5 0\n"
+	// dropLine removes the .pl line of node f, so the terminal has no
+	// position.
+	dropLine := func(name, content string) string {
+		if !strings.HasSuffix(name, ".pl") {
+			return content
+		}
+		var keep []string
+		for _, l := range strings.Split(content, "\n") {
+			if !strings.HasPrefix(l, "f ") {
+				keep = append(keep, l)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
 	cases := []struct {
 		name string
 		body string
@@ -146,6 +184,16 @@ func TestDecodeSubmitRejects(t *testing.T) {
 		{"design json row disorder", `{"design":{"name":"x","site_w":200,"site_h":2000,"rows":[{"y":1,"lo":0,"hi":10}],"masters":[],"cells":[]}}`, Limits{}},
 		{"design json nan position", `{"design":{"name":"x","site_w":200,"site_h":2000,"rows":[{"y":0,"lo":0,"hi":10}],"masters":[{"name":"m","width":1,"height":1,"rail":"VSS"}],"cells":[{"name":"c","master":0,"gx":1e999,"gy":0}]}}`, Limits{}},
 		{"design json bad master ref", `{"design":{"name":"x","site_w":200,"site_h":2000,"rows":[{"y":0,"lo":0,"hi":10}],"masters":[],"cells":[{"name":"c","master":5,"gx":1,"gy":0}]}}`, Limits{}},
+
+		// The JSON design rejects these itself; validateDesign now rejects
+		// them from the text and Bookshelf sources too.
+		{"design_text nan pin offset", submitJSON(t, SubmitRequest{DesignText: twoCells + "net n 0 NaN 0 1 0 0\n"}), Limits{}},
+		{"design_text inf pad", submitJSON(t, SubmitRequest{DesignText: twoCells + "net n 0 0 0 - +Inf 0\n"}), Limits{}},
+		{"design_text fixed unplaced", submitJSON(t, SubmitRequest{DesignText: twoCells + "cell f 0 9 0 fixed\n"}), Limits{}},
+		{"design_text net on a dropped cell", submitJSON(t, SubmitRequest{DesignText: twoCells + "net n 0 0 0 1 0 0\n" +
+			"design e 200 2000\nrow 0 0 20\nmaster m 1 1 VSS\ncell z 0 1 0\n"}), Limits{}},
+		{"bookshelf nan pin offset", bookshelfBody(t, twoCells+"net n 0 NaN 0 1 0 0\n", nil), Limits{}},
+		{"bookshelf fixed unplaced", bookshelfBody(t, twoCells+"cell f 0 9 0 @ 9 0 fixed\n", dropLine), Limits{}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -273,6 +321,33 @@ func TestDecodeSubmitConstraints(t *testing.T) {
 	}
 	if p.cfg.Constraints.Signature() != baseSet.Signature() {
 		t.Fatalf("absent field replaced the base set: %q", p.cfg.Constraints.Signature())
+	}
+}
+
+// BenchmarkDecodeSubmit decodes a design_text submission the size of the
+// Table-1 suite's median job, matrix_mult_1 at the benchmark's scale 50
+// (3,106 cells), globally placed and with its netlist, as perfbench's
+// jobs_table1 submits it.
+func BenchmarkDecodeSubmit(b *testing.B) {
+	var spec bengen.Spec
+	for _, s := range bengen.Table1Specs(50) {
+		if s.Name == "matrix_mult_1" {
+			spec = s
+		}
+	}
+	bench := bengen.Generate(spec)
+	gp.Place(bench.D, bench.NL, gp.Config{Seed: spec.Seed})
+	var text bytes.Buffer
+	if err := iodesign.Write(&text, bench.D, bench.NL); err != nil {
+		b.Fatal(err)
+	}
+	body := []byte(submitJSON(b, SubmitRequest{DesignText: text.String()}))
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeSubmit(bytes.NewReader(body), core.DefaultConfig(), Limits{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,0 +1,105 @@
+package service
+
+// The submission decoder as it stood before it read the body whole and
+// took design_text out of encoding/json's hands, kept verbatim (only
+// renamed) as the reference FuzzDecodeSubmit holds decodeSubmitBody to.
+// It shares the helpers that did not change: wrapDecodeErr, buildDesign,
+// readBookshelf, validateDesign (which now also rejects non-finite pin
+// offsets and fixed cells with no position, on both sides alike) and
+// applyConfig, and iodesign.Read, which FuzzRead holds to its own
+// reference.
+
+import (
+	"encoding/json"
+	"io"
+	"strings"
+	"time"
+
+	"mrlegal/internal/core"
+	"mrlegal/internal/design"
+	"mrlegal/internal/iodesign"
+	"mrlegal/internal/netlist"
+)
+
+// referenceDecodeSubmitBody is DecodeSubmit plus access to the decoded request
+// envelope (the submit handler needs the tenant field).
+func referenceDecodeSubmitBody(r io.Reader, base core.Config, lim Limits) (p *jobPayload, req *SubmitRequest, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			p, req, err = nil, nil, badf("invalid design: %v", rec)
+		}
+	}()
+
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	req = &SubmitRequest{}
+	if derr := dec.Decode(req); derr != nil {
+		return nil, nil, wrapDecodeErr(derr)
+	}
+	// Trailing garbage after the JSON document is a malformed request,
+	// not an ignorable extra.
+	if derr := dec.Decode(new(json.RawMessage)); derr != io.EOF {
+		if derr == nil {
+			return nil, nil, badf("request body holds more than one JSON document")
+		}
+		return nil, nil, wrapDecodeErr(derr)
+	}
+	p, err = referenceDecodeSubmitReq(req, base, lim)
+	return p, req, err
+}
+
+func referenceDecodeSubmitReq(req *SubmitRequest, base core.Config, lim Limits) (*jobPayload, error) {
+	sources := 0
+	if req.DesignText != "" {
+		sources++
+	}
+	if req.Design != nil {
+		sources++
+	}
+	if req.Bookshelf != nil {
+		sources++
+	}
+	if sources != 1 {
+		return nil, badf("exactly one of design_text, design or bookshelf is required (got %d)", sources)
+	}
+
+	var (
+		d   *design.Design
+		nl  *netlist.Netlist
+		err error
+	)
+	switch {
+	case req.DesignText != "":
+		d, nl, err = iodesign.Read(strings.NewReader(req.DesignText))
+		if err != nil {
+			return nil, badf("design_text: %v", err)
+		}
+	case req.Design != nil:
+		d, nl, err = buildDesign(req.Design, lim)
+		if err != nil {
+			return nil, err
+		}
+	default:
+		d, nl, err = readBookshelf(req.Bookshelf)
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := validateDesign(d, nl, lim); err != nil {
+		return nil, err
+	}
+
+	cfg, err := applyConfig(base, req.Config, lim)
+	if err != nil {
+		return nil, err
+	}
+
+	if req.DeadlineMS < 0 {
+		return nil, badf("deadline_ms must be non-negative")
+	}
+	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
+	if deadline > lim.MaxDeadline {
+		deadline = lim.MaxDeadline
+	}
+	return &jobPayload{d: d, nl: nl, cfg: cfg, deadline: deadline}, nil
+}

@@ -407,7 +407,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Tenant resolution: header wins, then payload, then "default". The
 	// payload field is re-checked after decode.
-	p, req, err := decodeSubmitBody(body, s.base, s.cfg.Limits)
+	p, bodyTenant, err := decodeSubmitBody(body, s.base, s.cfg.Limits)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -424,7 +424,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	tenant := r.Header.Get("X-Tenant")
 	if tenant == "" {
-		tenant = req.Tenant
+		tenant = bodyTenant
 	}
 	if tenant == "" {
 		tenant = "default"

@@ -265,15 +265,21 @@ func TestOverloadAnswers429(t *testing.T) {
 }
 
 // TestSubmitBodyTooLarge checks the body cap answers 413 with the
-// body_too_large code.
+// body_too_large code. The body is read whole before it is parsed, so an
+// over-cap body answers 413 even when its first byte is not JSON.
 func TestSubmitBodyTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) { c.MaxBodyBytes = 512 })
-	resp, _ := submit(t, ts, "", submitJSON(t, SubmitRequest{DesignText: benchText(t, 60, 2)}))
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status: %d", resp.StatusCode)
-	}
-	if e := apiError(t, resp); e.Code != CodeBodyTooLarge {
-		t.Errorf("code: %q", e.Code)
+	for _, body := range []string{
+		submitJSON(t, SubmitRequest{DesignText: benchText(t, 60, 2)}),
+		"x" + strings.Repeat(" ", 600),
+	} {
+		resp, _ := submit(t, ts, "", body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%.20q: status %d", body, resp.StatusCode)
+		}
+		if e := apiError(t, resp); e.Code != CodeBodyTooLarge {
+			t.Errorf("%.20q: code %q", body, e.Code)
+		}
 	}
 }
 

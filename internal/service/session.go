@@ -77,7 +77,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	defer body.Close()
 
-	p, req, err := decodeSubmitBody(body, s.base, s.cfg.Limits)
+	p, bodyTenant, err := decodeSubmitBody(body, s.base, s.cfg.Limits)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -94,7 +94,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	tenant := r.Header.Get("X-Tenant")
 	if tenant == "" {
-		tenant = req.Tenant
+		tenant = bodyTenant
 	}
 	if tenant == "" {
 		tenant = "default"
