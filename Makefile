@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race cover examples fuzz fuzz-search fuzz-constraints fuzz-submit fuzz-design fuzz-eco bench-json bench-smoke bench-shard-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
+.PHONY: check vet build test race cover examples fuzz fuzz-search fuzz-constraints fuzz-submit fuzz-design fuzz-eco bench-json bench-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
 
 check: vet build race cover examples bench-eco-smoke
 
@@ -58,38 +58,26 @@ fuzz-constraints:
 		-fuzz FuzzConstraintLowerBound -fuzztime 30s
 
 # Constraint-plugin differential smoke (CI gate): each plugin alone and
-# all three composed must produce byte-identical placements across
-# workers x shards x search modes under the race detector, pass the
-# plugins' verify.Check oracles with zero violations, and a rule set
-# swapped on a live legalizer must take effect at the next call
-# (docs/CONSTRAINTS.md).
+# all three composed must produce byte-identical placements in both
+# search modes under the race detector, pass the plugins' verify.Check
+# oracles with zero violations, and a rule set swapped on a live
+# legalizer must take effect at the next call (docs/CONSTRAINTS.md).
 bench-constraint-smoke:
 	$(GO) test -race -short ./internal/core \
 		-run 'TestConstraintPluginsMatchAcrossModes|TestConstraintFiltersActuallyFire|TestConstraintLowerBoundProperty|TestConstraintSwapTakesEffect'
 	$(GO) test -race ./internal/experiments -run TestGoldenConstraintPlacements
 
 # Regenerate the benchmark artifacts: BENCH_prune.json (best-first search
-# vs exhaustive sweep), BENCH_shard.json (spatial sharding size x K
-# sweep) and BENCH_eco.json (incremental session delta batches vs full
-# relegalization); see docs/PERFORMANCE.md. Results depend on the
-# machine; num_cpu, go_max_procs and speedup_valid are recorded in the
-# shard and eco artifacts — on a single-CPU box every speedup field is
-# suppressed.
+# vs exhaustive sweep) and BENCH_eco.json (incremental session delta
+# batches vs full relegalization); see docs/PERFORMANCE.md. Results
+# depend on the machine; num_cpu, go_max_procs and speedup_valid are
+# recorded in the eco artifact — on a single-CPU box every speedup field
+# is suppressed.
 bench-json:
 	$(GO) run ./cmd/mrbench -experiment prune -scale 400 \
 		-json BENCH_prune.json -no-progress
-	$(GO) run ./cmd/mrbench -experiment shard -sizes 5000,20000 -shards 1,2,4,8 \
-		-json BENCH_shard.json -no-progress
 	$(GO) run ./cmd/mrbench -experiment eco -sizes 5000,20000 \
 		-delta-fracs 0.001,0.01,0.05 -json BENCH_eco.json -no-progress
-
-# Shard-parity smoke (CI gate): a small design legalized with 1-8 spatial
-# shards under the race detector must reproduce the serial run's
-# placement and Stats across both search modes, with most cells
-# legalized as shard-interior cells (docs/PERFORMANCE.md §7).
-bench-shard-smoke:
-	$(GO) test -race -short ./internal/core \
-		-run 'TestShardMatchesSerialAcrossK|TestShardZeroClaimTraffic'
 
 # Short fuzz session over the job-submission decoder — the boundary
 # between the network and the engine (docs/SERVICE.md).
@@ -110,9 +98,8 @@ fuzz-eco:
 		-fuzz FuzzDecodeDelta -fuzztime 30s
 
 # ECO-equivalence smoke (CI gate): on a Table-1 subset, session delta
-# batches applied over designs legalized with workers {1,4} must stay
-# legal, pass the fixed-point oracle, and give the same placement at
-# both worker counts; plus the session engine's own suite and the eco
+# batches applied over legalized designs must stay legal and pass the
+# fixed-point oracle; plus the session engine's own suite and the eco
 # benchmark plumbing, all under the race detector (docs/PERFORMANCE.md
 # §9).
 bench-eco-smoke:

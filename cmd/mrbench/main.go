@@ -9,8 +9,6 @@
 //	mrbench -experiment baselines                    # Abacus/greedy (E6)
 //	mrbench -experiment prune -scale 400 \
 //	        -json BENCH_prune.json                   # best-first search vs exhaustive
-//	mrbench -experiment shard -sizes 20000,1000000 \
-//	        -json BENCH_shard.json                   # spatial sharding sweep (§7)
 //	mrbench -experiment eco -sizes 5000,20000 \
 //	        -delta-fracs 0.001,0.01,0.05 \
 //	        -json BENCH_eco.json                     # incremental vs full relegalization (§9)
@@ -24,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -35,7 +34,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("experiment", "table1", "table1 | relax | evalablation | window | baselines | heightmix | order | scaling | prune | shard | eco")
+		exp     = flag.String("experiment", "table1", "table1 | relax | evalablation | window | baselines | heightmix | order | scaling | prune | eco")
 		scale   = flag.Int("scale", 200, "benchmark downscale factor (1 = paper-size, large = fast)")
 		skipILP = flag.Bool("skip-ilp", false, "skip the (slow) ILP baseline columns")
 		only    = flag.String("only", "", "comma-separated benchmark name filter")
@@ -45,11 +44,10 @@ func main() {
 		ry      = flag.Int("ry", 0, "local region half-height Ry override (0 = paper default 5)")
 		nodes   = flag.Int("ilp-nodes", 0, "branch & bound node cap per local MILP (0 = default)")
 		quietP  = flag.Bool("no-progress", false, "suppress per-benchmark progress lines")
-		shards  = flag.String("shards", "", "comma-separated shard counts for -experiment shard (default \"1,2,4,8\")")
-		sizes   = flag.String("sizes", "", "comma-separated synthetic design sizes for -experiment shard/eco (default \"5000,20000\")")
+		sizes   = flag.String("sizes", "", "comma-separated synthetic design sizes for -experiment eco (default \"5000,20000\")")
 
 		deltaFracs = flag.String("delta-fracs", "", "comma-separated perturbed-cell fractions for -experiment eco (default \"0.001,0.01,0.05\")")
-		jsonOut    = flag.String("json", "", "write the prune, shard or eco experiment's report as JSON to this file instead of a table")
+		jsonOut    = flag.String("json", "", "write the prune or eco experiment's report as JSON to this file instead of a table")
 
 		metrics   = flag.Bool("metrics", false, "emit the accumulated Prometheus text exposition once to stdout after the experiment (see docs/OBSERVABILITY.md)")
 		traceFlag = flag.String("trace-out", "", "write the per-cell JSONL placement trace of every run to this file")
@@ -58,7 +56,7 @@ func main() {
 	flag.Parse()
 	// Explicitly-passed zero or negative counts are configuration errors,
 	// not requests for the "auto" default — fail fast with usage.
-	if err := rejectNonPositiveListFlags("shards", "sizes"); err != nil {
+	if err := rejectNonPositiveListFlags("sizes"); err != nil {
 		fmt.Fprintf(os.Stderr, "mrbench: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -156,45 +154,6 @@ func main() {
 	case "scaling":
 		rows := experiments.RunScaling(cfg, *bench, []int{800, 400, 200, 100, 50, 25})
 		experiments.PrintScaling(os.Stdout, *bench, rows)
-	case "shard":
-		shardCounts, err := parseCounts(*shards)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mrbench: -shards: %v\n", err)
-			stop()
-			os.Exit(2)
-		}
-		sizeList, err := parseCounts(*sizes)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mrbench: -sizes: %v\n", err)
-			stop()
-			os.Exit(2)
-		}
-		scfg := experiments.ShardConfig{
-			Sizes:       sizeList,
-			ShardCounts: shardCounts,
-			Seed:        *seed,
-			Ctx:         ctx,
-		}
-		if !*quietP {
-			scfg.Progress = os.Stderr
-		}
-		rep := experiments.RunShard(scfg)
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err == nil {
-				err = experiments.WriteShardJSON(f, rep)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mrbench: %v\n", err)
-				stop()
-				os.Exit(1)
-			}
-		} else {
-			experiments.PrintShard(os.Stdout, rep)
-		}
 	case "prune":
 		rep := experiments.RunPrune(cfg)
 		if *jsonOut != "" {
@@ -267,7 +226,7 @@ func main() {
 func rejectNonPositiveListFlags(names ...string) error {
 	var err error
 	flag.Visit(func(f *flag.Flag) {
-		if err != nil || !contains(names, f.Name) {
+		if err != nil || !slices.Contains(names, f.Name) {
 			return
 		}
 		for _, field := range strings.Split(f.Value.String(), ",") {
@@ -279,15 +238,6 @@ func rejectNonPositiveListFlags(names ...string) error {
 		}
 	})
 	return err
-}
-
-func contains(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // parseFracs parses a comma-separated list of fractions in (0, 1].

@@ -18,7 +18,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -64,27 +63,12 @@ func main() {
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell placement deadline (0 = none)")
 		bestEffort  = flag.Bool("best-effort", false, "place as many cells as possible and report failures instead of aborting")
 		auditEvery  = flag.Int("audit-every", 0, "run a full invariant audit every N placements, rolling back the batch on violation (0 = off)")
-		workers     = flag.Int("workers", 0, "shard count when -shards is unset (default and 1 = serial, N > 1 = N spatial shards; results are identical either way)")
-		shards      = flag.Int("shards", 0, "spatial die shards per round (default = -workers, 1 = serial; overrides -workers, results are identical at any count)")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve live Prometheus metrics at http://ADDR/metrics during the run (':0' picks a free port; see docs/OBSERVABILITY.md)")
 		traceFlag   = flag.String("trace-out", "", "write the per-cell JSONL placement trace to this file ('-' = stdout)")
 	)
 	prof := profiling.Register(flag.CommandLine)
 	flag.Parse()
-	// An explicitly-passed zero or negative count is a configuration
-	// error, not a request for the flag's "auto/off" default — fail fast
-	// with usage instead of silently running in a different mode.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name != "workers" && f.Name != "shards" {
-			return
-		}
-		if n, err := strconv.Atoi(f.Value.String()); err == nil && n <= 0 {
-			fmt.Fprintf(os.Stderr, "mrlegal: -%s: count must be positive, got %d\n", f.Name, n)
-			flag.Usage()
-			os.Exit(2)
-		}
-	})
 	stop, err := prof.Start()
 	if err != nil {
 		fatal(err)
@@ -130,8 +114,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.CellTimeout = *cellTimeout
 	cfg.AuditEvery = *auditEvery
-	cfg.Workers = *workers
-	cfg.Shards = *shards
 	cfg.PhaseTiming = !*quiet
 	if *useILP {
 		cfg.Solver = &ilplegal.Solver{}

@@ -42,8 +42,6 @@ func main() {
 		queueBound = flag.Int("queue-bound", 64, "global queued-job bound; submissions beyond it answer 429")
 		perTenant  = flag.Int("per-tenant", 16, "per-tenant in-flight (queued+running) cap; beyond it answers 429")
 		jobTimeout = flag.Duration("job-timeout", 5*time.Minute, "default per-job deadline when the client sets none")
-		maxWorkers = flag.Int("max-workers", 0, "cap on the per-job workers (shard count) a submission may request (0 = default 4)")
-		maxShards  = flag.Int("max-shards", 0, "cap on per-job spatial shard counts a submission may request (0 = default 16)")
 		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain deadline; jobs still running after it are canceled")
 		maxBody    = flag.Int64("max-body", 64<<20, "maximum request body size in bytes")
 
@@ -64,7 +62,7 @@ func main() {
 	// fast with usage instead of silently running in a different mode.
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "workers", "max-workers", "max-shards", "max-sessions", "sessions-per-tenant":
+		case "workers", "max-sessions", "sessions-per-tenant":
 			if n, err := strconv.Atoi(f.Value.String()); err == nil && n <= 0 {
 				fmt.Fprintf(os.Stderr, "mrserve: -%s: count must be positive, got %d\n", f.Name, n)
 				flag.Usage()
@@ -77,7 +75,6 @@ func main() {
 	base.Rx, base.Ry = *rx, *ry
 	base.PowerAlign = !*noalign
 	base.Seed = *seed
-	base.Workers = 1 // the pool provides cross-job parallelism
 	cons, err := constraint.Parse(*consStr)
 	if err != nil {
 		fatal(err)
@@ -109,11 +106,7 @@ func main() {
 			MaxSessions: *maxSessions,
 			PerTenant:   *sessionsPerTenant,
 		},
-		BaseCfg: &base,
-		Limits: service.Limits{
-			MaxWorkers: *maxWorkers,
-			MaxShards:  *maxShards,
-		},
+		BaseCfg:      &base,
 		MaxBodyBytes: *maxBody,
 		DrainTimeout: *drain,
 		Obs:          observer,

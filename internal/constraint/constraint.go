@@ -40,8 +40,9 @@ import (
 )
 
 // Constraint is one composable placement rule. Implementations must be
-// immutable after construction: the engine snapshots nothing and calls
-// the methods concurrently from planning workers.
+// immutable after construction: the engine snapshots nothing, and
+// legalizers that share a set (a server's jobs) call its methods
+// concurrently.
 //
 // Cells are abstracted into a small number of classes (NumClasses,
 // Class); every other method speaks in class indices so the engine can

@@ -24,7 +24,6 @@ func TestConfigValidate(t *testing.T) {
 		{"MaxRounds", func(c *Config) { c.MaxRounds = -3 }},
 		{"MaxInsertionPoints", func(c *Config) { c.MaxInsertionPoints = -1 }},
 		{"Workers", func(c *Config) { c.Workers = -2 }},
-		{"Shards", func(c *Config) { c.Shards = -1 }},
 		{"AuditEvery", func(c *Config) { c.AuditEvery = -1 }},
 		{"CellTimeout", func(c *Config) { c.CellTimeout = -time.Second }},
 		{"Constraints", func(c *Config) {
@@ -52,7 +51,7 @@ func TestConfigValidateAcceptsEdges(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Rx, cfg.Ry = 0, 0
 	cfg.MaxRounds = 1
-	cfg.MaxInsertionPoints, cfg.Workers, cfg.Shards, cfg.AuditEvery = 0, 0, 0, 0
+	cfg.MaxInsertionPoints, cfg.Workers, cfg.AuditEvery = 0, 0, 0
 	cfg.CellTimeout = 0
 	cfg.Solver = refusingSolver{}
 	if err := cfg.Validate(); err != nil {

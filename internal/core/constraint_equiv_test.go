@@ -2,11 +2,10 @@ package core_test
 
 // Differential harness for the constraint plugins (docs/CONSTRAINTS.md):
 // on every Table-1 benchmark, each plugin alone and all three composed
-// must (a) produce byte-identical placements across worker counts,
-// shard counts and both search modes — the filters and the admissible
-// bound may change which candidates are examined, never the answer —
-// and (b) yield final placements the plugins' own verify.Check oracles
-// accept with zero violations.
+// must (a) produce byte-identical placements in both search modes — the
+// filters and the admissible bound may change which candidates are
+// examined, never the answer — and (b) yield final placements the
+// plugins' own verify.Check oracles accept with zero violations.
 
 import (
 	"bytes"
@@ -118,8 +117,8 @@ func legalizeConstrained(t *testing.T, d *design.Design, cfg core.Config, set *c
 
 // TestConstraintPluginsMatchAcrossModes is the differential suite: for
 // every Table-1 benchmark × plugin configuration, the placement under
-// workers ∈ {1, 4}, shards ∈ {1, 4} and the exhaustive sweep must be
-// byte-identical, and every run must pass the plugin oracles clean.
+// the best-first search and the exhaustive sweep must be byte-identical,
+// and every run must pass the plugin oracles clean.
 func TestConstraintPluginsMatchAcrossModes(t *testing.T) {
 	scale := 2500
 	if testing.Short() {
@@ -144,14 +143,8 @@ func TestConstraintPluginsMatchAcrossModes(t *testing.T) {
 						cfg core.Config
 					}{tag, cfg})
 				}
-				add(cs.name+"/w1", func(c *core.Config) { c.Workers = 1 })
-				add(cs.name+"/w4", func(c *core.Config) { c.Workers = 4 })
-				add(cs.name+"/s1", func(c *core.Config) { c.Shards = 1 })
-				add(cs.name+"/s4", func(c *core.Config) { c.Shards = 4 })
-				add(cs.name+"/w1-exhaustive", func(c *core.Config) {
-					c.Workers = 1
-					c.ExhaustiveSearch = true
-				})
+				add(cs.name+"/best-first", func(c *core.Config) {})
+				add(cs.name+"/exhaustive", func(c *core.Config) { c.ExhaustiveSearch = true })
 				var ref constrainedOutcome
 				for i, r := range runs {
 					out := legalizeConstrained(t, b.D.Clone(), r.cfg, cs.set, r.tag)
@@ -183,9 +176,8 @@ func TestConstraintFiltersActuallyFire(t *testing.T) {
 	gp.Place(b.D, b.NL, gp.Config{Seed: spec.Seed})
 	cfg := core.DefaultConfig()
 	cfg.Seed = 3
-	cfg.Workers = 1
 
-	plain := legalizeWithWorkers(t, b.D.Clone(), cfg, 1)
+	plain := legalizeOutcome(t, b.D.Clone(), cfg)
 	var filtered int64
 	var diverged bool
 	for _, cs := range constraintSuite(t, b.D) {

@@ -56,8 +56,8 @@ func (l *Legalizer) LegalizeBestEffort(ctx context.Context) (*Report, error) {
 
 // planTarget is one cell's jittered desired position for a round. The
 // targets of a whole round are drawn from the seeded rng in cell order
-// before any planning starts, so the random stream is identical at every
-// shard count.
+// before any planning starts, so the random stream does not depend on
+// how the round's attempts go.
 type planTarget struct {
 	tx, ty float64
 }
@@ -79,8 +79,8 @@ type runState struct {
 	// batch's targets (session.go). Nil on full runs.
 	home map[design.CellID]planTarget
 	// oneTxn keeps every round inside the caller's transaction, as a
-	// delta batch needs: rounds run the serial driver and skip the audit,
-	// since a shard or audit commit would land part of the batch.
+	// delta batch needs: rounds skip the audit, since an audit commit
+	// would land part of the batch.
 	oneTxn bool
 	// retried sums the cells entering each round after the first.
 	retried int
@@ -152,7 +152,6 @@ func (l *Legalizer) run(ctx context.Context) (*Report, error) {
 			l.om.o.RecordCell(obs.CellEvent{
 				Cell:    int(id),
 				Outcome: obs.OutcomeTooWide,
-				Worker:  -1,
 			})
 		}
 	}
@@ -175,7 +174,6 @@ func (l *Legalizer) run(ctx context.Context) (*Report, error) {
 	}
 	rep.TotalDisp, rep.AvgDisp = l.D.TotalDispSites()
 	rep.Stats = l.stats
-	rep.ShardRouting = l.shardCounters
 	rep.Phases = l.phases
 	if l.om != nil {
 		l.observeRun(rep, time.Since(runStart))
@@ -216,23 +214,6 @@ func (l *Legalizer) ladder(cells []design.CellID, st *runState) []design.CellID 
 	return cells
 }
 
-// roundShards resolves the shard count of a round over n cells:
-// Cfg.Shards, or Cfg.Workers when Shards is 0, capped by the cell count.
-// A count above 1 selects the spatially-sharded driver (shard.go);
-// anything else, including the default Workers = 0, is the serial loop.
-// External solvers are always serial because a LocalSolver may carry
-// mutable state the engine cannot shard.
-func (l *Legalizer) roundShards(n int) int {
-	if l.Cfg.Solver != nil {
-		return 1
-	}
-	k := l.Cfg.Shards
-	if k == 0 {
-		k = l.Cfg.Workers
-	}
-	return min(k, n)
-}
-
 // roundTargets fills st.targets with the desired position of every cell
 // for round k, consuming the seeded rng in strict cell order. Round 1
 // uses the home positions — (GX, GY) unless st.home says otherwise — and
@@ -268,9 +249,7 @@ func (l *Legalizer) roundTargets(cells []design.CellID, k, rx, ry int, st *runSt
 // k ≥ 1, and returns the cells that remain unplaced. With EscalateWindow
 // on, late rounds use progressively larger local-region windows so dense
 // instances whose solutions need compaction beyond one window still
-// terminate. Rounds that resolve to more than one shard run the
-// spatially-sharded driver, which produces the serial result, unless
-// st.oneTxn holds them to the serial one.
+// terminate.
 func (l *Legalizer) placeRound(cells []design.CellID, k int, st *runState) []design.CellID {
 	rx, ry := l.Cfg.Rx, l.Cfg.Ry
 	if l.Cfg.EscalateWindow && k > 4 {
@@ -279,16 +258,10 @@ func (l *Legalizer) placeRound(cells []design.CellID, k int, st *runState) []des
 		ry *= scale
 	}
 	targets := l.roundTargets(cells, k, rx, ry, st)
-	if ks := l.roundShards(len(cells)); ks > 1 && !st.oneTxn {
-		return l.placeRoundShard(cells, targets, k, rx, ry, ks, st)
-	}
-	if l.om != nil {
-		l.om.roundWorkers.Set(1)
-	}
 	return l.placeRoundSerial(cells, targets, k, rx, ry, st)
 }
 
-// placeRoundSerial is placeRound's single-goroutine engine.
+// placeRoundSerial places a round's cells one at a time, in round order.
 func (l *Legalizer) placeRoundSerial(cells []design.CellID, targets []planTarget, k, rx, ry int, st *runState) []design.CellID {
 	var failed []design.CellID
 	for i, id := range cells {
@@ -310,7 +283,7 @@ func (l *Legalizer) placeRoundSerial(cells []design.CellID, targets []planTarget
 			return l.placeAt(id, targets[i].tx, targets[i].ty, rx, ry)
 		})
 		if l.om != nil {
-			l.observeAttempt(id, k, rx, ry, -1, s0, &l.stats, time.Since(t0), err)
+			l.observeAttempt(id, k, rx, ry, s0, time.Since(t0), err)
 		}
 		if err != nil {
 			st.lastErr[id] = err
@@ -328,10 +301,11 @@ func (l *Legalizer) placeRoundSerial(cells []design.CellID, targets []planTarget
 	return failed
 }
 
-// maybeAudit runs after each placed cell, never under st.oneTxn. With
-// audits off, nothing can roll back past the placement just made, so it
-// drops the batch transaction's undo records and the batch is one cell.
-// Otherwise it runs the periodic invariant audit when due. On a
+// maybeAudit runs after each placed cell. Under st.oneTxn it does
+// nothing, because a delta batch never audits. With audits off, nothing
+// can roll back past the placement just made, so it drops the batch
+// transaction's undo records and the batch is one cell. Otherwise it
+// runs the periodic invariant audit when due. On a
 // violation (real or injected) it rolls the batch transaction back to
 // the last committed state and returns the unwound cells so the round
 // re-queues them; otherwise it commits the batch. A fresh transaction is

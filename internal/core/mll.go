@@ -5,14 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"mrlegal/internal/constraint"
 	"mrlegal/internal/design"
 	"mrlegal/internal/geom"
 	"mrlegal/internal/obs"
-	"mrlegal/internal/sched"
 	"mrlegal/internal/segment"
 	"mrlegal/internal/verify"
 )
@@ -75,26 +73,10 @@ type Config struct {
 	// single-row cells land. On.
 	TallFirst bool
 
-	// Workers is the shard count used when Shards is 0. 0 and 1 both mean
-	// the serial loop of Algorithm 1, which is the default; a larger
-	// value runs the spatially-sharded driver with that many shards (see
-	// Shards). Placements are byte-identical either way.
+	// Workers does nothing: every round runs the serial loop of
+	// Algorithm 1 on the caller's goroutine. The field stays for callers
+	// that still set it; Validate rejects a negative value.
 	Workers int
-
-	// Shards selects the spatially-sharded round driver: the die's
-	// x-extent is partitioned into up to Shards contiguous column spans
-	// (boundaries at quantiles of the round's claim centers), one worker
-	// goroutine exclusively owning each span. Interior cells — those
-	// whose claims lie inside one span — legalize concurrently; the
-	// remaining seam cells run on a sequential thread in strict round
-	// order, with dependency edges ordering every conflicting
-	// seam–interior pair, so placements and Stats stay identical to the
-	// serial driver at every shard count (docs/PERFORMANCE.md §7). 0 defers to
-	// Workers; a resolved count of 1 or less is the serial loop. Ignored
-	// with an external Solver. When AuditEvery > 0 the audit cadence is
-	// per shard during the interior pass, so audit bookkeeping (not
-	// placement legality) can differ from the serial schedule.
-	Shards int
 
 	// PhaseTiming enables the per-phase wall-clock breakdown
 	// (extract/enumerate/evaluate/realize) reported via Phases and
@@ -194,8 +176,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Config.MaxInsertionPoints = %d, want >= 0 (0 = unlimited)", c.MaxInsertionPoints)
 	case c.Workers < 0:
 		return fmt.Errorf("core: Config.Workers = %d, want >= 0", c.Workers)
-	case c.Shards < 0:
-		return fmt.Errorf("core: Config.Shards = %d, want >= 0", c.Shards)
 	case c.AuditEvery < 0:
 		return fmt.Errorf("core: Config.AuditEvery = %d, want >= 0 (0 = off)", c.AuditEvery)
 	case c.CellTimeout < 0:
@@ -207,9 +187,8 @@ func (c Config) Validate() error {
 }
 
 // Stats counts legalizer activity, for reporting and benchmarks. All
-// fields are pure functions of the input and configuration — never of
-// worker timing — so seeded runs produce identical Stats at every worker
-// count (determinism tests compare them with ==).
+// fields are pure functions of the input and configuration, so seeded
+// runs produce identical Stats (determinism tests compare them with ==).
 type Stats struct {
 	DirectPlacements int // cells placed with no legalization needed
 	MLLCalls         int
@@ -218,9 +197,8 @@ type Stats struct {
 	InsertionPoints  int64 // insertion points evaluated
 
 	// Best-first search activity (all zero under ExhaustiveSearch). The
-	// counters are region-local — each MLL call's incumbent evolves from
-	// its own snapshot only — so they stay worker-count invariant like
-	// every other field. CandidatesPruned counts fully-formed insertion
+	// counters are region-local: each MLL call's incumbent evolves from
+	// its own snapshot only. CandidatesPruned counts fully-formed insertion
 	// points whose lower bound skipped evaluation; SearchNodesCut counts
 	// partial-combination subtrees cut before reaching a candidate;
 	// WindowsPruned counts candidate bottom rows never entered because the
@@ -250,15 +228,10 @@ type Stats struct {
 // Legalizer binds a design, its segment grid and a configuration, and
 // offers both full legalization (Algorithm 1) and incremental MLL calls.
 //
-// Concurrency contract: the exported API is single-goroutine — exactly
-// one goroutine may call into a Legalizer at a time. A sharded Legalize
-// run fans the round out to one goroutine per shard plus a seam thread;
-// during such a run, gridMu arbitrates design/grid access (planners hold
-// the read side while snapshotting a region, committers hold the write
-// side) and every counter increment lands in a per-thread scratch shard
-// that the owning goroutine merges into stats after the join. No other
-// goroutine may touch the design, the grid or the legalizer while a run
-// is in flight.
+// Concurrency contract: a Legalizer is single-goroutine. Exactly one
+// goroutine may call into it at a time, and it never starts a goroutine
+// of its own: every round runs on the caller's goroutine. No other
+// goroutine may touch the design or the grid while a call is in flight.
 type Legalizer struct {
 	D   *design.Design
 	G   *segment.Grid
@@ -280,36 +253,17 @@ type Legalizer struct {
 	// txn is the active transaction, nil outside Begin/Commit windows.
 	txn *Txn
 
-	// sc is the scratch of the serial path (single-cell API calls and
-	// serial rounds); sharded rounds use shardScrs instead.
+	// sc is the scratch of every MLL pipeline call: single-cell API
+	// calls and every round's cells.
 	sc *scratch
 
-	// gridMu guards design and grid state during sharded rounds:
-	// planners take the read side for the snapshot phase (snap/FreeAt/
-	// ExtractRegion), committers take the write side for commits, audits
-	// and rollbacks. Serial paths take the (uncontended) read side too,
-	// keeping one code path.
-	gridMu sync.RWMutex
-
 	// runCtx carries the cancellation context of the current Legalize
-	// run. It is set before any planner goroutine starts and cleared
-	// after they all join, so planners may read it without gridMu.
+	// run, nil outside one.
 	runCtx context.Context
 
 	// rowMaxSeg caches the widest segment length per row (segment spans
 	// are static for the life of a grid). Built lazily by widthFits.
 	rowMaxSeg []int
-
-	// shardScrs are the per-shard scratch slabs of the sharded round
-	// driver (shard.go), reused across rounds. Each slot is touched only
-	// by its owning shard worker while a round is in flight.
-	shardScrs []*scratch
-
-	// shardCounters accumulates the shard router's activity. It is
-	// deterministic for a fixed input and configuration: classification
-	// depends only on claim geometry and round order, never on worker
-	// timing.
-	shardCounters sched.ShardCounters
 
 	// cons is the resolved constraint set of the current configuration,
 	// nil when empty so the hot path stays on one pointer compare.
@@ -352,6 +306,20 @@ func (l *Legalizer) Stats() Stats { return l.stats }
 // Phases returns the per-phase wall-clock breakdown accumulated so far.
 // All-zero unless Cfg.PhaseTiming is on.
 func (l *Legalizer) Phases() PhaseTimes { return l.phases }
+
+// SchedCounters is the per-cell claim-scheduling activity of a parallel
+// round driver. The engine has none, so every field reads zero; the type
+// stays for callers that read it.
+type SchedCounters struct {
+	Dispatched int64
+	Deferred   int64
+	Batches    int64
+	Batched    int64
+}
+
+// SchedCounters always returns zero counters. It stays for callers that
+// read them.
+func (l *Legalizer) SchedCounters() SchedCounters { return SchedCounters{} }
 
 // allowRowFn returns the power-rail row filter for master m, or nil when
 // alignment is relaxed.
@@ -421,7 +389,6 @@ func (l *Legalizer) armConstraints(sc *scratch, c *design.Cell, tx float64) {
 // placed movable neighbor (fixed cells are walls; the engine never
 // enforces gaps across them). Conservative: a vetoed probe falls
 // through to the MLL pipeline, which enforces the rules exactly.
-// Callers hold gridMu's read side.
 func (l *Legalizer) constraintsOKAt(sc *scratch, c *design.Cell, x, y int) bool {
 	cons := sc.cons
 	if cons == nil {
@@ -485,9 +452,7 @@ func (l *Legalizer) mllAt(id design.CellID, tx, ty float64, rx, ry int) error {
 	sc.plan = plan{id: id, tx: tx, ty: ty, rx: rx, ry: ry}
 	l.resetCancel(sc)
 	l.armConstraints(sc, l.D.Cell(id), tx)
-	l.gridMu.RLock()
 	r := l.extractPlan(sc, id, tx, ty, rx, ry)
-	l.gridMu.RUnlock()
 	l.selectPlan(sc, r, tx, ty)
 	var err error
 	if sc.plan.kind == planFailed {
@@ -514,28 +479,23 @@ func (l *Legalizer) resetCancel(sc *scratch) {
 // planCell computes the full placement decision for one cell into
 // sc.plan without mutating any design or grid state: the direct
 // placement probe, then the MLL plan (extract + enumerate + evaluate).
-// Grid reads happen under gridMu's read side, released before the
-// region-local enumeration, so shard planners only serialize on the
-// snapshot. commitPlan applies the decision.
+// commitPlan applies the decision.
 func (l *Legalizer) planCell(sc *scratch, id design.CellID, tx, ty float64, rx, ry int) {
 	sc.plan = plan{id: id, tx: tx, ty: ty, rx: rx, ry: ry}
 	l.resetCancel(sc)
 	c := l.D.Cell(id)
 	l.armConstraints(sc, c, tx)
-	l.gridMu.RLock()
 	if x, y, ok := l.snap(c, tx, ty); ok && l.G.FreeAt(x, y, c.W, c.H) && l.constraintsOKAt(sc, c, x, y) {
-		l.gridMu.RUnlock()
 		sc.plan.kind = planDirect
 		sc.plan.x, sc.plan.y = x, y
 		return
 	}
 	r := l.extractPlan(sc, id, tx, ty, rx, ry)
-	l.gridMu.RUnlock()
 	l.selectPlan(sc, r, tx, ty)
 }
 
 // extractPlan is the grid-reading half of an MLL plan: it snapshots the
-// local region into sc. Callers hold gridMu (either side).
+// local region into sc.
 func (l *Legalizer) extractPlan(sc *scratch, id design.CellID, tx, ty float64, rx, ry int) *Region {
 	sc.stats.MLLCalls++
 	c := l.D.Cell(id)
@@ -563,7 +523,7 @@ func (l *Legalizer) extractPlan(sc *scratch, id design.CellID, tx, ty float64, r
 
 // selectPlan is the region-local half of an MLL plan: it chooses the
 // best insertion point (or records the failure) from the snapshot alone,
-// without touching the grid, so it runs outside gridMu.
+// without touching the grid.
 func (l *Legalizer) selectPlan(sc *scratch, r *Region, tx, ty float64) {
 	c := l.D.Cell(sc.plan.id)
 	var t0 time.Time
@@ -606,10 +566,9 @@ func (l *Legalizer) selectPlan(sc *scratch, r *Region, tx, ty float64) {
 }
 
 // commitPlan applies a computed plan, mutating design and grid. It must
-// run inside a transaction boundary (attempt); during sharded rounds
-// the committing thread additionally holds gridMu's write side. The direct
-// placement retries as an inline MLL when the grid insert fails (fault
-// injection is the only such path — the planned slot was probed free).
+// run inside a transaction boundary (attempt). The direct placement
+// retries as an inline MLL when the grid insert fails (fault injection
+// is the only such path — the planned slot was probed free).
 func (l *Legalizer) commitPlan(sc *scratch) error {
 	p := &sc.plan
 	switch p.kind {
@@ -818,8 +777,7 @@ func (sc *scratch) retainBest(ip *InsertionPoint) {
 // gap-index sequence. Because the order is total — no two distinct
 // candidates compare equal — the winner is independent of enumeration
 // order, which is what lets the best-first search and the exhaustive
-// scanline sweep return the identical insertion point (and what keeps
-// sharded runs byte-identical at every shard count).
+// scanline sweep return the identical insertion point.
 func betterCand(aEv Evaluation, a *InsertionPoint, bEv Evaluation, b *InsertionPoint) bool {
 	if aEv.Cost != bEv.Cost {
 		return aEv.Cost < bEv.Cost

@@ -10,8 +10,8 @@ import (
 
 // This file is the engine side of the observability layer
 // (internal/obs): metric handles resolved once at legalizer construction,
-// and the recording helpers the serial and sharded drivers, the MLL
-// merge point and the transaction layer call.
+// and the recording helpers the round driver, the MLL merge point and
+// the transaction layer call.
 //
 // Discipline: every caller nil-checks l.om first, so the disabled
 // configuration (Config.Obs == nil) pays exactly one pointer compare per
@@ -19,8 +19,8 @@ import (
 // and the hot-path allocation budget (BenchmarkSingleMLLCall ≤ 8
 // allocs/op, guarded by TestSingleMLLCallAllocs) is untouched. Nothing recorded
 // here feeds back into placement decisions, so placements are
-// byte-identical with observability on or off at every worker count (the
-// golden determinism suite pins this).
+// byte-identical with observability on or off (the golden determinism
+// suite pins this).
 
 // dispBuckets bucket per-cell displacements in site widths.
 var dispBuckets = []float64{0, 0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256}
@@ -37,7 +37,6 @@ type obsMetrics struct {
 	attemptFailures *obs.Counter
 	rounds          *obs.Counter
 	unplaced        *obs.Gauge
-	roundWorkers    *obs.Gauge
 	placedCells     *obs.Gauge
 	failedCells     *obs.Gauge
 
@@ -60,14 +59,6 @@ type obsMetrics struct {
 	auditRuns      *obs.Counter
 	auditRollbacks *obs.Counter
 
-	// Plans computed per shard lane.
-	workerPlans *obs.ShardedCounter
-
-	// Spatial shard router activity (shard.go).
-	shardInterior  *obs.Counter
-	shardSeam      *obs.Counter
-	shardSyncEdges *obs.Counter
-
 	// Incremental (ECO) session activity (session.go), aggregated across
 	// sessions.
 	ecoSessionsActive *obs.Gauge
@@ -82,10 +73,6 @@ type obsMetrics struct {
 	phaseHists     [4]*obs.Histogram // extract, enumerate, evaluate, realize
 }
 
-// obsWorkerShards caps the worker-plan shard count; worker indices beyond
-// it merge into shard 0 (see obs.ShardedCounter.Add).
-const obsWorkerShards = 64
-
 func newObsMetrics(o *obs.Observer) *obsMetrics {
 	r := o.Registry()
 	m := &obsMetrics{
@@ -96,7 +83,6 @@ func newObsMetrics(o *obs.Observer) *obsMetrics {
 		attemptFailures: r.Counter("mrlegal_cell_attempt_failures_total", "Cell placement attempts that failed (the cell is retried in a later round)."),
 		rounds:          r.Counter("mrlegal_rounds_total", "Algorithm-1 rounds executed."),
 		unplaced:        r.Gauge("mrlegal_unplaced_cells", "Cells still unplaced at the start of the current round."),
-		roundWorkers:    r.Gauge("mrlegal_round_workers", "Shard workers used by the current round (1 on the serial loop)."),
 		placedCells:     r.Gauge("mrlegal_placed_cells", "Movable cells placed at the end of the run."),
 		failedCells:     r.Gauge("mrlegal_failed_cells", "Movable cells unplaced at the end of the run."),
 
@@ -115,12 +101,6 @@ func newObsMetrics(o *obs.Observer) *obsMetrics {
 		txnRollbacks:   r.Counter("mrlegal_txn_rollbacks_total", "Transactions rolled back."),
 		auditRuns:      r.Counter("mrlegal_audit_runs_total", "Mid-run invariant audits executed."),
 		auditRollbacks: r.Counter("mrlegal_audit_rollbacks_total", "Audits that detected a violation and rolled back a batch."),
-
-		workerPlans: r.ShardedCounter("mrlegal_worker_plans_total", "Plans computed, sharded per planning worker and merged on read.", obsWorkerShards),
-
-		shardInterior:  r.Counter("mrlegal_shard_interior_cells_total", "Cells owned exclusively by one spatial shard (zero claim traffic)."),
-		shardSeam:      r.Counter("mrlegal_shard_seam_cells_total", "Boundary-crossing cells routed to the sequential seam thread."),
-		shardSyncEdges: r.Counter("mrlegal_shard_sync_edges_total", "Cross-thread ordering edges over seam-interior claim conflicts."),
 
 		ecoSessionsActive: r.Gauge("mrlegal_eco_sessions_active", "Incremental legalization sessions currently open on this engine."),
 		ecoDeltaBatches:   r.Counter("mrlegal_eco_delta_batches_total", "Committed incremental delta batches."),
@@ -145,9 +125,9 @@ func newObsMetrics(o *obs.Observer) *obsMetrics {
 // attached (the phase histograms need the same clocks).
 func (l *Legalizer) timing() bool { return l.Cfg.PhaseTiming || l.om != nil }
 
-// addMerge mirrors one scratch's stats shard and phase times into the
-// metric registry. Called from mergeScratch (owner goroutine) just before
-// the shard is cleared, so metrics count exactly what Stats counts.
+// addMerge mirrors one scratch's stats and phase times into the metric
+// registry. Called from mergeScratch just before the scratch's stats are
+// cleared, so metrics count exactly what Stats counts.
 func (m *obsMetrics) addMerge(s *Stats, p *PhaseTimes) {
 	m.directPlacements.Add(int64(s.DirectPlacements))
 	m.mllCalls.Add(int64(s.MLLCalls))
@@ -187,15 +167,11 @@ func outcomeFor(err error) obs.CellOutcome {
 
 // observeAttempt records one driver placement attempt: counters, the
 // attempt-duration histogram and a ring/trace event. s0 is the snapshot
-// of the stats d taken before the attempt, so the delta is the attempt's
-// own work: the serial loop passes the merged legalizer stats, a shard
-// worker its own scratch shard (merged into l.stats only after the round
-// joins, so a worker never reads l.stats). worker is the shard lane, −1
-// on the serial loop. Shard workers call this on their own goroutine
-// after the commit critical section; every handle it touches is atomic
-// or internally locked.
-func (l *Legalizer) observeAttempt(id design.CellID, round, rx, ry, worker int, s0 Stats, d *Stats, dur time.Duration, err error) {
+// of l.stats taken before the attempt, so the delta is the attempt's own
+// work.
+func (l *Legalizer) observeAttempt(id design.CellID, round, rx, ry int, s0 Stats, dur time.Duration, err error) {
 	m := l.om
+	d := &l.stats
 	ev := obs.CellEvent{
 		Cell:      int(id),
 		Round:     round,
@@ -205,8 +181,7 @@ func (l *Legalizer) observeAttempt(id design.CellID, round, rx, ry, worker int, 
 		Pruned: (d.CandidatesPruned - s0.CandidatesPruned) +
 			(d.SearchNodesCut - s0.SearchNodesCut) +
 			(d.WindowsPruned - s0.WindowsPruned),
-		Worker: worker,
-		Dur:    dur,
+		Dur: dur,
 	}
 	m.attempts.Inc()
 	if err == nil {
@@ -242,7 +217,6 @@ func (l *Legalizer) observeRun(rep *Report, dur time.Duration) {
 			Cell:    int(c.ID),
 			Outcome: obs.OutcomeFinal,
 			Disp:    disp,
-			Worker:  -1,
 		})
 	}
 	m.placedCells.Set(int64(rep.Placed))

@@ -17,7 +17,7 @@ var obsSpec = bengen.Spec{Name: "obs", NumCells: 800, Density: 0.7, Seed: 7}
 
 // legalizeObserved legalizes a fresh obsSpec instance with an observer
 // attached and returns the run's artifacts.
-func legalizeObserved(t *testing.T, workers int, trace *bytes.Buffer) (*core.Legalizer, *core.Report, *obs.Observer) {
+func legalizeObserved(t *testing.T, trace *bytes.Buffer) (*core.Legalizer, *core.Report, *obs.Observer) {
 	t.Helper()
 	b := bengen.Generate(obsSpec)
 	opt := obs.Options{}
@@ -27,7 +27,6 @@ func legalizeObserved(t *testing.T, workers int, trace *bytes.Buffer) (*core.Leg
 	o := obs.New(opt)
 	cfg := core.DefaultConfig()
 	cfg.Seed = 5
-	cfg.Workers = workers
 	cfg.Obs = o
 	l, err := core.NewLegalizer(b.D, cfg)
 	if err != nil {
@@ -48,103 +47,89 @@ func legalizeObserved(t *testing.T, workers int, trace *bytes.Buffer) (*core.Leg
 // Report.TotalDisp bit for bit (both walk the cells in ascending ID
 // order), and their count is exactly Report.Placed.
 func TestTraceMatchesReport(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var buf bytes.Buffer
-		_, rep, _ := legalizeObserved(t, workers, &buf)
+	var buf bytes.Buffer
+	_, rep, _ := legalizeObserved(t, &buf)
 
-		evs, err := obs.ReadTrace(&buf)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	evs, err := obs.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var finals int
+	var total float64
+	attempts := make(map[int]bool)
+	for _, ev := range evs {
+		if ev.Outcome == obs.OutcomeFinal {
+			finals++
+			total += ev.Disp
+			continue
 		}
-		var finals int
-		var total float64
-		attempts := make(map[int]bool)
-		for _, ev := range evs {
-			if ev.Outcome == obs.OutcomeFinal {
-				finals++
-				total += ev.Disp
-				continue
-			}
-			attempts[ev.Cell] = true
-		}
-		if finals != rep.Placed {
-			t.Errorf("workers=%d: %d final events, Report.Placed = %d", workers, finals, rep.Placed)
-		}
-		if total != rep.TotalDisp {
-			t.Errorf("workers=%d: trace disp total %v != Report.TotalDisp %v (must be exact)",
-				workers, total, rep.TotalDisp)
-		}
-		// Every placed cell must have at least one attempt event.
-		if len(attempts) < rep.Placed {
-			t.Errorf("workers=%d: %d cells have attempt events, %d placed", workers, len(attempts), rep.Placed)
-		}
-		if rep.Placed == 0 || len(rep.Failed) > 0 {
-			t.Fatalf("workers=%d: degenerate run %+v", workers, rep)
-		}
+		attempts[ev.Cell] = true
+	}
+	if finals != rep.Placed {
+		t.Errorf("%d final events, Report.Placed = %d", finals, rep.Placed)
+	}
+	if total != rep.TotalDisp {
+		t.Errorf("trace disp total %v != Report.TotalDisp %v (must be exact)", total, rep.TotalDisp)
+	}
+	// Every placed cell must have at least one attempt event.
+	if len(attempts) < rep.Placed {
+		t.Errorf("%d cells have attempt events, %d placed", len(attempts), rep.Placed)
+	}
+	if rep.Placed == 0 || len(rep.Failed) > 0 {
+		t.Fatalf("degenerate run %+v", rep)
 	}
 }
 
 // TestMetricsMirrorStats checks the registry counters fed at the scratch
-// merge point equal the Stats the engine itself reports, and the
-// worker-sharded plan counter sums to the attempt count regardless of
-// worker count.
+// merge point equal the Stats the engine itself reports.
 func TestMetricsMirrorStats(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		l, rep, o := legalizeObserved(t, workers, nil)
-		st := l.Stats()
-		snap := o.Registry().Snapshot()
+	l, rep, o := legalizeObserved(t, nil)
+	st := l.Stats()
+	snap := o.Registry().Snapshot()
 
-		counters := map[string]int64{
-			"mrlegal_direct_placements_total":          int64(st.DirectPlacements),
-			"mrlegal_mll_calls_total":                  int64(st.MLLCalls),
-			"mrlegal_mll_successes_total":              int64(st.MLLSuccesses),
-			"mrlegal_mll_failures_total":               int64(st.MLLFailures),
-			"mrlegal_insertion_points_evaluated_total": st.InsertionPoints,
-			"mrlegal_search_candidates_pruned_total":   st.CandidatesPruned,
-			"mrlegal_search_nodes_cut_total":           st.SearchNodesCut,
-			"mrlegal_search_windows_pruned_total":      st.WindowsPruned,
-			"mrlegal_cells_pushed_total":               st.CellsPushed,
-			"mrlegal_rounds_total":                     int64(rep.Rounds),
-			"mrlegal_cell_placements_total":            int64(rep.Placed),
+	counters := map[string]int64{
+		"mrlegal_direct_placements_total":          int64(st.DirectPlacements),
+		"mrlegal_mll_calls_total":                  int64(st.MLLCalls),
+		"mrlegal_mll_successes_total":              int64(st.MLLSuccesses),
+		"mrlegal_mll_failures_total":               int64(st.MLLFailures),
+		"mrlegal_insertion_points_evaluated_total": st.InsertionPoints,
+		"mrlegal_search_candidates_pruned_total":   st.CandidatesPruned,
+		"mrlegal_search_nodes_cut_total":           st.SearchNodesCut,
+		"mrlegal_search_windows_pruned_total":      st.WindowsPruned,
+		"mrlegal_cells_pushed_total":               st.CellsPushed,
+		"mrlegal_rounds_total":                     int64(rep.Rounds),
+		"mrlegal_cell_placements_total":            int64(rep.Placed),
+	}
+	for name, want := range counters {
+		if got, ok := snap.Counters[name]; !ok {
+			t.Errorf("%s not registered", name)
+		} else if got != want {
+			t.Errorf("%s = %d, Stats says %d", name, got, want)
 		}
-		for name, want := range counters {
-			if got, ok := snap.Counters[name]; !ok {
-				t.Errorf("workers=%d: %s not registered", workers, name)
-			} else if got != want {
-				t.Errorf("workers=%d: %s = %d, Stats says %d", workers, name, got, want)
-			}
-		}
-		attempts := snap.Counters["mrlegal_cell_attempts_total"]
-		if got := snap.Counters["mrlegal_worker_plans_total"]; workers > 1 && got != attempts {
-			// Sharded rounds plan each attempt exactly once on its lane.
-			if got < attempts {
-				t.Errorf("workers=%d: worker plans %d < attempts %d", workers, got, attempts)
-			}
-		}
-		if g := snap.Gauges["mrlegal_placed_cells"]; g != int64(rep.Placed) {
-			t.Errorf("workers=%d: placed_cells gauge %d, Report.Placed %d", workers, g, rep.Placed)
-		}
-		if h := snap.Hists["mrlegal_cell_displacement_sites"]; h.Count != int64(rep.Placed) {
-			t.Errorf("workers=%d: displacement histogram count %d, Report.Placed %d", workers, h.Count, rep.Placed)
-		}
-		if h := snap.Hists["mrlegal_run_seconds"]; h.Count != 1 {
-			t.Errorf("workers=%d: run_seconds count %d, want 1", workers, h.Count)
-		}
-		if h := snap.Hists["mrlegal_attempt_seconds"]; h.Count != attempts {
-			t.Errorf("workers=%d: attempt_seconds count %d, attempts %d", workers, h.Count, attempts)
-		}
+	}
+	attempts := snap.Counters["mrlegal_cell_attempts_total"]
+	if g := snap.Gauges["mrlegal_placed_cells"]; g != int64(rep.Placed) {
+		t.Errorf("placed_cells gauge %d, Report.Placed %d", g, rep.Placed)
+	}
+	if h := snap.Hists["mrlegal_cell_displacement_sites"]; h.Count != int64(rep.Placed) {
+		t.Errorf("displacement histogram count %d, Report.Placed %d", h.Count, rep.Placed)
+	}
+	if h := snap.Hists["mrlegal_run_seconds"]; h.Count != 1 {
+		t.Errorf("run_seconds count %d, want 1", h.Count)
+	}
+	if h := snap.Hists["mrlegal_attempt_seconds"]; h.Count != attempts {
+		t.Errorf("attempt_seconds count %d, attempts %d", h.Count, attempts)
 	}
 }
 
 // TestObsDoesNotChangePlacements is the acceptance gate for the passive
 // contract: attaching an observer must leave the placement byte-identical
-// to the disabled run, at any worker count.
+// to the disabled run.
 func TestObsDoesNotChangePlacements(t *testing.T) {
-	checksum := func(workers int, observed bool) uint64 {
+	checksum := func(observed bool) uint64 {
 		b := bengen.Generate(obsSpec)
 		cfg := core.DefaultConfig()
 		cfg.Seed = 5
-		cfg.Workers = workers
 		if observed {
 			cfg.Obs = obs.New(obs.Options{})
 		}
@@ -157,14 +142,8 @@ func TestObsDoesNotChangePlacements(t *testing.T) {
 		}
 		return b.D.PlacementChecksum()
 	}
-	ref := checksum(1, false)
-	for _, workers := range []int{1, 4} {
-		for _, observed := range []bool{false, true} {
-			if got := checksum(workers, observed); got != ref {
-				t.Errorf("workers=%d observed=%v: checksum %016x != baseline %016x",
-					workers, observed, got, ref)
-			}
-		}
+	if ref, got := checksum(false), checksum(true); got != ref {
+		t.Errorf("observed checksum %016x != baseline %016x", got, ref)
 	}
 }
 

@@ -8,10 +8,9 @@
 //	insertion intervals (§5.1.1) → scanline enumeration of valid insertion
 //	points (§5.1.3) → evaluation (§5.2) → realization (§5.3, Algorithm 2).
 //
-// All intermediate state of one pipeline instance lives in a scratch
-// struct. The serial driver reuses the legalizer's one scratch and each
-// shard thread reuses its own, so a warmed-up MLL call performs almost
-// no heap allocation.
+// All intermediate state of one pipeline call lives in a scratch struct.
+// A Legalizer keeps one and reuses it for every call, so a warmed-up MLL
+// call performs almost no heap allocation.
 package core
 
 import (
@@ -52,9 +51,7 @@ type LocalSeg struct {
 // contained in the local segments, all free to shift horizontally).
 //
 // A region is a pure snapshot: after extraction, enumeration and
-// evaluation read only region-local state, never the grid or design —
-// this is what lets the shard driver plan regions concurrently while
-// another thread commits elsewhere.
+// evaluation read only region-local state, never the grid or design.
 type Region struct {
 	D   *design.Design
 	G   *segment.Grid

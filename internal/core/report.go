@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"mrlegal/internal/design"
-	"mrlegal/internal/sched"
 )
 
 // CellFailure records why one cell could not be placed. Err wraps a
@@ -51,13 +50,6 @@ type Report struct {
 	// run.
 	Stats Stats
 
-	// ShardRouting is the spatial shard router's cumulative claim
-	// classification for the run (all-zero unless Config.Shards selected
-	// the sharded driver): interior vs seam claim counts, cross-thread
-	// ordering edges, and seam-thread dispatch activity. Deterministic for
-	// a fixed input and configuration, like Stats.
-	ShardRouting sched.ShardCounters
-
 	// Phases is the per-phase wall-clock breakdown of the run's MLL work
 	// (all-zero unless Config.PhaseTiming is on). It lives outside Stats
 	// because wall-clock durations are never run-to-run comparable, while
@@ -90,11 +82,6 @@ func (r *Report) Summary(maxFailures int) string {
 	if s := r.Stats; s.CandidatesPruned > 0 || s.SearchNodesCut > 0 || s.WindowsPruned > 0 {
 		fmt.Fprintf(&b, "\n  search: %d evaluated, %d candidates pruned, %d subtrees cut, %d windows pruned",
 			s.InsertionPoints, s.CandidatesPruned, s.SearchNodesCut, s.WindowsPruned)
-	}
-	if sr := r.ShardRouting; sr.Interior > 0 || sr.Seam > 0 {
-		total := sr.Interior + sr.Seam
-		fmt.Fprintf(&b, "\n  shard routing: %d interior, %d seam (%.1f%% seam), %d sync edges, %d seam dispatched",
-			sr.Interior, sr.Seam, 100*float64(sr.Seam)/float64(total), sr.SyncEdges, sr.SeamDispatched)
 	}
 	for i, f := range r.Failed {
 		if maxFailures > 0 && i >= maxFailures {

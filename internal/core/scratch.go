@@ -56,15 +56,10 @@ type plan struct {
 	err    error           // planFailed: reason
 }
 
-// scratch owns every reusable buffer of one MLL pipeline instance:
-// region storage, enumeration slabs, evaluation scratch and realization
-// queues, plus the per-attempt cancellation state and the stats shard.
-//
-// Concurrency contract: a scratch belongs to exactly one goroutine at a
-// time. The serial driver uses the legalizer's own scratch; the sharded
-// driver gives each shard thread its own scratch for the round. Stats
-// accumulate in the shard and are merged into Legalizer.stats only by the
-// goroutine that owns the legalizer, so the hot path needs no atomics.
+// scratch owns every reusable buffer of the MLL pipeline: region
+// storage, enumeration slabs, evaluation scratch and realization queues,
+// plus the per-attempt cancellation state and the attempt's stats, which
+// mergeScratch folds into Legalizer.stats.
 type scratch struct {
 	region Region
 
@@ -120,16 +115,12 @@ type scratch struct {
 	movedMark []bool  // by local index
 	movedList []int32
 
-	// --- per-attempt plan, stats shard, phase timing ---
+	// --- per-attempt plan, stats, phase timing ---
 	plan   plan
 	stats  Stats
 	phases PhaseTimes
 
-	// --- observability (set only when an observer is attached) ---
-	worker int // shard lane of the planning thread, -1 on the serial path
-
-	// --- per-attempt cancellation state (was on Legalizer; moved here so
-	// concurrent planners poll independent deadlines) ---
+	// --- per-attempt cancellation state (resetCancel arms it) ---
 	runCtx       context.Context
 	cellDeadline time.Time
 	checkTick    int
@@ -137,13 +128,12 @@ type scratch struct {
 }
 
 func newScratch() *scratch {
-	sc := &scratch{worker: -1}
+	sc := &scratch{}
 	sc.region.sc = sc
 	return sc
 }
 
-// scratchFor returns the legalizer's serial-path scratch, creating it on
-// first use.
+// scratchFor returns the legalizer's scratch, creating it on first use.
 func (l *Legalizer) scratchFor() *scratch {
 	if l.sc == nil {
 		l.sc = newScratch()
@@ -151,10 +141,8 @@ func (l *Legalizer) scratchFor() *scratch {
 	return l.sc
 }
 
-// mergeScratch folds the scratch's stats shard and phase times into the
-// legalizer totals and clears the shard. Only the goroutine owning the
-// legalizer (the serial caller, or the sharded driver after its join)
-// calls this.
+// mergeScratch folds the scratch's stats and phase times into the
+// legalizer totals and clears them.
 func (l *Legalizer) mergeScratch(sc *scratch) {
 	if l.om != nil {
 		l.om.addMerge(&sc.stats, &sc.phases)

@@ -138,18 +138,17 @@ func TestSessionDirtyCellsMatchUndoLog(t *testing.T) {
 
 // TestSessionFailedBatchLeavesNoTrace applies insert batches of 1-12
 // cells to the dirty fixture with MaxRounds 3 and no window escalation,
-// so batches run out of rounds, under a serial, a 4-worker and an
+// so batches run out of rounds, under the default and an
 // audit-every-placement config. A batch's rounds stay inside its one
-// transaction whatever Workers and AuditEvery say, so every failed batch
-// must leave the placement, the roster, the grid and legality as they
-// were, and all three configs must end on the same placement.
+// transaction whatever AuditEvery says, so every failed batch must leave
+// the placement, the roster, the grid and legality as they were, and
+// both configs must end on the same placement.
 func TestSessionFailedBatchLeavesNoTrace(t *testing.T) {
 	variants := []struct {
 		name string
 		mut  func(*Config)
 	}{
 		{"serial", nil},
-		{"workers4", func(c *Config) { c.Workers = 4 }},
 		{"audit1", func(c *Config) { c.AuditEvery = 1 }},
 	}
 	var sums []uint64

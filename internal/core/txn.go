@@ -51,15 +51,6 @@ func (l *Legalizer) Begin() (*Txn, error) {
 	return t, nil
 }
 
-// newDetachedTxn opens a transaction outside the legalizer's
-// active-transaction slot. The sharded round driver (shard.go) gives
-// each shard worker its own batch transaction and installs it into the
-// slot only for the duration of a commit critical section, so Begin's
-// one-at-a-time rule keeps holding for every path that goes through it.
-func newDetachedTxn(l *Legalizer) *Txn {
-	return &Txn{l: l, latest: make(map[design.CellID]int)}
-}
-
 // touch routes a mutation notification to the active transaction, if any.
 func (l *Legalizer) touch(id design.CellID) {
 	if l.txn != nil {

@@ -219,8 +219,7 @@ func TestTxnNestedBeginFails(t *testing.T) {
 // undoProbe is a FaultInjector that injects nothing. At every primary
 // grid insert it reads how many undo records the active transaction
 // holds from before the current attempt's savepoint (Txn.lastMark), and
-// how many the attempt itself has logged. Inserts run under gridMu's
-// write side on every driver, so its fields need no lock of their own.
+// how many the attempt itself has logged.
 type undoProbe struct {
 	l      *Legalizer
 	window int // with audits on: the AuditEvery cadence
@@ -255,27 +254,23 @@ func (p *undoProbe) OnRealize(design.CellID) {}
 func (p *undoProbe) OnAudit() bool           { return false }
 
 // TestUndoLogHoldsOnlyOpenAttempt checks that a full run without audits
-// keeps undo records for the open attempt only, serially and on the
-// shard driver, and that an audited run still keeps its batch's records
-// for the audit to roll back.
+// keeps undo records for the open attempt only, and that an audited run
+// still keeps its batch's records for the audit to roll back.
 func TestUndoLogHoldsOnlyOpenAttempt(t *testing.T) {
-	// The audited runs are smaller: each audit verifies the whole design.
+	// The audited run is smaller: each audit verifies the whole design.
 	for _, v := range []struct {
 		name       string
-		workers    int
 		auditEvery int
 		cells      int
 	}{
-		{"serial", 0, 0, 20_000},
-		{"workers4", 4, 0, 20_000},
-		{"serial audit50", 0, 50, 5_000},
-		{"workers4 audit50", 4, 50, 5_000},
+		{"serial", 0, 20_000},
+		{"serial audit50", 50, 5_000},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			d := bengen.GenerateSized(bengen.SizeSpec{Name: "undo", NumCells: v.cells, Seed: 7})
 			p := &undoProbe{window: v.auditEvery, own: map[*Txn][]int{}}
 			cfg := DefaultConfig()
-			cfg.Workers, cfg.AuditEvery, cfg.Faults = v.workers, v.auditEvery, p
+			cfg.AuditEvery, cfg.Faults = v.auditEvery, p
 			l, err := NewLegalizer(d, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -21,11 +21,10 @@ import (
 )
 
 // The golden determinism suite pins one placement checksum per Table-1
-// benchmark and recomputes it under every scheduling and search mode the
-// engine claims is result-identical: (workers ∈ {1, 4} ∪ shards ∈ {1, 4})
-// × {best-first, exhaustive} search. Any divergence — between
-// configurations, between machines, or against the pinned file — is a
-// determinism regression.
+// benchmark and recomputes it under every configuration the engine
+// claims is result-identical: best-first and exhaustive search, and an
+// empty constraint set. Any divergence — between configurations, between
+// machines, or against the pinned file — is a determinism regression.
 //
 // Regenerate testdata/golden_checksums.txt after an intentional
 // algorithmic change with:
@@ -33,13 +32,13 @@ import (
 //	go test ./internal/experiments -run TestGoldenPlacements -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_checksums.txt from this run")
 
-// goldenScale keeps the 20-benchmark × 4-configuration sweep fast enough
+// goldenScale keeps the 20-benchmark × 3-configuration sweep fast enough
 // for CI race mode while still exercising multi-row cells and retries.
 const goldenScale = 800
 
 const goldenFile = "testdata/golden_checksums.txt"
 
-// goldenConfigs are the nine configurations whose placements must agree.
+// goldenConfigs are the three configurations whose placements must agree.
 func goldenConfigs() []struct {
 	tag string
 	cfg core.Config
@@ -54,28 +53,10 @@ func goldenConfigs() []struct {
 			cfg core.Config
 		}{tag, cfg})
 	}
-	mode := func(exhaustive bool) string {
-		if exhaustive {
-			return "exhaustive"
-		}
-		return "best-first"
-	}
-	for _, workers := range []int{1, 4} {
-		for _, exhaustive := range []bool{false, true} {
-			cfg := core.DefaultConfig()
-			cfg.Workers = workers
-			cfg.ExhaustiveSearch = exhaustive
-			add(fmt.Sprintf("w%d/%s", workers, mode(exhaustive)), cfg)
-		}
-	}
-	for _, shards := range []int{1, 4} {
-		for _, exhaustive := range []bool{false, true} {
-			cfg := core.DefaultConfig()
-			cfg.Shards = shards
-			cfg.ExhaustiveSearch = exhaustive
-			add(fmt.Sprintf("s%d/%s", shards, mode(exhaustive)), cfg)
-		}
-	}
+	add("best-first", core.DefaultConfig())
+	exhaustive := core.DefaultConfig()
+	exhaustive.ExhaustiveSearch = true
+	add("exhaustive", exhaustive)
 	// Empty-constraint-set byte-identity: a non-nil Set composing zero
 	// plugins must reproduce the unconstrained placements exactly — the
 	// plugin layer wired but enforcing nothing stays on the original
@@ -87,7 +68,7 @@ func goldenConfigs() []struct {
 		}
 		cfg := core.DefaultConfig()
 		cfg.Constraints = empty
-		add("w1/empty-constraints", cfg)
+		add("empty-constraints", cfg)
 	}
 	return out
 }
@@ -142,10 +123,10 @@ func writeGolden(t *testing.T, goldenFile, header string, sums map[string]uint64
 	}
 }
 
-// TestGoldenPlacements legalizes every Table-1 benchmark under all four
-// configurations and checks (a) the four checksums agree — placements are
-// byte-identical across worker counts and search modes — and (b) they
-// match the pinned golden values.
+// TestGoldenPlacements legalizes every Table-1 benchmark under every
+// golden configuration and checks (a) the checksums agree — placements
+// are byte-identical across search modes and with an empty constraint
+// set — and (b) they match the pinned golden values.
 func TestGoldenPlacements(t *testing.T) {
 	specs := bengen.Table1Specs(goldenScale)
 	configs := goldenConfigs()
@@ -208,8 +189,8 @@ const goldenConstraintFile = "testdata/golden_constraints.txt"
 // suite multiplies the benchmark sweep by four plugin configurations,
 // so it runs on smaller instances to keep CI race mode fast. The core
 // differential suite (internal/core/constraint_equiv_test.go) covers
-// the full workers × shards × search-mode matrix; the golden file pins
-// the placements against silent drift.
+// both search modes; the golden file pins the placements against silent
+// drift.
 const goldenConstraintScale = 2000
 
 // goldenConstraintSets are the plugin configurations pinned per
@@ -260,9 +241,8 @@ func goldenConstraintSets(t *testing.T, d *design.Design) []struct {
 }
 
 // TestGoldenConstraintPlacements pins one placement checksum per
-// Table-1 benchmark × plugin configuration, recomputed under Workers=1
-// and Workers=4 (which must agree), and requires every run to pass the
-// plugins' verify.Check oracles with zero violations. Regenerate
+// Table-1 benchmark × plugin configuration and requires every run to
+// pass the plugins' verify.Check oracles with zero violations. Regenerate
 // testdata/golden_constraints.txt with -update-golden.
 func TestGoldenConstraintPlacements(t *testing.T) {
 	specs := bengen.Table1Specs(goldenConstraintScale)
@@ -271,37 +251,26 @@ func TestGoldenConstraintPlacements(t *testing.T) {
 		p := Prepare(spec, 0)
 		for _, cs := range goldenConstraintSets(t, p.Bench.D) {
 			key := spec.Name + "/" + cs.name
-			var ref uint64
-			for i, workers := range []int{1, 4} {
-				d := p.Bench.D.Clone()
-				cfg := core.DefaultConfig()
-				cfg.Seed = 1
-				cfg.Workers = workers
-				cfg.Constraints = cs.set
-				l, err := core.NewLegalizer(d, cfg)
-				if err != nil {
-					t.Fatalf("%s w%d: %v", key, workers, err)
-				}
-				rep, err := l.LegalizeBestEffort(context.Background())
-				if err != nil {
-					t.Fatalf("%s w%d: %v", key, workers, err)
-				}
-				for _, v := range verify.Check(d, verify.Options{
-					RequirePlaced:  len(rep.Failed) == 0,
-					PowerAlignment: cfg.PowerAlign,
-					Extra:          cs.set.Checkers(),
-				}, 0) {
-					t.Errorf("%s w%d: %s", key, workers, v)
-				}
-				sum := d.PlacementChecksum()
-				if i == 0 {
-					ref = sum
-				} else if sum != ref {
-					t.Errorf("%s: w%d checksum %016x differs from w1 checksum %016x",
-						key, workers, sum, ref)
-				}
+			d := p.Bench.D.Clone()
+			cfg := core.DefaultConfig()
+			cfg.Seed = 1
+			cfg.Constraints = cs.set
+			l, err := core.NewLegalizer(d, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
 			}
-			sums[key] = ref
+			rep, err := l.LegalizeBestEffort(context.Background())
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			for _, v := range verify.Check(d, verify.Options{
+				RequirePlaced:  len(rep.Failed) == 0,
+				PowerAlignment: cfg.PowerAlign,
+				Extra:          cs.set.Checkers(),
+			}, 0) {
+				t.Errorf("%s: %s", key, v)
+			}
+			sums[key] = d.PlacementChecksum()
 		}
 	}
 

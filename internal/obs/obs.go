@@ -1,8 +1,8 @@
 // Package obs is the legalizer's observability layer: a race-safe,
-// allocation-disciplined metrics registry (counters, gauges, histograms,
-// per-worker sharded counters), a bounded per-cell event ring, a JSONL
-// trace sink and a Prometheus text-format exposition (docs/OBSERVABILITY.md
-// catalogs every metric and the trace schema).
+// allocation-disciplined metrics registry (counters, gauges and
+// histograms), a bounded per-cell event ring, a JSONL trace sink and a
+// Prometheus text-format exposition (docs/OBSERVABILITY.md catalogs
+// every metric and the trace schema).
 //
 // The layer is strictly passive: nothing in this package reads or mutates
 // design or grid state, and the engine consults it only through nil-checked
@@ -10,10 +10,9 @@
 // instrumentation site and placements are byte-identical with it on or off.
 //
 // Concurrency contract: every exported mutation (Counter.Add, Gauge.Set,
-// Histogram.Observe, ShardedCounter.Add, Observer.RecordCell) is safe from
-// any number of goroutines. Reads (Value, Snapshot, WritePrometheus,
-// Events) observe a consistent merged view: sharded counters sum their
-// per-worker shards on read, so worker-local increments never contend.
+// Histogram.Observe, Observer.RecordCell) is safe from any number of
+// goroutines, and so is every read (Value, Snapshot, WritePrometheus,
+// Events).
 package obs
 
 import (
@@ -125,6 +124,5 @@ type CellEvent struct {
 	Evaluated int64         `json:"evaluated"` // insertion points evaluated by the attempt
 	Pruned    int64         `json:"pruned"`    // candidates + subtrees + windows pruned
 	Disp      float64       `json:"disp"`      // displacement in site widths (placed cells)
-	Worker    int           `json:"worker"`    // planning worker (-1 = serial path)
 	Dur       time.Duration `json:"dur_ns"`    // attempt wall time (plan + commit)
 }

@@ -46,9 +46,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, c := range r.counters {
 		add(c.metricMeta, "counter", counterLine(c.Value()))
 	}
-	for _, c := range r.sharded {
-		add(c.metricMeta, "counter", counterLine(c.Value()))
-	}
 	for _, g := range r.gauges {
 		add(g.metricMeta, "gauge", counterLine(g.Value()))
 	}

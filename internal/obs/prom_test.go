@@ -14,9 +14,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Counter("zz_total", "last family").Add(7)
 	r.Counter("aa_total", "first family").Add(3)
 	r.Gauge("mid_gauge", "a gauge").Set(-4)
-	sc := r.ShardedCounter("sharded_total", "a sharded counter", 4)
-	sc.Add(0, 5)
-	sc.Add(3, 6)
 
 	h := r.Histogram("lat_seconds", "a histogram", []float64{0.5, 2})
 	h.Observe(0.25)
@@ -57,9 +54,6 @@ phase_seconds_bucket{phase="realize",le="1"} 1
 phase_seconds_bucket{phase="realize",le="+Inf"} 1
 phase_seconds_sum{phase="realize"} 0.5
 phase_seconds_count{phase="realize"} 1
-# HELP sharded_total a sharded counter
-# TYPE sharded_total counter
-sharded_total 11
 # HELP zz_total last family
 # TYPE zz_total counter
 zz_total 7

@@ -16,7 +16,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	sharded  map[string]*ShardedCounter
 }
 
 // NewRegistry returns an empty registry.
@@ -25,7 +24,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		sharded:  make(map[string]*ShardedCounter),
 	}
 }
 
@@ -209,70 +207,7 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all samples observed.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// ShardedCounter is a counter with one shard per worker: each worker
-// increments its own cache-line-padded slot without contention and Value
-// merges the shards on read. Shard indices outside [0, shards) fall back
-// to shard 0, so the serial path (worker −1) stays valid.
-type ShardedCounter struct {
-	metricMeta
-	shards []paddedInt64
-}
-
-type paddedInt64 struct {
-	v atomic.Int64
-	_ [56]byte // pad to a cache line so neighboring shards never false-share
-}
-
-// ShardedCounter returns the sharded counter with the given name, creating
-// it with the given shard count (≥ 1) on first use.
-func (r *Registry) ShardedCounter(name, help string, shards int) *ShardedCounter {
-	r.mu.RLock()
-	s := r.sharded[name]
-	r.mu.RUnlock()
-	if s != nil {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s = r.sharded[name]; s == nil {
-		if shards < 1 {
-			shards = 1
-		}
-		s = &ShardedCounter{
-			metricMeta: metricMeta{name: name, base: splitLabels(name), help: help},
-			shards:     make([]paddedInt64, shards),
-		}
-		r.sharded[name] = s
-	}
-	return s
-}
-
-// Add increments the worker's shard by d.
-func (s *ShardedCounter) Add(worker int, d int64) {
-	if worker < 0 || worker >= len(s.shards) {
-		worker = 0
-	}
-	s.shards[worker].v.Add(d)
-}
-
-// Value merges every shard.
-func (s *ShardedCounter) Value() int64 {
-	var t int64
-	for i := range s.shards {
-		t += s.shards[i].v.Load()
-	}
-	return t
-}
-
-// ShardValue returns one shard's contribution (0 for out-of-range shards).
-func (s *ShardedCounter) ShardValue(worker int) int64 {
-	if worker < 0 || worker >= len(s.shards) {
-		return 0
-	}
-	return s.shards[worker].v.Load()
-}
-
-// Snapshot is a point-in-time copy of every metric's merged value, for
+// Snapshot is a point-in-time copy of every metric's value, for
 // tests and debugging.
 type Snapshot struct {
 	Counters map[string]int64
@@ -286,20 +221,16 @@ type HistSnapshot struct {
 	Sum   float64
 }
 
-// Snapshot copies the current merged value of every registered metric.
-// Sharded counters appear in Counters under their registered name.
+// Snapshot copies the current value of every registered metric.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := Snapshot{
-		Counters: make(map[string]int64, len(r.counters)+len(r.sharded)),
+		Counters: make(map[string]int64, len(r.counters)),
 		Gauges:   make(map[string]int64, len(r.gauges)),
 		Hists:    make(map[string]HistSnapshot, len(r.hists)),
 	}
 	for n, c := range r.counters {
-		s.Counters[n] = c.Value()
-	}
-	for n, c := range r.sharded {
 		s.Counters[n] = c.Value()
 	}
 	for n, g := range r.gauges {

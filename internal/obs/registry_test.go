@@ -23,7 +23,6 @@ func TestRegistryRace(t *testing.T) {
 	c := r.Counter("race_counter_total", "h")
 	g := r.Gauge("race_gauge", "h")
 	h := r.Histogram("race_hist", "h", []float64{1, 2, 4})
-	s := r.ShardedCounter("race_sharded_total", "h", workers)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -34,7 +33,6 @@ func TestRegistryRace(t *testing.T) {
 				c.Inc()
 				g.Set(int64(i))
 				h.Observe(float64(i % 5))
-				s.Add(w, 1)
 				o.RecordCell(CellEvent{Cell: w, Round: i})
 				if i%256 == 0 {
 					// Concurrent readers must see a consistent view.
@@ -53,71 +51,11 @@ func TestRegistryRace(t *testing.T) {
 	if got := h.Count(); got != want {
 		t.Errorf("histogram count: got %d, want %d", got, want)
 	}
-	if got := s.Value(); got != want {
-		t.Errorf("sharded counter merged: got %d, want %d", got, want)
-	}
 	if got := o.Ring().Total(); got != uint64(want) {
 		t.Errorf("ring total: got %d, want %d", got, want)
 	}
 	if got := o.Ring().Len(); got != 128 {
 		t.Errorf("ring len: got %d, want capacity 128", got)
-	}
-}
-
-// TestShardedCounterWorkerInvariance distributes the same logical work
-// over different shard counts and checks the merged total is invariant —
-// the property the per-worker scheduler metrics rely on.
-func TestShardedCounterWorkerInvariance(t *testing.T) {
-	const totalWork = 12000
-	var totals []int64
-	for _, workers := range []int{1, 2, 4, 8} {
-		r := NewRegistry()
-		s := r.ShardedCounter("work_total", "h", workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < totalWork/workers; i++ {
-					s.Add(w, 1)
-				}
-			}(w)
-		}
-		wg.Wait()
-		totals = append(totals, s.Value())
-		var shardSum int64
-		for w := 0; w < workers; w++ {
-			shardSum += s.ShardValue(w)
-		}
-		if shardSum != s.Value() {
-			t.Errorf("workers=%d: shard sum %d != merged %d", workers, shardSum, s.Value())
-		}
-	}
-	for i := 1; i < len(totals); i++ {
-		if totals[i] != totals[0] {
-			t.Fatalf("merged totals vary with worker count: %v", totals)
-		}
-	}
-	if totals[0] != totalWork {
-		t.Fatalf("merged total %d, want %d", totals[0], totalWork)
-	}
-}
-
-// TestShardedCounterOutOfRange routes out-of-range worker indices (the
-// serial path's −1) to shard 0 instead of panicking.
-func TestShardedCounterOutOfRange(t *testing.T) {
-	r := NewRegistry()
-	s := r.ShardedCounter("oob_total", "h", 2)
-	s.Add(-1, 3)
-	s.Add(99, 4)
-	if got := s.ShardValue(0); got != 7 {
-		t.Errorf("shard 0: got %d, want 7", got)
-	}
-	if got := s.Value(); got != 7 {
-		t.Errorf("merged: got %d, want 7", got)
-	}
-	if got := s.ShardValue(99); got != 0 {
-		t.Errorf("ShardValue(99): got %d, want 0", got)
 	}
 }
 
@@ -156,9 +94,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 	if r.Histogram("h", "h", []float64{1}) != r.Histogram("h", "h", nil) {
 		t.Error("Histogram not idempotent")
-	}
-	if r.ShardedCounter("s_total", "h", 2) != r.ShardedCounter("s_total", "h", 8) {
-		t.Error("ShardedCounter not idempotent")
 	}
 }
 

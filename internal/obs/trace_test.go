@@ -14,9 +14,9 @@ func TestTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	o := New(Options{RingSize: 8, TraceOut: &buf})
 	in := []CellEvent{
-		{Cell: 3, Round: 1, Outcome: OutcomeDirect, WinW: 30, WinH: 5, Worker: -1, Dur: 1500 * time.Nanosecond},
-		{Cell: 9, Round: 2, Outcome: OutcomeMLL, Evaluated: 17, Pruned: 4, Disp: 2.5, Worker: 3, Dur: time.Millisecond},
-		{Cell: 9, Outcome: OutcomeFinal, Disp: 2.5, Worker: -1},
+		{Cell: 3, Round: 1, Outcome: OutcomeDirect, WinW: 30, WinH: 5, Dur: 1500 * time.Nanosecond},
+		{Cell: 9, Round: 2, Outcome: OutcomeMLL, Evaluated: 17, Pruned: 4, Disp: 2.5, Dur: time.Millisecond},
+		{Cell: 9, Outcome: OutcomeFinal, Disp: 2.5},
 	}
 	for _, ev := range in {
 		o.RecordCell(ev)

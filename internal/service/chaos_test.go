@@ -72,7 +72,6 @@ func TestChaosServiceUnderFaultsAndOverload(t *testing.T) {
 	wantFailed := make([]int, benches)
 	for i, text := range texts {
 		cfg := core.DefaultConfig()
-		cfg.Workers = 1
 		cfg.Faults = &faultinject.Injector{FailInsertEvery: cellFault}
 		rep, sum := directReport(t, text, cfg)
 		wantSum[i] = fmt.Sprintf("%016x", sum)

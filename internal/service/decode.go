@@ -30,16 +30,9 @@ type Limits struct {
 	MaxRows int
 	// MaxNets caps the net count. Default 4,000,000.
 	MaxNets int
-	// MaxDeadline caps the client-requested job deadline. Default 10m.
+	// MaxDeadline caps the client-requested job deadline and the per-job
+	// cell timeout. Default 10m.
 	MaxDeadline time.Duration
-	// MaxWorkers caps the per-job "workers" value a client may request,
-	// which runs that many spatial shards when "shards" is absent (and is
-	// then capped by MaxShards too). Default 4 (the pool provides
-	// cross-job parallelism).
-	MaxWorkers int
-	// MaxShards caps the per-job spatial shard count a client may
-	// request. Default 16.
-	MaxShards int
 	// MaxDeltasPerBatch caps the deltas one session frame may carry.
 	// Default 10,000.
 	MaxDeltasPerBatch int
@@ -59,12 +52,6 @@ func (l *Limits) defaults() {
 	}
 	if l.MaxDeadline <= 0 {
 		l.MaxDeadline = 10 * time.Minute
-	}
-	if l.MaxWorkers <= 0 {
-		l.MaxWorkers = 4
-	}
-	if l.MaxShards <= 0 {
-		l.MaxShards = 16
 	}
 	if l.MaxDeltasPerBatch <= 0 {
 		l.MaxDeltasPerBatch = 10_000
@@ -205,8 +192,6 @@ type ConfigJSON struct {
 	Seed             *int64 `json:"seed,omitempty"`
 	MaxRounds        *int   `json:"max_rounds,omitempty"`
 	ExhaustiveSearch *bool  `json:"exhaustive_search,omitempty"`
-	Workers          *int   `json:"workers,omitempty"`
-	Shards           *int   `json:"shards,omitempty"`
 	CellTimeoutMS    *int64 `json:"cell_timeout_ms,omitempty"`
 	AuditEvery       *int   `json:"audit_every,omitempty"`
 	// Constraints is a ';'-separated constraint-plugin spec string
@@ -338,14 +323,24 @@ func decodeSubmitReq(req *SubmitRequest, text []byte, base core.Config, lim Limi
 		return nil, err
 	}
 
-	if req.DeadlineMS < 0 {
-		return nil, badf("deadline_ms must be non-negative")
-	}
-	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
-	if deadline > lim.MaxDeadline {
-		deadline = lim.MaxDeadline
+	deadline, err := jobDeadline(req.DeadlineMS, lim)
+	if err != nil {
+		return nil, err
 	}
 	return &jobPayload{d: d, nl: nl, cfg: cfg, deadline: deadline}, nil
+}
+
+// jobDeadline turns a request's deadline_ms into the job deadline,
+// clamped to lim.MaxDeadline. The clamp compares milliseconds, because
+// a huge deadline_ms converted to a time.Duration first would wrap.
+func jobDeadline(ms int64, lim Limits) (time.Duration, error) {
+	if ms < 0 {
+		return 0, badf("deadline_ms must be non-negative")
+	}
+	if ms > lim.MaxDeadline.Milliseconds() {
+		return lim.MaxDeadline, nil
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 func buildDesign(dj *DesignJSON, lim Limits) (*design.Design, *netlist.Netlist, error) {
@@ -554,17 +549,6 @@ func applyConfig(base core.Config, cj *ConfigJSON, lim Limits) (core.Config, err
 	if err := setInt(&cfg.MaxRounds, cj.MaxRounds, "max_rounds", 1, 100_000); err != nil {
 		return cfg, err
 	}
-	if err := setInt(&cfg.Workers, cj.Workers, "workers", 1, lim.MaxWorkers); err != nil {
-		return cfg, err
-	}
-	if err := setInt(&cfg.Shards, cj.Shards, "shards", 0, lim.MaxShards); err != nil {
-		return cfg, err
-	}
-	// Workers is the shard count when Shards is 0, so a requested workers
-	// value must respect MaxShards too.
-	if cj.Workers != nil && cfg.Shards == 0 && cfg.Workers > lim.MaxShards {
-		return cfg, badf("config: workers=%d without shards runs %d shards, over the cap of %d", cfg.Workers, cfg.Workers, lim.MaxShards)
-	}
 	if err := setInt(&cfg.AuditEvery, cj.AuditEvery, "audit_every", 0, 1_000_000); err != nil {
 		return cfg, err
 	}
@@ -588,10 +572,12 @@ func applyConfig(base core.Config, cj *ConfigJSON, lim Limits) (core.Config, err
 		cfg.Constraints = set
 	}
 	if cj.CellTimeoutMS != nil {
-		if *cj.CellTimeoutMS < 0 || time.Duration(*cj.CellTimeoutMS)*time.Millisecond > lim.MaxDeadline {
-			return cfg, badf("config: cell_timeout_ms=%d out of range", *cj.CellTimeoutMS)
+		// Compared in milliseconds: converting first can overflow.
+		ms := *cj.CellTimeoutMS
+		if ms < 0 || ms > lim.MaxDeadline.Milliseconds() {
+			return cfg, badf("config: cell_timeout_ms=%d out of range", ms)
 		}
-		cfg.CellTimeout = time.Duration(*cj.CellTimeoutMS) * time.Millisecond
+		cfg.CellTimeout = time.Duration(ms) * time.Millisecond
 	}
 	return cfg, nil
 }

@@ -69,7 +69,7 @@ func TestDecodeSubmitDesignJSON(t *testing.T) {
 				{Cell: 0, DX: 1, DY: 0.5}, {Cell: 1, DX: 0, DY: 0}, {Cell: -1, DX: 40, DY: 2},
 			}}},
 		},
-		Config: &ConfigJSON{Rx: intp(20), Workers: intp(2), Shards: intp(4), Seed: int64p(7)},
+		Config: &ConfigJSON{Rx: intp(20), Seed: int64p(7)},
 	}
 	p, err := DecodeSubmit(strings.NewReader(submitJSON(t, req)), core.DefaultConfig(), Limits{})
 	if err != nil {
@@ -81,7 +81,7 @@ func TestDecodeSubmitDesignJSON(t *testing.T) {
 	if !p.d.Cells[2].Fixed || !p.d.Cells[2].Placed {
 		t.Fatal("fixed cell lost")
 	}
-	if p.cfg.Rx != 20 || p.cfg.Workers != 2 || p.cfg.Shards != 4 || p.cfg.Seed != 7 {
+	if p.cfg.Rx != 20 || p.cfg.Seed != 7 {
 		t.Fatalf("config overrides lost: %+v", p.cfg)
 	}
 	// The legalizer must accept what the decoder admits.
@@ -153,6 +153,11 @@ func TestDecodeSubmitRejects(t *testing.T) {
 		}
 		return strings.Join(keep, "\n")
 	}
+	// withConfig is a valid submission whose config object holds fields.
+	withConfig := func(fields string) string {
+		return strings.Replace(submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{}}),
+			`"config":{}`, `"config":{`+fields+`}`, 1)
+	}
 	cases := []struct {
 		name string
 		body string
@@ -172,13 +177,17 @@ func TestDecodeSubmitRejects(t *testing.T) {
 		{"bookshelf no aux", submitJSON(t, SubmitRequest{Bookshelf: &BookshelfJSON{}}), Limits{}},
 		{"bookshelf missing file", submitJSON(t, SubmitRequest{Bookshelf: &BookshelfJSON{Aux: "q.aux"}}), Limits{}},
 		{"config out of range", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{Rx: intp(-3)}}), Limits{}},
-		{"config workers over cap", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{Workers: intp(64)}}), Limits{}},
-		{"config shards over cap", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{Shards: intp(64)}}), Limits{}},
-		{"config workers over shard cap", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{Workers: intp(4)}}), Limits{MaxShards: 2}},
-		{"config extract_cache", strings.Replace(submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{}}),
-			`"config":{}`, `"config":{"extract_cache":true}`, 1), Limits{}},
-		{"config negative shards", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{Shards: intp(-1)}}), Limits{}},
+		// workers and shards are not config fields: any value is rejected.
+		{"config workers over cap", withConfig(`"workers":64`), Limits{}},
+		{"config shards over cap", withConfig(`"shards":64`), Limits{}},
+		{"config workers over shard cap", withConfig(`"workers":4`), Limits{}},
+		{"config extract_cache", withConfig(`"extract_cache":true`), Limits{}},
+		{"config negative shards", withConfig(`"shards":-1`), Limits{}},
 		{"config bad cell timeout", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{CellTimeoutMS: int64p(-5)}}), Limits{}},
+		// Past MaxDeadline by far: a timeout converted to time.Duration
+		// before the comparison wraps negative or tiny instead.
+		{"config cell timeout wraps negative", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{CellTimeoutMS: int64p(9_223_372_036_855)}}), Limits{}},
+		{"config cell timeout wraps small", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{CellTimeoutMS: int64p(18_446_744_073_710)}}), Limits{}},
 		{"config bad constraints", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{Constraints: strp("zoneplate:q=1")}}), Limits{}},
 		{"design json empty rows", `{"design":{"name":"x","site_w":200,"site_h":2000,"masters":[],"cells":[],"rows":[]}}`, Limits{}},
 		{"design json row disorder", `{"design":{"name":"x","site_w":200,"site_h":2000,"rows":[{"y":1,"lo":0,"hi":10}],"masters":[],"cells":[]}}`, Limits{}},
@@ -267,13 +276,18 @@ func TestDecodeSubmitNetLimit(t *testing.T) {
 // Limits.MaxDeadline is clamped, not rejected.
 func TestDecodeSubmitDeadlineCapped(t *testing.T) {
 	lim := Limits{MaxDeadline: time.Second}
-	body := submitJSON(t, SubmitRequest{DesignText: benchText(t, 5, 1), DeadlineMS: 3_600_000})
-	p, err := DecodeSubmit(strings.NewReader(body), core.DefaultConfig(), lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.deadline != time.Second {
-		t.Fatalf("deadline not capped: %v", p.deadline)
+	text := benchText(t, 5, 1)
+	// The last two overflow time.Duration when converted before the
+	// clamp: one wraps negative (no deadline at all), one to 448µs.
+	for _, ms := range []int64{3_600_000, 9_223_372_036_855, 18_446_744_073_710} {
+		body := submitJSON(t, SubmitRequest{DesignText: text, DeadlineMS: ms})
+		p, err := DecodeSubmit(strings.NewReader(body), core.DefaultConfig(), lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.deadline != time.Second {
+			t.Errorf("deadline_ms %d: deadline %v, want it capped at 1s", ms, p.deadline)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"mrlegal/internal/core"
 )
@@ -26,7 +27,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 	f.Add(submitJSON(f, SubmitRequest{DesignText: valid, DeadlineMS: 1000}))
 	f.Add(submitJSON(f, SubmitRequest{
 		DesignText: valid,
-		Config:     &ConfigJSON{Rx: intp(20), Ry: intp(3), Workers: intp(2), Seed: int64p(7)},
+		Config:     &ConfigJSON{Rx: intp(20), Ry: intp(3), Seed: int64p(7)},
 	}))
 	f.Add(`{"design":{"name":"j","site_w":200,"site_h":2000,` +
 		`"rows":[{"y":0,"lo":0,"hi":50},{"y":1,"lo":0,"hi":50}],` +
@@ -112,12 +113,18 @@ func FuzzDecodeSubmit(f *testing.F) {
 		f.Add(s)
 	}
 
+	// Milliseconds that overflow time.Duration when converted before the
+	// MaxDeadline comparison: one wraps negative, one to 448µs.
+	for _, ms := range []int64{9_223_372_036_855, 18_446_744_073_710} {
+		f.Add(submitJSON(f, SubmitRequest{DesignText: valid, DeadlineMS: ms}))
+		f.Add(submitJSON(f, SubmitRequest{DesignText: valid, Config: &ConfigJSON{CellTimeoutMS: int64p(ms)}}))
+	}
+
 	// Small limits keep hostile payloads cheap: the fuzzer explores
 	// structure, not scale.
 	lim := Limits{MaxCells: 2000, MaxRows: 256, MaxNets: 2000}
 	lim.defaults()
 	base := core.DefaultConfig()
-	base.Workers = 1
 
 	f.Fuzz(func(t *testing.T, body string) {
 		p, tenant, err := decodeSubmitBody(strings.NewReader(body), base, lim)
@@ -130,6 +137,24 @@ func FuzzDecodeSubmit(f *testing.F) {
 		rp, rreq, rerr := referenceDecodeSubmitBody(strings.NewReader(body), base, lim)
 		if diff := samePayload(p, tenant, err, rp, rreq, rerr); diff != "" {
 			t.Fatal(diff)
+		}
+		if err != nil {
+			return
+		}
+		// An admitted job's deadline is deadline_ms capped at MaxDeadline,
+		// and its cell timeout is cell_timeout_ms, which must not exceed it.
+		want := lim.MaxDeadline
+		if ms := rreq.DeadlineMS; ms < lim.MaxDeadline.Milliseconds() {
+			want = time.Duration(ms) * time.Millisecond
+		}
+		if p.deadline != want {
+			t.Fatalf("deadline_ms %d: deadline %v, want %v", rreq.DeadlineMS, p.deadline, want)
+		}
+		if c := rreq.Config; c != nil && c.CellTimeoutMS != nil {
+			ms := *c.CellTimeoutMS
+			if ms > lim.MaxDeadline.Milliseconds() || p.cfg.CellTimeout != time.Duration(ms)*time.Millisecond {
+				t.Fatalf("cell_timeout_ms %d admitted as %v (MaxDeadline %v)", ms, p.cfg.CellTimeout, lim.MaxDeadline)
+			}
 		}
 	})
 }

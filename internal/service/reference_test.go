@@ -5,15 +5,15 @@ package service
 // renamed) as the reference FuzzDecodeSubmit holds decodeSubmitBody to.
 // It shares the helpers that did not change: wrapDecodeErr, buildDesign,
 // readBookshelf, validateDesign (which now also rejects non-finite pin
-// offsets and fixed cells with no position, on both sides alike) and
-// applyConfig, and iodesign.Read, which FuzzRead holds to its own
-// reference.
+// offsets and fixed cells with no position, on both sides alike),
+// applyConfig, jobDeadline (the deadline clamp, shared since it stopped
+// overflowing on a huge deadline_ms) and iodesign.Read, which FuzzRead
+// holds to its own reference.
 
 import (
 	"encoding/json"
 	"io"
 	"strings"
-	"time"
 
 	"mrlegal/internal/core"
 	"mrlegal/internal/design"
@@ -94,12 +94,9 @@ func referenceDecodeSubmitReq(req *SubmitRequest, base core.Config, lim Limits) 
 		return nil, err
 	}
 
-	if req.DeadlineMS < 0 {
-		return nil, badf("deadline_ms must be non-negative")
-	}
-	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
-	if deadline > lim.MaxDeadline {
-		deadline = lim.MaxDeadline
+	deadline, err := jobDeadline(req.DeadlineMS, lim)
+	if err != nil {
+		return nil, err
 	}
 	return &jobPayload{d: d, nl: nl, cfg: cfg, deadline: deadline}, nil
 }

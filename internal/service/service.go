@@ -63,8 +63,7 @@ type Config struct {
 	Sessions jobq.SessionConfig
 
 	// BaseCfg is the legalizer configuration jobs start from; per-job
-	// config overrides apply on top. Zero means core.DefaultConfig with
-	// Workers=1 (the pool supplies cross-job parallelism).
+	// config overrides apply on top. Nil means core.DefaultConfig.
 	BaseCfg *core.Config
 
 	// Limits bounds submissions (body size is separate; see
@@ -138,11 +137,9 @@ func New(cfg Config) (*Server, error) {
 	cfg.Limits.defaults()
 
 	s := &Server{cfg: cfg, obs: cfg.Obs, log: cfg.Log}
+	s.base = core.DefaultConfig()
 	if cfg.BaseCfg != nil {
 		s.base = *cfg.BaseCfg
-	} else {
-		s.base = core.DefaultConfig()
-		s.base.Workers = 1
 	}
 
 	reg := s.obs.Registry()

@@ -166,10 +166,8 @@ func TestSubmitPollReportPlacement(t *testing.T) {
 	}
 
 	// Ground truth: the direct library call. The server's base config is
-	// DefaultConfig with Workers=1.
-	want := core.DefaultConfig()
-	want.Workers = 1
-	wantRep, wantSum := directReport(t, text, want)
+	// DefaultConfig.
+	wantRep, wantSum := directReport(t, text, core.DefaultConfig())
 	if rj.PlacementChecksum != fmt.Sprintf("%016x", wantSum) {
 		t.Errorf("checksum: service %s vs direct %016x", rj.PlacementChecksum, wantSum)
 	}

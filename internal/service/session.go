@@ -100,10 +100,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		tenant = "default"
 	}
 
-	// Sessions require single-goroutine engine access; cross-job worker
-	// pools do not apply here.
-	p.cfg.Workers = 1
-	p.cfg.Shards = 0
 	l, err := core.NewLegalizer(p.d, p.cfg)
 	if err != nil {
 		s.writeError(w, route, http.StatusBadRequest, CodeBadRequest, err.Error())

@@ -84,13 +84,11 @@ func run() error {
 	text := buf.String()
 
 	// Ground truth: the library, directly, with the server's defaults.
-	cfg := core.DefaultConfig()
-	cfg.Workers = 1
 	d, _, err := iodesign.Read(strings.NewReader(text))
 	if err != nil {
 		return err
 	}
-	l, err := core.NewLegalizer(d, cfg)
+	l, err := core.NewLegalizer(d, core.DefaultConfig())
 	if err != nil {
 		return err
 	}
