@@ -22,9 +22,10 @@ import (
 
 // The golden determinism suite pins one placement checksum per Table-1
 // benchmark and recomputes it under every configuration the engine
-// claims is result-identical: best-first and exhaustive search, and an
-// empty constraint set. Any divergence — between configurations, between
-// machines, or against the pinned file — is a determinism regression.
+// claims is result-identical: best-first and exhaustive search, mid-run
+// audits every 50 placements, and an empty constraint set. Any
+// divergence — between configurations, between machines, or against the
+// pinned file — is a determinism regression.
 //
 // Regenerate testdata/golden_checksums.txt after an intentional
 // algorithmic change with:
@@ -32,13 +33,13 @@ import (
 //	go test ./internal/experiments -run TestGoldenPlacements -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_checksums.txt from this run")
 
-// goldenScale keeps the 20-benchmark × 3-configuration sweep fast enough
+// goldenScale keeps the 20-benchmark × 4-configuration sweep fast enough
 // for CI race mode while still exercising multi-row cells and retries.
 const goldenScale = 800
 
 const goldenFile = "testdata/golden_checksums.txt"
 
-// goldenConfigs are the three configurations whose placements must agree.
+// goldenConfigs are the four configurations whose placements must agree.
 func goldenConfigs() []struct {
 	tag string
 	cfg core.Config
@@ -57,6 +58,11 @@ func goldenConfigs() []struct {
 	exhaustive := core.DefaultConfig()
 	exhaustive.ExhaustiveSearch = true
 	add("exhaustive", exhaustive)
+	// An audit that passes only commits, so mid-run audits must change
+	// nothing.
+	audited := core.DefaultConfig()
+	audited.AuditEvery = 50
+	add("audit50", audited)
 	// Empty-constraint-set byte-identity: a non-nil Set composing zero
 	// plugins must reproduce the unconstrained placements exactly — the
 	// plugin layer wired but enforcing nothing stays on the original
