@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race cover examples fuzz fuzz-search fuzz-constraints fuzz-submit fuzz-design fuzz-eco bench-json bench-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
+.PHONY: check vet build test race allocs cover examples fuzz fuzz-search fuzz-constraints fuzz-submit fuzz-design fuzz-eco bench-json bench-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
 
-check: vet build race cover examples bench-eco-smoke
+check: vet build race allocs cover examples bench-eco-smoke
 
 vet:
 	$(GO) vet ./...
@@ -22,6 +22,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Allocation guards (TestSingleMLLCallAllocs*, TestReadAllocs,
+# TestWriteAllocsFlat). They skip under -race, whose runtime perturbs
+# allocation counts, so they run here without it.
+allocs:
+	$(GO) test -count=1 -run Allocs . ./internal/iodesign
 
 # Coverage floors: internal/obs >= 90%, internal/core no worse than its
 # pre-observability level (see scripts/cover.sh and docs/OBSERVABILITY.md).

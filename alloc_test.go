@@ -1,10 +1,12 @@
 // Allocation-regression guards for the incremental MLL hot path (the
 // SingleMLLCall pattern: MoveCell on a legalized design). The engine's
-// contract is ≤8 allocs/op with observability disabled; attaching an
+// contract is ≤5 allocs/op with observability disabled; attaching an
 // Observer must not add allocations on this path (RecordCell only fires
 // in the driver round loop), so the enabled ceiling is a small documented
-// headroom above the same floor. Measured on the CI image: 8.00 allocs/op
-// in both modes (see docs/OBSERVABILITY.md).
+// headroom above the same floor. Measured with go1.24 on linux/amd64:
+// 5.00 allocs/op in both modes (see docs/OBSERVABILITY.md). The race
+// runtime perturbs the counts, so these run in the non-race step of
+// `make check` and CI (`go test -count=1 -run Allocs .`).
 package mrlegal_test
 
 import (
@@ -15,12 +17,12 @@ import (
 )
 
 // maxMoveCellAllocs is the contract for the disabled configuration.
-const maxMoveCellAllocs = 8
+const maxMoveCellAllocs = 5
 
 // maxMoveCellAllocsObs is the documented ceiling with an Observer
 // attached (measured equal to the disabled floor; the slack absorbs
 // runtime-version jitter, not design regressions).
-const maxMoveCellAllocsObs = 10
+const maxMoveCellAllocsObs = 7
 
 // moveCellAllocs legalizes a fresh clone of fft_1/200 under cfg and
 // returns the steady-state allocations of one MoveCell round trip.
@@ -51,7 +53,7 @@ func moveCellAllocs(t *testing.T, cfg core.Config) float64 {
 }
 
 // TestSingleMLLCallAllocs pins the disabled-observability hot path to the
-// 8 allocs/op contract.
+// 5 allocs/op contract.
 func TestSingleMLLCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race runtime")

@@ -40,14 +40,13 @@ func checkBestFirstEquivalence(t testing.TB, seed int64, exact, align bool) {
 		t.Fatal(err)
 	}
 	c := l.D.Cell(id)
-	sc := l.scratchFor()
+	sc := l.sc
 
 	run := func(exhaustive bool) bestFirstOutcome {
 		l.Cfg.ExhaustiveSearch = exhaustive
-		sc.plan = plan{id: id, tx: tx, ty: ty}
 		l.resetCancel(sc)
 		sc.stats = Stats{}
-		r := l.extractPlan(sc, id, tx, ty, 50, rows)
+		r := sc.extract(l.G, mllWindow(c, tx, ty, 50, rows))
 		ip, ev := l.bestInsertionPoint(r, c, tx, ty)
 		out := bestFirstOutcome{found: ip != nil, evals: sc.stats.InsertionPoints}
 		if ip != nil {
@@ -116,13 +115,12 @@ func TestBestFirstPrunesSomething(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := l.D.Cell(id)
-		sc := l.scratchFor()
+		sc := l.sc
 		for _, exhaustive := range []bool{false, true} {
 			l.Cfg.ExhaustiveSearch = exhaustive
-			sc.plan = plan{id: id, tx: tx, ty: ty}
 			l.resetCancel(sc)
 			sc.stats = Stats{}
-			r := l.extractPlan(sc, id, tx, ty, 50, rows)
+			r := sc.extract(l.G, mllWindow(c, tx, ty, 50, rows))
 			l.bestInsertionPoint(r, c, tx, ty)
 			if exhaustive {
 				exh += sc.stats.InsertionPoints

@@ -109,14 +109,13 @@ func checkConstraintLowerBound(t testing.TB, seed int64, mask uint8, exact bool)
 	}
 
 	// Property 2: best-first ≡ exhaustive under the armed set.
-	sc := l.scratchFor()
+	sc := l.sc
 	run := func(exhaustive bool) bestFirstOutcome {
 		l.Cfg.ExhaustiveSearch = exhaustive
-		sc.plan = plan{id: id, tx: tx, ty: ty}
 		l.resetCancel(sc)
 		sc.stats = Stats{}
 		l.armConstraints(sc, c, tx)
-		r := l.extractPlan(sc, id, tx, ty, 50, rows)
+		r := sc.extract(l.G, mllWindow(c, tx, ty, 50, rows))
 		ip, ev := l.bestInsertionPoint(r, c, tx, ty)
 		out := bestFirstOutcome{found: ip != nil, evals: sc.stats.InsertionPoints}
 		if ip != nil {

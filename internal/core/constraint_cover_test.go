@@ -80,7 +80,7 @@ func TestConstraintsOKAtBranches(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := l.D.Cell(target)
-	sc := l.scratchFor()
+	sc := l.sc
 	l.armConstraints(sc, c, 11)
 
 	// Passing probe: the only in-window neighbor is the narrow class-0
@@ -131,7 +131,7 @@ func TestConstraintsOKAtBranches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scf := lf.scratchFor()
+	scf := lf.sc
 	cf := lf.D.Cell(target)
 	lf.armConstraints(scf, cf, 11)
 	if !lf.constraintsOKAt(scf, cf, 4, 1) {
@@ -156,11 +156,10 @@ func TestIntervalAtConstraintClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := l.D.Cell(target)
-	sc := l.scratchFor()
-	sc.plan = plan{id: target, tx: 10, ty: 0}
+	sc := l.sc
 	l.resetCancel(sc)
 	l.armConstraints(sc, c, 10)
-	r := l.extractPlan(sc, target, 10, 0, 50, 2)
+	r := sc.extract(l.G, mllWindow(c, 10, 0, 50, 2))
 	rel := 0 - r.Window().Y
 
 	conIv, ok := r.IntervalAt(rel, 1, c.W) // the A..B gap

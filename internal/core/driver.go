@@ -56,8 +56,8 @@ func (l *Legalizer) LegalizeBestEffort(ctx context.Context) (*Report, error) {
 
 // planTarget is one cell's jittered desired position for a round. The
 // targets of a whole round are drawn from the seeded rng in cell order
-// before any planning starts, so the random stream does not depend on
-// how the round's attempts go.
+// before any cell is placed, so the random stream does not depend on how
+// the round's attempts go.
 type planTarget struct {
 	tx, ty float64
 }
@@ -173,8 +173,8 @@ func (l *Legalizer) run(ctx context.Context) (*Report, error) {
 		}
 	}
 	rep.TotalDisp, rep.AvgDisp = l.D.TotalDispSites()
-	rep.Stats = l.stats
-	rep.Phases = l.phases
+	rep.Stats = l.sc.stats
+	rep.Phases = l.sc.phases
 	if l.om != nil {
 		l.observeRun(rep, time.Since(runStart))
 	}
@@ -199,7 +199,7 @@ func (l *Legalizer) ladder(cells []design.CellID, st *runState) []design.CellID 
 		}
 		st.rep.Rounds++
 		if k > 1 {
-			l.stats.RetryRounds++
+			l.sc.stats.RetryRounds++
 			st.retried += len(cells)
 		}
 		if l.om != nil {
@@ -276,11 +276,11 @@ func (l *Legalizer) placeRoundSerial(cells []design.CellID, targets []planTarget
 		var s0 Stats
 		var t0 time.Time
 		if l.om != nil {
-			s0 = l.stats
+			s0 = l.sc.stats
 			t0 = time.Now()
 		}
 		err := l.attempt(id, func() error {
-			return l.placeAt(id, targets[i].tx, targets[i].ty, rx, ry)
+			return l.place(id, targets[i].tx, targets[i].ty, rx, ry, true)
 		})
 		if l.om != nil {
 			l.observeAttempt(id, k, rx, ry, s0, time.Since(t0), err)
@@ -381,18 +381,6 @@ func (l *Legalizer) lift(id design.CellID) {
 	}
 }
 
-// placeAt tries the fast direct placement at the snapped target position
-// and falls back to MLL with the given window half-extent, as one
-// plan-then-commit step on the serial scratch. It must run inside a
-// transaction boundary (attempt).
-func (l *Legalizer) placeAt(id design.CellID, tx, ty float64, rx, ry int) error {
-	sc := l.scratchFor()
-	l.planCell(sc, id, tx, ty, rx, ry)
-	err := l.commitPlan(sc)
-	l.mergeScratch(sc)
-	return err
-}
-
 // PlaceCell places the unplaced cell id as close as possible to the
 // desired position (tx, ty): directly when the nearest site-aligned,
 // rail-compatible position is free, through MLL otherwise. It reports
@@ -412,7 +400,7 @@ func (l *Legalizer) TryPlaceCell(id design.CellID, tx, ty float64) error {
 		panic("core: PlaceCell target must be unplaced")
 	}
 	return l.attempt(id, func() error {
-		return l.placeAt(id, tx, ty, l.Cfg.Rx, l.Cfg.Ry)
+		return l.place(id, tx, ty, l.Cfg.Rx, l.Cfg.Ry, true)
 	})
 }
 
@@ -492,7 +480,7 @@ func (l *Legalizer) TryMoveCell(id design.CellID, tx, ty float64) error {
 	}
 	return l.attempt(id, func() error {
 		l.lift(id)
-		return l.placeAt(id, tx, ty, l.Cfg.Rx, l.Cfg.Ry)
+		return l.place(id, tx, ty, l.Cfg.Rx, l.Cfg.Ry, true)
 	})
 }
 
@@ -533,6 +521,6 @@ func (l *Legalizer) TryResizeCell(id design.CellID, newW int) error {
 		}
 		l.lift(id)
 		c.W = newW
-		return l.placeAt(id, float64(oldX), float64(oldY), l.Cfg.Rx, l.Cfg.Ry)
+		return l.place(id, float64(oldX), float64(oldY), l.Cfg.Rx, l.Cfg.Ry, true)
 	})
 }

@@ -237,9 +237,7 @@ type Legalizer struct {
 	G   *segment.Grid
 	Cfg Config
 
-	rng    *rng
-	stats  Stats
-	phases PhaseTimes
+	rng *rng
 
 	// om holds the resolved metric handles of Cfg.Obs, nil when
 	// observability is disabled. Every recording site nil-checks it; see
@@ -253,8 +251,9 @@ type Legalizer struct {
 	// txn is the active transaction, nil outside Begin/Commit windows.
 	txn *Txn
 
-	// sc is the scratch of every MLL pipeline call: single-cell API
-	// calls and every round's cells.
+	// sc is the scratch of every placement step, single-cell API calls
+	// and every round's cells alike. It also holds the Stats and
+	// PhaseTimes.
 	sc *scratch
 
 	// runCtx carries the cancellation context of the current Legalize
@@ -292,7 +291,8 @@ func NewLegalizer(d *design.Design, cfg Config) (*Legalizer, error) {
 	if err := g.RebuildOccupancy(); err != nil {
 		return nil, err
 	}
-	l := &Legalizer{D: d, G: g, Cfg: cfg, rng: newRNG(cfg.Seed)}
+	l := &Legalizer{D: d, G: g, Cfg: cfg, rng: newRNG(cfg.Seed), sc: newScratch()}
+	l.sc.region.l = l
 	l.syncConstraints()
 	if cfg.Obs != nil {
 		l.om = newObsMetrics(cfg.Obs)
@@ -301,11 +301,11 @@ func NewLegalizer(d *design.Design, cfg Config) (*Legalizer, error) {
 }
 
 // Stats returns a snapshot of activity counters.
-func (l *Legalizer) Stats() Stats { return l.stats }
+func (l *Legalizer) Stats() Stats { return l.sc.stats }
 
 // Phases returns the per-phase wall-clock breakdown accumulated so far.
 // All-zero unless Cfg.PhaseTiming is on.
-func (l *Legalizer) Phases() PhaseTimes { return l.phases }
+func (l *Legalizer) Phases() PhaseTimes { return l.sc.phases }
 
 // SchedCounters is the per-cell claim-scheduling activity of a parallel
 // round driver. The engine has none, so every field reads zero; the type
@@ -336,7 +336,7 @@ func (l *Legalizer) allowRowFn(m *design.Master) func(int) bool {
 // the empty configuration builds the plain rail closure at the call site
 // instead, so that closure keeps stack-allocating there (a rail closure
 // returned from here must escape, which would cost the hot path its
-// ≤ 8 allocs/op contract).
+// ≤ 5 allocs/op contract).
 func (l *Legalizer) conAllowRowFn(sc *scratch, m *design.Master, h int) func(int) bool {
 	rail := l.allowRowFn(m)
 	cons := sc.cons
@@ -439,29 +439,9 @@ func (l *Legalizer) constraintsOKAt(sc *scratch, c *design.Cell, x, y int) bool 
 func (l *Legalizer) MLL(id design.CellID, tx, ty float64) bool {
 	l.syncConstraints()
 	err := l.attempt(id, func() error {
-		return l.mllAt(id, tx, ty, l.Cfg.Rx, l.Cfg.Ry)
+		return l.place(id, tx, ty, l.Cfg.Rx, l.Cfg.Ry, false)
 	})
 	return err == nil
-}
-
-// mllAt plans and realizes an MLL-only placement (no direct-placement
-// fast path) on the serial scratch. It must run inside a transaction
-// boundary (attempt).
-func (l *Legalizer) mllAt(id design.CellID, tx, ty float64, rx, ry int) error {
-	sc := l.scratchFor()
-	sc.plan = plan{id: id, tx: tx, ty: ty, rx: rx, ry: ry}
-	l.resetCancel(sc)
-	l.armConstraints(sc, l.D.Cell(id), tx)
-	r := l.extractPlan(sc, id, tx, ty, rx, ry)
-	l.selectPlan(sc, r, tx, ty)
-	var err error
-	if sc.plan.kind == planFailed {
-		err = sc.plan.err
-	} else {
-		err = l.realizePlan(sc)
-	}
-	l.mergeScratch(sc)
-	return err
 }
 
 // resetCancel arms the scratch's per-attempt cancellation state.
@@ -476,66 +456,55 @@ func (l *Legalizer) resetCancel(sc *scratch) {
 	}
 }
 
-// planCell computes the full placement decision for one cell into
-// sc.plan without mutating any design or grid state: the direct
-// placement probe, then the MLL plan (extract + enumerate + evaluate).
-// commitPlan applies the decision.
-func (l *Legalizer) planCell(sc *scratch, id design.CellID, tx, ty float64, rx, ry int) {
-	sc.plan = plan{id: id, tx: tx, ty: ty, rx: rx, ry: ry}
+// place is one placement step for the unplaced cell id desiring (tx, ty).
+// With direct set it first probes the snapped slot and inserts there when
+// it is free. Otherwise it runs MLL (§4–§5) in the window of half-extent
+// (rx, ry): it extracts the local region, selects the best insertion
+// point and realizes it. A failed direct insert, which only fault
+// injection can cause, falls through to MLL. It must run inside a
+// transaction boundary (attempt).
+func (l *Legalizer) place(id design.CellID, tx, ty float64, rx, ry int, direct bool) error {
+	sc := l.sc
 	l.resetCancel(sc)
 	c := l.D.Cell(id)
 	l.armConstraints(sc, c, tx)
-	if x, y, ok := l.snap(c, tx, ty); ok && l.G.FreeAt(x, y, c.W, c.H) && l.constraintsOKAt(sc, c, x, y) {
-		sc.plan.kind = planDirect
-		sc.plan.x, sc.plan.y = x, y
-		return
+	if direct {
+		if x, y, ok := l.snap(c, tx, ty); ok && l.G.FreeAt(x, y, c.W, c.H) && l.constraintsOKAt(sc, c, x, y) {
+			l.touch(id)
+			l.D.Place(id, x, y)
+			if err := l.insertGrid(id); err == nil {
+				sc.stats.DirectPlacements++
+				l.lastMoved = l.lastMoved[:0]
+				return nil
+			}
+			// Grid inserts are all-or-nothing, so only the design mark
+			// needs undoing before falling back to MLL.
+			l.D.Unplace(id)
+		}
 	}
-	r := l.extractPlan(sc, id, tx, ty, rx, ry)
-	l.selectPlan(sc, r, tx, ty)
-}
 
-// extractPlan is the grid-reading half of an MLL plan: it snapshots the
-// local region into sc.
-func (l *Legalizer) extractPlan(sc *scratch, id design.CellID, tx, ty float64, rx, ry int) *Region {
 	sc.stats.MLLCalls++
-	c := l.D.Cell(id)
 	if c.Placed {
 		panic("core: MLL target must be unplaced")
 	}
+	timing := l.timing()
 	var t0 time.Time
-	if l.timing() {
+	if timing {
 		t0 = time.Now()
 	}
-	xc := int(math.Round(tx))
-	yc := int(math.Round(ty))
-	win := geom.Rect{
-		X: xc - rx,
-		Y: yc - ry,
-		W: 2*rx + c.W,
-		H: 2*ry + c.H,
+	r := sc.extract(l.G, mllWindow(c, tx, ty, rx, ry))
+	if timing {
+		t1 := time.Now()
+		sc.phases.Extract += t1.Sub(t0)
+		t0 = t1
 	}
-	r := sc.extract(l.G, win)
-	if l.timing() {
-		sc.phases.Extract += time.Since(t0)
-	}
-	return r
-}
 
-// selectPlan is the region-local half of an MLL plan: it chooses the
-// best insertion point (or records the failure) from the snapshot alone,
-// without touching the grid.
-func (l *Legalizer) selectPlan(sc *scratch, r *Region, tx, ty float64) {
-	c := l.D.Cell(sc.plan.id)
-	var t0 time.Time
-	if l.timing() {
-		t0 = time.Now()
-	}
 	evalBefore := sc.phases.Evaluate
 	var ip *InsertionPoint
 	var x int
 	if l.Cfg.Solver != nil {
 		var ok bool
-		ip, x, ok = l.Cfg.Solver.SelectInsertionPoint(r, c, tx, ty, l.allowRowFn(l.D.MasterOf(c.ID)))
+		ip, x, ok = l.Cfg.Solver.SelectInsertionPoint(r, c, tx, ty, l.allowRowFn(l.D.MasterOf(id)))
 		if !ok {
 			ip = nil
 		}
@@ -543,79 +512,23 @@ func (l *Legalizer) selectPlan(sc *scratch, r *Region, tx, ty float64) {
 		var ev Evaluation
 		ip, ev = l.bestInsertionPoint(r, c, tx, ty)
 		x = ev.X
-		sc.plan.cost = ev.Cost
 	}
-	if l.timing() {
-		sc.phases.Enumerate += time.Since(t0) - (sc.phases.Evaluate - evalBefore)
+	if timing {
+		t1 := time.Now()
+		sc.phases.Enumerate += t1.Sub(t0) - (sc.phases.Evaluate - evalBefore)
+		t0 = t1
 	}
 	if ip == nil {
 		sc.stats.MLLFailures++
-		sc.plan.kind = planFailed
 		if sc.expired != nil {
 			// Enumeration was cut short by cancellation, not exhausted.
-			sc.plan.err = sc.expired
-		} else {
-			sc.plan.err = ErrNoInsertionPoint
+			return sc.expired
 		}
-		return
+		return ErrNoInsertionPoint
 	}
-	sc.plan.kind = planMLL
-	sc.plan.ip = ip
-	sc.plan.ipX = x
-	sc.plan.row = r.AbsRow(ip.BottomRel)
-}
 
-// commitPlan applies a computed plan, mutating design and grid. It must
-// run inside a transaction boundary (attempt). The direct placement
-// retries as an inline MLL when the grid insert fails (fault injection
-// is the only such path — the planned slot was probed free).
-func (l *Legalizer) commitPlan(sc *scratch) error {
-	p := &sc.plan
-	switch p.kind {
-	case planFailed:
-		return p.err
-	case planDirect:
-		id := p.id
-		l.touch(id)
-		l.D.Place(id, p.x, p.y)
-		if err := l.insertGrid(id); err == nil {
-			sc.stats.DirectPlacements++
-			l.lastMoved = l.lastMoved[:0]
-			return nil
-		}
-		// Grid inserts are all-or-nothing, so only the design mark needs
-		// undoing before falling back to MLL.
-		l.D.Unplace(id)
-		r := l.extractPlan(sc, id, p.tx, p.ty, p.rx, p.ry)
-		l.selectPlan(sc, r, p.tx, p.ty)
-		if sc.plan.kind == planFailed {
-			return sc.plan.err
-		}
-		return l.realizePlan(sc)
-	case planMLL:
-		return l.realizePlan(sc)
-	}
-	return nil
-}
-
-// realizePlan commits a planMLL decision: it re-wires the transaction
-// and fault hooks into the snapshot region and realizes the chosen
-// insertion point.
-func (l *Legalizer) realizePlan(sc *scratch) error {
-	p := &sc.plan
-	r := &sc.region
-	r.onTouch = l.touch
-	r.insertFn = l.insertGrid
-	r.onRealize = nil
-	if l.Cfg.Faults != nil {
-		r.onRealize = l.Cfg.Faults.OnRealize
-	}
-	var t0 time.Time
-	if l.timing() {
-		t0 = time.Now()
-	}
-	moved, err := r.Realize(p.ip, p.ipX, p.id)
-	if l.timing() {
+	moved, err := r.Realize(ip, x, id)
+	if timing {
 		sc.phases.Realize += time.Since(t0)
 	}
 	if err != nil {
@@ -628,6 +541,12 @@ func (l *Legalizer) realizePlan(sc *scratch) error {
 	sc.stats.CellsPushed += int64(len(moved))
 	l.lastMoved = append(l.lastMoved[:0], moved...)
 	return nil
+}
+
+// mllWindow is the local-region window of cell c desiring (tx, ty):
+// (x_t−rx, y_t−ry, 2rx+w_t, 2ry+h_t).
+func mllWindow(c *design.Cell, tx, ty float64, rx, ry int) geom.Rect {
+	return geom.Rect{X: int(math.Round(tx)) - rx, Y: int(math.Round(ty)) - ry, W: 2*rx + c.W, H: 2*ry + c.H}
 }
 
 // cancelCheck is polled inside the enumeration hot loop (rate-limited to

@@ -10,13 +10,13 @@ import (
 
 // This file is the engine side of the observability layer
 // (internal/obs): metric handles resolved once at legalizer construction,
-// and the recording helpers the round driver, the MLL merge point and
-// the transaction layer call.
+// and the recording helpers the round driver and the transaction layer
+// (every attempt's exit, every commit and rollback) call.
 //
 // Discipline: every caller nil-checks l.om first, so the disabled
 // configuration (Config.Obs == nil) pays exactly one pointer compare per
 // instrumentation site — no time syscalls, no atomics, no allocations —
-// and the hot-path allocation budget (BenchmarkSingleMLLCall ≤ 8
+// and the hot-path allocation budget (BenchmarkSingleMLLCall ≤ 5
 // allocs/op, guarded by TestSingleMLLCallAllocs) is untouched. Nothing recorded
 // here feeds back into placement decisions, so placements are
 // byte-identical with observability on or off (the golden determinism
@@ -40,8 +40,8 @@ type obsMetrics struct {
 	placedCells     *obs.Gauge
 	failedCells     *obs.Gauge
 
-	// MLL pipeline activity (mirrors Stats; fed at the scratch merge
-	// point).
+	// MLL pipeline activity (mirrors Stats; fed at every attempt's
+	// exit).
 	directPlacements *obs.Counter
 	mllCalls         *obs.Counter
 	mllSuccesses     *obs.Counter
@@ -107,7 +107,7 @@ func newObsMetrics(o *obs.Observer) *obsMetrics {
 		ecoDeltaCells:     r.Counter("mrlegal_eco_delta_cells_total", "Cell-level deltas applied by committed batches."),
 		ecoDirtyCells:     r.Counter("mrlegal_eco_dirty_cells_total", "Distinct cells perturbed by committed delta batches (targets plus pushed neighbors)."),
 
-		attemptSeconds: r.Histogram("mrlegal_attempt_seconds", "Wall time of one cell placement attempt (plan + commit).", nil),
+		attemptSeconds: r.Histogram("mrlegal_attempt_seconds", "Wall time of one cell placement attempt (one placement step).", nil),
 		runSeconds:     r.Histogram("mrlegal_run_seconds", "Wall time of one full legalization run.", nil),
 		dispSites:      r.Histogram("mrlegal_cell_displacement_sites", "Displacement of each placed cell in site widths.", dispBuckets),
 	}
@@ -115,7 +115,7 @@ func newObsMetrics(o *obs.Observer) *obsMetrics {
 	for i, ph := range phases {
 		m.phaseHists[i] = r.Histogram(
 			obs.WithLabels("mrlegal_phase_seconds", "phase", ph),
-			"Cumulative MLL pipeline phase time per scratch merge.", nil)
+			"MLL pipeline phase time of one placement attempt.", nil)
 	}
 	return m
 }
@@ -125,21 +125,26 @@ func newObsMetrics(o *obs.Observer) *obsMetrics {
 // attached (the phase histograms need the same clocks).
 func (l *Legalizer) timing() bool { return l.Cfg.PhaseTiming || l.om != nil }
 
-// addMerge mirrors one scratch's stats and phase times into the metric
-// registry. Called from mergeScratch just before the scratch's stats are
-// cleared, so metrics count exactly what Stats counts.
-func (m *obsMetrics) addMerge(s *Stats, p *PhaseTimes) {
-	m.directPlacements.Add(int64(s.DirectPlacements))
-	m.mllCalls.Add(int64(s.MLLCalls))
-	m.mllSuccesses.Add(int64(s.MLLSuccesses))
-	m.mllFailures.Add(int64(s.MLLFailures))
-	m.insertionPoints.Add(s.InsertionPoints)
-	m.candidatesPruned.Add(s.CandidatesPruned)
-	m.searchNodesCut.Add(s.SearchNodesCut)
-	m.windowsPruned.Add(s.WindowsPruned)
-	m.cellsPushed.Add(s.CellsPushed)
-	m.conFiltered.Add(s.ConstraintFiltered)
-	for i, d := range [4]time.Duration{p.Extract, p.Enumerate, p.Evaluate, p.Realize} {
+// observeStep mirrors one attempt's work into the metric registry: the
+// growth of the scratch's Stats and PhaseTimes since the snapshots s0 and
+// p0 taken at the attempt's entry. attempt calls it on every exit, a
+// recovered panic included, so metrics count exactly what Stats counts.
+func (l *Legalizer) observeStep(s0 *Stats, p0 *PhaseTimes) {
+	m, s, p := l.om, &l.sc.stats, &l.sc.phases
+	m.directPlacements.Add(int64(s.DirectPlacements - s0.DirectPlacements))
+	m.mllCalls.Add(int64(s.MLLCalls - s0.MLLCalls))
+	m.mllSuccesses.Add(int64(s.MLLSuccesses - s0.MLLSuccesses))
+	m.mllFailures.Add(int64(s.MLLFailures - s0.MLLFailures))
+	m.insertionPoints.Add(s.InsertionPoints - s0.InsertionPoints)
+	m.candidatesPruned.Add(s.CandidatesPruned - s0.CandidatesPruned)
+	m.searchNodesCut.Add(s.SearchNodesCut - s0.SearchNodesCut)
+	m.windowsPruned.Add(s.WindowsPruned - s0.WindowsPruned)
+	m.cellsPushed.Add(s.CellsPushed - s0.CellsPushed)
+	m.conFiltered.Add(s.ConstraintFiltered - s0.ConstraintFiltered)
+	for i, d := range [4]time.Duration{
+		p.Extract - p0.Extract, p.Enumerate - p0.Enumerate,
+		p.Evaluate - p0.Evaluate, p.Realize - p0.Realize,
+	} {
 		if d > 0 {
 			m.phaseHists[i].Observe(d.Seconds())
 		}
@@ -167,11 +172,11 @@ func outcomeFor(err error) obs.CellOutcome {
 
 // observeAttempt records one driver placement attempt: counters, the
 // attempt-duration histogram and a ring/trace event. s0 is the snapshot
-// of l.stats taken before the attempt, so the delta is the attempt's own
-// work.
+// of the Stats taken before the attempt, so the delta is the attempt's
+// own work.
 func (l *Legalizer) observeAttempt(id design.CellID, round, rx, ry int, s0 Stats, dur time.Duration, err error) {
 	m := l.om
-	d := &l.stats
+	d := &l.sc.stats
 	ev := obs.CellEvent{
 		Cell:      int(id),
 		Round:     round,

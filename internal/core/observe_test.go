@@ -3,11 +3,15 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"mrlegal/internal/bengen"
+	"mrlegal/internal/constraint"
 	"mrlegal/internal/core"
+	"mrlegal/internal/design"
 	"mrlegal/internal/dtest"
+	"mrlegal/internal/faultinject"
 	"mrlegal/internal/obs"
 )
 
@@ -80,13 +84,12 @@ func TestTraceMatchesReport(t *testing.T) {
 	}
 }
 
-// TestMetricsMirrorStats checks the registry counters fed at the scratch
-// merge point equal the Stats the engine itself reports.
-func TestMetricsMirrorStats(t *testing.T) {
-	l, rep, o := legalizeObserved(t, nil)
+// assertMirror checks that every Stats counter the registry mirrors
+// equals the legalizer's own Stats.
+func assertMirror(t *testing.T, l *core.Legalizer, o *obs.Observer) {
+	t.Helper()
 	st := l.Stats()
 	snap := o.Registry().Snapshot()
-
 	counters := map[string]int64{
 		"mrlegal_direct_placements_total":          int64(st.DirectPlacements),
 		"mrlegal_mll_calls_total":                  int64(st.MLLCalls),
@@ -97,14 +100,30 @@ func TestMetricsMirrorStats(t *testing.T) {
 		"mrlegal_search_nodes_cut_total":           st.SearchNodesCut,
 		"mrlegal_search_windows_pruned_total":      st.WindowsPruned,
 		"mrlegal_cells_pushed_total":               st.CellsPushed,
-		"mrlegal_rounds_total":                     int64(rep.Rounds),
-		"mrlegal_cell_placements_total":            int64(rep.Placed),
+		"mrlegal_constraint_filtered_total":        st.ConstraintFiltered,
 	}
 	for name, want := range counters {
 		if got, ok := snap.Counters[name]; !ok {
 			t.Errorf("%s not registered", name)
 		} else if got != want {
 			t.Errorf("%s = %d, Stats says %d", name, got, want)
+		}
+	}
+}
+
+// TestMetricsMirrorStats checks the registry counters, fed at every
+// attempt's exit, equal the Stats the engine itself reports: on a plain
+// run, and on a run under a constraint set that filters candidates.
+func TestMetricsMirrorStats(t *testing.T) {
+	l, rep, o := legalizeObserved(t, nil)
+	assertMirror(t, l, o)
+	snap := o.Registry().Snapshot()
+	for name, want := range map[string]int64{
+		"mrlegal_rounds_total":          int64(rep.Rounds),
+		"mrlegal_cell_placements_total": int64(rep.Placed),
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, Report says %d", name, got, want)
 		}
 	}
 	attempts := snap.Counters["mrlegal_cell_attempts_total"]
@@ -120,6 +139,84 @@ func TestMetricsMirrorStats(t *testing.T) {
 	if h := snap.Hists["mrlegal_attempt_seconds"]; h.Count != attempts {
 		t.Errorf("attempt_seconds count %d, attempts %d", h.Count, attempts)
 	}
+
+	spacing, err := constraint.NewSpacing(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpl, err := constraint.NewTPL(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := constraint.NewSet(spacing, tpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := bengen.Generate(obsSpec)
+	o = obs.New(obs.Options{})
+	cfg := core.DefaultConfig()
+	cfg.Seed = 5
+	cfg.Obs = o
+	cfg.Constraints = set
+	l, err = core.NewLegalizer(b.D, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.LegalizeBestEffort(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if l.Stats().ConstraintFiltered == 0 {
+		t.Fatal("the constraint set filtered nothing; the mirror check is vacuous")
+	}
+	assertMirror(t, l, o)
+}
+
+// TestPanickedAttemptCountedAtOnce: an attempt that panics mid-realization
+// has done its MLL work, and Stats and the metrics count that work as soon
+// as the attempt returns, not at the next call.
+func TestPanickedAttemptCountedAtOnce(t *testing.T) {
+	d := dtest.Flat(1, 40)
+	var ids []design.CellID
+	for i := 0; i < 6; i++ {
+		ids = append(ids, dtest.Unplaced(d, 4, 1, float64(i*6), 0))
+	}
+	o := obs.New(obs.Options{})
+	cfg := core.DefaultConfig()
+	cfg.Rx, cfg.Ry = 15, 3
+	cfg.Obs = o
+	l, err := core.NewLegalizer(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Legalize(); err != nil {
+		t.Fatal(err)
+	}
+	before := l.Stats()
+	l.Cfg.Faults = &faultinject.Injector{PanicRealizeEvery: 1}
+	// An occupied target, so the move goes through MLL and panics there.
+	if err := l.TryMoveCell(ids[0], float64(d.Cell(ids[3]).X), 0); !errors.Is(err, core.ErrPanicked) {
+		t.Fatalf("err = %v, want ErrPanicked", err)
+	}
+	failed := l.Stats()
+	if failed.MLLCalls != before.MLLCalls+1 || failed.InsertionPoints <= before.InsertionPoints {
+		t.Errorf("after the panicked move: MLLCalls %d -> %d, InsertionPoints %d -> %d; want one call and its candidates counted",
+			before.MLLCalls, failed.MLLCalls, before.InsertionPoints, failed.InsertionPoints)
+	}
+	assertMirror(t, l, o)
+
+	// The next call, a direct re-placement at the cell's own slot, owns
+	// none of the panicked attempt's work.
+	l.Cfg.Faults = nil
+	c := d.Cell(ids[5])
+	if err := l.TryMoveCell(c.ID, float64(c.X), float64(c.Y)); err != nil {
+		t.Fatal(err)
+	}
+	next := l.Stats()
+	if next.MLLCalls != failed.MLLCalls || next.InsertionPoints != failed.InsertionPoints ||
+		next.DirectPlacements != failed.DirectPlacements+1 {
+		t.Errorf("direct move after the panic: %+v, want %+v plus one direct placement", next, failed)
+	}
+	assertMirror(t, l, o)
 }
 
 // TestObsDoesNotChangePlacements is the acceptance gate for the passive

@@ -185,8 +185,8 @@ func (r *Region) Realize(ip *InsertionPoint, x int, target design.CellID) ([]des
 	}
 	r.touch(target)
 	d.Place(target, x, yBot)
-	if r.onRealize != nil {
-		r.onRealize(target)
+	if r.l != nil && r.l.Cfg.Faults != nil {
+		r.l.Cfg.Faults.OnRealize(target)
 	}
 	if err := r.insertCell(target); err != nil {
 		return nil, fmt.Errorf("core: realize commit: %w", err)

@@ -67,31 +67,27 @@ type Region struct {
 	// the position of their ID in sc.ids.
 	sc *scratch
 
-	// onTouch, when non-nil, is invoked with a cell ID immediately before
-	// the cell's design or grid state is mutated; the legalizer wires it
-	// to the active transaction's undo logging.
-	onTouch func(design.CellID)
-	// insertFn, when non-nil, replaces the raw grid insert for the target
-	// commit (fault-injection hook).
-	insertFn func(design.CellID) error
-	// onRealize, when non-nil, fires mid-realization-commit (see
-	// FaultInjector.OnRealize).
-	onRealize func(design.CellID)
+	// l is the legalizer that owns sc. Realize routes its mutations
+	// through it: undo logging before each cell is touched, the fault
+	// hooks, and the target's grid insert. NewLegalizer sets it once and
+	// extractions keep it; it is nil on ExtractRegion's standalone
+	// regions, which mutate the grid directly.
+	l *Legalizer
 }
 
-// touch notifies the transaction layer (when wired) that cell id is about
-// to be mutated.
+// touch notifies the legalizer's transaction, if any, that cell id is
+// about to be mutated.
 func (r *Region) touch(id design.CellID) {
-	if r.onTouch != nil {
-		r.onTouch(id)
+	if r.l != nil {
+		r.l.touch(id)
 	}
 }
 
-// insertCell inserts the target through the fault-injection hook when one
-// is wired, the raw grid otherwise.
+// insertCell inserts the target through the legalizer's fault hook, or
+// into the raw grid on a standalone region.
 func (r *Region) insertCell(id design.CellID) error {
-	if r.insertFn != nil {
-		return r.insertFn(id)
+	if r.l != nil {
+		return r.l.insertGrid(id)
 	}
 	return r.G.Insert(id)
 }
@@ -168,7 +164,7 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	yLo, yHi := max(win.Y, 0), min(win.Y2(), d.NumRows())
 	win = geom.Rect{X: xLo, Y: yLo, W: xHi - xLo, H: yHi - yLo}
 	r := &sc.region
-	*r = Region{D: d, G: g, Win: win, sc: sc}
+	*r = Region{D: d, G: g, Win: win, sc: sc, l: r.l}
 	sc.ids = sc.ids[:0]
 	sc.cells = sc.cells[:0]
 	sc.multiRow = sc.multiRow[:0]

@@ -608,7 +608,7 @@ func TestExtractMatchesReference(t *testing.T) {
 	// that run their MLL calls on the same scratch.
 	s, live := dirtyFixture(t, nil)
 	l := s.l
-	l.sc = sc
+	l.sc, sc.region.l = sc, l
 	l.Cfg.MaxRounds, l.Cfg.EscalateWindow = 3, false
 	sc.marks.epoch = math.MaxUint32 - 300
 	pick := newRNG(37)

@@ -19,47 +19,15 @@ type PhaseTimes struct {
 	Realize   time.Duration // push-propagation commits (§5.3)
 }
 
-func (p *PhaseTimes) add(o PhaseTimes) {
-	p.Extract += o.Extract
-	p.Enumerate += o.Enumerate
-	p.Evaluate += o.Evaluate
-	p.Realize += o.Realize
-}
-
 // Total returns the summed phase time.
 func (p PhaseTimes) Total() time.Duration {
 	return p.Extract + p.Enumerate + p.Evaluate + p.Realize
 }
 
-type planKind uint8
-
-const (
-	planNone   planKind = iota
-	planDirect          // snapped position is free; commit inserts directly
-	planMLL             // insertion point chosen; commit realizes it
-	planFailed          // plan-phase taxonomy error; commit just reports it
-)
-
-// plan is the outcome of the pure planning phase for one cell: everything
-// the commit phase needs to mutate the design, or the error to report.
-// The region and insertion point live in the owning scratch.
-type plan struct {
-	id     design.CellID
-	tx, ty float64
-	rx, ry int
-	kind   planKind
-	x, y   int             // planDirect: snapped position
-	ip     *InsertionPoint // planMLL: chosen insertion point (scratch-backed)
-	ipX    int             // planMLL: target x
-	cost   float64         // planMLL: the chosen candidate's evaluated cost
-	row    int             // planMLL: absolute bottom row of the chosen point
-	err    error           // planFailed: reason
-}
-
 // scratch owns every reusable buffer of the MLL pipeline: region
 // storage, enumeration slabs, evaluation scratch and realization queues,
-// plus the per-attempt cancellation state and the attempt's stats, which
-// mergeScratch folds into Legalizer.stats.
+// plus the per-attempt cancellation state. A legalizer's scratch also
+// holds its Stats and PhaseTimes, counted where the work happens.
 type scratch struct {
 	region Region
 
@@ -115,8 +83,7 @@ type scratch struct {
 	movedMark []bool  // by local index
 	movedList []int32
 
-	// --- per-attempt plan, stats, phase timing ---
-	plan   plan
+	// --- the legalizer's activity counters and phase times ---
 	stats  Stats
 	phases PhaseTimes
 
@@ -131,37 +98,6 @@ func newScratch() *scratch {
 	sc := &scratch{}
 	sc.region.sc = sc
 	return sc
-}
-
-// scratchFor returns the legalizer's scratch, creating it on first use.
-func (l *Legalizer) scratchFor() *scratch {
-	if l.sc == nil {
-		l.sc = newScratch()
-	}
-	return l.sc
-}
-
-// mergeScratch folds the scratch's stats and phase times into the
-// legalizer totals and clears them.
-func (l *Legalizer) mergeScratch(sc *scratch) {
-	if l.om != nil {
-		l.om.addMerge(&sc.stats, &sc.phases)
-	}
-	s, d := &sc.stats, &l.stats
-	d.DirectPlacements += s.DirectPlacements
-	d.MLLCalls += s.MLLCalls
-	d.MLLSuccesses += s.MLLSuccesses
-	d.MLLFailures += s.MLLFailures
-	d.InsertionPoints += s.InsertionPoints
-	d.CandidatesPruned += s.CandidatesPruned
-	d.SearchNodesCut += s.SearchNodesCut
-	d.WindowsPruned += s.WindowsPruned
-	d.CellsPushed += s.CellsPushed
-	d.RetryRounds += s.RetryRounds
-	d.ConstraintFiltered += s.ConstraintFiltered
-	sc.stats = Stats{}
-	l.phases.add(sc.phases)
-	sc.phases = PhaseTimes{}
 }
 
 // grow returns s resized to length n, reusing capacity.

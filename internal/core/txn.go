@@ -200,7 +200,8 @@ func (t *Txn) Touched() int { return len(t.latest) }
 // converted to a *CellError wrapping ErrPanicked; on any failure the state
 // mutated by fn is rolled back to the savepoint taken at entry. This is
 // the transaction boundary of the engine: MLL, realization and the grid
-// never leave partial state behind an error.
+// never leave partial state behind an error. It is also where an
+// observer's metrics mirror the attempt's Stats, on every exit.
 func (l *Legalizer) attempt(id design.CellID, fn func() error) (err error) {
 	t := l.txn
 	owned := false
@@ -213,9 +214,17 @@ func (l *Legalizer) attempt(id design.CellID, fn func() error) (err error) {
 		owned = true
 	}
 	mark := t.Mark()
+	var s0 Stats
+	var p0 PhaseTimes
+	if l.om != nil {
+		s0, p0 = l.sc.stats, l.sc.phases
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			err = l.cellErr(id, fmt.Errorf("%w: %v", ErrPanicked, p))
+		}
+		if l.om != nil {
+			l.observeStep(&s0, &p0)
 		}
 		if err != nil {
 			err = l.cellErr(id, err)

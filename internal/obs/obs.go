@@ -124,5 +124,5 @@ type CellEvent struct {
 	Evaluated int64         `json:"evaluated"` // insertion points evaluated by the attempt
 	Pruned    int64         `json:"pruned"`    // candidates + subtrees + windows pruned
 	Disp      float64       `json:"disp"`      // displacement in site widths (placed cells)
-	Dur       time.Duration `json:"dur_ns"`    // attempt wall time (plan + commit)
+	Dur       time.Duration `json:"dur_ns"`    // attempt wall time (one placement step)
 }
