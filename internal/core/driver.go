@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -49,7 +50,8 @@ func (l *Legalizer) LegalizeCtx(ctx context.Context) error {
 // into failure: on round exhaustion, cancellation or unplaceable cells it
 // returns a Report naming each failing cell and its reason, with the
 // design left legal for all placed cells. The error is non-nil only for
-// non-recoverable engine faults (ErrRollbackFailed, ErrTxnActive).
+// the non-recoverable engine fault ErrRollbackFailed, which stops the
+// run where it stands.
 func (l *Legalizer) LegalizeBestEffort(ctx context.Context) (*Report, error) {
 	return l.run(ctx)
 }
@@ -62,11 +64,10 @@ type planTarget struct {
 	tx, ty float64
 }
 
-// runState threads the transactional bookkeeping of one run through the
-// rounds: the open batch transaction, the cells placed since the last
-// commit, and the most recent failure reason per cell.
+// runState threads the bookkeeping of one run through the rounds: the
+// cells placed since the undo log was last emptied, and the most recent
+// failure reason per cell.
 type runState struct {
-	txn        *Txn
 	batch      []design.CellID
 	sinceAudit int
 	rep        *Report
@@ -78,10 +79,10 @@ type runState struct {
 	// home holds round-1 targets that differ from (GX, GY): a delta
 	// batch's targets (session.go). Nil on full runs.
 	home map[design.CellID]planTarget
-	// oneTxn keeps every round inside the caller's transaction, as a
-	// delta batch needs: rounds skip the audit, since an audit commit
-	// would land part of the batch.
-	oneTxn bool
+	// delta keeps every round's records in the log for the delta batch
+	// to commit or roll back as one: rounds skip the audit, since an
+	// audit commit would land part of the batch.
+	delta bool
 	// retried sums the cells entering each round after the first.
 	retried int
 }
@@ -131,14 +132,13 @@ func (l *Legalizer) run(ctx context.Context) (*Report, error) {
 	l.runCtx = ctx
 	defer func() { l.runCtx = nil }()
 
-	t, err := l.Begin()
-	if err != nil {
-		return rep, err
-	}
-	st.txn = t
 	unplaced = l.ladder(unplaced, st)
-	if st.txn != nil && st.txn.Active() {
-		st.txn.Commit()
+	if st.fatal == nil {
+		l.commit()
+	} else {
+		// A failed rollback ends the run where it stands; no later
+		// boundary may roll back to records written before it.
+		l.undo.drop()
 	}
 	rep.TimedOut = st.canceled
 
@@ -246,10 +246,11 @@ func (l *Legalizer) roundTargets(cells []design.CellID, k, rx, ry int, st *runSt
 }
 
 // placeRound attempts one Algorithm-1 pass over the given cells, round
-// k ≥ 1, and returns the cells that remain unplaced. With EscalateWindow
-// on, late rounds use progressively larger local-region windows so dense
-// instances whose solutions need compaction beyond one window still
-// terminate.
+// k ≥ 1, one cell at a time in round order, and returns the cells that
+// remain unplaced. With EscalateWindow on, late rounds use progressively
+// larger local-region windows so dense instances whose solutions need
+// compaction beyond one window still terminate. An attempt whose
+// rollback failed (ErrRollbackFailed) stops the run through st.fatal.
 func (l *Legalizer) placeRound(cells []design.CellID, k int, st *runState) []design.CellID {
 	rx, ry := l.Cfg.Rx, l.Cfg.Ry
 	if l.Cfg.EscalateWindow && k > 4 {
@@ -258,11 +259,6 @@ func (l *Legalizer) placeRound(cells []design.CellID, k int, st *runState) []des
 		ry *= scale
 	}
 	targets := l.roundTargets(cells, k, rx, ry, st)
-	return l.placeRoundSerial(cells, targets, k, rx, ry, st)
-}
-
-// placeRoundSerial places a round's cells one at a time, in round order.
-func (l *Legalizer) placeRoundSerial(cells []design.CellID, targets []planTarget, k, rx, ry int, st *runState) []design.CellID {
 	var failed []design.CellID
 	for i, id := range cells {
 		if l.runCtx.Err() != nil {
@@ -288,6 +284,11 @@ func (l *Legalizer) placeRoundSerial(cells []design.CellID, targets []planTarget
 		if err != nil {
 			st.lastErr[id] = err
 			failed = append(failed, id)
+			if errors.Is(err, ErrRollbackFailed) {
+				st.fatal = err
+				failed = append(failed, cells[i+1:]...)
+				break
+			}
 			continue
 		}
 		st.batch = append(st.batch, id)
@@ -301,21 +302,20 @@ func (l *Legalizer) placeRoundSerial(cells []design.CellID, targets []planTarget
 	return failed
 }
 
-// maybeAudit runs after each placed cell. Under st.oneTxn it does
+// maybeAudit runs after each placed cell. Under st.delta it does
 // nothing, because a delta batch never audits. With audits off, nothing
-// can roll back past the placement just made, so it drops the batch
-// transaction's undo records and the batch is one cell. Otherwise it
-// runs the periodic invariant audit when due. On a
-// violation (real or injected) it rolls the batch transaction back to
-// the last committed state and returns the unwound cells so the round
-// re-queues them; otherwise it commits the batch. A fresh transaction is
-// opened either way.
+// can roll back past the placement just made, so it drops the undo
+// records without counting a commit, and the batch is one cell.
+// Otherwise it runs the periodic invariant audit when due. On a
+// violation (real or injected) it rolls the log back to 0, the last
+// committed state, and returns the unwound cells so the round re-queues
+// them; otherwise it commits the batch.
 func (l *Legalizer) maybeAudit(st *runState) []design.CellID {
-	if st.oneTxn {
+	if st.delta {
 		return nil
 	}
 	if l.Cfg.AuditEvery <= 0 {
-		st.txn.forget()
+		l.undo.drop()
 		st.batch = st.batch[:0]
 		return nil
 	}
@@ -328,13 +328,7 @@ func (l *Legalizer) maybeAudit(st *runState) []design.CellID {
 		l.om.auditRuns.Inc()
 	}
 	if !l.auditFails() {
-		st.txn.Commit()
-		t, err := l.Begin()
-		if err != nil {
-			st.fatal = err
-			return nil
-		}
-		st.txn = t
+		l.commit()
 		st.batch = st.batch[:0]
 		return nil
 	}
@@ -342,27 +336,21 @@ func (l *Legalizer) maybeAudit(st *runState) []design.CellID {
 	if l.om != nil {
 		l.om.auditRollbacks.Inc()
 	}
-	rolledBack := append([]design.CellID(nil), st.batch...)
-	if err := st.txn.Rollback(); err != nil {
+	if err := l.rollback(); err != nil {
 		st.fatal = err
 		return nil
 	}
+	rolledBack := append([]design.CellID(nil), st.batch...)
 	for _, id := range rolledBack {
 		st.lastErr[id] = ErrAuditFailed
 	}
-	t, err := l.Begin()
-	if err != nil {
-		st.fatal = err
-		return nil
-	}
-	st.txn = t
 	st.batch = st.batch[:0]
 	return rolledBack
 }
 
 // auditFails runs the mid-run invariant audit — the injected fault hook,
 // then verify.Check and the grid's consistency check — and reports a
-// violation. The caller commits or rolls back its own transaction.
+// violation. The caller commits or rolls back the undo log.
 func (l *Legalizer) auditFails() bool {
 	if l.Cfg.Faults != nil && l.Cfg.Faults.OnAudit() {
 		return true
@@ -371,7 +359,7 @@ func (l *Legalizer) auditFails() bool {
 		l.G.CheckConsistency() != nil
 }
 
-// lift takes cell id out of the grid under the active transaction,
+// lift records cell id in the undo log and takes it out of the grid,
 // leaving it unplaced: the first step of every move and resize.
 func (l *Legalizer) lift(id design.CellID) {
 	l.touch(id)
@@ -399,7 +387,7 @@ func (l *Legalizer) TryPlaceCell(id design.CellID, tx, ty float64) error {
 	if c.Placed {
 		panic("core: PlaceCell target must be unplaced")
 	}
-	return l.attempt(id, func() error {
+	return l.edit(id, func() error {
 		return l.place(id, tx, ty, l.Cfg.Rx, l.Cfg.Ry, true)
 	})
 }
@@ -466,9 +454,10 @@ func (l *Legalizer) MoveCell(id design.CellID, tx, ty float64) bool {
 	return l.TryMoveCell(id, tx, ty) == nil
 }
 
-// TryMoveCell is MoveCell with a structured error. The move runs inside a
-// transaction: any failure — including a panic mid-realization — rolls
-// the cell back to its original position with the grid intact.
+// TryMoveCell is MoveCell with a structured error. The move runs as one
+// attempt on the undo log: any failure — including a panic
+// mid-realization — rolls the cell back to its original position with
+// the grid intact.
 func (l *Legalizer) TryMoveCell(id design.CellID, tx, ty float64) error {
 	l.syncConstraints()
 	c := l.D.Cell(id)
@@ -478,7 +467,7 @@ func (l *Legalizer) TryMoveCell(id design.CellID, tx, ty float64) error {
 	if !c.Placed {
 		return l.TryPlaceCell(id, tx, ty)
 	}
-	return l.attempt(id, func() error {
+	return l.edit(id, func() error {
 		l.lift(id)
 		return l.place(id, tx, ty, l.Cfg.Rx, l.Cfg.Ry, true)
 	})
@@ -492,9 +481,9 @@ func (l *Legalizer) ResizeCell(id design.CellID, newW int) bool {
 	return l.TryResizeCell(id, newW) == nil
 }
 
-// TryResizeCell is ResizeCell with a structured error, run inside a
-// transaction so every failure path restores the original width and
-// position.
+// TryResizeCell is ResizeCell with a structured error, run as one
+// attempt on the undo log so every failure path restores the original
+// width and position.
 func (l *Legalizer) TryResizeCell(id design.CellID, newW int) error {
 	l.syncConstraints()
 	if newW < 1 {
@@ -510,12 +499,11 @@ func (l *Legalizer) TryResizeCell(id design.CellID, newW int) error {
 		if !l.widthFits(l.D.MasterOf(id), newW, c.H) {
 			return l.cellErr(id, ErrCellTooWide)
 		}
-		l.touch(id)
 		c.W = newW
 		return nil
 	}
 	oldX, oldY := c.X, c.Y
-	return l.attempt(id, func() error {
+	return l.edit(id, func() error {
 		if !l.widthFits(l.D.MasterOf(id), newW, c.H) {
 			return ErrCellTooWide
 		}

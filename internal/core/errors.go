@@ -41,23 +41,19 @@ var (
 	ErrInvalidWidth = errors.New("core: invalid cell width")
 
 	// ErrPanicked marks a panic raised inside MLL or realization that was
-	// recovered at the transaction boundary; the transaction was rolled
-	// back, so the design and grid are unchanged by the failed operation.
+	// recovered at the attempt boundary; the attempt was rolled back, so
+	// the design and grid are unchanged by the failed operation.
 	ErrPanicked = errors.New("core: panic recovered during legalization")
 
 	// ErrRoundsExhausted marks a strict Legalize run that ended with cells
 	// still unplaced after Cfg.MaxRounds rounds.
 	ErrRoundsExhausted = errors.New("core: retry rounds exhausted")
 
-	// ErrRollbackFailed marks the one non-recoverable condition: a
-	// transaction rollback could not re-insert a cell at its snapshotted
-	// position. It indicates state outside the transaction was corrupted
-	// (for example by concurrent unsynchronized mutation of the design).
+	// ErrRollbackFailed marks the one non-recoverable condition: an
+	// undo-log rollback could not re-insert a cell at its snapshotted
+	// position. It indicates state behind the log was corrupted (for
+	// example by concurrent unsynchronized mutation of the design).
 	ErrRollbackFailed = errors.New("core: transaction rollback failed")
-
-	// ErrTxnActive marks an attempt to begin a transaction while another
-	// one is active on the same legalizer.
-	ErrTxnActive = errors.New("core: transaction already active")
 )
 
 // CellError attributes a legalization failure to one cell. It wraps one of

@@ -248,8 +248,9 @@ type Legalizer struct {
 	// successful realization (excluding the target). Reused buffer.
 	lastMoved []design.CellID
 
-	// txn is the active transaction, nil outside Begin/Commit windows.
-	txn *Txn
+	// undo is the legalizer's one undo log, empty between calls; every
+	// boundary is a savepoint on it (txn.go).
+	undo undoLog
 
 	// sc is the scratch of every placement step, single-cell API calls
 	// and every round's cells alike. It also holds the Stats and
@@ -291,7 +292,8 @@ func NewLegalizer(d *design.Design, cfg Config) (*Legalizer, error) {
 	if err := g.RebuildOccupancy(); err != nil {
 		return nil, err
 	}
-	l := &Legalizer{D: d, G: g, Cfg: cfg, rng: newRNG(cfg.Seed), sc: newScratch()}
+	l := &Legalizer{D: d, G: g, Cfg: cfg, rng: newRNG(cfg.Seed), sc: newScratch(),
+		undo: undoLog{latest: make(map[design.CellID]int)}}
 	l.sc.region.l = l
 	l.syncConstraints()
 	if cfg.Obs != nil {
@@ -336,7 +338,7 @@ func (l *Legalizer) allowRowFn(m *design.Master) func(int) bool {
 // the empty configuration builds the plain rail closure at the call site
 // instead, so that closure keeps stack-allocating there (a rail closure
 // returned from here must escape, which would cost the hot path its
-// ≤ 5 allocs/op contract).
+// 0 allocs/op contract).
 func (l *Legalizer) conAllowRowFn(sc *scratch, m *design.Master, h int) func(int) bool {
 	rail := l.allowRowFn(m)
 	cons := sc.cons
@@ -435,10 +437,10 @@ func (l *Legalizer) constraintsOKAt(sc *scratch, c *design.Cell, x, y int) bool 
 // the local region around the target, enumerates valid insertion points,
 // evaluates them, and realizes the best one. It reports whether a legal
 // placement was found; on failure the design is unchanged (the attempt
-// runs inside a transaction, so even a panic mid-realization rolls back).
+// runs behind a savepoint, so even a panic mid-realization rolls back).
 func (l *Legalizer) MLL(id design.CellID, tx, ty float64) bool {
 	l.syncConstraints()
-	err := l.attempt(id, func() error {
+	err := l.edit(id, func() error {
 		return l.place(id, tx, ty, l.Cfg.Rx, l.Cfg.Ry, false)
 	})
 	return err == nil
@@ -461,8 +463,8 @@ func (l *Legalizer) resetCancel(sc *scratch) {
 // it is free. Otherwise it runs MLL (§4–§5) in the window of half-extent
 // (rx, ry): it extracts the local region, selects the best insertion
 // point and realizes it. A failed direct insert, which only fault
-// injection can cause, falls through to MLL. It must run inside a
-// transaction boundary (attempt).
+// injection can cause, falls through to MLL. It must run inside an
+// attempt, which unwinds it on failure.
 func (l *Legalizer) place(id design.CellID, tx, ty float64, rx, ry int, direct bool) error {
 	sc := l.sc
 	l.resetCancel(sc)
@@ -533,7 +535,7 @@ func (l *Legalizer) place(id design.CellID, tx, ty float64, rx, ry int, direct b
 	}
 	if err != nil {
 		// Should not happen for enumerated insertion points; the
-		// transaction boundary unwinds any partial realization state.
+		// attempt unwinds any partial realization state.
 		sc.stats.MLLFailures++
 		return err
 	}

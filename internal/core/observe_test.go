@@ -290,41 +290,147 @@ func TestTraceRecordsInfeasible(t *testing.T) {
 	}
 }
 
-// TestObsTxnCounters checks commit/rollback counters through the
-// incremental API: a successful move commits, an impossible one rolls
-// back.
+// TestObsTxnCounters pins what each boundary adds to
+// mrlegal_txn_commits_total and mrlegal_txn_rollbacks_total: a
+// single-cell call commits once or rolls back once, a rejected one
+// counts nothing; a run commits once at its end and once per passing
+// audit, rolls back once per failing audit, and counts nothing for the
+// per-cell drop with audits off; a delta batch commits or rolls back
+// once, and a batch rejected before it starts counts nothing.
 func TestObsTxnCounters(t *testing.T) {
-	b := bengen.Generate(obsSpec)
-	o := obs.New(obs.Options{})
-	cfg := core.DefaultConfig()
-	cfg.Obs = o
-	l, err := core.NewLegalizer(b.D, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Legalize(); err != nil {
-		t.Fatal(err)
-	}
-	base := o.Registry().Snapshot().Counters
-	var id int = -1
-	for i := range b.D.Cells {
-		if !b.D.Cells[i].Fixed && b.D.Cells[i].Placed {
-			id = i
-			break
+	ctx := context.Background()
+	// fresh returns an unplaced obsSpec legalizer with an observer and
+	// the given audit cadence and faults.
+	fresh := func(t *testing.T, auditEvery int, faults core.FaultInjector) (*core.Legalizer, *obs.Observer) {
+		t.Helper()
+		o := obs.New(obs.Options{})
+		cfg := core.DefaultConfig()
+		cfg.Obs, cfg.AuditEvery, cfg.Faults = o, auditEvery, faults
+		l, err := core.NewLegalizer(bengen.Generate(obsSpec).D, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return l, o
 	}
-	if id < 0 {
+	// legal returns a legalized obsSpec legalizer and its first movable
+	// cell, with the counters read after the run.
+	legal := func(t *testing.T) (*core.Legalizer, *obs.Observer, design.CellID) {
+		t.Helper()
+		l, o := fresh(t, 0, nil)
+		if err := l.Legalize(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range l.D.Cells {
+			if !l.D.Cells[i].Fixed {
+				return l, o, l.D.Cells[i].ID
+			}
+		}
 		t.Fatal("no movable cell")
+		return nil, nil, 0
 	}
-	c := b.D.Cell(b.D.Cells[id].ID)
-	if !l.MoveCell(c.ID, float64(c.X+2), float64(c.Y)) {
-		t.Fatal("move failed")
+	counts := func(o *obs.Observer) (int64, int64) {
+		c := o.Registry().Snapshot().Counters
+		return c["mrlegal_txn_commits_total"], c["mrlegal_txn_rollbacks_total"]
 	}
-	after := o.Registry().Snapshot().Counters
-	if d := after["mrlegal_txn_commits_total"] - base["mrlegal_txn_commits_total"]; d != 1 {
-		t.Errorf("commits delta %d, want 1", d)
+	cases := []struct {
+		name string
+		// run performs the call and returns the commits and rollbacks
+		// it must add.
+		run func(t *testing.T) (o *obs.Observer, c0, r0, wantC, wantR int64)
+	}{
+		{"run without audits", func(t *testing.T) (*obs.Observer, int64, int64, int64, int64) {
+			l, o := fresh(t, 0, nil)
+			if err := l.Legalize(); err != nil {
+				t.Fatal(err)
+			}
+			return o, 0, 0, 1, 0
+		}},
+		{"run with audits", func(t *testing.T) (*obs.Observer, int64, int64, int64, int64) {
+			l, o := fresh(t, 25, &faultinject.Injector{FailAuditEvery: 3})
+			rep, err := l.LegalizeBestEffort(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.AuditRollbacks == 0 {
+				t.Fatal("no audit failed; the case needs both outcomes")
+			}
+			return o, 0, 0, int64(rep.AuditRuns-rep.AuditRollbacks) + 1, int64(rep.AuditRollbacks)
+		}},
+		{"MoveCell success", func(t *testing.T) (*obs.Observer, int64, int64, int64, int64) {
+			l, o, id := legal(t)
+			c0, r0 := counts(o)
+			c := l.D.Cell(id)
+			if err := l.TryMoveCell(id, float64(c.X+2), float64(c.Y)); err != nil {
+				t.Fatal(err)
+			}
+			return o, c0, r0, 1, 0
+		}},
+		{"MoveCell failure", func(t *testing.T) (*obs.Observer, int64, int64, int64, int64) {
+			l, o, id := legal(t)
+			c0, r0 := counts(o)
+			l.Cfg.Faults = &faultinject.Injector{FailInsertEvery: 1}
+			c := l.D.Cell(id)
+			if err := l.TryMoveCell(id, float64(c.X+2), float64(c.Y)); err == nil {
+				t.Fatal("move succeeded under a failing grid")
+			}
+			return o, c0, r0, 0, 1
+		}},
+		{"ResizeCell rejected", func(t *testing.T) (*obs.Observer, int64, int64, int64, int64) {
+			l, o, id := legal(t)
+			c0, r0 := counts(o)
+			if err := l.TryResizeCell(id, 0); !errors.Is(err, core.ErrInvalidWidth) {
+				t.Fatalf("err = %v, want ErrInvalidWidth", err)
+			}
+			return o, c0, r0, 0, 0
+		}},
+		{"batch commit", func(t *testing.T) (*obs.Observer, int64, int64, int64, int64) {
+			l, o, id := legal(t)
+			s, err := core.NewSession(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c0, r0 := counts(o)
+			c := l.D.Cell(id)
+			if _, err := s.ApplyDelta(ctx, []core.Delta{{Op: core.DeltaMove, Cell: id, TX: float64(c.X + 2), TY: float64(c.Y)}}); err != nil {
+				t.Fatal(err)
+			}
+			return o, c0, r0, 1, 0
+		}},
+		{"batch abort", func(t *testing.T) (*obs.Observer, int64, int64, int64, int64) {
+			l, o, id := legal(t)
+			s, err := core.NewSession(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c0, r0 := counts(o)
+			l.Cfg.Faults = &faultinject.Injector{FailInsertEvery: 1}
+			l.Cfg.MaxRounds = 1
+			c := l.D.Cell(id)
+			if _, err := s.ApplyDelta(ctx, []core.Delta{{Op: core.DeltaMove, Cell: id, TX: float64(c.X + 2), TY: float64(c.Y)}}); err == nil {
+				t.Fatal("batch succeeded under a failing grid")
+			}
+			return o, c0, r0, 0, 1
+		}},
+		{"batch rejected", func(t *testing.T) (*obs.Observer, int64, int64, int64, int64) {
+			l, o, _ := legal(t)
+			s, err := core.NewSession(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c0, r0 := counts(o)
+			if _, err := s.ApplyDelta(ctx, []core.Delta{{Op: core.DeltaMove, Cell: -1}}); !errors.Is(err, core.ErrUnknownCell) {
+				t.Fatalf("err = %v, want ErrUnknownCell", err)
+			}
+			return o, c0, r0, 0, 0
+		}},
 	}
-	if d := after["mrlegal_txn_rollbacks_total"] - base["mrlegal_txn_rollbacks_total"]; d != 0 {
-		t.Errorf("rollbacks delta %d, want 0", d)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o, c0, r0, wantC, wantR := c.run(t)
+			c1, r1 := counts(o)
+			if c1-c0 != wantC || r1-r0 != wantR {
+				t.Fatalf("commits +%d, rollbacks +%d; want +%d and +%d", c1-c0, r1-r0, wantC, wantR)
+			}
+		})
 	}
 }

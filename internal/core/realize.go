@@ -19,7 +19,8 @@ import (
 //
 // On success it commits all position changes to the design and the
 // segment grid, places the target, and returns the cells that moved (in
-// deterministic push-discovery order).
+// deterministic push-discovery order). The returned slice is the
+// scratch's buffer, valid until the next realization into that scratch.
 func (r *Region) Realize(ip *InsertionPoint, x int, target design.CellID) ([]design.CellID, error) {
 	if x < ip.Lo || x > ip.Hi {
 		return nil, fmt.Errorf("core: realize x=%d outside insertion point range [%d,%d]", x, ip.Lo, ip.Hi)
@@ -171,9 +172,9 @@ func (r *Region) Realize(ip *InsertionPoint, x int, target design.CellID) ([]des
 
 	// Commit to the design and segment grid. Order within each segment
 	// list is preserved by the push passes, so ShiftX suffices. Every cell
-	// is announced to the transaction layer before its first mutation, so
-	// a failure (or injected panic) anywhere below rolls back cleanly.
-	out := make([]design.CellID, 0, len(movedList))
+	// is announced to the undo log before its first mutation, so a failure
+	// (or injected panic) anywhere below rolls back cleanly.
+	out := sc.moved[:0]
 	for _, li := range movedList {
 		if li == tIdx {
 			continue
@@ -183,6 +184,7 @@ func (r *Region) Realize(ip *InsertionPoint, x int, target design.CellID) ([]des
 		r.G.ShiftX(lc.id, lc.x)
 		out = append(out, lc.id)
 	}
+	sc.moved = out
 	r.touch(target)
 	d.Place(target, x, yBot)
 	if r.l != nil && r.l.Cfg.Faults != nil {

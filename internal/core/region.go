@@ -75,8 +75,8 @@ type Region struct {
 	l *Legalizer
 }
 
-// touch notifies the legalizer's transaction, if any, that cell id is
-// about to be mutated.
+// touch records cell id in the legalizer's undo log before it is
+// mutated. A standalone region has no log.
 func (r *Region) touch(id design.CellID) {
 	if r.l != nil {
 		r.l.touch(id)

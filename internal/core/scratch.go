@@ -82,6 +82,7 @@ type scratch struct {
 	queue     []int32 // push-propagation work queue of local indices
 	movedMark []bool  // by local index
 	movedList []int32
+	moved     []design.CellID // Realize's result: the pushed cells' IDs
 
 	// --- the legalizer's activity counters and phase times ---
 	stats  Stats

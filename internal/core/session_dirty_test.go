@@ -10,14 +10,14 @@ import (
 )
 
 // refTouchedIDs is the reference for DeltaReport.DirtyCells: the distinct
-// cell IDs of the undo log, in first-touch order, computed by walking the
-// log with a seen-set exactly as the batch's dirty-region derivation once
-// did.
-func refTouchedIDs(t *Txn) []design.CellID {
+// cell IDs of the legalizer's undo log, in first-touch order, computed by
+// walking the log with a seen-set exactly as the batch's dirty-region
+// derivation once did.
+func refTouchedIDs(l *Legalizer) []design.CellID {
 	var ids []design.CellID
-	seen := make(map[design.CellID]struct{}, len(t.latest))
-	for i := range t.log {
-		r := &t.log[i]
+	seen := make(map[design.CellID]struct{}, len(l.undo.latest))
+	for i := range l.undo.recs {
+		r := &l.undo.recs[i]
 		if _, ok := seen[r.id]; ok {
 			continue
 		}
@@ -96,16 +96,12 @@ func TestSessionDirtyCellsMatchUndoLog(t *testing.T) {
 		}
 		*twin.rng = *l.rng
 		ts := &Session{l: twin}
-		tx, err := twin.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
 		_, twinErr := ts.apply(context.Background(), deltas)
 		twinOK := twinErr == nil
-		want := len(refTouchedIDs(tx))
+		want := len(refTouchedIDs(twin))
 		if twinOK {
-			tx.Commit()
-		} else if err := tx.Rollback(); err != nil {
+			twin.commit()
+		} else if err := twin.rollback(); err != nil {
 			t.Fatal(err)
 		}
 

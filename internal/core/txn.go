@@ -6,28 +6,34 @@ import (
 	"mrlegal/internal/design"
 )
 
-// Txn is an undo-log transaction over the (design, occupancy-grid) pair of
-// one Legalizer. Every mutation path of the engine records a snapshot of a
-// cell's full state immediately before the cell is first touched, so the
-// log is O(touched cells), not a copy of the design.
+// undoLog is the legalizer's one undo log over its (design, occupancy
+// grid) pair. NewLegalizer builds it and every call reuses it, as it
+// reuses the scratch, so a single-cell edit allocates nothing. Every
+// mutation path records a snapshot of a cell's full state immediately
+// before the cell is first touched, so the log is O(touched cells), not a
+// copy of the design.
 //
-// Savepoints (Mark / RollbackTo) subdivide a transaction: the driver opens
-// one transaction per audit batch and marks before each cell attempt, so a
-// failed or panicking attempt unwinds only its own cell set while committed
-// work from earlier attempts survives. With audits off a batch is one
-// cell: the driver drops the records after each placement (forget).
+// Every boundary of the engine is a savepoint on this log, and the log is
+// empty whenever no call is in flight:
+//   - attempt marks before one cell's placement step and unwinds to its
+//     mark on any failure, a recovered panic included;
+//   - MLL, PlaceCell, MoveCell and ResizeCell each wrap one attempt and
+//     then commit or roll back to 0 (edit);
+//   - a full run drops the records after each placed cell when audits are
+//     off, because nothing can roll back past the placement just made;
+//     with audits on it commits or rolls back to 0 at each audit, and it
+//     commits at its end;
+//   - a delta batch (Session.ApplyDelta) commits or rolls back to 0 once.
 //
-// Rollback restores state in two phases — first every touched cell is
-// removed from the grid, then snapshots are restored and pre-transaction
+// Rolling back restores state in two phases — first every touched cell is
+// removed from the grid, then snapshots are restored and earlier
 // placements re-inserted — so it succeeds from *any* intermediate state,
 // including the half-committed states left behind by a panic between a
 // design mutation and the matching grid update.
-type Txn struct {
-	l        *Legalizer
-	log      []undoRec
-	latest   map[design.CellID]int // latest log index per cell, for dedup
-	lastMark int
-	done     bool
+type undoLog struct {
+	recs   []undoRec
+	latest map[design.CellID]int // latest record index per cell, for dedup
+	mark   int                   // the open savepoint
 }
 
 // undoRec snapshots one cell immediately before its first mutation in the
@@ -40,180 +46,128 @@ type undoRec struct {
 	prevIdx int
 }
 
-// Begin opens a transaction on the legalizer. Only one transaction may be
-// active at a time; nested Begin returns ErrTxnActive.
-func (l *Legalizer) Begin() (*Txn, error) {
-	if l.txn != nil {
-		return nil, ErrTxnActive
-	}
-	t := &Txn{l: l, latest: make(map[design.CellID]int)}
-	l.txn = t
-	return t, nil
+// savepoint marks the end of the log and returns the mark for rollbackTo.
+func (u *undoLog) savepoint() int {
+	u.mark = len(u.recs)
+	return u.mark
 }
 
-// touch routes a mutation notification to the active transaction, if any.
-func (l *Legalizer) touch(id design.CellID) {
-	if l.txn != nil {
-		l.txn.touch(id)
+// drop discards every record and the savepoint, making the logged changes
+// permanent. The records and the latest index are emptied in place, so
+// nothing is allocated.
+func (u *undoLog) drop() {
+	for i := range u.recs {
+		delete(u.latest, u.recs[i].id)
 	}
+	u.recs = u.recs[:0]
+	u.mark = 0
 }
 
 // touch records the cell's pre-mutation snapshot unless one was already
-// taken since the last savepoint.
-func (t *Txn) touch(id design.CellID) {
+// taken since the savepoint.
+func (l *Legalizer) touch(id design.CellID) {
+	u := &l.undo
 	prevIdx := -1
-	if i, ok := t.latest[id]; ok {
-		if i >= t.lastMark {
+	if i, ok := u.latest[id]; ok {
+		if i >= u.mark {
 			return // already snapshotted in this span
 		}
 		prevIdx = i
 	}
-	t.log = append(t.log, undoRec{id: id, prev: t.l.D.Cells[id], prevIdx: prevIdx})
-	t.latest[id] = len(t.log) - 1
+	u.recs = append(u.recs, undoRec{id: id, prev: l.D.Cells[id], prevIdx: prevIdx})
+	u.latest[id] = len(u.recs) - 1
 }
 
-// Mark places a savepoint and returns its handle for RollbackTo.
-func (t *Txn) Mark() int {
-	t.lastMark = len(t.log)
-	return t.lastMark
-}
-
-// forget drops every undo record and savepoint, leaving the transaction
-// open on the current state. A full run without audits calls it after
-// each placed cell, because no rollback can reach past the attempt that
-// is open, so the log holds one attempt's records instead of the run's.
-// The log and the latest index are reused in place: nothing is committed
-// or allocated.
-func (t *Txn) forget() {
-	for i := range t.log {
-		delete(t.latest, t.log[i].id)
-	}
-	t.log = t.log[:0]
-	t.lastMark = 0
-}
-
-// Commit makes every change since Begin permanent and releases the
-// transaction slot. The undo log is discarded.
-func (t *Txn) Commit() {
-	if t.done {
-		return
-	}
-	t.done = true
-	t.log = nil
-	t.latest = nil
-	if t.l.txn == t {
-		t.l.txn = nil
-	}
-	if t.l.om != nil {
-		t.l.om.txnCommits.Inc()
+// commit makes every logged change permanent and empties the log.
+func (l *Legalizer) commit() {
+	l.undo.drop()
+	if l.om != nil {
+		l.om.txnCommits.Inc()
 	}
 }
 
-// Rollback undoes every change since Begin and releases the transaction
-// slot. It is safe to call after a recovered panic.
-func (t *Txn) Rollback() error {
-	if t.done {
-		return nil
-	}
-	err := t.RollbackTo(0)
-	t.done = true
-	t.latest = nil
-	if t.l.txn == t {
-		t.l.txn = nil
-	}
-	if t.l.om != nil {
-		t.l.om.txnRollbacks.Inc()
+// rollback undoes every logged change and empties the log. It is safe to
+// call after a recovered panic.
+func (l *Legalizer) rollback() error {
+	err := l.rollbackTo(0)
+	if l.om != nil {
+		l.om.txnRollbacks.Inc()
 	}
 	return err
 }
 
-// RollbackTo undoes every change since the given savepoint, leaving the
-// transaction open. The returned error is non-nil only when a snapshot
-// could not be re-applied (ErrRollbackFailed), which indicates corruption
-// introduced outside the transaction.
-func (t *Txn) RollbackTo(mark int) error {
-	if mark < 0 || mark > len(t.log) {
-		return fmt.Errorf("%w: savepoint %d out of range [0,%d]", ErrRollbackFailed, mark, len(t.log))
+// rollbackTo undoes every change logged since the given savepoint and
+// truncates the log to it. The returned error is non-nil only when a
+// snapshot could not be re-applied (ErrRollbackFailed), which indicates
+// corruption introduced behind the log.
+//
+// A cell's state at the savepoint is its oldest record at or after the
+// mark: the one whose prevIdx lies below the mark, since a later record of
+// the same cell chains to that one. One pass over the tail in order
+// therefore visits each touched cell once, in first-touch order.
+func (l *Legalizer) rollbackTo(mark int) error {
+	u := &l.undo
+	if mark < 0 || mark > len(u.recs) {
+		return fmt.Errorf("%w: savepoint %d out of range [0,%d]", ErrRollbackFailed, mark, len(u.recs))
 	}
-	if mark == len(t.log) {
+	if mark == len(u.recs) {
 		return nil
 	}
-	// The cell's state at the savepoint is the oldest snapshot taken at or
-	// after it (snapshots are taken at first mutation per span).
-	targets := make(map[design.CellID]design.Cell)
-	order := make([]design.CellID, 0, len(t.log)-mark)
-	for i := mark; i < len(t.log); i++ {
-		r := &t.log[i]
-		if _, ok := targets[r.id]; !ok {
-			targets[r.id] = r.prev
-			order = append(order, r.id)
-		}
-	}
-	d, g := t.l.D, t.l.G
+	tail := u.recs[mark:]
+	d, g := l.D, l.G
 	// Phase 1: clear every touched cell out of the grid. Remove tolerates
 	// cells that are only partially present (or absent), so this works from
 	// any intermediate state.
-	for _, id := range order {
-		if c := d.Cell(id); c.Placed && !c.Fixed {
-			g.Remove(id)
+	for i := range tail {
+		if r := &tail[i]; r.prevIdx < mark {
+			if c := d.Cell(r.id); c.Placed && !c.Fixed {
+				g.Remove(r.id)
+			}
 		}
 	}
 	// Phase 2: restore snapshots and re-insert pre-savepoint placements.
 	// All touched cells were removed above and untouched cells still sit at
 	// positions legal alongside the snapshots, so every insert lands free.
 	var firstErr error
-	for _, id := range order {
-		prev := targets[id]
-		d.Cells[id] = prev
-		if prev.Placed && !prev.Fixed {
-			if err := g.Insert(id); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("%w: reinsert cell %d: %v", ErrRollbackFailed, id, err)
+	for i := range tail {
+		r := &tail[i]
+		if r.prevIdx >= mark {
+			continue
+		}
+		d.Cells[r.id] = r.prev
+		if r.prev.Placed && !r.prev.Fixed {
+			if err := g.Insert(r.id); err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("%w: reinsert cell %d: %v", ErrRollbackFailed, r.id, err)
 			}
 		}
 	}
 	// Truncate the log and repair the per-cell latest index.
-	for i := len(t.log) - 1; i >= mark; i-- {
-		r := t.log[i]
+	for i := len(u.recs) - 1; i >= mark; i-- {
+		r := &u.recs[i]
 		if r.prevIdx >= 0 {
-			t.latest[r.id] = r.prevIdx
+			u.latest[r.id] = r.prevIdx
 		} else {
-			delete(t.latest, r.id)
+			delete(u.latest, r.id)
 		}
 	}
-	t.log = t.log[:mark]
-	if t.lastMark > mark {
-		t.lastMark = mark
+	u.recs = u.recs[:mark]
+	if u.mark > mark {
+		u.mark = mark
 	}
 	// Positions changed under the last realization's feet; invalidate it.
-	t.l.lastMoved = t.l.lastMoved[:0]
+	l.lastMoved = l.lastMoved[:0]
 	return firstErr
 }
 
-// Active reports whether the transaction is still open.
-func (t *Txn) Active() bool { return !t.done }
-
-// Touched returns the number of cells with at least one undo record.
-func (t *Txn) Touched() int { return len(t.latest) }
-
-// attempt runs fn for cell id under the active transaction, opening a
-// short-lived one when none is active. A panic inside fn is recovered and
-// converted to a *CellError wrapping ErrPanicked; on any failure the state
-// mutated by fn is rolled back to the savepoint taken at entry. This is
-// the transaction boundary of the engine: MLL, realization and the grid
-// never leave partial state behind an error. It is also where an
-// observer's metrics mirror the attempt's Stats, on every exit.
+// attempt runs fn for cell id behind a savepoint on the undo log. A panic
+// inside fn is recovered and converted to a *CellError wrapping
+// ErrPanicked; on any failure the state mutated by fn is rolled back to
+// the savepoint. This is the innermost boundary of the engine: MLL,
+// realization and the grid never leave partial state behind an error. It
+// is also where an observer's metrics mirror the attempt's Stats, on
+// every exit.
 func (l *Legalizer) attempt(id design.CellID, fn func() error) (err error) {
-	t := l.txn
-	owned := false
-	if t == nil {
-		var berr error
-		t, berr = l.Begin()
-		if berr != nil {
-			return berr
-		}
-		owned = true
-	}
-	mark := t.Mark()
+	mark := l.undo.savepoint()
 	var s0 Stats
 	var p0 PhaseTimes
 	if l.om != nil {
@@ -228,18 +182,26 @@ func (l *Legalizer) attempt(id design.CellID, fn func() error) (err error) {
 		}
 		if err != nil {
 			err = l.cellErr(id, err)
-			if owned {
-				if rbErr := t.Rollback(); rbErr != nil {
-					err = fmt.Errorf("%v; %w", err, rbErr)
-				}
-			} else if rbErr := t.RollbackTo(mark); rbErr != nil {
+			if rbErr := l.rollbackTo(mark); rbErr != nil {
 				err = fmt.Errorf("%v; %w", err, rbErr)
 			}
-			return
-		}
-		if owned {
-			t.Commit()
 		}
 	}()
 	return fn()
+}
+
+// edit runs fn as the one attempt of a single-cell call (MLL, PlaceCell,
+// MoveCell, ResizeCell) and then ends the call: it commits on success and
+// rolls back to 0 on failure, where attempt has already unwound its
+// changes.
+func (l *Legalizer) edit(id design.CellID, fn func() error) error {
+	err := l.attempt(id, fn)
+	if err == nil {
+		l.commit()
+		return nil
+	}
+	if rbErr := l.rollback(); rbErr != nil {
+		err = fmt.Errorf("%v; %w", err, rbErr)
+	}
+	return err
 }

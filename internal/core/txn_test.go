@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -40,10 +39,6 @@ func TestTxnRollbackRestoresMovesAndGrid(t *testing.T) {
 	}
 	before := snapshotPlacement(d)
 
-	txn, err := l.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Mutate all three cells through the legalizer's primitives.
 	l.touch(a)
 	l.G.Remove(a)
@@ -62,10 +57,10 @@ func TestTxnRollbackRestoresMovesAndGrid(t *testing.T) {
 	if err := l.G.Insert(c); err != nil {
 		t.Fatal(err)
 	}
-	if txn.Touched() != 3 {
-		t.Fatalf("touched = %d, want 3", txn.Touched())
+	if n := len(l.undo.latest); n != 3 {
+		t.Fatalf("touched = %d, want 3", n)
 	}
-	if err := txn.Rollback(); err != nil {
+	if err := l.rollback(); err != nil {
 		t.Fatal(err)
 	}
 	samePlacement(t, before, snapshotPlacement(d))
@@ -83,10 +78,6 @@ func TestTxnSavepointRollsBackOnlyTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	txn, err := l.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Span 1: move a.
 	l.touch(a)
 	l.G.Remove(a)
@@ -94,7 +85,7 @@ func TestTxnSavepointRollsBackOnlyTail(t *testing.T) {
 	if err := l.G.Insert(a); err != nil {
 		t.Fatal(err)
 	}
-	mark := txn.Mark()
+	mark := l.undo.savepoint()
 	// Span 2: move b, and move a again (new record after the mark).
 	l.touch(b)
 	l.G.Remove(b)
@@ -108,7 +99,7 @@ func TestTxnSavepointRollsBackOnlyTail(t *testing.T) {
 	if err := l.G.Insert(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := txn.RollbackTo(mark); err != nil {
+	if err := l.rollbackTo(mark); err != nil {
 		t.Fatal(err)
 	}
 	// Span 1's move survives; span 2's moves are undone.
@@ -121,24 +112,19 @@ func TestTxnSavepointRollsBackOnlyTail(t *testing.T) {
 	if err := l.G.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	txn.Commit()
-	if l.txn != nil {
-		t.Fatal("commit did not release the transaction slot")
-	}
+	l.commit()
+	assertLogEmpty(t, l)
 }
 
-// TestTxnForgetThenRollback checks that forget leaves the transaction
-// able to undo what comes next: a cell moved before forget is
-// snapshotted again when the next span moves it, and rolling that span
-// back restores the position forget kept, not the one before Begin.
+// TestTxnForgetThenRollback checks that dropping the records, as a run
+// without audits does after each placed cell, leaves the log able to
+// undo what comes next: a cell moved before the drop is snapshotted again
+// when the next span moves it, and rolling that span back restores the
+// position the drop kept, not the one before it.
 func TestTxnForgetThenRollback(t *testing.T) {
 	d := dtest.Flat(2, 40)
 	a := dtest.Placed(d, 4, 1, 0, 0)
 	l, err := NewLegalizer(d, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	txn, err := l.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,24 +137,25 @@ func TestTxnForgetThenRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	txn.Mark()
+	l.undo.savepoint()
 	move(20)
-	txn.forget()
-	if n := txn.Touched(); n != 0 || len(txn.log) != 0 {
-		t.Fatalf("after forget: %d cells touched, %d records; want 0 and 0", n, len(txn.log))
+	l.undo.drop()
+	if n := len(l.undo.latest); n != 0 || len(l.undo.recs) != 0 {
+		t.Fatalf("after drop: %d cells touched, %d records; want 0 and 0", n, len(l.undo.recs))
 	}
-	mark := txn.Mark()
+	mark := l.undo.savepoint()
 	move(30)
-	if err := txn.RollbackTo(mark); err != nil {
+	if err := l.rollbackTo(mark); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Cell(a).X; got != 20 {
-		t.Fatalf("a.X = %d after rollback, want 20 (the state forget kept)", got)
+		t.Fatalf("a.X = %d after rollback, want 20 (the state the drop kept)", got)
 	}
 	if err := l.G.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	txn.Commit()
+	l.commit()
+	assertLogEmpty(t, l)
 }
 
 func TestTxnRollbackFromHalfCommittedState(t *testing.T) {
@@ -181,14 +168,10 @@ func TestTxnRollbackFromHalfCommittedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := snapshotPlacement(d)
-	txn, err := l.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
 	l.touch(a)
 	l.G.Remove(a)
 	l.D.Place(a, 25, 1) // placed per the design, missing from the grid
-	if err := txn.Rollback(); err != nil {
+	if err := l.rollback(); err != nil {
 		t.Fatal(err)
 	}
 	samePlacement(t, before, snapshotPlacement(d))
@@ -197,55 +180,49 @@ func TestTxnRollbackFromHalfCommittedState(t *testing.T) {
 	}
 }
 
-func TestTxnNestedBeginFails(t *testing.T) {
-	d := dtest.Flat(1, 10)
-	l, err := NewLegalizer(d, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	txn, err := l.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Begin(); !errors.Is(err, ErrTxnActive) {
-		t.Fatalf("nested Begin = %v, want ErrTxnActive", err)
-	}
-	txn.Commit()
-	if _, err := l.Begin(); err != nil {
-		t.Fatalf("Begin after Commit = %v", err)
+// assertLogEmpty fails the test unless the legalizer's undo log holds no
+// record, no latest-index entry and no savepoint, as it must whenever no
+// call is in flight.
+func assertLogEmpty(t *testing.T, l *Legalizer) {
+	t.Helper()
+	if u := &l.undo; len(u.recs) != 0 || len(u.latest) != 0 || u.mark != 0 {
+		t.Fatalf("undo log holds %d records, %d latest entries, savepoint %d; want all 0",
+			len(u.recs), len(u.latest), u.mark)
 	}
 }
 
 // undoProbe is a FaultInjector that injects nothing. At every primary
-// grid insert it reads how many undo records the active transaction
-// holds from before the current attempt's savepoint (Txn.lastMark), and
-// how many the attempt itself has logged.
+// grid insert it reads how many records the legalizer's undo log holds
+// from before the current attempt's savepoint, and how many the attempt
+// itself has logged.
 type undoProbe struct {
 	l      *Legalizer
 	window int // with audits on: the AuditEvery cadence
 
 	inserts int
-	maxHeld int            // largest pre-savepoint record count seen
-	own     map[*Txn][]int // per transaction, each placement's own records
-	over    string         // first insert holding more than window placements' records
+	maxHeld int    // largest pre-savepoint record count seen
+	own     []int  // since the log was last emptied, each placement's own records
+	over    string // first insert holding more than window placements' records
 }
 
 func (p *undoProbe) OnGridInsert(design.CellID) error {
-	t := p.l.txn
+	u := &p.l.undo
 	p.inserts++
-	held := t.lastMark
+	held := u.mark
 	p.maxHeld = max(p.maxHeld, held)
 	if p.window > 0 {
-		hist := p.own[t]
+		if held == 0 {
+			p.own = p.own[:0] // an audit committed: a new batch
+		}
 		recent := 0
-		for _, n := range hist[max(0, len(hist)-p.window):] {
+		for _, n := range p.own[max(0, len(p.own)-p.window):] {
 			recent += n
 		}
 		if held > recent && p.over == "" {
 			p.over = fmt.Sprintf("insert %d: %d records before the savepoint, the last %d placements logged %d",
 				p.inserts, held, p.window, recent)
 		}
-		p.own[t] = append(hist, len(t.log)-held)
+		p.own = append(p.own, len(u.recs)-held)
 	}
 	return nil
 }
@@ -268,7 +245,7 @@ func TestUndoLogHoldsOnlyOpenAttempt(t *testing.T) {
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			d := bengen.GenerateSized(bengen.SizeSpec{Name: "undo", NumCells: v.cells, Seed: 7})
-			p := &undoProbe{window: v.auditEvery, own: map[*Txn][]int{}}
+			p := &undoProbe{window: v.auditEvery}
 			cfg := DefaultConfig()
 			cfg.AuditEvery, cfg.Faults = v.auditEvery, p
 			l, err := NewLegalizer(d, cfg)

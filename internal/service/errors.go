@@ -27,7 +27,6 @@ const (
 	CodePanicked         = "panicked"
 	CodeRoundsExhausted  = "rounds_exhausted"
 	CodeRollbackFailed   = "rollback_failed"
-	CodeTxnActive        = "txn_active"
 
 	// Queue / job lifecycle.
 	CodeQueueFull        = "queue_full"
@@ -70,7 +69,6 @@ var codeTable = []struct {
 	{core.ErrPanicked, CodePanicked},
 	{core.ErrRoundsExhausted, CodeRoundsExhausted},
 	{core.ErrRollbackFailed, CodeRollbackFailed},
-	{core.ErrTxnActive, CodeTxnActive},
 	{core.ErrNotLegal, CodeNotLegal},
 	{core.ErrSessionClosed, CodeSessionClosed},
 	{core.ErrUnknownCell, CodeUnknownCell},

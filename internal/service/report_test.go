@@ -106,7 +106,6 @@ func TestErrorCodeTaxonomy(t *testing.T) {
 		{core.ErrPanicked, "panicked"},
 		{core.ErrRoundsExhausted, "rounds_exhausted"},
 		{core.ErrRollbackFailed, "rollback_failed"},
-		{core.ErrTxnActive, "txn_active"},
 		{jobq.ErrQueueFull, "queue_full"},
 		{jobq.ErrTenantLimit, "tenant_limit"},
 		{jobq.ErrShuttingDown, "shutting_down"},

@@ -242,10 +242,15 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 			case errors.Is(doErr, core.ErrUnknownCell), errors.Is(doErr, core.ErrFixedCell),
 				errors.Is(doErr, core.ErrInvalidWidth):
 				status = http.StatusBadRequest
+			case errors.Is(doErr, core.ErrRollbackFailed):
+				status = http.StatusInternalServerError
 			}
 			// The batch rolled back; the session still holds the previous
-			// legal placement. The error frame ends this response — the
-			// client resynchronizes via checkpoint before streaming more.
+			// legal placement, unless the rollback itself failed
+			// (rollback_failed, 500), after which the session's placement
+			// can no longer be trusted. The error frame ends this
+			// response — the client resynchronizes via checkpoint before
+			// streaming more.
 			fail(status, ErrorCode(doErr), doErr.Error())
 			return
 		}

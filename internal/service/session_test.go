@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,7 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"mrlegal/internal/design"
+	"mrlegal/internal/geom"
 	"mrlegal/internal/jobq"
+	"mrlegal/internal/segment"
 )
 
 // createSession POSTs a session-create submission and returns the HTTP
@@ -230,6 +234,72 @@ func TestSessionDeltaErrors(t *testing.T) {
 	}
 	if !cp.Legal {
 		t.Fatal("session no longer legal")
+	}
+}
+
+// failAfterNarrowing is a core.FaultInjector that corrupts a session's
+// grid behind its undo log: at every grid insert of cell fail it narrows
+// seg to span, so that seg no longer holds the slot a moved cell must
+// return to, and fails the insert.
+type failAfterNarrowing struct {
+	fail design.CellID
+	seg  *segment.Segment
+	span geom.Span
+}
+
+func (f *failAfterNarrowing) OnGridInsert(id design.CellID) error {
+	if id != f.fail {
+		return nil
+	}
+	f.seg.Span = f.span
+	return errors.New("injected insert failure")
+}
+
+func (f *failAfterNarrowing) OnRealize(design.CellID) {}
+func (f *failAfterNarrowing) OnAudit() bool           { return false }
+
+// TestSessionRollbackFailureIs500 checks that a batch whose rollback
+// fails is answered 500 rollback_failed, not 409: the session's
+// placement is no longer the previous legal one. The batch moves cell a
+// and then cell b; b's inserts all fail, and before the first of them a's
+// old slot drops out of its segment, so the abort cannot restore a.
+func TestSessionRollbackFailureIs500(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	_, sj := createSession(t, ts, "", submitJSON(t, SubmitRequest{DesignText: benchText(t, 80, 5)}))
+	if sj == nil {
+		t.Fatal("create failed")
+	}
+	sess, err := srv.Sessions().Get(sj.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Arm the fault and write the batch under the session's lock; a moves
+	// to b's slot and b to a's.
+	var batch string
+	if err := sess.Do(func(payload any) error {
+		l := payload.(*sessionState).l
+		var a, b *design.Cell
+		for i := range l.D.Cells {
+			if c := &l.D.Cells[i]; !c.Fixed && c.H == 1 {
+				if a == nil {
+					a = c
+				} else if b == nil && c.Y != a.Y {
+					b = c
+				}
+			}
+		}
+		seg := l.G.SegmentAt(a.Y, a.X)
+		l.Cfg.MaxRounds = 1
+		l.Cfg.Faults = &failAfterNarrowing{fail: b.ID, seg: seg, span: geom.Span{Lo: a.X + 1, Hi: seg.Span.Hi}}
+		batch = fmt.Sprintf(`{"deltas":[{"op":"move","cell":%d,"x":%d,"y":%d},{"op":"move","cell":%d,"x":%d,"y":%d}]}`,
+			a.ID, b.X, b.Y, b.ID, a.X, a.Y)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	status, _, ej := postDeltas(t, ts, sj.ID, frames(t, batch))
+	if status != http.StatusInternalServerError || ej == nil || ej.Code != CodeRollbackFailed {
+		t.Fatalf("got %d %+v, want 500 %s", status, ej, CodeRollbackFailed)
 	}
 }
 

@@ -130,9 +130,6 @@ type (
 	// deterministic faults into the legalizer's mutation paths (see
 	// internal/faultinject for the standard implementation).
 	FaultInjector = core.FaultInjector
-	// Txn is an open transaction over the design + occupancy grid;
-	// obtained from Legalizer.Begin.
-	Txn = core.Txn
 )
 
 // Error taxonomy. Every per-cell failure recorded in a Report, and every
@@ -149,7 +146,6 @@ var (
 	ErrPanicked         = core.ErrPanicked
 	ErrRoundsExhausted  = core.ErrRoundsExhausted
 	ErrRollbackFailed   = core.ErrRollbackFailed
-	ErrTxnActive        = core.ErrTxnActive
 	ErrNotLegal         = core.ErrNotLegal
 	ErrSessionClosed    = core.ErrSessionClosed
 	ErrUnknownCell      = core.ErrUnknownCell
