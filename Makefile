@@ -7,8 +7,11 @@ GO ?= go
 
 check: vet build race allocs cover examples bench-eco-smoke
 
+# gofmt -l prints each file that is not gofmt-clean; any output fails.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # perfbench/ is a Go module of its own, which the root's ./... never
 # reaches; vetting and testing it here makes an engine API change break
@@ -34,9 +37,9 @@ allocs:
 cover:
 	sh scripts/cover.sh
 
-# Run every example end to end. Each exits non-zero (log.Fatal) when its
-# legality, fixed-point or full-path parity check fails; bufferinsertion
-# is the session API's end-to-end check.
+# Run every example end to end. Each exits non-zero (log.Fatal) when a
+# legality check of its result fails; bufferinsertion is the session
+# API's end-to-end check.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/cellsizing
@@ -104,10 +107,10 @@ fuzz-eco:
 		-fuzz FuzzDecodeDelta -fuzztime 30s
 
 # ECO-equivalence smoke (CI gate): on a Table-1 subset, session delta
-# batches applied over legalized designs must stay legal and pass the
-# fixed-point oracle; plus the session engine's own suite and the eco
-# benchmark plumbing, all under the race detector (docs/PERFORMANCE.md
-# §9).
+# batches applied over legalized designs must stay legal (the tier-1
+# suite's TestGoldenSessions pins each batch's placement); plus the
+# session engine's own suite and the eco benchmark plumbing, all under
+# the race detector (docs/PERFORMANCE.md §9).
 bench-eco-smoke:
 	$(GO) test -race -short ./internal/core -run 'TestSession'
 	$(GO) test -race ./internal/experiments -run 'TestEcoEquivalence|TestRunEcoSmoke'

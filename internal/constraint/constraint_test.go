@@ -130,25 +130,44 @@ func TestNewSetValidation(t *testing.T) {
 	}
 }
 
+// TestNilSetNeutral checks that a nil set and an empty one are equally
+// neutral: Config.Constraints documents them as equivalent, and the
+// engine calls these methods without a guard.
 func TestNilSetNeutral(t *testing.T) {
-	var s *Set
-	if !s.Empty() || s.Len() != 0 || s.Signature() != "" || s.MaxGap() != 0 {
-		t.Error("nil set basics not neutral")
+	empty, err := NewSet()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Class(&design.Master{}, 3, 1) != 0 || s.Gap(1, 2) != 0 {
-		t.Error("nil set class/gap not neutral")
+	for _, tc := range []struct {
+		name string
+		s    *Set
+	}{{"nil", nil}, {"empty", empty}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.s
+			if !s.Empty() || s.Len() != 0 || s.Signature() != "" || s.MaxGap() != 0 || s.Checkers() != nil {
+				t.Error("set basics not neutral")
+			}
+			cls := s.Class(&design.Master{}, 3, 1)
+			if cls != 0 || s.Gap(cls, cls) != 0 {
+				t.Errorf("class %d / gap %d, want 0 / 0", cls, s.Gap(cls, cls))
+			}
+			for y := 0; y < 4; y++ {
+				if !s.AllowRow(cls, 2, y) {
+					t.Errorf("set vetoed row %d", y)
+				}
+			}
+			if lo, hi := s.NarrowX(cls, 3); lo != math.MinInt || hi != math.MaxInt {
+				t.Errorf("set narrowed x to [%d, %d]", lo, hi)
+			}
+			if b := s.Bound(cls, 3, 17.5); b != 0 {
+				t.Errorf("bound %v, want 0", b)
+			}
+			d := dtest.Flat(1, 10)
+			dtest.Placed(d, 3, 1, 0, 0)
+			dtest.Placed(d, 3, 1, 3, 0)
+			s.Check(d, func(v verify.Violation) bool { t.Errorf("set emitted %v", v); return true })
+		})
 	}
-	if !s.AllowRow(0, 1, 5) {
-		t.Error("nil set vetoed a row")
-	}
-	if lo, hi := s.NarrowX(0, 3); lo != math.MinInt || hi != math.MaxInt {
-		t.Errorf("nil set narrowed x to [%d, %d]", lo, hi)
-	}
-	if s.Bound(0, 3, 17.5) != 0 {
-		t.Error("nil set bound nonzero")
-	}
-	d := dtest.Flat(1, 10)
-	s.Check(d, func(verify.Violation) bool { t.Error("nil set emitted a violation"); return true })
 }
 
 func TestCompositeClassesAndGaps(t *testing.T) {

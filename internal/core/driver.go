@@ -89,7 +89,6 @@ type runState struct {
 
 // run is the engine shared by the strict and best-effort entry points.
 func (l *Legalizer) run(ctx context.Context) (*Report, error) {
-	l.syncConstraints()
 	rep := &Report{}
 	st := &runState{rep: rep, lastErr: make(map[design.CellID]error)}
 	var runStart time.Time
@@ -355,7 +354,7 @@ func (l *Legalizer) auditFails() bool {
 	if l.Cfg.Faults != nil && l.Cfg.Faults.OnAudit() {
 		return true
 	}
-	return len(verify.Check(l.D, verify.Options{PowerAlignment: l.Cfg.PowerAlign, Extra: l.conCheck}, 1)) > 0 ||
+	return len(verify.Check(l.D, verify.Options{PowerAlignment: l.Cfg.PowerAlign, Extra: l.Cfg.Constraints.Checkers()}, 1)) > 0 ||
 		l.G.CheckConsistency() != nil
 }
 
@@ -382,7 +381,6 @@ func (l *Legalizer) PlaceCell(id design.CellID, tx, ty float64) bool {
 // ErrCellTooWide, ErrPanicked, ...), with all intermediate state rolled
 // back.
 func (l *Legalizer) TryPlaceCell(id design.CellID, tx, ty float64) error {
-	l.syncConstraints()
 	c := l.D.Cell(id)
 	if c.Placed {
 		panic("core: PlaceCell target must be unplaced")
@@ -459,7 +457,6 @@ func (l *Legalizer) MoveCell(id design.CellID, tx, ty float64) bool {
 // mid-realization — rolls the cell back to its original position with
 // the grid intact.
 func (l *Legalizer) TryMoveCell(id design.CellID, tx, ty float64) error {
-	l.syncConstraints()
 	c := l.D.Cell(id)
 	if c.Fixed {
 		return l.cellErr(id, ErrFixedCell)
@@ -485,7 +482,6 @@ func (l *Legalizer) ResizeCell(id design.CellID, newW int) bool {
 // attempt on the undo log so every failure path restores the original
 // width and position.
 func (l *Legalizer) TryResizeCell(id design.CellID, newW int) error {
-	l.syncConstraints()
 	if newW < 1 {
 		return l.cellErr(id, ErrInvalidWidth)
 	}

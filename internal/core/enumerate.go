@@ -161,7 +161,7 @@ func (r *Region) enumerate(wt, ht int, allowRow func(absBottomRow int) bool, yie
 		// right-side one has purged its partners (the lower-bound fuzz
 		// found exactly this). With gaps active the purge is skipped and
 		// cross-side combinations fall to validMultiRow below instead.
-		if iv.leftIdx >= 0 && (sc.cons == nil || sc.cons.MaxGap() == 0) {
+		if iv.leftIdx >= 0 && sc.cons.MaxGap() == 0 {
 			if lc := &sc.cells[iv.leftIdx]; lc.h > 1 {
 				for h := 0; h < lc.h; h++ {
 					s := r.RelRow(lc.y + h)

@@ -13,44 +13,46 @@ type Evaluation struct {
 	OK   bool
 }
 
-// pwlMin minimizes the convex piecewise-linear function
+// pwlCost is the convex piecewise-linear displacement function
 //
 //	f(x) = Σ_p∈lpts max(0, p−x) + Σ_p∈rpts max(0, x−p)
 //
-// over the integers x ∈ [lo, hi] and returns the (leftmost) minimizer and
-// its value. This is the weighted-median computation of §5.2: lpts are the
-// critical positions of cells left of the target (their displacement
-// grows as x decreases past them), rpts those of cells on the right; the
-// target's own desired position appears in both lists, giving the
-// |x − x'_t| term of equation (3).
-func pwlMin(lpts, rpts []float64, lo, hi int) (int, float64) {
-	f := func(x int) float64 {
-		fx := float64(x)
-		var s float64
-		for _, p := range lpts {
-			if p > fx {
-				s += p - fx
-			}
+// summed in list order. lpts are the critical positions of cells left of
+// the target (their displacement grows as x decreases past them), rpts
+// those of cells on the right; the target's own desired position appears
+// in both lists, giving the |x − x'_t| term of equation (3).
+func pwlCost(lpts, rpts []float64, x int) float64 {
+	fx := float64(x)
+	var s float64
+	for _, p := range lpts {
+		if p > fx {
+			s += p - fx
 		}
-		for _, p := range rpts {
-			if fx > p {
-				s += fx - p
-			}
-		}
-		return s
 	}
+	for _, p := range rpts {
+		if fx > p {
+			s += fx - p
+		}
+	}
+	return s
+}
+
+// pwlMin minimizes pwlCost over the integers x ∈ [lo, hi] and returns the
+// (leftmost) minimizer and its value: the weighted-median computation of
+// §5.2.
+func pwlMin(lpts, rpts []float64, lo, hi int) (int, float64) {
 	// Binary search on the slope: f is convex, so f(m) <= f(m+1) implies
 	// the (leftmost) minimum lies in [lo, m].
 	a, b := lo, hi
 	for a < b {
 		m := a + (b-a)/2
-		if f(m) <= f(m+1) {
+		if pwlCost(lpts, rpts, m) <= pwlCost(lpts, rpts, m+1) {
 			b = m
 		} else {
 			a = m + 1
 		}
 	}
-	return a, f(a)
+	return a, pwlCost(lpts, rpts, a)
 }
 
 // yCost returns the target's vertical displacement contribution in
@@ -142,11 +144,7 @@ func (r *Region) evaluateApprox(ip *InsertionPoint, wt int, tx, ty float64) Eval
 				nl++
 			}
 			lc := &sc.cells[iv.leftIdx]
-			gapL := 0
-			if cons != nil {
-				gapL = cons.Gap(lc.cls, tcls)
-			}
-			lpts = append(lpts, float64(lc.x+lc.w+gapL))
+			lpts = append(lpts, float64(lc.x+lc.w+cons.Gap(lc.cls, tcls)))
 		}
 		if iv.rightIdx >= 0 && !contains32(seenR[:nr], iv.rightIdx) {
 			if nr < len(seenR) {
@@ -154,11 +152,7 @@ func (r *Region) evaluateApprox(ip *InsertionPoint, wt int, tx, ty float64) Eval
 				nr++
 			}
 			rc := &sc.cells[iv.rightIdx]
-			gapR := 0
-			if cons != nil {
-				gapR = cons.Gap(tcls, rc.cls)
-			}
-			rpts = append(rpts, float64(rc.x-wt-gapR))
+			rpts = append(rpts, float64(rc.x-wt-cons.Gap(tcls, rc.cls)))
 		}
 	}
 	lpts = append(lpts, tx)
@@ -210,20 +204,12 @@ func (r *Region) exactClearances(ip *InsertionPoint, wt int) {
 	for _, iv := range ip.Intervals {
 		if iv.leftIdx >= 0 {
 			lc := &sc.cells[iv.leftIdx]
-			gapL := 0
-			if cons != nil {
-				gapL = cons.Gap(lc.cls, tcls)
-			}
-			if w := int32(lc.w + gapL); w > sc.kL[iv.leftIdx] {
+			if w := int32(lc.w + cons.Gap(lc.cls, tcls)); w > sc.kL[iv.leftIdx] {
 				sc.kL[iv.leftIdx] = w
 			}
 		}
 		if iv.rightIdx >= 0 {
-			gapR := 0
-			if cons != nil {
-				gapR = cons.Gap(tcls, sc.cells[iv.rightIdx].cls)
-			}
-			if w := int32(wt + gapR); w > sc.kR[iv.rightIdx] {
+			if w := int32(wt + cons.Gap(tcls, sc.cells[iv.rightIdx].cls)); w > sc.kR[iv.rightIdx] {
 				sc.kR[iv.rightIdx] = w
 			}
 		}
@@ -244,11 +230,7 @@ func (r *Region) exactClearances(ip *InsertionPoint, wt int) {
 			}
 			vi := sc.rowIdx[rel][pos-1]
 			v := &sc.cells[vi]
-			g := 0
-			if cons != nil {
-				g = cons.Gap(v.cls, u.cls)
-			}
-			if kv := ku + int32(v.w+g); kv > sc.kL[vi] {
+			if kv := ku + int32(v.w+cons.Gap(v.cls, u.cls)); kv > sc.kL[vi] {
 				sc.kL[vi] = kv
 			}
 		}
@@ -269,34 +251,27 @@ func (r *Region) exactClearances(ip *InsertionPoint, wt int) {
 				continue
 			}
 			vi := idxs[pos+1]
-			g := 0
-			if cons != nil {
-				g = cons.Gap(u.cls, sc.cells[vi].cls)
-			}
-			if kv := ku + int32(u.w+g); kv > sc.kR[vi] {
+			if kv := ku + int32(u.w+cons.Gap(u.cls, sc.cells[vi].cls)); kv > sc.kR[vi] {
 				sc.kR[vi] = kv
 			}
 		}
 	}
 }
 
-// bothSides reports whether some cell is reachable from both sides of the
-// target, which marks the insertion point geometrically inconsistent.
-func (r *Region) bothSides() bool {
+// exactPoints converts the clearance tables exactClearances fills for ip
+// into critical-position multisets in the reused scratch lists, iterating
+// in local-index (ascending ID) order for reproducible float summation,
+// and appends the target's desired x to both. ok is false when some cell
+// is reachable from both sides of the target, which marks the insertion
+// point geometrically inconsistent.
+func (r *Region) exactPoints(ip *InsertionPoint, wt int, tx float64) (lpts, rpts []float64, ok bool) {
+	r.exactClearances(ip, wt)
 	sc := r.sc
 	for i := range sc.cells {
 		if sc.kL[i] >= 0 && sc.kR[i] >= 0 {
-			return true
+			return nil, nil, false
 		}
 	}
-	return false
-}
-
-// points converts the clearance tables to critical-position multisets in
-// the reused scratch lists, iterating in local-index (ascending ID) order
-// for reproducible float summation.
-func (r *Region) points() (lpts, rpts []float64) {
-	sc := r.sc
 	lpts, rpts = sc.lpts[:0], sc.rpts[:0]
 	for i := range sc.cells {
 		if k := sc.kL[i]; k >= 0 {
@@ -306,8 +281,10 @@ func (r *Region) points() (lpts, rpts []float64) {
 			rpts = append(rpts, float64(sc.cells[i].x-int(k)))
 		}
 	}
+	lpts = append(lpts, tx)
+	rpts = append(rpts, tx)
 	sc.lpts, sc.rpts = lpts, rpts
-	return lpts, rpts
+	return lpts, rpts, true
 }
 
 // evaluateExact scores an insertion point using the full exact
@@ -316,42 +293,22 @@ func (r *Region) points() (lpts, rpts []float64) {
 // exact method as O(|C_W|) but omits its construction for space; this is
 // our reconstruction (see exactClearances).
 func (r *Region) evaluateExact(ip *InsertionPoint, wt int, tx, ty float64) Evaluation {
-	r.exactClearances(ip, wt)
-	if r.bothSides() {
+	lpts, rpts, ok := r.exactPoints(ip, wt, tx)
+	if !ok {
 		return Evaluation{}
 	}
-	lpts, rpts := r.points()
-	lpts = append(lpts, tx)
-	rpts = append(rpts, tx)
-	r.sc.lpts, r.sc.rpts = lpts, rpts
 	x, cost := pwlMin(lpts, rpts, ip.Lo, ip.Hi)
 	return Evaluation{X: x, Cost: cost + r.yCost(ip.BottomRow(r), ty), OK: true}
 }
 
 // ExactCost returns the true total displacement (in site widths) that
 // realizing ip with the target at x causes, including the target's own
-// deviation from its desired position (tx, ty). Tests use it to validate
-// both evaluators against realized outcomes.
+// deviation from its desired position (tx, ty): evaluateExact's objective
+// at x rather than at its minimizer.
 func (r *Region) ExactCost(ip *InsertionPoint, wt int, x int, tx, ty float64) float64 {
-	r.exactClearances(ip, wt)
-	if r.bothSides() {
+	lpts, rpts, ok := r.exactPoints(ip, wt, tx)
+	if !ok {
 		return math.Inf(1)
 	}
-	lpts, rpts := r.points()
-	lpts = append(lpts, tx)
-	rpts = append(rpts, tx)
-	r.sc.lpts, r.sc.rpts = lpts, rpts
-	fx := float64(x)
-	var s float64
-	for _, p := range lpts {
-		if p > fx {
-			s += p - fx
-		}
-	}
-	for _, p := range rpts {
-		if fx > p {
-			s += fx - p
-		}
-	}
-	return s + r.yCost(ip.BottomRow(r), ty)
+	return pwlCost(lpts, rpts, x) + r.yCost(ip.BottomRow(r), ty)
 }

@@ -191,6 +191,15 @@ func TestExactEvalPropagatesThroughMultiRow(t *testing.T) {
 	if !ev.OK || math.Abs(ev.Cost-8) > 1e-9 {
 		t.Fatalf("exact cost = %v (x=%d), want 8", ev.Cost, ev.X)
 	}
+	// ExactCost is the same objective at a chosen x: the evaluated cost at
+	// the minimizer, and at x=18 (the interval's right end: m pushed 10
+	// sites to 22, c untouched at 26, the target 2 from 16) it is 12.
+	if got := r.ExactCost(gap, 4, ev.X, 16, 0); got != ev.Cost {
+		t.Errorf("ExactCost at the minimizer = %v, want %v", got, ev.Cost)
+	}
+	if got := r.ExactCost(gap, 4, 18, 16, 0); math.Abs(got-12) > 1e-9 {
+		t.Errorf("ExactCost at x=18 = %v, want 12", got)
+	}
 }
 
 func TestExactEvalYCost(t *testing.T) {

@@ -27,64 +27,23 @@ func (r *Region) Info(id design.CellID) (LocalCellInfo, bool) {
 	return LocalCellInfo{ID: lc.id, X: lc.x, Y: lc.y, W: lc.w, H: lc.h, XL: lc.xL, XR: lc.xR}, true
 }
 
-// IntervalAt builds the insertion interval for the gap gapIdx on
+// IntervalAt returns the insertion interval for the gap gapIdx on
 // window-relative row rel for a target of width wt, with bounds from the
-// leftmost/rightmost placements. ok is false when the row has no local
-// segment, the gap index is out of range, or the interval has negative
-// length.
+// leftmost/rightmost placements: the interval the enumeration builds,
+// constraint gaps and the armed target's NarrowX clamp included. ok is
+// false when the row has no local segment, the gap index is out of range,
+// or the interval is empty. It rebuilds the region's intervals in its
+// scratch, so it must not run while an enumeration is live.
 func (r *Region) IntervalAt(rel, gapIdx, wt int) (Interval, bool) {
 	if rel < 0 || rel >= len(r.Segs) {
 		return Interval{}, false
 	}
-	ls := &r.Segs[rel]
-	if !ls.Valid || gapIdx < 0 || gapIdx > len(ls.Cells) {
-		return Interval{}, false
-	}
-	iv := Interval{RelRow: rel, GapIdx: gapIdx,
-		Left: design.NoCell, Right: design.NoCell, leftIdx: -1, rightIdx: -1}
-	gapLo, gapHi := ls.Span.Lo, ls.Span.Hi
-	// Mirrors buildIntervals: constraint gaps against the neighbors and the
-	// target's NarrowX clamp, so external solvers see the same interval the
-	// enumeration would (cons is nil for the usual unconstrained callers).
-	cons, tcls := r.sc.cons, r.sc.conTCls
-	gapL, gapR := 0, 0
-	if gapIdx == 0 {
-		iv.Lo = ls.Span.Lo
-	} else {
-		li := r.sc.rowIdx[rel][gapIdx-1]
-		lc := &r.sc.cells[li]
-		iv.Left, iv.leftIdx = lc.id, li
-		if cons != nil {
-			gapL = cons.Gap(lc.cls, tcls)
+	for _, iv := range r.buildIntervals(wt)[rel] {
+		if iv.GapIdx == gapIdx {
+			return iv, true
 		}
-		iv.Lo = lc.xL + lc.w + gapL
-		gapLo = lc.x + lc.w
 	}
-	if gapIdx == len(ls.Cells) {
-		iv.Hi = ls.Span.Hi - wt
-	} else {
-		ri := r.sc.rowIdx[rel][gapIdx]
-		rc := &r.sc.cells[ri]
-		iv.Right, iv.rightIdx = rc.id, ri
-		if cons != nil {
-			gapR = cons.Gap(tcls, rc.cls)
-		}
-		iv.Hi = rc.xR - wt - gapR
-		gapHi = rc.x
-	}
-	iv.free = gapHi - gapLo
-	iv.need = wt + gapL + gapR
-	if iv.Hi < iv.Lo {
-		return Interval{}, false
-	}
-	if cons != nil {
-		lo, hi := max(iv.Lo, r.sc.conTLo), min(iv.Hi, r.sc.conTHi)
-		if hi < lo {
-			return Interval{}, false
-		}
-		iv.Lo, iv.Hi = lo, hi
-	}
-	return iv, true
+	return Interval{}, false
 }
 
 // BuildInsertionPoint assembles an insertion point from per-row gap

@@ -79,9 +79,7 @@ func (r *Region) buildIntervals(wt int) [][]Interval {
 			} else {
 				lc := &sc.cells[idxs[k-1]]
 				iv.Left, iv.leftIdx = lc.id, idxs[k-1]
-				if cons != nil {
-					gapL = cons.Gap(lc.cls, tcls)
-				}
+				gapL = cons.Gap(lc.cls, tcls)
 				iv.Lo = lc.xL + lc.w + gapL
 				gapLo = lc.x + lc.w
 			}
@@ -90,9 +88,7 @@ func (r *Region) buildIntervals(wt int) [][]Interval {
 			} else {
 				rc := &sc.cells[idxs[k]]
 				iv.Right, iv.rightIdx = rc.id, idxs[k]
-				if cons != nil {
-					gapR = cons.Gap(tcls, rc.cls)
-				}
+				gapR = cons.Gap(tcls, rc.cls)
 				iv.Hi = rc.xR - wt - gapR
 				gapHi = rc.x
 			}
@@ -101,18 +97,16 @@ func (r *Region) buildIntervals(wt int) [][]Interval {
 			if iv.Hi < iv.Lo {
 				continue
 			}
-			if cons != nil {
-				// The target's own NarrowX clamp. This single clamp point
-				// covers both search modes — everything downstream
-				// (scanline enumeration and the best-first window walk)
-				// consumes these intervals.
-				lo, hi := max(iv.Lo, sc.conTLo), min(iv.Hi, sc.conTHi)
-				if hi < lo {
-					sc.stats.ConstraintFiltered++
-					continue
-				}
-				iv.Lo, iv.Hi = lo, hi
+			// The target's own NarrowX clamp, open without constraints.
+			// This single clamp point covers both search modes —
+			// everything downstream (scanline enumeration and the
+			// best-first window walk) consumes these intervals.
+			lo, hi := max(iv.Lo, sc.conTLo), min(iv.Hi, sc.conTHi)
+			if hi < lo {
+				sc.stats.ConstraintFiltered++
+				continue
 			}
+			iv.Lo, iv.Hi = lo, hi
 			sc.intervals = append(sc.intervals, iv)
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"mrlegal/internal/geom"
 	"mrlegal/internal/obs"
 	"mrlegal/internal/segment"
-	"mrlegal/internal/verify"
 )
 
 // Config tunes the legalizer. The zero value is NOT usable; start from
@@ -92,12 +91,14 @@ type Config struct {
 	// contributes an admissible term to the best-first lower bound (so
 	// pruning stays exact and search ≡ sweep holds with plugins active),
 	// and registers a post-placement checker into mid-run audits. A nil
-	// or empty set keeps every pipeline byte-identical to a
-	// constraint-free build (golden-gated). Incompatible with an
-	// external Solver — NewLegalizer rejects the combination, since
-	// solvers bypass the filter-aware enumeration the rules ride on.
-	// The set may be swapped between calls on one Legalizer: every entry
-	// point re-reads it.
+	// and an empty set are equivalent and mean no constraints: every
+	// constraint.Set method is neutral on them, so the one pipeline runs
+	// unchanged and placements equal a constraint-free build's
+	// (golden-gated). Incompatible with an external Solver —
+	// NewLegalizer rejects the combination, since solvers bypass the
+	// filter-aware enumeration the rules ride on. The set may be swapped
+	// between calls on one Legalizer: each placement attempt and each
+	// audit reads it afresh.
 	Constraints *constraint.Set
 
 	// Solver, when non-nil, replaces the built-in enumerate-and-evaluate
@@ -264,16 +265,6 @@ type Legalizer struct {
 	// rowMaxSeg caches the widest segment length per row (segment spans
 	// are static for the life of a grid). Built lazily by widthFits.
 	rowMaxSeg []int
-
-	// cons is the resolved constraint set of the current configuration,
-	// nil when empty so the hot path stays on one pointer compare.
-	// consSrc is the Cfg.Constraints value last synced.
-	cons    *constraint.Set
-	consSrc *constraint.Set
-
-	// conCheck holds the plugins' post-placement checkers in
-	// verify.Options.Extra shape, wired into mid-run audits.
-	conCheck []func(d *design.Design, add func(verify.Violation) bool)
 }
 
 // LastMoved returns the cells pushed aside by the most recent successful
@@ -295,7 +286,6 @@ func NewLegalizer(d *design.Design, cfg Config) (*Legalizer, error) {
 	l := &Legalizer{D: d, G: g, Cfg: cfg, rng: newRNG(cfg.Seed), sc: newScratch(),
 		undo: undoLog{latest: make(map[design.CellID]int)}}
 	l.sc.region.l = l
-	l.syncConstraints()
 	if cfg.Obs != nil {
 		l.om = newObsMetrics(cfg.Obs)
 	}
@@ -335,9 +325,9 @@ func (l *Legalizer) allowRowFn(m *design.Master) func(int) bool {
 
 // conAllowRowFn composes the power-rail filter with the constraint set's
 // row admission for the armed target. Only called when sc.cons is non-nil;
-// the empty configuration builds the plain rail closure at the call site
-// instead, so that closure keeps stack-allocating there (a rail closure
-// returned from here must escape, which would cost the hot path its
+// without constraints bestInsertionPoint builds the plain rail closure at
+// its call site instead, so that closure keeps stack-allocating there (a
+// closure returned from here escapes, which would cost the hot path its
 // 0 allocs/op contract).
 func (l *Legalizer) conAllowRowFn(sc *scratch, m *design.Master, h int) func(int) bool {
 	rail := l.allowRowFn(m)
@@ -349,39 +339,22 @@ func (l *Legalizer) conAllowRowFn(sc *scratch, m *design.Master, h int) func(int
 	return func(y int) bool { return rail(y) && cons.AllowRow(cls, h, y) }
 }
 
-// syncConstraints resolves Cfg.Constraints into the hot-path fields. Every
-// entry point calls it, so a set swapped into Cfg between calls takes
-// effect at the next one. Cheap when nothing changed: one pointer compare.
-func (l *Legalizer) syncConstraints() {
-	src := l.Cfg.Constraints
-	if src == l.consSrc {
-		return
-	}
-	l.consSrc = src
-	if src.Empty() {
-		l.cons, l.conCheck = nil, nil
-	} else {
-		l.cons = src
-		l.conCheck = src.Checkers()
-	}
-}
-
 // armConstraints loads the per-attempt constraint state for target c
-// desiring x=tx: the composite class, the NarrowX clamp on the target's
-// left edge and the admissible horizontal bound term. With no
-// constraints the fields reset to neutral and every consumer stays on
-// its original code path.
+// desiring x=tx from Cfg.Constraints: the set itself, the composite
+// class, the NarrowX clamp on the target's left edge and the admissible
+// horizontal bound term. An empty set is armed as nil, whose methods
+// return the neutral values: class 0, no gap, every row, the open clamp
+// [MinInt, MaxInt] and a zero bound. Reading Cfg here, once per attempt,
+// is what lets a set swapped into Cfg bind the next call.
 func (l *Legalizer) armConstraints(sc *scratch, c *design.Cell, tx float64) {
-	sc.cons = l.cons
-	if l.cons == nil {
-		sc.conTCls = 0
-		sc.conTLo, sc.conTHi = math.MinInt, math.MaxInt
-		sc.conLBx = 0
-		return
+	cons := l.Cfg.Constraints
+	if cons.Empty() {
+		cons = nil
 	}
-	sc.conTCls = l.cons.Class(l.D.MasterOf(c.ID), c.W, c.H)
-	sc.conTLo, sc.conTHi = l.cons.NarrowX(sc.conTCls, c.W)
-	sc.conLBx = l.cons.Bound(sc.conTCls, c.W, tx)
+	sc.cons = cons
+	sc.conTCls = cons.Class(l.D.MasterOf(c.ID), c.W, c.H)
+	sc.conTLo, sc.conTHi = cons.NarrowX(sc.conTCls, c.W)
+	sc.conLBx = cons.Bound(sc.conTCls, c.W, tx)
 }
 
 // constraintsOKAt vets a probed-free direct placement at (x, y) against
@@ -393,9 +366,6 @@ func (l *Legalizer) armConstraints(sc *scratch, c *design.Cell, tx float64) {
 // through to the MLL pipeline, which enforces the rules exactly.
 func (l *Legalizer) constraintsOKAt(sc *scratch, c *design.Cell, x, y int) bool {
 	cons := sc.cons
-	if cons == nil {
-		return true
-	}
 	if !cons.AllowRow(sc.conTCls, c.H, y) || x < sc.conTLo || x > sc.conTHi {
 		sc.stats.ConstraintFiltered++
 		return false
@@ -439,7 +409,6 @@ func (l *Legalizer) constraintsOKAt(sc *scratch, c *design.Cell, x, y int) bool 
 // placement was found; on failure the design is unchanged (the attempt
 // runs behind a savepoint, so even a panic mid-realization rolls back).
 func (l *Legalizer) MLL(id design.CellID, tx, ty float64) bool {
-	l.syncConstraints()
 	err := l.edit(id, func() error {
 		return l.place(id, tx, ty, l.Cfg.Rx, l.Cfg.Ry, false)
 	})

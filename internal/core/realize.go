@@ -91,8 +91,8 @@ func (r *Region) Realize(ip *InsertionPoint, x int, target design.CellID) ([]des
 
 	// Pushes honor the constraint plugins' pairwise gaps: a neighbor is
 	// displaced until it clears the pusher by Gap(left, right) sites, not
-	// merely until the overlap vanishes. cons == nil keeps the historical
-	// zero-gap behavior byte-for-byte.
+	// merely until the overlap vanishes. Without constraints every gap is
+	// 0, the paper's abutment rule.
 	cons := sc.cons
 
 	// Left pass.
@@ -112,10 +112,7 @@ func (r *Region) Realize(ip *InsertionPoint, x int, target design.CellID) ([]des
 			}
 			vi := sc.rowIdx[rel][pos-1]
 			v := &sc.cells[vi]
-			g := 0
-			if cons != nil {
-				g = cons.Gap(v.cls, u.cls)
-			}
+			g := cons.Gap(v.cls, u.cls)
 			if v.x+v.w+g > u.x {
 				v.x = u.x - g - v.w
 				if !mark[vi] {
@@ -144,10 +141,7 @@ func (r *Region) Realize(ip *InsertionPoint, x int, target design.CellID) ([]des
 			}
 			vi := idxs[pos+1]
 			v := &sc.cells[vi]
-			g := 0
-			if cons != nil {
-				g = cons.Gap(u.cls, v.cls)
-			}
+			g := cons.Gap(u.cls, v.cls)
 			if v.x < u.x+u.w+g {
 				v.x = u.x + u.w + g
 				if !mark[vi] {

@@ -182,14 +182,10 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	// cells; collect from the inflated window so their (inflated)
 	// spans participate in the subtraction below. Containment stays on
 	// the un-inflated window.
-	infl := 0
+	infl := sc.cons.MaxGap()
 	colWin := win
-	if sc.cons != nil {
-		if infl = sc.cons.MaxGap(); infl > 0 {
-			colWin.X -= infl
-			colWin.W += 2 * infl
-		}
-	}
+	colWin.X -= infl
+	colWin.W += 2 * infl
 	sc.all = g.CellsIn(colWin, sc.all[:0])
 	for _, id := range sc.all {
 		c := d.Cell(id)
@@ -242,10 +238,7 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	// ID-sorted, so the local index order is the ID order).
 	for _, id := range sc.candidates {
 		c := d.Cell(id)
-		var cls uint8
-		if sc.cons != nil {
-			cls = sc.cons.Class(d.MasterOf(id), c.W, c.H)
-		}
+		cls := sc.cons.Class(d.MasterOf(id), c.W, c.H)
 		sc.ids = append(sc.ids, id)
 		sc.cells = append(sc.cells, localCell{id: id, x: c.X, y: c.Y, w: c.W, h: c.H, cls: cls})
 		if c.H > 1 {
@@ -440,6 +433,9 @@ func spanDist(sp geom.Span, x int) int {
 // every local cell (§5.1.1) with a two-pass multi-segment squeeze. Cells
 // are processed in extract's (x, id) order sc.xOrder, which is consistent
 // with the per-segment order because the current placement is legal.
+// Without constraints it keeps a gap-free squeeze of its own: using the
+// gap-aware one for both measured slower on BenchmarkTable1AlignedOurs
+// (docs/CONSTRAINTS.md).
 func (r *Region) computeBounds() {
 	sc := r.sc
 	n := len(sc.cells)

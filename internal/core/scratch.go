@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"time"
 
 	"mrlegal/internal/constraint"
@@ -66,7 +67,7 @@ type scratch struct {
 	mrTouch  []int32        // stack of mrSide entries set on the current DFS path
 
 	// --- constraint plugins (armConstraints resets per attempt) ---
-	cons     *constraint.Set // active set; nil = none (byte-identical fast path)
+	cons     *constraint.Set // armed set; nil = none, and every method is neutral on nil
 	conTCls  uint8           // composite class of the target cell
 	conTLo   int             // NarrowX left-edge clamp for the target (math.MinInt = open)
 	conTHi   int             // NarrowX clamp upper end (math.MaxInt = open)
@@ -95,8 +96,11 @@ type scratch struct {
 	expired      error
 }
 
+// newScratch returns an empty scratch with the target clamp open, as
+// armConstraints leaves it without constraints: ExtractRegion's
+// standalone regions never arm a target, yet build intervals.
 func newScratch() *scratch {
-	sc := &scratch{}
+	sc := &scratch{conTLo: math.MinInt, conTHi: math.MaxInt}
 	sc.region.sc = sc
 	return sc
 }

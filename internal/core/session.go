@@ -169,7 +169,6 @@ type SessionStats struct {
 // borrows the legalizer — no other Legalizer API may be used on l while
 // the session is open.
 func NewSession(l *Legalizer) (*Session, error) {
-	l.syncConstraints()
 	for i := range l.D.Cells {
 		c := &l.D.Cells[i]
 		if !c.Fixed && !c.Dead && !c.Placed {
@@ -192,7 +191,7 @@ func (l *Legalizer) verifyOptions() verify.Options {
 	return verify.Options{
 		RequirePlaced:  true,
 		PowerAlignment: l.Cfg.PowerAlign,
-		Extra:          l.conCheck,
+		Extra:          l.Cfg.Constraints.Checkers(),
 	}
 }
 
@@ -212,7 +211,6 @@ func (s *Session) Stats() SessionStats {
 // and returns up to limit violations (0 = unlimited). A healthy session
 // returns an empty slice after every batch.
 func (s *Session) Verify(limit int) []verify.Violation {
-	s.l.syncConstraints()
 	return verify.Check(s.l.D, s.l.verifyOptions(), limit)
 }
 
@@ -256,7 +254,6 @@ func (s *Session) ApplyDelta(ctx context.Context, deltas []Delta) (rep *DeltaRep
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
-	l.syncConstraints()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: delta batch canceled: %w", ErrCanceled)
 	}

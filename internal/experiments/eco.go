@@ -4,10 +4,12 @@ package experiments
 // synthetic designs swept over size × delta fraction, comparing a
 // session delta batch (core.Session.ApplyDelta — relegalize only the
 // perturbed neighborhood) against full relegalization of the same edit
-// from scratch. Every incremental run is verified legal and checked
-// against the fixed-point oracle (a full pass over its result is a
-// no-op); a run failing either check never contributes a speedup. The
-// JSON artifact (BENCH_eco.json) is regenerated by `make bench-json`.
+// from scratch. Every incremental run is verified legal, and a run that
+// fails never contributes a speedup. The run also records the fixed-point
+// oracle, which holds by construction (a full pass places only unplaced
+// cells, and a session leaves none); golden_sessions.txt, not this
+// benchmark, pins which legal placement a batch produces. The JSON
+// artifact (BENCH_eco.json) is regenerated by `make bench-json`.
 //
 // Timing is deliberately conservative toward the incremental side: the
 // full baseline times only LegalizeBestEffort over the edited input

@@ -56,8 +56,10 @@ func TestRunEcoSmoke(t *testing.T) {
 
 // TestEcoEquivalence is the CI equivalence smoke (docs/PERFORMANCE.md
 // §9): on a Table-1 subset, an ECO session built over a legalized design
-// must stay legal and pass the fixed-point oracle after a mixed delta
-// batch.
+// must stay legal after a mixed delta batch. It also calls the
+// fixed-point oracle, which holds by construction (a full pass places
+// only unplaced cells, and a session leaves none); TestGoldenSessions
+// pins which legal placement each batch of a session stream produces.
 func TestEcoEquivalence(t *testing.T) {
 	specs := bengen.Table1Specs(800)
 	subset := map[string]bool{"fft_a": true, "pci_bridge32_b": true}

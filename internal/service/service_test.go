@@ -239,13 +239,14 @@ func TestOverloadAnswers429(t *testing.T) {
 		t.Errorf("code: %q", e.Code)
 	}
 
-	// Per-tenant cap trips even when the queue has space: drain the
-	// queued job's slot first by canceling it, then saturate tenant "a".
+	// Per-tenant cap trips even when the queue has space: cancel the
+	// running job, wait until the freed worker has taken the queued job
+	// off the queue, then saturate tenant "b".
 	delReq, _ := http.NewRequest("DELETE", ts.URL+"/v1/jobs/"+job1.ID, nil)
 	if _, err := http.DefaultClient.Do(delReq); err != nil {
 		t.Fatal(err)
 	}
-	_ = resp2
+	waitFor(t, func() bool { return s.Queue().Depth() == 0 })
 	resp4, _ := submit(t, ts, "b", body) // tenant b now at 2 in-flight
 	if resp4.StatusCode != http.StatusAccepted {
 		t.Fatalf("tenant b second: %d", resp4.StatusCode)
