@@ -190,8 +190,9 @@ func (s *Set) Class(m *design.Master, w, h int) uint8 {
 	return s.class(m, w, h)
 }
 
-// class, allowRow and narrowX hold the loops of Class, AllowRow and
-// NarrowX, so that those inline and a nil set costs one compare.
+// class holds the loop of Class, so that Class inlines and a nil set
+// costs one compare: extract calls it for every local cell of every
+// region, constrained or not.
 func (s *Set) class(m *design.Master, w, h int) uint8 {
 	cls := 0
 	for i, c := range s.cons {
@@ -212,10 +213,9 @@ func (s *Set) Gap(l, r uint8) int {
 // AllowRow reports whether every plugin admits bottom row y for a cell
 // of composite class cls and height h.
 func (s *Set) AllowRow(cls uint8, h, y int) bool {
-	return s == nil || s.allowRow(cls, h, y)
-}
-
-func (s *Set) allowRow(cls uint8, h, y int) bool {
+	if s == nil {
+		return true
+	}
 	for i, c := range s.cons {
 		n := c.NumClasses()
 		if !c.AllowRow((int(cls)/s.strides[i])%n, h, y) {
@@ -229,14 +229,10 @@ func (s *Set) allowRow(cls uint8, h, y int) bool {
 // width-w cell of composite class cls. Unrestricted sides come back as
 // math.MinInt / math.MaxInt; hi < lo means no position fits.
 func (s *Set) NarrowX(cls uint8, w int) (lo, hi int) {
-	if s == nil {
-		return math.MinInt, math.MaxInt
-	}
-	return s.narrowX(cls, w)
-}
-
-func (s *Set) narrowX(cls uint8, w int) (lo, hi int) {
 	lo, hi = math.MinInt, math.MaxInt
+	if s == nil {
+		return lo, hi
+	}
 	for i, c := range s.cons {
 		n := c.NumClasses()
 		if l, h, ok := c.NarrowX((int(cls)/s.strides[i])%n, w); ok {

@@ -139,6 +139,47 @@ func TestConstraintsOKAtBranches(t *testing.T) {
 	}
 }
 
+// IntervalAt is a lookup: the intervals its build removes by the target
+// clamp are counted by the search's own builds, never by IntervalAt.
+func TestIntervalAtLeavesConstraintFiltered(t *testing.T) {
+	d := dtest.Flat(2, 30)
+	dtest.Placed(d, 3, 1, 4, 0)  // A, [4,7)
+	dtest.Placed(d, 3, 1, 12, 0) // B, [12,15)
+	target := dtest.Unplaced(d, 3, 1, 10, 0)
+
+	cfg := DefaultConfig()
+	cfg.PowerAlign = false
+	cfg.Constraints = coverSet(t, coverSpacing(t, 3, 2))
+	l, err := NewLegalizer(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := l.D.Cell(target)
+	sc := l.sc
+	l.resetCancel(sc)
+	l.armConstraints(sc, c, 10)
+	r := sc.extract(l.G, mllWindow(c, 10, 0, 50, 2))
+	rel := 0 - r.Window().Y
+
+	// A clamp no interval meets: every interval of the region is removed.
+	sc.conTLo, sc.conTHi = 1000, 2000
+	before := sc.stats.ConstraintFiltered
+	r.buildIntervals(c.W)
+	removed := sc.stats.ConstraintFiltered - before
+	if removed == 0 {
+		t.Fatal("the clamp removed no interval; the lookup below would prove nothing")
+	}
+	before = sc.stats.ConstraintFiltered
+	for gap := 0; gap <= 2; gap++ {
+		if _, ok := r.IntervalAt(rel, gap, c.W); ok {
+			t.Fatalf("gap %d accepted outside the target x-clamp", gap)
+		}
+	}
+	if got := sc.stats.ConstraintFiltered; got != before {
+		t.Fatalf("IntervalAt moved ConstraintFiltered %d -> %d; a build removes %d", before, got, removed)
+	}
+}
+
 // IntervalAt must mirror buildIntervals under an armed set: pairwise
 // gaps against both neighbors, the target NarrowX clamp, and the same
 // invalid-input rejections external solvers rely on.

@@ -33,12 +33,17 @@ func (r *Region) Info(id design.CellID) (LocalCellInfo, bool) {
 // constraint gaps and the armed target's NarrowX clamp included. ok is
 // false when the row has no local segment, the gap index is out of range,
 // or the interval is empty. It rebuilds the region's intervals in its
-// scratch, so it must not run while an enumeration is live.
+// scratch, so it must not run while an enumeration is live. A lookup is
+// not a placement option, so intervals the clamp removes leave
+// Stats.ConstraintFiltered as it was.
 func (r *Region) IntervalAt(rel, gapIdx, wt int) (Interval, bool) {
 	if rel < 0 || rel >= len(r.Segs) {
 		return Interval{}, false
 	}
-	for _, iv := range r.buildIntervals(wt)[rel] {
+	filtered := r.sc.stats.ConstraintFiltered
+	ivs := r.buildIntervals(wt)[rel]
+	r.sc.stats.ConstraintFiltered = filtered
+	for _, iv := range ivs {
 		if iv.GapIdx == gapIdx {
 			return iv, true
 		}

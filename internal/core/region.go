@@ -433,9 +433,10 @@ func spanDist(sp geom.Span, x int) int {
 // every local cell (§5.1.1) with a two-pass multi-segment squeeze. Cells
 // are processed in extract's (x, id) order sc.xOrder, which is consistent
 // with the per-segment order because the current placement is legal.
-// Without constraints it keeps a gap-free squeeze of its own: using the
-// gap-aware one for both measured slower on BenchmarkTable1AlignedOurs
-// (docs/CONSTRAINTS.md).
+// Without constraints it keeps a gap-free squeeze of its own: the
+// gap-aware one alone made BenchmarkRegionExtraction slower
+// (docs/CONSTRAINTS.md). TestSqueezesAgreeWithoutConstraints pins the two
+// to each other.
 func (r *Region) computeBounds() {
 	sc := r.sc
 	n := len(sc.cells)

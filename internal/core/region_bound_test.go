@@ -669,3 +669,65 @@ func TestEpochSetResetEmpties(t *testing.T) {
 		t.Fatalf("epoch %d after the wrap, want 3", s.epoch)
 	}
 }
+
+// TestSqueezesAgreeWithoutConstraints pins computeBounds' two squeezes
+// to each other: on random windows of partially placed Table-1 designs,
+// the gap-free squeeze a nil set selects must give every local cell the
+// xL/xR that the gap-aware squeeze gives under an empty, non-nil set,
+// whose gaps are 0 and whose clamp is open.
+func TestSqueezesAgreeWithoutConstraints(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	empty, err := constraint.NewSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := newScratch()
+	windows, slack := 0, 0
+	for _, spec := range bengen.Table1Specs(2000)[:3] {
+		b := bengen.Generate(spec)
+		gp.Place(b.D, b.NL, gp.Config{Seed: spec.Seed})
+		l, err := NewLegalizer(b.D, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.LegalizeBestEffort(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for i := range b.D.Cells {
+			if c := &b.D.Cells[i]; !c.Fixed && c.Placed && rng.Intn(3) == 0 {
+				l.G.Remove(c.ID)
+				b.D.Unplace(c.ID)
+			}
+		}
+		bb := b.D.Bounds()
+		for q := 0; q < 300; q++ {
+			win := geom.Rect{
+				X: bb.X + rng.Intn(bb.W+20) - 10, Y: bb.Y + rng.Intn(bb.H+4) - 2,
+				W: 1 + rng.Intn(80), H: 1 + rng.Intn(12),
+			}
+			sc.cons = nil
+			r := sc.extract(l.G, win)
+			if len(sc.cells) == 0 {
+				continue
+			}
+			free := slices.Clone(sc.cells)
+			sc.cons = empty
+			r.computeBounds()
+			for li := range sc.cells {
+				got, want := &free[li], &sc.cells[li]
+				if got.xL != want.xL || got.xR != want.xR {
+					t.Fatalf("%s, window %v: cell %d gap-free bounds [%d,%d], gap-aware [%d,%d]",
+						spec.Name, win, got.id, got.xL, got.xR, want.xL, want.xR)
+				}
+				if got.xL < got.x && got.x < got.xR {
+					slack++
+				}
+			}
+			windows++
+		}
+	}
+	if slack == 0 {
+		t.Fatal("no cell has room on both sides; the comparison proves nothing")
+	}
+	t.Logf("%d windows, %d cells with xL < x < xR", windows, slack)
+}
