@@ -122,10 +122,11 @@ bench-eco-smoke:
 serve-smoke:
 	$(GO) run ./scripts/servesmoke
 
-# Quick allocation/latency smoke over the MLL hot path, the placement
-# checksum, the text codec and the job-submission decoder (CI gate).
+# Quick allocation/latency smoke over the MLL hot path (extraction and
+# the best-first search on their own too), the placement checksum, the
+# text codec and the job-submission decoder (CI gate).
 bench-smoke:
-	$(GO) test -run xxx -bench 'SingleMLLCall|RegionExtraction|InsertionPointEnumeration|PlacementChecksum|IodesignRoundTrip|DecodeSubmit' \
+	$(GO) test -run xxx -bench 'SingleMLLCall|RegionExtraction|SearchBest|InsertionPointEnumeration|PlacementChecksum|IodesignRoundTrip|DecodeSubmit' \
 		-benchtime 100x -benchmem . ./internal/core ./internal/service
 
 clean:

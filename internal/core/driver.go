@@ -385,9 +385,24 @@ func (l *Legalizer) TryPlaceCell(id design.CellID, tx, ty float64) error {
 	if c.Placed {
 		panic("core: PlaceCell target must be unplaced")
 	}
+	if !validTarget(tx, ty) {
+		return l.cellErr(id, ErrInvalidTarget)
+	}
 	return l.edit(id, func() error {
 		return l.place(id, tx, ty, l.Cfg.Rx, l.Cfg.Ry, true)
 	})
+}
+
+// maxTargetCoord bounds a usable target coordinate, in sites or rows: far
+// past any die, and the bound the service's delta decoder applies.
+const maxTargetCoord = 1e12
+
+// validTarget reports whether (tx, ty) is a usable desired position: both
+// coordinates finite and within ±maxTargetCoord. Go converts NaN, an
+// infinity or an out-of-range float to int in an implementation-dependent
+// way, so such a target could place differently on another GOARCH.
+func validTarget(tx, ty float64) bool {
+	return math.Abs(tx) <= maxTargetCoord && math.Abs(ty) <= maxTargetCoord
 }
 
 // snap returns the nearest site-aligned, row-contained and (when power
@@ -460,6 +475,9 @@ func (l *Legalizer) TryMoveCell(id design.CellID, tx, ty float64) error {
 	c := l.D.Cell(id)
 	if c.Fixed {
 		return l.cellErr(id, ErrFixedCell)
+	}
+	if !validTarget(tx, ty) {
+		return l.cellErr(id, ErrInvalidTarget)
 	}
 	if !c.Placed {
 		return l.TryPlaceCell(id, tx, ty)

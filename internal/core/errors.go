@@ -40,6 +40,10 @@ var (
 	// ErrInvalidWidth marks a ResizeCell call with a non-positive width.
 	ErrInvalidWidth = errors.New("core: invalid cell width")
 
+	// ErrInvalidTarget marks a move or insert whose desired position is
+	// NaN, infinite or beyond ±1e12 on either coordinate (validTarget).
+	ErrInvalidTarget = errors.New("core: invalid target position")
+
 	// ErrPanicked marks a panic raised inside MLL or realization that was
 	// recovered at the attempt boundary; the attempt was rolled back, so
 	// the design and grid are unchanged by the failed operation.

@@ -408,7 +408,11 @@ func (l *Legalizer) constraintsOKAt(sc *scratch, c *design.Cell, x, y int) bool 
 // evaluates them, and realizes the best one. It reports whether a legal
 // placement was found; on failure the design is unchanged (the attempt
 // runs behind a savepoint, so even a panic mid-realization rolls back).
+// A non-finite or out-of-range target (validTarget) fails at once.
 func (l *Legalizer) MLL(id design.CellID, tx, ty float64) bool {
+	if !validTarget(tx, ty) {
+		return false
+	}
 	err := l.edit(id, func() error {
 		return l.place(id, tx, ty, l.Cfg.Rx, l.Cfg.Ry, false)
 	})

@@ -36,6 +36,7 @@ type scratch struct {
 	all        []design.CellID   // window cells, each once, in Grid.CellsIn's row-major order
 	marks      epochSet          // non-local and demoted cells; a new epoch per extract
 	candidates []design.CellID   // movable cells still local in the fixpoint, by ID
+	idBuf      []design.CellID   // sortCandidates' second radix buffer
 	rowDirty   []bool            // window rows the fixpoint must re-divide
 	ids        []design.CellID   // local cells, ascending ID; local index = position
 	cells      []localCell       // parallel to ids
@@ -61,8 +62,12 @@ type scratch struct {
 	bestIP    InsertionPoint
 
 	// --- best-first search (searchBest) ---
-	winOrder []searchWindow // candidate windows sorted by (y-cost bound, row)
-	rowRank  [][]int32      // per-row interval order by (distance from tx, gap)
+	wins     []searchWindow // feasible candidate windows, by ascending bottom row
+	winLB    []float64      // parallel to wins: each window's lower bound
+	winOrder []int32        // indices into wins by (lower bound, bottom row), from valleyOrder
+	rowRank  [][]int32      // per-row interval order by (distance from tx, gap); valid where ranked
+	ranked   []bool         // per row: rankRow has filled rowRank in this search
+	rankKeys []float64      // rankRow's per-interval distances
 	mrSide   []int8         // per multi-row cell: side pinned by the partial combo
 	mrTouch  []int32        // stack of mrSide entries set on the current DFS path
 

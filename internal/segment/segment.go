@@ -165,8 +165,7 @@ func (g *Grid) SegmentContaining(y, x, w int) *Segment {
 	return s
 }
 
-// cellLess reports whether cell a sits left of x in the ordering used by
-// the per-segment lists.
+// cellX returns cell id's x, the key the per-segment lists are ordered by.
 func (g *Grid) cellX(id design.CellID) int { return g.d.Cells[id].X }
 
 // lowerBound returns the index of the first cell in s whose x >= x.

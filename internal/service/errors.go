@@ -24,6 +24,7 @@ const (
 	CodeCellTimeout      = "cell_timeout"
 	CodeFixedCell        = "fixed_cell"
 	CodeInvalidWidth     = "invalid_width"
+	CodeInvalidTarget    = "invalid_target"
 	CodePanicked         = "panicked"
 	CodeRoundsExhausted  = "rounds_exhausted"
 	CodeRollbackFailed   = "rollback_failed"
@@ -66,6 +67,7 @@ var codeTable = []struct {
 	{core.ErrCanceled, CodeCanceled},
 	{core.ErrFixedCell, CodeFixedCell},
 	{core.ErrInvalidWidth, CodeInvalidWidth},
+	{core.ErrInvalidTarget, CodeInvalidTarget},
 	{core.ErrPanicked, CodePanicked},
 	{core.ErrRoundsExhausted, CodeRoundsExhausted},
 	{core.ErrRollbackFailed, CodeRollbackFailed},

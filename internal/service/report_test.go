@@ -103,6 +103,7 @@ func TestErrorCodeTaxonomy(t *testing.T) {
 		{core.ErrCellTimeout, "cell_timeout"},
 		{core.ErrFixedCell, "fixed_cell"},
 		{core.ErrInvalidWidth, "invalid_width"},
+		{core.ErrInvalidTarget, "invalid_target"},
 		{core.ErrPanicked, "panicked"},
 		{core.ErrRoundsExhausted, "rounds_exhausted"},
 		{core.ErrRollbackFailed, "rollback_failed"},

@@ -240,7 +240,7 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 			case errors.Is(doErr, jobq.ErrSessionNotFound), errors.Is(doErr, core.ErrSessionClosed):
 				status = http.StatusNotFound
 			case errors.Is(doErr, core.ErrUnknownCell), errors.Is(doErr, core.ErrFixedCell),
-				errors.Is(doErr, core.ErrInvalidWidth):
+				errors.Is(doErr, core.ErrInvalidWidth), errors.Is(doErr, core.ErrInvalidTarget):
 				status = http.StatusBadRequest
 			case errors.Is(doErr, core.ErrRollbackFailed):
 				status = http.StatusInternalServerError

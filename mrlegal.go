@@ -143,6 +143,7 @@ var (
 	ErrCellTimeout      = core.ErrCellTimeout
 	ErrFixedCell        = core.ErrFixedCell
 	ErrInvalidWidth     = core.ErrInvalidWidth
+	ErrInvalidTarget    = core.ErrInvalidTarget
 	ErrPanicked         = core.ErrPanicked
 	ErrRoundsExhausted  = core.ErrRoundsExhausted
 	ErrRollbackFailed   = core.ErrRollbackFailed
