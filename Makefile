@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race allocs cover examples fuzz fuzz-search fuzz-constraints fuzz-submit fuzz-design fuzz-eco bench-json bench-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
+.PHONY: check vet build test race allocs cover examples fuzz fuzz-search fuzz-constraints fuzz-submit fuzz-design fuzz-eco bench-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
 
 check: vet build race allocs cover examples bench-eco-smoke
 
@@ -76,18 +76,6 @@ bench-constraint-smoke:
 		-run 'TestConstraintPluginsMatchAcrossModes|TestConstraintFiltersActuallyFire|TestConstraintLowerBoundProperty|TestConstraintSwapTakesEffect'
 	$(GO) test -race ./internal/experiments -run TestGoldenConstraintPlacements
 
-# Regenerate the benchmark artifacts: BENCH_prune.json (best-first search
-# vs exhaustive sweep) and BENCH_eco.json (incremental session delta
-# batches vs full relegalization); see docs/PERFORMANCE.md. Results
-# depend on the machine; num_cpu, go_max_procs and speedup_valid are
-# recorded in the eco artifact — on a single-CPU box every speedup field
-# is suppressed.
-bench-json:
-	$(GO) run ./cmd/mrbench -experiment prune -scale 400 \
-		-json BENCH_prune.json -no-progress
-	$(GO) run ./cmd/mrbench -experiment eco -sizes 5000,20000 \
-		-delta-fracs 0.001,0.01,0.05 -json BENCH_eco.json -no-progress
-
 # Short fuzz session over the job-submission decoder — the boundary
 # between the network and the engine (docs/SERVICE.md).
 fuzz-submit:
@@ -109,11 +97,11 @@ fuzz-eco:
 # ECO-equivalence smoke (CI gate): on a Table-1 subset, session delta
 # batches applied over legalized designs must stay legal (the tier-1
 # suite's TestGoldenSessions pins each batch's placement); plus the
-# session engine's own suite and the eco benchmark plumbing, all under
-# the race detector (docs/PERFORMANCE.md §9).
+# session engine's and the session service's own suites, all under the
+# race detector (docs/PERFORMANCE.md §9).
 bench-eco-smoke:
 	$(GO) test -race -short ./internal/core -run 'TestSession'
-	$(GO) test -race ./internal/experiments -run 'TestEcoEquivalence|TestRunEcoSmoke'
+	$(GO) test -race ./internal/experiments -run 'TestEcoEquivalence'
 	$(GO) test -race ./internal/service -run 'TestSession'
 
 # End-to-end exercise of the job server: build mrserve, submit a bench

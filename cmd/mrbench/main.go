@@ -7,11 +7,7 @@
 //	mrbench -experiment evalablation                 # approx vs exact (E4)
 //	mrbench -experiment window -bench fft_1          # Rx/Ry sweep (E5)
 //	mrbench -experiment baselines                    # Abacus/greedy (E6)
-//	mrbench -experiment prune -scale 400 \
-//	        -json BENCH_prune.json                   # best-first search vs exhaustive
-//	mrbench -experiment eco -sizes 5000,20000 \
-//	        -delta-fracs 0.001,0.01,0.05 \
-//	        -json BENCH_eco.json                     # incremental vs full relegalization (§9)
+//	mrbench -experiment prune -scale 400             # best-first vs exhaustive search (E10)
 //	mrbench -experiment table1 -skip-ilp -metrics \
 //	        -trace-out trace.jsonl                   # + Prometheus dump & JSONL trace
 package main
@@ -22,8 +18,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"slices"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -34,7 +28,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("experiment", "table1", "table1 | relax | evalablation | window | baselines | heightmix | order | scaling | prune | eco")
+		exp     = flag.String("experiment", "table1", "table1 | relax | evalablation | window | baselines | heightmix | order | scaling | prune")
 		scale   = flag.Int("scale", 200, "benchmark downscale factor (1 = paper-size, large = fast)")
 		skipILP = flag.Bool("skip-ilp", false, "skip the (slow) ILP baseline columns")
 		only    = flag.String("only", "", "comma-separated benchmark name filter")
@@ -44,23 +38,12 @@ func main() {
 		ry      = flag.Int("ry", 0, "local region half-height Ry override (0 = paper default 5)")
 		nodes   = flag.Int("ilp-nodes", 0, "branch & bound node cap per local MILP (0 = default)")
 		quietP  = flag.Bool("no-progress", false, "suppress per-benchmark progress lines")
-		sizes   = flag.String("sizes", "", "comma-separated synthetic design sizes for -experiment eco (default \"5000,20000\")")
-
-		deltaFracs = flag.String("delta-fracs", "", "comma-separated perturbed-cell fractions for -experiment eco (default \"0.001,0.01,0.05\")")
-		jsonOut    = flag.String("json", "", "write the prune or eco experiment's report as JSON to this file instead of a table")
 
 		metrics   = flag.Bool("metrics", false, "emit the accumulated Prometheus text exposition once to stdout after the experiment (see docs/OBSERVABILITY.md)")
 		traceFlag = flag.String("trace-out", "", "write the per-cell JSONL placement trace of every run to this file")
 	)
 	prof := profiling.Register(flag.CommandLine)
 	flag.Parse()
-	// Explicitly-passed zero or negative counts are configuration errors,
-	// not requests for the "auto" default — fail fast with usage.
-	if err := rejectNonPositiveListFlags("sizes"); err != nil {
-		fmt.Fprintf(os.Stderr, "mrbench: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
 	stop, err := prof.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mrbench: %v\n", err)
@@ -155,119 +138,11 @@ func main() {
 		rows := experiments.RunScaling(cfg, *bench, []int{800, 400, 200, 100, 50, 25})
 		experiments.PrintScaling(os.Stdout, *bench, rows)
 	case "prune":
-		rep := experiments.RunPrune(cfg)
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err == nil {
-				err = experiments.WritePruneJSON(f, rep)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mrbench: %v\n", err)
-				stop()
-				os.Exit(1)
-			}
-		} else {
-			experiments.PrintPrune(os.Stdout, rep)
-		}
-	case "eco":
-		sizeList, err := parseCounts(*sizes)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mrbench: -sizes: %v\n", err)
-			stop()
-			os.Exit(2)
-		}
-		fracList, err := parseFracs(*deltaFracs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mrbench: -delta-fracs: %v\n", err)
-			stop()
-			os.Exit(2)
-		}
-		ecfg := experiments.EcoConfig{
-			Sizes:      sizeList,
-			DeltaFracs: fracList,
-			Seed:       *seed,
-			Ctx:        ctx,
-		}
-		if !*quietP {
-			ecfg.Progress = os.Stderr
-		}
-		rep := experiments.RunEco(ecfg)
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err == nil {
-				err = experiments.WriteEcoJSON(f, rep)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mrbench: %v\n", err)
-				stop()
-				os.Exit(1)
-			}
-		} else {
-			experiments.PrintEco(os.Stdout, rep)
-		}
+		rows := experiments.RunSearchAblation(cfg)
+		experiments.PrintSearchAblation(os.Stdout, rows)
 	default:
 		fmt.Fprintf(os.Stderr, "mrbench: unknown experiment %q\n", *exp)
 		stop()
 		os.Exit(2)
 	}
-}
-
-// rejectNonPositiveListFlags validates the named comma-separated count
-// flags: any explicitly-passed entry that parses as an integer <= 0 is an
-// error. Omitted flags keep their default (auto) semantics; non-integer
-// junk is left for the per-experiment parser so the error names the
-// experiment that needed the flag.
-func rejectNonPositiveListFlags(names ...string) error {
-	var err error
-	flag.Visit(func(f *flag.Flag) {
-		if err != nil || !slices.Contains(names, f.Name) {
-			return
-		}
-		for _, field := range strings.Split(f.Value.String(), ",") {
-			n, perr := strconv.Atoi(strings.TrimSpace(field))
-			if perr == nil && n <= 0 {
-				err = fmt.Errorf("-%s: count must be positive, got %d", f.Name, n)
-				return
-			}
-		}
-	})
-	return err
-}
-
-// parseFracs parses a comma-separated list of fractions in (0, 1].
-func parseFracs(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 || v > 1 {
-			return nil, fmt.Errorf("bad delta fraction %q (want 0 < f <= 1)", f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parseCounts parses a comma-separated list of positive counts.
-func parseCounts(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad count %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

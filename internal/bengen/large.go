@@ -115,18 +115,3 @@ func GenerateSized(spec SizeSpec) *design.Design {
 	}
 	return d
 }
-
-// SizeSweepSpecs is the Table1Specs-style helper for scaling sweeps: one
-// spec per requested cell count, deterministic seeds, uniform density.
-func SizeSweepSpecs(sizes []int, density float64) []SizeSpec {
-	specs := make([]SizeSpec, len(sizes))
-	for i, n := range sizes {
-		specs[i] = SizeSpec{
-			Name:     fmt.Sprintf("sweep_%d", n),
-			NumCells: n,
-			Density:  density,
-			Seed:     int64(9000 + i),
-		}
-	}
-	return specs
-}

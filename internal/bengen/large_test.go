@@ -56,23 +56,3 @@ func TestGenerateSizedMillionCells(t *testing.T) {
 		t.Fatalf("density = %v, want ≈0.6", den)
 	}
 }
-
-func TestSizeSweepSpecs(t *testing.T) {
-	specs := SizeSweepSpecs([]int{1000, 10000, 100000}, 0.5)
-	if len(specs) != 3 {
-		t.Fatalf("specs = %d", len(specs))
-	}
-	seen := map[int64]bool{}
-	for i, s := range specs {
-		if s.NumCells != []int{1000, 10000, 100000}[i] {
-			t.Fatalf("spec %d size = %d", i, s.NumCells)
-		}
-		if s.Density != 0.5 || s.Name == "" {
-			t.Fatalf("spec %d not filled: %+v", i, s)
-		}
-		if seen[s.Seed] {
-			t.Fatalf("duplicate seed %d", s.Seed)
-		}
-		seen[s.Seed] = true
-	}
-}

@@ -113,17 +113,21 @@ func (l *Legalizer) run(ctx context.Context) (*Report, error) {
 		return unplaced[i] < unplaced[j]
 	})
 
-	// Prescreen cells no round can ever place (wider than every segment of
-	// every compatible row) so they fail fast with a precise reason
-	// instead of burning the whole round budget.
-	var infeasible []design.CellID
+	// Prescreen cells no round can ever place, so they fail fast with a
+	// precise reason instead of burning the whole round budget: a cell
+	// wider than every segment of every compatible row, and one whose
+	// input position is not a usable target (validTarget).
+	var prescreened []CellFailure
 	feasible := unplaced[:0]
 	for _, id := range unplaced {
 		c := l.D.Cell(id)
-		if l.widthFits(l.D.MasterOf(id), c.W, c.H) {
+		switch {
+		case !l.widthFits(l.D.MasterOf(id), c.W, c.H):
+			prescreened = append(prescreened, CellFailure{Cell: id, Name: c.Name, Err: ErrCellTooWide})
+		case !validTarget(c.GX, c.GY):
+			prescreened = append(prescreened, CellFailure{Cell: id, Name: c.Name, Err: ErrInvalidTarget})
+		default:
 			feasible = append(feasible, id)
-		} else {
-			infeasible = append(infeasible, id)
 		}
 	}
 	unplaced = feasible
@@ -141,16 +145,16 @@ func (l *Legalizer) run(ctx context.Context) (*Report, error) {
 	}
 	rep.TimedOut = st.canceled
 
-	for _, id := range infeasible {
-		rep.Failed = append(rep.Failed, CellFailure{Cell: id, Name: l.D.Cell(id).Name, Err: ErrCellTooWide})
+	for _, f := range prescreened {
+		rep.Failed = append(rep.Failed, f)
 		if l.om != nil {
 			// Prescreened cells never reach the attempt loop; record them
 			// here so the trace accounts for every movable cell.
 			l.om.attempts.Inc()
 			l.om.attemptFailures.Inc()
 			l.om.o.RecordCell(obs.CellEvent{
-				Cell:    int(id),
-				Outcome: obs.OutcomeTooWide,
+				Cell:    int(f.Cell),
+				Outcome: outcomeFor(f.Err),
 			})
 		}
 	}

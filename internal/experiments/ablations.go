@@ -9,9 +9,7 @@ import (
 	"mrlegal/internal/bengen"
 	"mrlegal/internal/core"
 	"mrlegal/internal/design"
-	"mrlegal/internal/netlist"
 	"mrlegal/internal/tetris"
-	"mrlegal/internal/verify"
 )
 
 // EvalAblationRow compares the paper's approximate insertion-point
@@ -27,12 +25,7 @@ type EvalAblationRow struct {
 func RunEvalAblation(cfg Table1Config) []EvalAblationRow {
 	cfg.defaults()
 	var rows []EvalAblationRow
-	for _, spec := range bengen.Table1Specs(cfg.Scale) {
-		if len(cfg.Only) > 0 && !contains(cfg.Only, spec.Name) {
-			continue
-		}
-		spec.Seed += cfg.Seed
-		p := Prepare(spec, cfg.Seed)
+	cfg.roster(func(spec bengen.Spec, p *Prepared) {
 		ap := cfg.coreConfig(true, false)
 		ex := ap
 		ex.ExactEval = true
@@ -47,7 +40,7 @@ func RunEvalAblation(cfg Table1Config) []EvalAblationRow {
 				spec.Name, row.Approx.AvgDisp, row.Approx.Runtime.Round(time.Millisecond),
 				row.Exact.AvgDisp, row.Exact.Runtime.Round(time.Millisecond))
 		}
-	}
+	})
 	return rows
 }
 
@@ -80,57 +73,33 @@ func PrintEvalAblation(w io.Writer, rows []EvalAblationRow) {
 
 // WindowRow is one point of the window-size sweep (experiment E5; the
 // paper fixes Rx=30, Ry=5 without justification — this sweep shows the
-// displacement/runtime trade-off behind that choice).
+// displacement/runtime trade-off behind that choice). Result.Stats
+// counts the MLL failures that retries resolved.
 type WindowRow struct {
 	Rx, Ry int
 	Result LegalizeResult
-	Fails  int64 // MLL failures encountered (retries resolve them)
 }
 
-// RunWindowSweep runs experiment E5 on one benchmark.
+// RunWindowSweep runs experiment E5 on one benchmark; nil when the roster
+// has no benchmark of that name.
 func RunWindowSweep(cfg Table1Config, name string, rxs, rys []int) []WindowRow {
 	cfg.defaults()
-	var spec bengen.Spec
-	found := false
-	for _, s := range bengen.Table1Specs(cfg.Scale) {
-		if s.Name == name {
-			spec = s
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil
-	}
-	spec.Seed += cfg.Seed
-	p := Prepare(spec, cfg.Seed)
+	cfg.Only = []string{name}
 	var rows []WindowRow
-	for _, rx := range rxs {
-		for _, ry := range rys {
-			c := cfg.coreConfig(true, false)
-			c.Rx, c.Ry = rx, ry
-			d := p.Bench.D.Clone()
-			l, err := core.NewLegalizer(d, c)
-			if err != nil {
-				continue
-			}
-			start := time.Now()
-			lerr := l.LegalizeCtx(cfg.ctx())
-			res := LegalizeResult{Runtime: time.Since(start)}
-			if lerr != nil {
-				res.Err = lerr.Error()
-			} else {
-				_, res.AvgDisp = d.TotalDispSites()
-				res.DeltaHPWL = netlist.HPWLDelta(p.GPHPWL, p.Bench.NL.HPWL(d))
-				res.Legal = verify.Legal(d, verify.Options{RequirePlaced: true, PowerAlignment: true})
-			}
-			rows = append(rows, WindowRow{Rx: rx, Ry: ry, Result: res, Fails: int64(l.Stats().MLLFailures)})
-			if cfg.Progress != nil {
-				fmt.Fprintf(cfg.Progress, "Rx=%-3d Ry=%-2d disp=%.3f ΔHPWL=%.2f%% t=%s fails=%d\n",
-					rx, ry, res.AvgDisp, res.DeltaHPWL*100, res.Runtime.Round(time.Millisecond), l.Stats().MLLFailures)
+	cfg.roster(func(_ bengen.Spec, p *Prepared) {
+		for _, rx := range rxs {
+			for _, ry := range rys {
+				c := cfg.coreConfig(true, false)
+				c.Rx, c.Ry = rx, ry
+				res := RunOneCtx(cfg.ctx(), p, c)
+				rows = append(rows, WindowRow{Rx: rx, Ry: ry, Result: res})
+				if cfg.Progress != nil {
+					fmt.Fprintf(cfg.Progress, "Rx=%-3d Ry=%-2d disp=%.3f ΔHPWL=%.2f%% t=%s fails=%d\n",
+						rx, ry, res.AvgDisp, res.DeltaHPWL*100, res.Runtime.Round(time.Millisecond), res.Stats.MLLFailures)
+				}
 			}
 		}
-	}
+	})
 	return rows
 }
 
@@ -141,7 +110,7 @@ func PrintWindowSweep(w io.Writer, name string, rows []WindowRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%4d %4d %10.3f %9.2f%% %10s %8d\n",
 			r.Rx, r.Ry, r.Result.AvgDisp, r.Result.DeltaHPWL*100,
-			r.Result.Runtime.Round(time.Millisecond), r.Fails)
+			r.Result.Runtime.Round(time.Millisecond), r.Result.Stats.MLLFailures)
 	}
 }
 
@@ -157,12 +126,7 @@ type BaselineRow struct {
 func RunBaselines(cfg Table1Config) []BaselineRow {
 	cfg.defaults()
 	var rows []BaselineRow
-	for _, spec := range bengen.Table1Specs(cfg.Scale) {
-		if len(cfg.Only) > 0 && !contains(cfg.Only, spec.Name) {
-			continue
-		}
-		spec.Seed += cfg.Seed
-		p := Prepare(spec, cfg.Seed)
+	cfg.roster(func(spec bengen.Spec, p *Prepared) {
 		row := BaselineRow{Name: spec.Name}
 		row.MLL = RunOneCtx(cfg.ctx(), p, cfg.coreConfig(true, false))
 
@@ -171,16 +135,7 @@ func RunBaselines(cfg Table1Config) []BaselineRow {
 			start := time.Now()
 			err := run(d)
 			res := LegalizeResult{Runtime: time.Since(start)}
-			if err != nil {
-				res.Err = err.Error()
-				return res
-			}
-			_, res.AvgDisp = d.TotalDispSites()
-			res.DeltaHPWL = netlist.HPWLDelta(p.GPHPWL, p.Bench.NL.HPWL(d))
-			res.Legal = verify.Legal(d, verify.Options{RequirePlaced: true, PowerAlignment: true})
-			if !res.Legal {
-				res.Err = "verification failed"
-			}
+			p.score(&res, d, true, err)
 			return res
 		}
 		row.Abacus = measure(func(d *design.Design) error {
@@ -195,7 +150,7 @@ func RunBaselines(cfg Table1Config) []BaselineRow {
 			fmt.Fprintf(cfg.Progress, "%-16s MLL: %.3f | Abacus: %.3f (%s) | Greedy: %.3f (%s)\n",
 				spec.Name, row.MLL.AvgDisp, row.Abacus.AvgDisp, row.Abacus.Err, row.Greedy.AvgDisp, row.Greedy.Err)
 		}
-	}
+	})
 	return rows
 }
 
@@ -284,12 +239,7 @@ type OrderRow struct {
 func RunOrderAblation(cfg Table1Config) []OrderRow {
 	cfg.defaults()
 	var rows []OrderRow
-	for _, spec := range bengen.Table1Specs(cfg.Scale) {
-		if len(cfg.Only) > 0 && !contains(cfg.Only, spec.Name) {
-			continue
-		}
-		spec.Seed += cfg.Seed
-		p := Prepare(spec, cfg.Seed)
+	cfg.roster(func(spec bengen.Spec, p *Prepared) {
 		tall := cfg.coreConfig(true, false)
 		input := tall
 		input.TallFirst = false
@@ -299,7 +249,7 @@ func RunOrderAblation(cfg Table1Config) []OrderRow {
 			fmt.Fprintf(cfg.Progress, "%-16s tall-first: disp=%.3f err=%q | input-order: disp=%.3f err=%q\n",
 				spec.Name, row.TallFirst.AvgDisp, row.TallFirst.Err, row.InputOrder.AvgDisp, row.InputOrder.Err)
 		}
-	}
+	})
 	return rows
 }
 
@@ -329,21 +279,18 @@ type ScalingRow struct {
 // RunScaling runs experiment E9 on the named benchmark.
 func RunScaling(cfg Table1Config, name string, scales []int) []ScalingRow {
 	cfg.defaults()
+	cfg.Only = []string{name}
 	var rows []ScalingRow
 	for _, sc := range scales {
-		for _, spec := range bengen.Table1Specs(sc) {
-			if spec.Name != name {
-				continue
-			}
-			spec.Seed += cfg.Seed
-			p := Prepare(spec, cfg.Seed)
+		cfg.Scale = sc
+		cfg.roster(func(spec bengen.Spec, p *Prepared) {
 			res := RunOneCtx(cfg.ctx(), p, cfg.coreConfig(true, false))
 			rows = append(rows, ScalingRow{Cells: spec.NumCells, Result: res})
 			if cfg.Progress != nil {
 				fmt.Fprintf(cfg.Progress, "scale=%d cells=%d t=%s disp=%.3f err=%q\n",
 					sc, spec.NumCells, res.Runtime.Round(time.Millisecond), res.AvgDisp, res.Err)
 			}
-		}
+		})
 	}
 	return rows
 }
@@ -357,4 +304,77 @@ func PrintScaling(w io.Writer, name string, rows []ScalingRow) {
 		fmt.Fprintf(w, "%10d %12s %14.1f %10.3f\n",
 			r.Cells, r.Result.Runtime.Round(time.Millisecond), perCell, r.Result.AvgDisp)
 	}
+}
+
+// SearchAblationRow compares the best-first insertion-point search, the
+// default, with the exhaustive sweep it must agree with (experiment E10):
+// the same Table-1 run with and without Config.ExhaustiveSearch.
+type SearchAblationRow struct {
+	Name                  string
+	Cells                 int
+	BestFirst, Exhaustive LegalizeResult
+}
+
+// same reports whether both runs succeeded with identical placements.
+func (r *SearchAblationRow) same() bool {
+	return r.BestFirst.Err == "" && r.Exhaustive.Err == "" &&
+		r.BestFirst.Checksum == r.Exhaustive.Checksum
+}
+
+// RunSearchAblation runs experiment E10 on the Table-1 roster.
+func RunSearchAblation(cfg Table1Config) []SearchAblationRow {
+	cfg.defaults()
+	var rows []SearchAblationRow
+	cfg.roster(func(spec bengen.Spec, p *Prepared) {
+		bf := cfg.coreConfig(true, false)
+		ex := bf
+		ex.ExhaustiveSearch = true
+		row := SearchAblationRow{
+			Name:       spec.Name,
+			Cells:      len(p.Bench.D.Cells),
+			BestFirst:  RunOneCtx(cfg.ctx(), p, bf),
+			Exhaustive: RunOneCtx(cfg.ctx(), p, ex),
+		}
+		rows = append(rows, row)
+		if cfg.Progress != nil {
+			fmt.Fprintf(cfg.Progress, "%-16s evaluated %d -> %d  t %s -> %s  same=%v\n",
+				spec.Name, row.Exhaustive.Stats.InsertionPoints, row.BestFirst.Stats.InsertionPoints,
+				row.Exhaustive.Runtime.Round(time.Millisecond), row.BestFirst.Runtime.Round(time.Millisecond),
+				row.same())
+		}
+	})
+	return rows
+}
+
+// PrintSearchAblation renders experiment E10: insertion points evaluated
+// per MLL call in each mode, the reduction, both wall times, and whether
+// the placements are identical.
+func PrintSearchAblation(w io.Writer, rows []SearchAblationRow) {
+	fmt.Fprintf(w, "Best-first search vs exhaustive sweep:\n")
+	fmt.Fprintf(w, "%-16s %7s %11s %11s %9s %9s %8s %5s\n",
+		"Benchmark", "Cells", "eval/call_x", "eval/call_b", "reduction", "t_exh", "t_bf", "same")
+	ratio := func(num, den float64) float64 {
+		if den == 0 {
+			return 0
+		}
+		return num / den
+	}
+	perCall := func(s core.Stats) float64 { return ratio(float64(s.InsertionPoints), float64(s.MLLCalls)) }
+	var evalEx, evalBF int64
+	var tEx, tBF time.Duration
+	allSame := true
+	for i := range rows {
+		r := &rows[i]
+		ex, bf := r.Exhaustive.Stats.InsertionPoints, r.BestFirst.Stats.InsertionPoints
+		fmt.Fprintf(w, "%-16s %7d %11.1f %11.1f %8.1fx %8.3fs %7.3fs %5v\n",
+			r.Name, r.Cells, perCall(r.Exhaustive.Stats), perCall(r.BestFirst.Stats),
+			ratio(float64(ex), float64(bf)), r.Exhaustive.Runtime.Seconds(), r.BestFirst.Runtime.Seconds(), r.same())
+		evalEx += ex
+		evalBF += bf
+		tEx += r.Exhaustive.Runtime
+		tBF += r.BestFirst.Runtime
+		allSame = allSame && r.same()
+	}
+	fmt.Fprintf(w, "Total: %.1fx fewer evaluations, %.2fx wall speedup, identical=%v\n",
+		ratio(float64(evalEx), float64(evalBF)), ratio(tEx.Seconds(), tBF.Seconds()), allSame)
 }

@@ -1,57 +1,43 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"math/rand"
 	"testing"
 
 	"mrlegal/internal/bengen"
 	"mrlegal/internal/core"
+	"mrlegal/internal/design"
 )
 
-func TestRunEcoSmoke(t *testing.T) {
-	rep := RunEco(EcoConfig{Sizes: []int{800}, DeltaFracs: []float64{0.01}, Repeats: 1})
-	if rep.SchemaVersion != BenchSchemaVersion {
-		t.Fatalf("schema version = %d", rep.SchemaVersion)
+// ecoDeltas builds a deterministic perturbation batch: n distinct cells
+// moved to jittered targets near their legal positions (the classic ECO
+// shape — local engineering changes, not a re-placement).
+// TestGoldenSessions builds its batches with it, so golden_sessions.txt
+// depends on its rng stream.
+func ecoDeltas(d *design.Design, n int, seed int64) []core.Delta {
+	rng := rand.New(rand.NewSource(seed))
+	ids := make([]design.CellID, 0, len(d.Cells))
+	for i := range d.Cells {
+		if !d.Cells[i].Fixed && !d.Cells[i].Dead {
+			ids = append(ids, design.CellID(i))
+		}
 	}
-	if len(rep.Benches) != 1 || len(rep.Benches[0].Runs) != 1 {
-		t.Fatalf("report shape: %+v", rep)
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	if n > len(ids) {
+		n = len(ids)
 	}
-	run := rep.Benches[0].Runs[0]
-	if run.Err != "" {
-		t.Fatalf("run failed: %s", run.Err)
+	deltas := make([]core.Delta, 0, n)
+	for _, id := range ids[:n] {
+		c := &d.Cells[id]
+		deltas = append(deltas, core.Delta{
+			Op:   core.DeltaMove,
+			Cell: id,
+			TX:   float64(c.X) + float64(rng.Intn(41)-20),
+			TY:   float64(c.Y) + float64(rng.Intn(9)-4),
+		})
 	}
-	if !run.Legal || !run.FixedPoint {
-		t.Fatalf("incremental result unverified: legal=%v fixed=%v", run.Legal, run.FixedPoint)
-	}
-	if run.Deltas != 8 {
-		t.Fatalf("deltas = %d, want 1%% of 800", run.Deltas)
-	}
-	if run.WallIncrementalSeconds <= 0 || run.WallFullSeconds <= 0 {
-		t.Fatalf("missing wall times: %+v", run)
-	}
-	// The honesty gate: speedups only on multi-CPU machines, and never
-	// without verification. Wall times are reported either way.
-	if run.SpeedupValid && rep.NumCPU <= 1 {
-		t.Fatal("speedup_valid on a single-CPU machine")
-	}
-	if !run.SpeedupValid && run.SpeedupVsFull != 0 {
-		t.Fatalf("ungated speedup %v", run.SpeedupVsFull)
-	}
-
-	var buf bytes.Buffer
-	if err := WriteEcoJSON(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	var back EcoReport
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Benches[0].Runs[0].Checksum != run.Checksum {
-		t.Fatal("JSON roundtrip lost the checksum")
-	}
-	PrintEco(&buf, rep)
+	return deltas
 }
 
 // TestEcoEquivalence is the CI equivalence smoke (docs/PERFORMANCE.md

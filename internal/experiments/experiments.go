@@ -2,13 +2,15 @@
 // Table 1 (MLL vs. the ILP baseline under both power-alignment modes on
 // the 20 ISPD-2015-shaped benchmarks), the §6 relaxation comparison, and
 // the ablations called out in DESIGN.md (approximate vs. exact insertion
-// point evaluation, window-size sweep, related-work baselines).
+// point evaluation, window-size sweep, related-work baselines, best-first
+// vs. exhaustive search). Every MLL run goes through RunOneCtx.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"mrlegal/internal/bengen"
@@ -21,12 +23,6 @@ import (
 	"mrlegal/internal/verify"
 )
 
-// BenchSchemaVersion stamps every BENCH_*.json document (the
-// schema_version field). Bump it when a field changes meaning, moves or
-// disappears, so downstream consumers can detect incompatible artifacts
-// instead of silently misreading them.
-const BenchSchemaVersion = 1
-
 // LegalizeResult captures the three Table-1 metrics for one run.
 type LegalizeResult struct {
 	AvgDisp   float64       // average cell displacement, in site widths
@@ -34,6 +30,12 @@ type LegalizeResult struct {
 	Runtime   time.Duration // legalization wall time
 	Legal     bool          // verified against §2 constraints
 	Err       string        // non-empty when legalization failed
+
+	// Stats and Checksum (design.PlacementChecksum) are read after the
+	// timed region of an MLL run, failed or not; zero for other
+	// legalizers.
+	Stats    core.Stats
+	Checksum uint64
 }
 
 // ModeResult pairs the ILP baseline and our MLL legalizer for one
@@ -137,22 +139,25 @@ func RunOneCtx(ctx context.Context, p *Prepared, cfg core.Config) LegalizeResult
 	lerr := l.LegalizeCtx(ctx)
 	elapsed := time.Since(start)
 
-	res := LegalizeResult{Runtime: elapsed}
-	if lerr != nil {
-		res.Err = lerr.Error()
-		return res
+	res := LegalizeResult{Runtime: elapsed, Stats: l.Stats(), Checksum: d.PlacementChecksum()}
+	p.score(&res, d, cfg.PowerAlign, lerr)
+	return res
+}
+
+// score fills res's Table-1 metrics for d, a legalized clone of p's
+// design, or its Err when the legalizer returned err or d fails
+// verification.
+func (p *Prepared) score(res *LegalizeResult, d *design.Design, powerAlign bool, err error) {
+	if err != nil {
+		res.Err = err.Error()
+		return
 	}
 	_, res.AvgDisp = d.TotalDispSites()
-	after := p.Bench.NL.HPWL(d)
-	res.DeltaHPWL = netlist.HPWLDelta(p.GPHPWL, after)
-	res.Legal = verify.Legal(d, verify.Options{
-		RequirePlaced:  true,
-		PowerAlignment: cfg.PowerAlign,
-	})
-	if !res.Legal && res.Err == "" {
+	res.DeltaHPWL = netlist.HPWLDelta(p.GPHPWL, p.Bench.NL.HPWL(d))
+	res.Legal = verify.Legal(d, verify.Options{RequirePlaced: true, PowerAlignment: powerAlign})
+	if !res.Legal {
 		res.Err = "verification failed"
 	}
-	return res
 }
 
 // coreConfig builds the legalizer configuration for one Table-1 cell.
@@ -168,20 +173,27 @@ func (c *Table1Config) coreConfig(align, useILP bool) core.Config {
 	return cfg
 }
 
+// roster prepares each Table-1 benchmark at c.Scale that c.Only selects,
+// its seeds offset by c.Seed, and hands it to f in roster order. Every
+// roster experiment shares this loop, so their rows line up.
+func (c *Table1Config) roster(f func(spec bengen.Spec, p *Prepared)) {
+	for _, spec := range bengen.Table1Specs(c.Scale) {
+		if len(c.Only) > 0 && !slices.Contains(c.Only, spec.Name) {
+			continue
+		}
+		spec.Seed += c.Seed
+		f(spec, Prepare(spec, c.Seed))
+	}
+}
+
 // RunTable1 regenerates Table 1 (experiments E1 + E2 of DESIGN.md).
 func RunTable1(cfg Table1Config) []Table1Row {
 	cfg.defaults()
-	specs := bengen.Table1Specs(cfg.Scale)
 	var rows []Table1Row
-	for _, spec := range specs {
-		if len(cfg.Only) > 0 && !contains(cfg.Only, spec.Name) {
-			continue
-		}
+	cfg.roster(func(spec bengen.Spec, p *Prepared) {
 		if cfg.Progress != nil {
 			fmt.Fprintf(cfg.Progress, "== %s (%d cells, density %.2f)\n", spec.Name, spec.NumCells, spec.Density)
 		}
-		spec.Seed += cfg.Seed
-		p := Prepare(spec, cfg.Seed)
 		row := Table1Row{
 			Name:    spec.Name,
 			SCells:  p.Stats.SingleRow,
@@ -212,17 +224,8 @@ func RunTable1(cfg Table1Config) []Table1Row {
 			row.Relaxed.ILP = run(false, true)
 		}
 		rows = append(rows, row)
-	}
+	})
 	return rows
-}
-
-func contains(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // Averages summarizes a Table-1 column set, mirroring the paper's "Avg."

@@ -142,6 +142,38 @@ func TestRunEvalAblation(t *testing.T) {
 	}
 }
 
+// TestRunSearchAblation checks experiment E10's claim on each benchmark:
+// both search modes legalize, place every cell identically after the
+// same MLL calls, and the best-first search evaluates no more insertion
+// points than the exhaustive sweep.
+func TestRunSearchAblation(t *testing.T) {
+	rows := RunSearchAblation(tinyCfg())
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	for _, r := range rows {
+		bf, ex := r.BestFirst, r.Exhaustive
+		if bf.Err != "" || !bf.Legal || ex.Err != "" || !ex.Legal {
+			t.Fatalf("%s: best-first %+v, exhaustive %+v", r.Name, bf, ex)
+		}
+		if bf.Checksum != ex.Checksum {
+			t.Errorf("%s: checksum best-first %016x, exhaustive %016x", r.Name, bf.Checksum, ex.Checksum)
+		}
+		if bf.Stats.MLLCalls != ex.Stats.MLLCalls {
+			t.Errorf("%s: MLL calls best-first %d, exhaustive %d", r.Name, bf.Stats.MLLCalls, ex.Stats.MLLCalls)
+		}
+		if bf.Stats.InsertionPoints > ex.Stats.InsertionPoints {
+			t.Errorf("%s: best-first evaluated %d insertion points, exhaustive %d",
+				r.Name, bf.Stats.InsertionPoints, ex.Stats.InsertionPoints)
+		}
+	}
+	var buf bytes.Buffer
+	PrintSearchAblation(&buf, rows)
+	if !strings.Contains(buf.String(), "identical=true") {
+		t.Fatalf("totals row does not report identical placements:\n%s", buf.String())
+	}
+}
+
 func TestRunWindowSweep(t *testing.T) {
 	cfg := Table1Config{Scale: 800}
 	rows := RunWindowSweep(cfg, "fft_a", []int{10, 30}, []int{2, 5})

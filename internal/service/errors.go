@@ -99,16 +99,3 @@ func ErrorCode(err error) string {
 	}
 	return CodeInternal
 }
-
-// SentinelFor is the inverse of ErrorCode for taxonomy codes: it returns
-// the sentinel error a code stands for, so decoded reports support
-// errors.Is exactly like fresh ones. Codes without a sentinel
-// (bad_request, internal, ...) report ok = false.
-func SentinelFor(code string) (err error, ok bool) {
-	for _, e := range codeTable {
-		if e.code == code {
-			return e.err, true
-		}
-	}
-	return nil, false
-}

@@ -2,10 +2,8 @@ package service
 
 import (
 	"fmt"
-	"strconv"
 
 	"mrlegal/internal/core"
-	"mrlegal/internal/design"
 )
 
 // FailureJSON is one per-cell failure on the wire. Code is the stable
@@ -60,37 +58,4 @@ func EncodeReport(rep *core.Report, checksum uint64) *ReportJSON {
 		})
 	}
 	return rj
-}
-
-// DecodeReport converts a wire report back to an engine report and the
-// placement checksum. Each failure's Err wraps the taxonomy sentinel its
-// code names, so errors.Is classifies decoded failures exactly like
-// fresh ones.
-func DecodeReport(rj *ReportJSON) (*core.Report, uint64, error) {
-	checksum, err := strconv.ParseUint(rj.PlacementChecksum, 16, 64)
-	if err != nil {
-		return nil, 0, fmt.Errorf("service: bad placement checksum %q: %w", rj.PlacementChecksum, err)
-	}
-	rep := &core.Report{
-		Placed:         rj.Placed,
-		Rounds:         rj.Rounds,
-		TimedOut:       rj.TimedOut,
-		AuditRuns:      rj.AuditRuns,
-		AuditRollbacks: rj.AuditRollbacks,
-		TotalDisp:      rj.TotalDisp,
-		AvgDisp:        rj.AvgDisp,
-		MaxDisp:        rj.MaxDisp,
-	}
-	for _, f := range rj.Failed {
-		sentinel, ok := SentinelFor(f.Code)
-		if !ok {
-			return nil, 0, fmt.Errorf("service: failure for cell %d has unknown code %q", f.Cell, f.Code)
-		}
-		rep.Failed = append(rep.Failed, core.CellFailure{
-			Cell: design.CellID(f.Cell),
-			Name: f.Name,
-			Err:  fmt.Errorf("%s: %w", f.Message, sentinel),
-		})
-	}
-	return rep, checksum, nil
 }

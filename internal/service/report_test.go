@@ -12,9 +12,10 @@ import (
 	"mrlegal/internal/jobq"
 )
 
-// TestReportRoundTrip encodes an engine report to the wire form, runs it
-// through JSON, decodes it back and checks nothing was lost — including
-// the errors.Is classification of every per-cell failure.
+// TestReportRoundTrip encodes an engine report to the wire form and reads
+// the JSON back as plain values: every scalar field under its wire name,
+// the checksum as 16 hex digits, and each failure's identity and
+// taxonomy code.
 func TestReportRoundTrip(t *testing.T) {
 	rep := &core.Report{
 		Placed:         41,
@@ -33,64 +34,47 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	const checksum = uint64(0xdeadbeefcafef00d)
 
-	rj := EncodeReport(rep, checksum)
-	if rj.PlacementChecksum != "deadbeefcafef00d" {
-		t.Fatalf("checksum encoding: %q", rj.PlacementChecksum)
-	}
-
-	blob, err := json.Marshal(rj)
+	blob, err := json.Marshal(EncodeReport(rep, checksum))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rj2 ReportJSON
-	if err := json.Unmarshal(blob, &rj2); err != nil {
+	var got map[string]any
+	if err := json.Unmarshal(blob, &got); err != nil {
 		t.Fatal(err)
 	}
-	rep2, sum2, err := DecodeReport(&rj2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum2 != checksum {
-		t.Fatalf("checksum: got %x, want %x", sum2, checksum)
-	}
-	if rep2.Placed != rep.Placed || rep2.Rounds != rep.Rounds || rep2.TimedOut != rep.TimedOut ||
-		rep2.AuditRuns != rep.AuditRuns || rep2.AuditRollbacks != rep.AuditRollbacks ||
-		rep2.TotalDisp != rep.TotalDisp || rep2.AvgDisp != rep.AvgDisp || rep2.MaxDisp != rep.MaxDisp {
-		t.Fatalf("scalar fields lost: %+v vs %+v", rep2, rep)
-	}
-	if len(rep2.Failed) != len(rep.Failed) {
-		t.Fatalf("failure count: %d vs %d", len(rep2.Failed), len(rep.Failed))
-	}
-	wantSentinels := []error{core.ErrNoInsertionPoint, core.ErrCellTooWide, core.ErrCellTimeout}
-	for i, f := range rep2.Failed {
-		if f.Cell != rep.Failed[i].Cell || f.Name != rep.Failed[i].Name {
-			t.Errorf("failure %d identity: %+v", i, f)
-		}
-		if !errors.Is(f.Err, wantSentinels[i]) {
-			t.Errorf("failure %d: decoded error %v does not unwrap to %v", i, f.Err, wantSentinels[i])
+	for key, want := range map[string]any{
+		"placed":             41.0,
+		"rounds":             3.0,
+		"timed_out":          true,
+		"audit_runs":         5.0,
+		"audit_rollbacks":    1.0,
+		"total_disp":         123.5,
+		"avg_disp":           2.75,
+		"max_disp":           17.0,
+		"placement_checksum": "deadbeefcafef00d",
+	} {
+		if got[key] != want {
+			t.Errorf("%s = %v, want %v", key, got[key], want)
 		}
 	}
-}
-
-// TestDecodeReportRejectsGarbage covers the two decode failure modes: a
-// non-hex checksum and an unknown failure code.
-func TestDecodeReportRejectsGarbage(t *testing.T) {
-	if _, _, err := DecodeReport(&ReportJSON{PlacementChecksum: "zzzz"}); err == nil {
-		t.Error("bad checksum accepted")
+	failed, _ := got["failed"].([]any)
+	if len(failed) != len(rep.Failed) {
+		t.Fatalf("failed = %v, want %d entries", got["failed"], len(rep.Failed))
 	}
-	rj := &ReportJSON{
-		PlacementChecksum: "0000000000000001",
-		Failed:            []FailureJSON{{Cell: 1, Code: "no_such_code"}},
-	}
-	if _, _, err := DecodeReport(rj); err == nil {
-		t.Error("unknown failure code accepted")
+	wantCodes := []string{"no_insertion_point", "cell_too_wide", "cell_timeout"}
+	for i, f := range failed {
+		fj, _ := f.(map[string]any)
+		src := rep.Failed[i]
+		if fj["cell"] != float64(src.Cell) || fj["name"] != src.Name ||
+			fj["code"] != wantCodes[i] || fj["message"] != src.Err.Error() {
+			t.Errorf("failure %d = %v, want cell %d, name %q, code %q, message %q",
+				i, fj, src.Cell, src.Name, wantCodes[i], src.Err.Error())
+		}
 	}
 }
 
 // TestErrorCodeTaxonomy pins the sentinel → code mapping: every engine
-// and queue sentinel must map to its stable API code, wrapped or not, and
-// SentinelFor must invert the mapping so decoded failures classify with
-// errors.Is exactly like fresh ones.
+// and queue sentinel must map to its stable API code, wrapped or not.
 func TestErrorCodeTaxonomy(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -123,16 +107,6 @@ func TestErrorCodeTaxonomy(t *testing.T) {
 		if got := ErrorCode(wrapped); got != c.code {
 			t.Errorf("ErrorCode(wrapped %v) = %q, want %q", c.err, got, c.code)
 		}
-		sentinel, ok := SentinelFor(c.code)
-		if !ok {
-			t.Errorf("SentinelFor(%q) missing", c.code)
-			continue
-		}
-		// The sentinel a code names must classify (errors.Is) to the same
-		// code — the mapping round-trips.
-		if got := ErrorCode(sentinel); got != c.code {
-			t.Errorf("round trip for %q broke: %q", c.code, got)
-		}
 	}
 
 	// CellError (the engine's wrapped per-cell failure) classifies through
@@ -147,8 +121,5 @@ func TestErrorCodeTaxonomy(t *testing.T) {
 	}
 	if got := ErrorCode(errors.New("mystery")); got != CodeInternal {
 		t.Errorf("unknown error: %q", got)
-	}
-	if _, ok := SentinelFor("definitely_not_a_code"); ok {
-		t.Error("SentinelFor accepted an unknown code")
 	}
 }
