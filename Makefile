@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: check vet build test race allocs cover examples fuzz fuzz-search fuzz-constraints fuzz-submit fuzz-design fuzz-eco bench-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
 
-check: vet build race allocs cover examples bench-eco-smoke
+check: vet build race allocs cover examples
 
 # gofmt -l prints each file that is not gofmt-clean; any output fails.
 vet:
@@ -66,11 +66,12 @@ fuzz-constraints:
 	$(GO) test ./internal/core -run FuzzConstraintLowerBound \
 		-fuzz FuzzConstraintLowerBound -fuzztime 30s
 
-# Constraint-plugin differential smoke (CI gate): each plugin alone and
-# all three composed must produce byte-identical placements in both
-# search modes under the race detector, pass the plugins' verify.Check
-# oracles with zero violations, and a rule set swapped on a live
-# legalizer must take effect at the next call (docs/CONSTRAINTS.md).
+# Constraint-plugin differential smoke, for focused local runs (the race
+# target runs the same tests, unshortened): each plugin alone and all
+# three composed must produce byte-identical placements in both search
+# modes under the race detector, pass the plugins' verify.Check oracles
+# with zero violations, and a rule set swapped on a live legalizer must
+# take effect at the next call (docs/CONSTRAINTS.md).
 bench-constraint-smoke:
 	$(GO) test -race -short ./internal/core \
 		-run 'TestConstraintPluginsMatchAcrossModes|TestConstraintFiltersActuallyFire|TestConstraintLowerBoundProperty|TestConstraintSwapTakesEffect'
@@ -94,11 +95,12 @@ fuzz-eco:
 	$(GO) test ./internal/service -run FuzzDecodeDelta \
 		-fuzz FuzzDecodeDelta -fuzztime 30s
 
-# ECO-equivalence smoke (CI gate): on a Table-1 subset, session delta
-# batches applied over legalized designs must stay legal (the tier-1
-# suite's TestGoldenSessions pins each batch's placement); plus the
-# session engine's and the session service's own suites, all under the
-# race detector (docs/PERFORMANCE.md §9).
+# ECO-equivalence smoke, for focused local runs (the race target runs the
+# same tests, unshortened): on a Table-1 subset, session delta batches
+# applied over legalized designs must stay legal (the tier-1 suite's
+# TestGoldenSessions pins each batch's placement); plus the session
+# engine's and the session service's own suites, all under the race
+# detector (docs/PERFORMANCE.md §9).
 bench-eco-smoke:
 	$(GO) test -race -short ./internal/core -run 'TestSession'
 	$(GO) test -race ./internal/experiments -run 'TestEcoEquivalence'

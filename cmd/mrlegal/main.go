@@ -220,10 +220,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  ΔHPWL            : %+.3f%%\n", netlist.HPWLDelta(before, after)*100)
 		fmt.Fprintf(os.Stderr, "  direct placements: %d, MLL calls: %d (%d failed), retry rounds: %d\n",
 			st.DirectPlacements, st.MLLCalls, st.MLLFailures, st.RetryRounds)
+		fmt.Fprintf(os.Stderr, "  search           : %d evaluated", st.InsertionPoints)
 		if st.CandidatesPruned > 0 || st.SearchNodesCut > 0 || st.WindowsPruned > 0 {
-			fmt.Fprintf(os.Stderr, "  best-first search: %d evaluated, %d candidates pruned, %d subtrees cut, %d windows pruned\n",
-				st.InsertionPoints, st.CandidatesPruned, st.SearchNodesCut, st.WindowsPruned)
+			fmt.Fprintf(os.Stderr, ", %d candidates pruned, %d subtrees cut, %d windows pruned",
+				st.CandidatesPruned, st.SearchNodesCut, st.WindowsPruned)
 		}
+		fmt.Fprintln(os.Stderr)
 		if st.ConstraintFiltered > 0 {
 			fmt.Fprintf(os.Stderr, "  constraints      : %d candidate positions filtered\n", st.ConstraintFiltered)
 		}

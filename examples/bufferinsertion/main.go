@@ -9,10 +9,11 @@
 // only the perturbed neighborhood — and then legalizes the same buffers
 // from scratch on a clone along the full-relegalization path. What it
 // checks is legality: both placements must verify legal. It also calls
-// the session's fixed-point oracle, which holds by construction (a full
-// pass places only unplaced cells, and a session leaves none); which
-// legal placement a session batch produces is pinned by
-// internal/experiments' golden_sessions.txt, not here.
+// the session's fixed-point oracle, which checks that a full pass would
+// leave the session alone (every live cell placed, the occupancy grid
+// consistent with the design); which legal placement a session batch
+// produces is pinned by internal/experiments' golden_sessions.txt, not
+// here.
 package main
 
 import (
@@ -113,15 +114,15 @@ func main() {
 	}
 
 	// Parity check 1 — the fixed-point oracle. A full legalization pass
-	// places only unplaced cells and the session leaves none, so this
-	// holds by construction; the legality check above is the one that
-	// can fail.
+	// places only unplaced cells, so it would leave the session alone
+	// when every live cell is placed and the occupancy grid agrees with
+	// the design; the oracle checks both without running the pass.
 	fixed, err := ses.FixedPoint(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if !fixed {
-		log.Fatal("fixed-point oracle failed: full legalization moved cells the session left behind")
+		log.Fatal("fixed-point oracle failed: a cell is unplaced or the grid disagrees with the design")
 	}
 
 	// Parity check 2 — the full path: the identical buffer set added to

@@ -22,7 +22,6 @@ func TestConfigValidate(t *testing.T) {
 		{"Ry", func(c *Config) { c.Ry = -1 }},
 		{"MaxRounds", func(c *Config) { c.MaxRounds = 0 }},
 		{"MaxRounds", func(c *Config) { c.MaxRounds = -3 }},
-		{"MaxInsertionPoints", func(c *Config) { c.MaxInsertionPoints = -1 }},
 		{"Workers", func(c *Config) { c.Workers = -2 }},
 		{"AuditEvery", func(c *Config) { c.AuditEvery = -1 }},
 		{"CellTimeout", func(c *Config) { c.CellTimeout = -time.Second }},
@@ -51,7 +50,7 @@ func TestConfigValidateAcceptsEdges(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Rx, cfg.Ry = 0, 0
 	cfg.MaxRounds = 1
-	cfg.MaxInsertionPoints, cfg.Workers, cfg.AuditEvery = 0, 0, 0
+	cfg.Workers, cfg.AuditEvery = 0, 0
 	cfg.CellTimeout = 0
 	cfg.Solver = refusingSolver{}
 	if err := cfg.Validate(); err != nil {

@@ -250,13 +250,17 @@ func (l *Legalizer) roundTargets(cells []design.CellID, k, rx, ry int, st *runSt
 
 // placeRound attempts one Algorithm-1 pass over the given cells, round
 // k ≥ 1, one cell at a time in round order, and returns the cells that
-// remain unplaced. With EscalateWindow on, late rounds use progressively
-// larger local-region windows so dense instances whose solutions need
-// compaction beyond one window still terminate. An attempt whose
-// rollback failed (ErrRollbackFailed) stops the run through st.fatal.
+// remain unplaced. Window escalation, an extension over the paper: after
+// round 4 the local-region window grows with the round number until it
+// covers the chip. The paper's Algorithm 1 retries forever with a fixed
+// window, which can live-lock on dense instances whose solutions need
+// compaction beyond one window; escalation makes those terminate, and it
+// never triggers on instances the fixed window solves within four
+// rounds. An attempt whose rollback failed (ErrRollbackFailed) stops the
+// run through st.fatal.
 func (l *Legalizer) placeRound(cells []design.CellID, k int, st *runState) []design.CellID {
 	rx, ry := l.Cfg.Rx, l.Cfg.Ry
-	if l.Cfg.EscalateWindow && k > 4 {
+	if k > 4 {
 		scale := 1 + (k-4)/2
 		rx *= scale
 		ry *= scale

@@ -223,12 +223,11 @@ func (r *Region) exactClearances(ip *InsertionPoint, wt int) {
 		}
 		u := &sc.cells[ui]
 		for h := 0; h < u.h; h++ {
-			rel := r.RelRow(u.y + h)
-			pos := sc.rowPos[rel][ui]
-			if pos <= 0 {
+			pos := sc.cellPos[int(u.pos)+h]
+			if pos == 0 {
 				continue
 			}
-			vi := sc.rowIdx[rel][pos-1]
+			vi := sc.rowIdx[r.RelRow(u.y+h)][pos-1]
 			v := &sc.cells[vi]
 			if kv := ku + int32(v.w+cons.Gap(v.cls, u.cls)); kv > sc.kL[vi] {
 				sc.kL[vi] = kv
@@ -244,10 +243,9 @@ func (r *Region) exactClearances(ip *InsertionPoint, wt int) {
 		}
 		u := &sc.cells[ui]
 		for h := 0; h < u.h; h++ {
-			rel := r.RelRow(u.y + h)
-			idxs := sc.rowIdx[rel]
-			pos := sc.rowPos[rel][ui]
-			if pos < 0 || int(pos)+1 >= len(idxs) {
+			idxs := sc.rowIdx[r.RelRow(u.y+h)]
+			pos := sc.cellPos[int(u.pos)+h]
+			if int(pos)+1 >= len(idxs) {
 				continue
 			}
 			vi := idxs[pos+1]

@@ -92,3 +92,15 @@ func (r *Region) EvaluateApprox(ip *InsertionPoint, wt int, tx, ty float64) Eval
 
 // Window returns the clipped window rectangle of the region.
 func (r *Region) Window() geom.Rect { return r.Win }
+
+// RowCells returns the IDs of the local cells on window-relative row rel,
+// ordered by x, in a new slice: the cells between which the gaps of the
+// row's insertion intervals lie.
+func (r *Region) RowCells(rel int) []design.CellID {
+	idxs := r.sc.rowIdx[rel]
+	ids := make([]design.CellID, len(idxs))
+	for p, li := range idxs {
+		ids[p] = r.sc.ids[li]
+	}
+	return ids
+}

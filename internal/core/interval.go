@@ -12,10 +12,10 @@ import (
 type Interval struct {
 	RelRow int // window-relative row of the segment the gap lies on
 
-	// GapIdx identifies the gap: the target is inserted between
-	// Cells[GapIdx-1] and Cells[GapIdx] of the local segment's cell list.
-	// GapIdx 0 is the gap at the left segment boundary; GapIdx ==
-	// len(Cells) is the gap at the right boundary.
+	// GapIdx identifies the gap: the target is inserted between cells
+	// GapIdx-1 and GapIdx of the row's x-ordered local cells
+	// (Region.RowCells). GapIdx 0 is the gap at the left segment boundary;
+	// GapIdx == len(RowCells) is the gap at the right boundary.
 	GapIdx int
 
 	// Left and Right are the neighboring cells (design.NoCell at a
@@ -121,14 +121,20 @@ func (r *Region) buildIntervals(wt int) [][]Interval {
 
 // sideOf reports whether the interval sits left (-1) or right (+1) of the
 // multi-row local cell with local index mIdx on the interval's row, or 0
-// when that cell does not occupy the row. Gap index k ≤ pos(m) is left of
-// m; k > pos(m) is right.
+// when that cell does not occupy the row.
 func (r *Region) sideOf(iv *Interval, mIdx int32) int {
-	pos := r.sc.rowPos[iv.RelRow][mIdx]
-	if pos < 0 {
+	return sideAt(&r.sc.cells[mIdx], r.sc.cellPos, r.AbsRow(iv.RelRow), iv.GapIdx)
+}
+
+// sideAt is sideOf for gap index gap on absolute row y and local cell lc,
+// whose row positions cellPos holds; a loop over cells hoists cellPos and
+// y. Gap index k ≤ pos(lc) is left of lc; k > pos(lc) is right.
+func sideAt(lc *localCell, cellPos []int32, y, gap int) int {
+	k := y - lc.y
+	if k < 0 || k >= lc.h {
 		return 0
 	}
-	if iv.GapIdx <= int(pos) {
+	if gap <= int(cellPos[int(lc.pos)+k]) {
 		return -1
 	}
 	return +1

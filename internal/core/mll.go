@@ -40,14 +40,6 @@ type Config struct {
 	// reported error instead of a hang).
 	MaxRounds int
 
-	// MaxInsertionPoints caps how many insertion points a single MLL call
-	// evaluates; 0 means unlimited. Enumeration is O(|C_W|^h), so a cap
-	// bounds the tail on dense multi-row windows. With the best-first
-	// search the cap counts *evaluated* candidates, so a capped run may
-	// differ from a capped exhaustive run; at the default 0 the two modes
-	// are equivalent.
-	MaxInsertionPoints int
-
 	// ExhaustiveSearch disables the best-first lower-bound search and
 	// evaluates every valid insertion point, as the paper describes and as
 	// this implementation did before the search landed. Both modes return
@@ -55,15 +47,6 @@ type Config struct {
 	// exhaustive sweep exists as the equivalence oracle and for ablation
 	// benchmarks (mrbench -experiment prune).
 	ExhaustiveSearch bool
-
-	// EscalateWindow is an implementation extension over the paper: when a
-	// cell stays unplaced after several retry rounds, the local-region
-	// window grows with the round number until it covers the chip. The
-	// paper's Algorithm 1 retries forever with a fixed window, which can
-	// live-lock on dense instances where the solution needs compaction
-	// beyond one window; escalation makes those terminate. It never
-	// triggers on instances the fixed window can solve.
-	EscalateWindow bool
 
 	// TallFirst places multi-row cells before single-row cells in
 	// Algorithm 1 (within each class, input order). The paper places "in
@@ -150,15 +133,13 @@ type LocalSolver interface {
 // DefaultConfig returns the paper's parameter settings.
 func DefaultConfig() Config {
 	return Config{
-		Rx:                 30,
-		Ry:                 5,
-		PowerAlign:         true,
-		ExactEval:          false,
-		Seed:               1,
-		MaxRounds:          64,
-		MaxInsertionPoints: 0,
-		EscalateWindow:     true,
-		TallFirst:          true,
+		Rx:         30,
+		Ry:         5,
+		PowerAlign: true,
+		ExactEval:  false,
+		Seed:       1,
+		MaxRounds:  64,
+		TallFirst:  true,
 	}
 }
 
@@ -173,8 +154,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Config.Ry = %d, want >= 0", c.Ry)
 	case c.MaxRounds < 1:
 		return fmt.Errorf("core: Config.MaxRounds = %d, want >= 1", c.MaxRounds)
-	case c.MaxInsertionPoints < 0:
-		return fmt.Errorf("core: Config.MaxInsertionPoints = %d, want >= 0 (0 = unlimited)", c.MaxInsertionPoints)
 	case c.Workers < 0:
 		return fmt.Errorf("core: Config.Workers = %d, want >= 0", c.Workers)
 	case c.AuditEvery < 0:
@@ -618,10 +597,7 @@ func (l *Legalizer) bestInsertionPoint(r *Region, c *design.Cell, tx, ty float64
 			bestEv = ev
 			sc.retainBest(ip)
 		}
-		if sc.cancelCheck() {
-			return false
-		}
-		return l.Cfg.MaxInsertionPoints == 0 || n < l.Cfg.MaxInsertionPoints
+		return !sc.cancelCheck()
 	}
 	if l.Cfg.ExhaustiveSearch {
 		r.enumerate(c.W, c.H, allow, score)

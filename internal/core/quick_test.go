@@ -71,15 +71,16 @@ func TestLeftRightPackingQuick(t *testing.T) {
 			}
 			curL := ls.Span.Lo
 			curR := ls.Span.Hi
-			for _, id := range ls.Cells {
+			cells := r.RowCells(rel)
+			for _, id := range cells {
 				lc := r.local(id)
 				if lc.xL < curL {
 					return false
 				}
 				curL = lc.xL + lc.w
 			}
-			for i := len(ls.Cells) - 1; i >= 0; i-- {
-				lc := r.local(ls.Cells[i])
+			for i := len(cells) - 1; i >= 0; i-- {
+				lc := r.local(cells[i])
 				if lc.xR+lc.w > curR {
 					return false
 				}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"mrlegal/internal/design"
 )
@@ -33,122 +32,86 @@ func (r *Region) Realize(ip *InsertionPoint, x int, target design.CellID) ([]des
 	}
 	yBot := ip.BottomRow(r)
 
-	// Register the target as a temporary local cell. It is appended past
-	// the sorted ID prefix (localIdx scans the tail linearly) and inserted
-	// into the row lists at each interval's gap; the row position tables of
-	// the affected rows are recomputed to cover it.
-	tIdx := int32(len(sc.cells))
-	sc.ids = append(sc.ids, target)
-	sc.cells = append(sc.cells, localCell{id: target, x: x, y: yBot, w: tc.W, h: tc.H, cls: sc.conTCls})
-	n := len(sc.cells)
-	refreshRow := func(rel int) {
-		idxs := sc.rowIdx[rel]
-		lst := slices.Grow(sc.rowLists[rel][:0], len(idxs))
-		for _, li := range idxs {
-			lst = append(lst, sc.ids[li])
-		}
-		sc.rowLists[rel] = lst
-		r.Segs[rel].Cells = lst
-		pos := sc.rowPos[rel]
-		if cap(pos) < n {
-			pos = make([]int32, n)
-		}
-		pos = pos[:n]
-		fill32(pos, -1)
-		for p, li := range idxs {
-			pos[li] = int32(p)
-		}
-		sc.rowPos[rel] = pos
-	}
-	for k := range ip.Intervals {
-		rel := ip.BottomRel + k
-		g := ip.Intervals[k].GapIdx
-		idxs := slices.Insert(sc.rowIdx[rel], g, tIdx)
-		sc.rowIdx[rel] = idxs
-		refreshRow(rel)
-	}
-	restore := func() {
-		sc.ids = sc.ids[:tIdx]
-		sc.cells = sc.cells[:tIdx]
-		n = len(sc.cells)
-		for k := range ip.Intervals {
-			rel := ip.BottomRel + k
-			g := ip.Intervals[k].GapIdx
-			sc.rowIdx[rel] = slices.Delete(sc.rowIdx[rel], g, g+1)
-			refreshRow(rel)
-		}
-	}
-
 	// A cell can be re-pushed through different rows, so re-enqueueing is
 	// allowed; the budget bounds the (theoretically impossible) runaway.
+	n := len(sc.cells)
 	budget := (n + 2) * 8 * len(r.Segs)
 	mark := grow(sc.movedMark, n)
-	for i := range mark {
-		mark[i] = false
-	}
+	clear(mark)
 	sc.movedMark = mark
 	movedList := sc.movedList[:0]
+	queue := sc.queue[:0]
 
 	// Pushes honor the constraint plugins' pairwise gaps: a neighbor is
 	// displaced until it clears the pusher by Gap(left, right) sites, not
 	// merely until the overlap vanishes. Without constraints every gap is
-	// 0, the paper's abutment rule.
-	cons := sc.cons
+	// 0, the paper's abutment rule. A pushed cell is queued to push its
+	// own neighbors in turn.
+	cons, tcls := sc.cons, sc.conTCls
+	moved := func(vi int32) {
+		if !mark[vi] {
+			mark[vi] = true
+			movedList = append(movedList, vi)
+		}
+		queue = append(queue, vi)
+	}
+	// pushLeft moves local cell vi left of a pusher of class pcls whose
+	// left edge is at px; pushRight moves it right of one whose right
+	// edge is at px.
+	pushLeft := func(vi int32, px int, pcls uint8) {
+		v := &sc.cells[vi]
+		if g := cons.Gap(v.cls, pcls); v.x+v.w+g > px {
+			v.x = px - g - v.w
+			moved(vi)
+		}
+	}
+	pushRight := func(vi int32, px int, pcls uint8) {
+		v := &sc.cells[vi]
+		if g := cons.Gap(pcls, v.cls); v.x < px+g {
+			v.x = px + g
+			moved(vi)
+		}
+	}
 
+	// The target is not a local cell: its gap neighbors on each of its
+	// rows seed the passes. A valid insertion point keeps every cell a
+	// pass reaches on the target's side of each target row
+	// (validMultiRow), so no pushed cell ever meets the target in a row.
 	// Left pass.
-	queue := append(sc.queue[:0], tIdx)
+	for k, iv := range ip.Intervals {
+		if iv.GapIdx > 0 {
+			pushLeft(sc.rowIdx[ip.BottomRel+k][iv.GapIdx-1], x, tcls)
+		}
+	}
 	for qi := 0; qi < len(queue); qi++ {
 		if budget--; budget < 0 {
 			sc.queue, sc.movedList = queue, movedList
-			restore()
 			return nil, fmt.Errorf("core: realize left push did not converge (insertion point inconsistent)")
 		}
 		u := &sc.cells[queue[qi]]
 		for h := 0; h < u.h; h++ {
-			rel := r.RelRow(u.y + h)
-			pos := sc.rowPos[rel][queue[qi]]
-			if pos <= 0 {
-				continue
-			}
-			vi := sc.rowIdx[rel][pos-1]
-			v := &sc.cells[vi]
-			g := cons.Gap(v.cls, u.cls)
-			if v.x+v.w+g > u.x {
-				v.x = u.x - g - v.w
-				if !mark[vi] {
-					mark[vi] = true
-					movedList = append(movedList, vi)
-				}
-				queue = append(queue, vi)
+			if pos := sc.cellPos[int(u.pos)+h]; pos > 0 {
+				pushLeft(sc.rowIdx[r.RelRow(u.y+h)][pos-1], u.x, u.cls)
 			}
 		}
 	}
 	// Right pass.
-	queue = append(queue[:0], tIdx)
+	queue = queue[:0]
+	for k, iv := range ip.Intervals {
+		if idxs := sc.rowIdx[ip.BottomRel+k]; iv.GapIdx < len(idxs) {
+			pushRight(idxs[iv.GapIdx], x+tc.W, tcls)
+		}
+	}
 	for qi := 0; qi < len(queue); qi++ {
 		if budget--; budget < 0 {
 			sc.queue, sc.movedList = queue, movedList
-			restore()
 			return nil, fmt.Errorf("core: realize right push did not converge (insertion point inconsistent)")
 		}
 		u := &sc.cells[queue[qi]]
 		for h := 0; h < u.h; h++ {
-			rel := r.RelRow(u.y + h)
-			idxs := sc.rowIdx[rel]
-			pos := sc.rowPos[rel][queue[qi]]
-			if pos < 0 || int(pos)+1 >= len(idxs) {
-				continue
-			}
-			vi := idxs[pos+1]
-			v := &sc.cells[vi]
-			g := cons.Gap(u.cls, v.cls)
-			if v.x < u.x+u.w+g {
-				v.x = u.x + u.w + g
-				if !mark[vi] {
-					mark[vi] = true
-					movedList = append(movedList, vi)
-				}
-				queue = append(queue, vi)
+			idxs := sc.rowIdx[r.RelRow(u.y+h)]
+			if pos := int(sc.cellPos[int(u.pos)+h]); pos+1 < len(idxs) {
+				pushRight(idxs[pos+1], u.x+u.w, u.cls)
 			}
 		}
 	}
@@ -159,7 +122,6 @@ func (r *Region) Realize(ip *InsertionPoint, x int, target design.CellID) ([]des
 	for _, li := range movedList {
 		lc := &sc.cells[li]
 		if lc.x < lc.xL || lc.x > lc.xR {
-			restore()
 			return nil, fmt.Errorf("core: realize pushed cell %d to x=%d outside its feasible range [%d,%d]", lc.id, lc.x, lc.xL, lc.xR)
 		}
 	}
@@ -170,9 +132,6 @@ func (r *Region) Realize(ip *InsertionPoint, x int, target design.CellID) ([]des
 	// (or injected panic) anywhere below rolls back cleanly.
 	out := sc.moved[:0]
 	for _, li := range movedList {
-		if li == tIdx {
-			continue
-		}
 		lc := &sc.cells[li]
 		r.touch(lc.id)
 		r.G.ShiftX(lc.id, lc.x)

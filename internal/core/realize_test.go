@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mrlegal/internal/design"
@@ -230,4 +232,184 @@ func TestRealizeAllXPositionsLegal(t *testing.T) {
 			}
 		}
 	}
+}
+
+// spliceRealize is Region.Realize's push as it stood when the target was
+// spliced into the region: the target joins the local cells as a tail
+// entry of class tcls, enters each of its rows' index lists at its gap,
+// dense per-row position tables are rebuilt to cover it, and both passes
+// start from the target's own queue entry. It works on copies and
+// commits nothing. It returns the pushed cells' IDs in discovery order
+// with their x after the push, or an error where Realize failed.
+func spliceRealize(r *Region, ip *InsertionPoint, x, wt, ht int, tcls uint8) ([]design.CellID, []int, error) {
+	sc := r.sc
+	cells := append(slices.Clone(sc.cells), localCell{id: design.NoCell, x: x, y: ip.BottomRow(r), w: wt, h: ht, cls: tcls})
+	tIdx := int32(len(cells) - 1)
+	n := len(cells)
+	rowIdx := make([][]int32, len(r.Segs))
+	for rel := range r.Segs {
+		rowIdx[rel] = slices.Clone(sc.rowIdx[rel])
+	}
+	for k, iv := range ip.Intervals {
+		rel := ip.BottomRel + k
+		rowIdx[rel] = slices.Insert(rowIdx[rel], iv.GapIdx, tIdx)
+	}
+	rowPos := make([][]int32, len(r.Segs))
+	for rel, idxs := range rowIdx {
+		rowPos[rel] = make([]int32, n)
+		fill32(rowPos[rel], -1)
+		for p, li := range idxs {
+			rowPos[rel][li] = int32(p)
+		}
+	}
+
+	budget := (n + 2) * 8 * len(r.Segs)
+	mark := make([]bool, n)
+	var movedList []int32
+	cons := sc.cons
+	// Left pass.
+	queue := []int32{tIdx}
+	for qi := 0; qi < len(queue); qi++ {
+		if budget--; budget < 0 {
+			return nil, nil, fmt.Errorf("left push did not converge")
+		}
+		u := &cells[queue[qi]]
+		for h := 0; h < u.h; h++ {
+			rel := r.RelRow(u.y + h)
+			pos := rowPos[rel][queue[qi]]
+			if pos <= 0 {
+				continue
+			}
+			vi := rowIdx[rel][pos-1]
+			v := &cells[vi]
+			g := cons.Gap(v.cls, u.cls)
+			if v.x+v.w+g > u.x {
+				v.x = u.x - g - v.w
+				if !mark[vi] {
+					mark[vi] = true
+					movedList = append(movedList, vi)
+				}
+				queue = append(queue, vi)
+			}
+		}
+	}
+	// Right pass.
+	queue = append(queue[:0], tIdx)
+	for qi := 0; qi < len(queue); qi++ {
+		if budget--; budget < 0 {
+			return nil, nil, fmt.Errorf("right push did not converge")
+		}
+		u := &cells[queue[qi]]
+		for h := 0; h < u.h; h++ {
+			rel := r.RelRow(u.y + h)
+			idxs := rowIdx[rel]
+			pos := rowPos[rel][queue[qi]]
+			if pos < 0 || int(pos)+1 >= len(idxs) {
+				continue
+			}
+			vi := idxs[pos+1]
+			v := &cells[vi]
+			g := cons.Gap(u.cls, v.cls)
+			if v.x < u.x+u.w+g {
+				v.x = u.x + u.w + g
+				if !mark[vi] {
+					mark[vi] = true
+					movedList = append(movedList, vi)
+				}
+				queue = append(queue, vi)
+			}
+		}
+	}
+	for _, li := range movedList {
+		if lc := &cells[li]; lc.x < lc.xL || lc.x > lc.xR {
+			return nil, nil, fmt.Errorf("pushed cell %d to x=%d outside [%d,%d]", lc.id, lc.x, lc.xL, lc.xR)
+		}
+	}
+	var ids []design.CellID
+	var xs []int
+	for _, li := range movedList {
+		if li != tIdx {
+			ids = append(ids, cells[li].id)
+			xs = append(xs, cells[li].x)
+		}
+	}
+	return ids, xs, nil
+}
+
+// TestRealizeMatchesSpliceReference pins Realize to spliceRealize. Random
+// dense regions with cells up to three rows tall, half of them under a
+// random constraint set (fence, spacing, TPL), realize every enumerated
+// insertion point of a random target at its Lo, its Hi and a middle x.
+// Each realization must push the same cells in the same order (Realize's
+// result, hence LastMoved) to the same final x as the reference, or fail
+// where the reference fails. The legalizer's undo log restores the design
+// after each one, and the window is extracted again.
+func TestRealizeMatchesSpliceReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	realized, chains, gapped := 0, 0, 0
+	for trial := 0; trial < 400; trial++ {
+		rows, width := 3+rng.Intn(4), 20+rng.Intn(25)
+		d := dtest.Flat(rows, width)
+		g := buildGrid(t, d)
+		for i := 0; i < 40; i++ {
+			w, h := 1+rng.Intn(5), 1+rng.Intn(3)
+			x, y := rng.Intn(width-w+1), rng.Intn(rows-h+1)
+			if g.FreeAt(x, y, w, h) {
+				if err := g.Insert(dtest.Placed(d, w, h, x, y)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		cfg := DefaultConfig()
+		cfg.PowerAlign = false
+		if trial%2 == 1 {
+			cfg.Constraints = fuzzConstraintSet(t, rng, uint8(rng.Intn(7)), rows, width)
+		}
+		wt, ht := 1+rng.Intn(4), 1+rng.Intn(3)
+		tx, ty := rng.Float64()*float64(width), rng.Float64()*float64(rows)
+		tgt := dtest.Unplaced(d, wt, ht, tx, ty)
+		l, err := NewLegalizer(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, sc, win := d.Cell(tgt), l.sc, d.Bounds()
+		l.armConstraints(sc, c, tx)
+		for _, ip := range sc.extract(l.G, win).EnumerateInsertionPoints(wt, ht, nil) {
+			for _, x := range []int{ip.Lo, (ip.Lo + ip.Hi) / 2, ip.Hi} {
+				r := sc.extract(l.G, win)
+				wantIDs, wantXs, wantErr := spliceRealize(r, ip, x, wt, ht, sc.conTCls)
+				gotIDs, gotErr := r.Realize(ip, x, tgt)
+				if (gotErr != nil) != (wantErr != nil) {
+					t.Fatalf("trial %d ip %s x=%d: Realize error %v, reference error %v", trial, ipKey(ip), x, gotErr, wantErr)
+				}
+				if gotErr == nil {
+					if !slices.Equal(gotIDs, wantIDs) {
+						t.Fatalf("trial %d ip %s x=%d: pushed %v, reference %v", trial, ipKey(ip), x, gotIDs, wantIDs)
+					}
+					for i, id := range gotIDs {
+						if d.Cell(id).X != wantXs[i] {
+							t.Fatalf("trial %d ip %s x=%d: cell %d at x=%d, reference %d", trial, ipKey(ip), x, id, d.Cell(id).X, wantXs[i])
+						}
+						if d.Cell(id).H > 1 && len(gotIDs) > 1 {
+							chains++
+						}
+					}
+					if sc.cons.MaxGap() > 0 && len(gotIDs) > 0 {
+						gapped++
+					}
+					realized++
+				}
+				if err := l.rollback(); err != nil {
+					t.Fatal(err)
+				}
+				if d.Cell(tgt).Placed {
+					t.Fatalf("trial %d: rollback left the target placed", trial)
+				}
+			}
+		}
+	}
+	if chains == 0 || gapped == 0 {
+		t.Fatalf("%d realizations: %d pushed multi-row cells along with others, %d pushed under constraint gaps; the comparison needs both", realized, chains, gapped)
+	}
+	t.Logf("%d realizations, %d multi-row pushes in chains, %d under constraint gaps", realized, chains, gapped)
 }

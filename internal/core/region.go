@@ -32,6 +32,9 @@ type localCell struct {
 	// cls is the cell's composite constraint class (constraint.Set);
 	// always 0 when no constraints are active.
 	cls uint8
+	// pos is the offset of the cell's positions in scratch.cellPos: its
+	// index in rowIdx of row y+k is cellPos[pos+k], for k < h.
+	pos int32
 }
 
 // LocalSeg is the single local segment chosen on one window row
@@ -40,10 +43,6 @@ type LocalSeg struct {
 	Row   int // absolute row index
 	Valid bool
 	Span  geom.Span // local segment extent (subset of one grid segment)
-	// Cells overlapping this row inside Span, ordered by x. All entries
-	// are local cells. The backing array is owned by the region's scratch
-	// and is invalidated by the next extraction into the same scratch.
-	Cells []design.CellID
 }
 
 // Region is an extracted local legalization problem: the window, the
@@ -52,6 +51,8 @@ type LocalSeg struct {
 //
 // A region is a pure snapshot: after extraction, enumeration and
 // evaluation read only region-local state, never the grid or design.
+// Realize reads its row index as extracted; only the pushed cells'
+// positions change, and it commits them.
 type Region struct {
 	D   *design.Design
 	G   *segment.Grid
@@ -62,8 +63,8 @@ type Region struct {
 	Segs []LocalSeg
 
 	// sc owns all local-cell storage: the sorted ID list, the dense
-	// localCell slice it indexes, per-row cell/index lists and the
-	// position tables. Local cells are addressed by their "local index",
+	// localCell slice it indexes, the per-row index lists and each cell's
+	// positions in them. Local cells are addressed by their "local index",
 	// the position of their ID in sc.ids.
 	sc *scratch
 
@@ -93,17 +94,10 @@ func (r *Region) insertCell(id design.CellID) error {
 }
 
 // localIdx returns the local index of cell id, or -1 when the cell is not
-// local. The sorted prefix of sc.ids is binary-searched; the (at most
-// one) unsorted tail entry — the realization target — is scanned.
+// local.
 func (r *Region) localIdx(id design.CellID) int {
-	sc := r.sc
-	if i, ok := slices.BinarySearch(sc.ids[:sc.sortedIDs], id); ok {
+	if i, ok := slices.BinarySearch(r.sc.ids, id); ok {
 		return i
-	}
-	for j := sc.sortedIDs; j < len(sc.ids); j++ {
-		if sc.ids[j] == id {
-			return j
-		}
 	}
 	return -1
 }
@@ -169,7 +163,6 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	sc.cells = sc.cells[:0]
 	sc.multiRow = sc.multiRow[:0]
 	sc.candidates = sc.candidates[:0]
-	sc.sortedIDs = 0
 	if win.Empty() {
 		r.Segs = nil
 		return r
@@ -236,16 +229,17 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 
 	// Populate the dense local-cell table (the surviving candidates are
 	// ID-sorted, so the local index order is the ID order).
+	spans := int32(0)
 	for _, id := range sc.candidates {
 		c := d.Cell(id)
 		cls := sc.cons.Class(d.MasterOf(id), c.W, c.H)
 		sc.ids = append(sc.ids, id)
-		sc.cells = append(sc.cells, localCell{id: id, x: c.X, y: c.Y, w: c.W, h: c.H, cls: cls})
+		sc.cells = append(sc.cells, localCell{id: id, x: c.X, y: c.Y, w: c.W, h: c.H, cls: cls, pos: spans})
+		spans += int32(c.H)
 		if c.H > 1 {
 			sc.multiRow = append(sc.multiRow, int32(len(sc.ids)-1))
 		}
 	}
-	sc.sortedIDs = len(sc.ids)
 	n := len(sc.ids)
 
 	// A stable counting sort on x−win.X, fed in local-index (ID) order,
@@ -266,39 +260,21 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 		sc.xCount[k]++
 	}
 
-	// Per-row cell lists (IDs and local indices, sorted by x) and the
-	// inverse position table. Walking xOrder appends each row's cells in
-	// x order; x is distinct within a legal row, so that order is unique.
-	// Each list keeps one slot of headroom so the realization's temporary
-	// target insert never reallocates.
-	sc.rowLists = growOuter(sc.rowLists, win.H)
+	// Per-row local-index lists, sorted by x, and each cell's position in
+	// the rows it spans. Walking xOrder appends each row's cells in x
+	// order; x is distinct within a legal row, so that order is unique.
 	sc.rowIdx = growOuter(sc.rowIdx, win.H)
-	sc.rowPos = growOuter(sc.rowPos, win.H)
 	for rel := range r.Segs {
 		sc.rowIdx[rel] = sc.rowIdx[rel][:0]
 	}
+	sc.cellPos = grow(sc.cellPos, int(spans))
 	for _, li := range sc.xOrder {
 		lc := &sc.cells[li]
 		for h := 0; h < lc.h; h++ {
 			rel := r.RelRow(lc.y + h)
+			sc.cellPos[lc.pos+int32(h)] = int32(len(sc.rowIdx[rel]))
 			sc.rowIdx[rel] = append(sc.rowIdx[rel], li)
 		}
-	}
-	for rel := range r.Segs {
-		idxs := slices.Grow(sc.rowIdx[rel], 1)
-		lst := slices.Grow(sc.rowLists[rel][:0], len(idxs)+1)
-		for _, li := range idxs {
-			lst = append(lst, sc.ids[li])
-		}
-		sc.rowIdx[rel], sc.rowLists[rel] = idxs, lst
-		r.Segs[rel].Cells = lst
-
-		pos := grow(sc.rowPos[rel], n)
-		fill32(pos, -1)
-		for p, li := range idxs {
-			pos[li] = int32(p)
-		}
-		sc.rowPos[rel] = pos
 	}
 	r.computeBounds()
 	return r

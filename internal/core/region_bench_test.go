@@ -7,19 +7,25 @@ import (
 	"time"
 
 	"mrlegal/internal/bengen"
+	"mrlegal/internal/design"
 	"mrlegal/internal/geom"
 	"mrlegal/internal/gp"
 	"mrlegal/internal/segment"
 )
 
 // BenchmarkRegionExtraction times scratch.extract on one warmed scratch,
-// as the driver reuses its scratch from call to call.
+// as the driver reuses its scratch from call to call. Each sub-benchmark
+// reports its sweep's mean candidates per window (cands/window).
 func BenchmarkRegionExtraction(b *testing.B) {
-	b.Run("fft_1", func(b *testing.B) { benchExtract(b, fft1Grid(b)) })
+	b.Run("fft_1", func(b *testing.B) { benchExtract(b, fft1Grid(b, 1)) })
 	// fft_1's rows are short enough to hide a scan over whole segments;
 	// these hold about 550 cells, the shape of the repository
 	// benchmark's large_200k workload.
 	b.Run("sized_200k", func(b *testing.B) { benchExtract(b, sized200kGrid(b)) })
+	// Round 1 of a run extracts while most movable cells are still
+	// unplaced: with one in five placed, fft_1's windows hold under 32
+	// candidates on average, as a fifth of jobs_table1's extractions do.
+	b.Run("fft_1_sparse", func(b *testing.B) { benchExtract(b, fft1Grid(b, 5)) })
 }
 
 // BenchmarkSearchBest times the default best-first search, searchBest
@@ -27,13 +33,14 @@ func BenchmarkRegionExtraction(b *testing.B) {
 // ns/op covers extracting each window and searching it; search-ns/op is
 // the search alone.
 func BenchmarkSearchBest(b *testing.B) {
-	b.Run("fft_1", func(b *testing.B) { benchSearch(b, fft1Grid(b)) })
+	b.Run("fft_1", func(b *testing.B) { benchSearch(b, fft1Grid(b, 1)) })
 	b.Run("sized_200k", func(b *testing.B) { benchSearch(b, sized200kGrid(b)) })
+	b.Run("fft_1_sparse", func(b *testing.B) { benchSearch(b, fft1Grid(b, 5)) })
 }
 
-// fft1Grid legalizes the Table-1 fft_1 design at scale 200 and returns
-// its grid.
-func fft1Grid(b *testing.B) *segment.Grid {
+// fft1Grid legalizes the Table-1 fft_1 design at scale 200, keeps one
+// movable cell in keepOneIn placed (by cell ID) and returns its grid.
+func fft1Grid(b *testing.B, keepOneIn int) *segment.Grid {
 	for _, spec := range bengen.Table1Specs(200) {
 		if spec.Name != "fft_1" {
 			continue
@@ -46,6 +53,12 @@ func fft1Grid(b *testing.B) *segment.Grid {
 		}
 		if err := l.Legalize(); err != nil {
 			b.Fatal(err)
+		}
+		for i := range bench.D.Cells {
+			if c := &bench.D.Cells[i]; !c.Fixed && i%keepOneIn != 0 {
+				l.G.Remove(c.ID)
+				bench.D.Unplace(c.ID)
+			}
 		}
 		return l.G
 	}
@@ -102,6 +115,27 @@ func benchExtract(b *testing.B, g *segment.Grid) {
 			b.Fatal("impossible")
 		}
 	}
+	reportCandidates(b, g)
+}
+
+// reportCandidates stops the timer and reports the mean number of
+// candidates, the movable cells wholly inside the window that extract
+// sorts before its fixpoint, over the b.N windows the sweep visited.
+func reportCandidates(b *testing.B, g *segment.Grid) {
+	b.StopTimer()
+	d, bb := g.Design(), g.Design().Bounds()
+	var ids []design.CellID
+	total := 0
+	for i := 0; i < b.N; i++ {
+		win, _, _ := benchWindow(bb, i)
+		ids = g.CellsIn(win, ids[:0])
+		for _, id := range ids {
+			if c := d.Cell(id); !c.Fixed && win.Contains(c.Rect()) {
+				total++
+			}
+		}
+	}
+	b.ReportMetric(float64(total)/float64(b.N), "cands/window")
 }
 
 // benchSearch runs searchBest for the sweep's target in each of its
@@ -143,4 +177,5 @@ func benchSearch(b *testing.B, g *segment.Grid) {
 		search(i)
 	}
 	b.ReportMetric(float64(searching.Nanoseconds())/float64(b.N), "search-ns/op")
+	reportCandidates(b, g)
 }

@@ -154,8 +154,9 @@ func TestChooseLocalSegMatchesWholeSegment(t *testing.T) {
 // TestExtractRowListsOnTable1 extracts windows over partially placed
 // Table-1 designs and checks the tables built from xOrder, extract's
 // counting sort by (x, id): every row list holds exactly the local cells
-// covering that row in strictly ascending x, rowPos is its inverse, and
-// xOrder is a permutation of the local cells sorted by (x, id).
+// covering that row in strictly ascending x, each local cell's per-row
+// positions are its positions in those lists, and xOrder is a
+// permutation of the local cells sorted by (x, id).
 func TestExtractRowListsOnTable1(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, spec := range bengen.Table1Specs(2000) {
@@ -185,6 +186,18 @@ func TestExtractRowListsOnTable1(t *testing.T) {
 			checkRowTables(t, spec.Name, sc.extract(l.G, win))
 		}
 	}
+}
+
+// posInRow returns local cell li's position in rowIdx of window-relative
+// row rel, as cellPos holds it, or -1 when the cell does not span that
+// row.
+func (r *Region) posInRow(li int32, rel int) int32 {
+	lc := &r.sc.cells[li]
+	k := rel - r.RelRow(lc.y)
+	if k < 0 || k >= lc.h {
+		return -1
+	}
+	return r.sc.cellPos[int(lc.pos)+k]
 }
 
 func checkRowTables(t *testing.T, name string, r *Region) {
@@ -234,11 +247,13 @@ func checkRowTables(t *testing.T, name string, r *Region) {
 			wantIDs[p] = sc.ids[li]
 			wantPos[li] = int32(p)
 		}
-		if !slices.Equal(r.Segs[rel].Cells, wantIDs) {
-			t.Fatalf("%s win %v row %d: Cells %v, want %v", name, r.Win, row, r.Segs[rel].Cells, wantIDs)
+		if got := r.RowCells(rel); !slices.Equal(got, wantIDs) {
+			t.Fatalf("%s win %v row %d: RowCells %v, want %v", name, r.Win, row, got, wantIDs)
 		}
-		if !slices.Equal(sc.rowPos[rel], wantPos) {
-			t.Fatalf("%s win %v row %d: rowPos %v is not the inverse of %v", name, r.Win, row, sc.rowPos[rel], want)
+		for li := range sc.cells {
+			if got := r.posInRow(int32(li), rel); got != wantPos[li] {
+				t.Fatalf("%s win %v row %d: cell %d at position %d, want %d in %v", name, r.Win, row, sc.ids[li], got, wantPos[li], want)
+			}
 		}
 	}
 }
@@ -264,12 +279,16 @@ func cellsInSorted(g *segment.Grid, win geom.Rect, dst []design.CellID) []design
 	return dst[:base+len(tail)]
 }
 
-// refScratch holds the two buffers the reference extraction owned that
-// scratch no longer has; every other buffer is the embedded scratch's.
+// refScratch holds the buffers the reference extraction owned that
+// scratch no longer has: the nonLocal map, the packed sort keys, the
+// per-row ID lists and the dense per-row position tables. Every other
+// buffer is the embedded scratch's.
 type refScratch struct {
 	*scratch
 	nonLocal map[design.CellID]bool
 	xKeys    []uint64
+	rowLists [][]design.CellID // rowLists[rel]: the IDs of rowIdx[rel]
+	rowPos   [][]int32         // rowPos[rel][li]: li's position in row rel, -1 when absent
 }
 
 func newRefScratch() *refScratch {
@@ -279,11 +298,13 @@ func newRefScratch() *refScratch {
 // extract is scratch.extract as it stood before it dropped its map and
 // its sorts over the window: CellsIn's sort-and-compact (cellsInSorted),
 // the nonLocal map, a re-division of every window row in each fixpoint
-// pass and the packed (x, id) key sort. It is kept verbatim but for three
-// substitutions: cellsInSorted for g.CellsIn, sc.scratch for sc, and
+// pass and the packed (x, id) key sort. It is kept verbatim but for four
+// substitutions: cellsInSorted for g.CellsIn, sc.scratch for sc,
 // chooseLocalSegWholeSegment, the map-keyed reference that
-// TestChooseLocalSegMatchesWholeSegment pins to chooseLocalSeg. It is the
-// reference for TestExtractMatchesReference.
+// TestChooseLocalSegMatchesWholeSegment pins to chooseLocalSeg, and
+// refScratch's own rowLists and rowPos for the per-row tables scratch no
+// longer has (which also took the ID-prefix count and LocalSeg's cell
+// list). It is the reference for TestExtractMatchesReference.
 func (sc *refScratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	d := g.Design()
 	// Normalize the window to the grid: rows outside [0, NumRows) and
@@ -299,7 +320,6 @@ func (sc *refScratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	sc.cells = sc.cells[:0]
 	sc.multiRow = sc.multiRow[:0]
 	sc.candidates = sc.candidates[:0]
-	sc.sortedIDs = 0
 	clear(sc.nonLocal)
 	if win.Empty() {
 		r.Segs = nil
@@ -380,7 +400,6 @@ func (sc *refScratch) extract(g *segment.Grid, win geom.Rect) *Region {
 			sc.multiRow = append(sc.multiRow, int32(len(sc.ids)-1))
 		}
 	}
-	sc.sortedIDs = len(sc.ids)
 	n := len(sc.ids)
 
 	// One packed-integer sort gives the global (x, id) order: local index
@@ -421,7 +440,6 @@ func (sc *refScratch) extract(g *segment.Grid, win geom.Rect) *Region {
 			lst = append(lst, sc.ids[li])
 		}
 		sc.rowIdx[rel], sc.rowLists[rel] = idxs, lst
-		r.Segs[rel].Cells = lst
 
 		pos := grow(sc.rowPos[rel], n)
 		fill32(pos, -1)
@@ -434,12 +452,14 @@ func (sc *refScratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	return r
 }
 
-// regionDiff returns "" when two extractions agree on everything MLL
-// reads: the window, every local segment (row, validity, span, cell
-// list), the local IDs and cells (bounds included), multiRow, xOrder and
-// the per-row index and position tables. Otherwise it names the first
-// difference.
-func regionDiff(got, want *Region) string {
+// regionDiff returns "" when an extraction agrees with the reference's on
+// everything MLL reads: the window, every local segment (row, validity,
+// span, and its cell list against the reference's row list), the local
+// IDs and cells (bounds included), multiRow, xOrder, the per-row index
+// lists, and each local cell's per-row positions against the reference's
+// position tables. Otherwise it names the first difference.
+func regionDiff(got *Region, ref *refScratch) string {
+	want := &ref.region
 	if got.Win != want.Win {
 		return fmt.Sprintf("Win %v, want %v", got.Win, want.Win)
 	}
@@ -448,17 +468,24 @@ func regionDiff(got, want *Region) string {
 	}
 	for rel, w := range want.Segs {
 		g := got.Segs[rel]
-		if g.Row != w.Row || g.Valid != w.Valid || g.Span != w.Span || !slices.Equal(g.Cells, w.Cells) {
+		if g.Row != w.Row || g.Valid != w.Valid || g.Span != w.Span {
 			return fmt.Sprintf("Segs[%d] = %+v, want %+v", rel, g, w)
+		}
+		if !slices.Equal(got.RowCells(rel), ref.rowLists[rel]) {
+			return fmt.Sprintf("Segs[%d] cells %v, want %v", rel, got.RowCells(rel), ref.rowLists[rel])
 		}
 	}
 	gs, ws := got.sc, want.sc
+	// The reference has no per-cell position offsets; compare the cells
+	// without them.
+	cellsEqual := slices.EqualFunc(gs.cells, ws.cells, func(g, w localCell) bool {
+		g.pos = w.pos
+		return g == w
+	})
 	switch {
 	case !slices.Equal(gs.ids, ws.ids):
 		return fmt.Sprintf("ids %v, want %v", gs.ids, ws.ids)
-	case gs.sortedIDs != ws.sortedIDs:
-		return fmt.Sprintf("sortedIDs %d, want %d", gs.sortedIDs, ws.sortedIDs)
-	case !slices.Equal(gs.cells, ws.cells):
+	case !cellsEqual:
 		return fmt.Sprintf("cells %+v, want %+v", gs.cells, ws.cells)
 	case !slices.Equal(gs.multiRow, ws.multiRow):
 		return fmt.Sprintf("multiRow %v, want %v", gs.multiRow, ws.multiRow)
@@ -471,8 +498,10 @@ func regionDiff(got, want *Region) string {
 		if !slices.Equal(gs.rowIdx[rel], ws.rowIdx[rel]) {
 			return fmt.Sprintf("rowIdx[%d] %v, want %v", rel, gs.rowIdx[rel], ws.rowIdx[rel])
 		}
-		if !slices.Equal(gs.rowPos[rel], ws.rowPos[rel]) {
-			return fmt.Sprintf("rowPos[%d] %v, want %v", rel, gs.rowPos[rel], ws.rowPos[rel])
+		for li := range gs.cells {
+			if p, w := got.posInRow(int32(li), rel), ref.rowPos[rel][li]; p != w {
+				return fmt.Sprintf("row %d: cell %d at position %d, want %d", rel, gs.ids[li], p, w)
+			}
 		}
 	}
 	return ""
@@ -501,9 +530,9 @@ func TestExtractMatchesReference(t *testing.T) {
 	check := func(tag string, g *segment.Grid, win geom.Rect) {
 		t.Helper()
 		ref.cons = sc.cons
-		want := ref.extract(g, win)
+		ref.extract(g, win)
 		got := sc.extract(g, win)
-		if diff := regionDiff(got, want); diff != "" {
+		if diff := regionDiff(got, ref); diff != "" {
 			t.Fatalf("%s, window %d %v (epoch %d): %s", tag, windows, win, sc.marks.epoch, diff)
 		}
 		windows++
@@ -609,7 +638,7 @@ func TestExtractMatchesReference(t *testing.T) {
 	s, live := dirtyFixture(t, nil)
 	l := s.l
 	l.sc, sc.region.l = sc, l
-	l.Cfg.MaxRounds, l.Cfg.EscalateWindow = 3, false
+	l.Cfg.MaxRounds = 3
 	sc.marks.epoch = math.MaxUint32 - 300
 	pick := newRNG(37)
 	committed, failed := 0, 0

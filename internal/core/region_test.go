@@ -73,8 +73,8 @@ func TestExtractRegionNonLocalSplit(t *testing.T) {
 	if r.Segs[0].Span != (geom.Span{Lo: 45, Hi: 90}) {
 		t.Fatalf("row 0 span = %v", r.Segs[0].Span)
 	}
-	if len(r.Segs[0].Cells) != 1 || r.Segs[0].Cells[0] != inside {
-		t.Fatalf("row 0 cells = %v", r.Segs[0].Cells)
+	if cells := r.RowCells(0); len(cells) != 1 || cells[0] != inside {
+		t.Fatalf("row 0 cells = %v", cells)
 	}
 }
 
@@ -190,7 +190,7 @@ func TestRegionRowListsOrdered(t *testing.T) {
 	dtest.Placed(d, 5, 1, 30, 1)
 	g := buildGrid(t, d)
 	r := ExtractRegion(g, geom.Rect{X: 0, Y: 0, W: 100, H: 3})
-	cells := r.Segs[1].Cells
+	cells := r.RowCells(1)
 	if len(cells) != 3 {
 		t.Fatalf("row 1 cells = %v", cells)
 	}

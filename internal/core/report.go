@@ -79,9 +79,11 @@ func (r *Report) Summary(maxFailures int) string {
 		fmt.Fprintf(&b, ", %d audits (%d rollbacks)", r.AuditRuns, r.AuditRollbacks)
 	}
 	fmt.Fprintf(&b, "\n  displacement: total %.1f avg %.4f max %.1f site widths", r.TotalDisp, r.AvgDisp, r.MaxDisp)
-	if s := r.Stats; s.CandidatesPruned > 0 || s.SearchNodesCut > 0 || s.WindowsPruned > 0 {
-		fmt.Fprintf(&b, "\n  search: %d evaluated, %d candidates pruned, %d subtrees cut, %d windows pruned",
-			s.InsertionPoints, s.CandidatesPruned, s.SearchNodesCut, s.WindowsPruned)
+	s := r.Stats
+	fmt.Fprintf(&b, "\n  search: %d evaluated", s.InsertionPoints)
+	if s.CandidatesPruned > 0 || s.SearchNodesCut > 0 || s.WindowsPruned > 0 {
+		fmt.Fprintf(&b, ", %d candidates pruned, %d subtrees cut, %d windows pruned",
+			s.CandidatesPruned, s.SearchNodesCut, s.WindowsPruned)
 	}
 	for i, f := range r.Failed {
 		if maxFailures > 0 && i >= maxFailures {

@@ -33,22 +33,20 @@ type scratch struct {
 	region Region
 
 	// --- region extraction ---
-	all        []design.CellID   // window cells, each once, in Grid.CellsIn's row-major order
-	marks      epochSet          // non-local and demoted cells; a new epoch per extract
-	candidates []design.CellID   // movable cells still local in the fixpoint, by ID
-	idBuf      []design.CellID   // sortCandidates' second radix buffer
-	rowDirty   []bool            // window rows the fixpoint must re-divide
-	ids        []design.CellID   // local cells, ascending ID; local index = position
-	cells      []localCell       // parallel to ids
-	sortedIDs  int               // ids[:sortedIDs] is sorted; Realize appends its target past it
-	multiRow   []int32           // local indices of cells with h > 1
-	segs       []LocalSeg        // backing for Region.Segs
-	rowLists   [][]design.CellID // per-row cell lists backing LocalSeg.Cells
-	rowIdx     [][]int32         // per-row local indices, parallel to rowLists
-	rowPos     [][]int32         // rowPos[rel][li] = position of local cell li in row rel, -1 when absent
-	xCount     []int32           // counting-sort buckets by x−win.X, for xOrder
-	xOrder     []int32           // local indices sorted by (x, id)
-	cursor     []int             // computeBounds per-row cursor
+	all        []design.CellID // window cells, each once, in Grid.CellsIn's row-major order
+	marks      epochSet        // non-local and demoted cells; a new epoch per extract
+	candidates []design.CellID // movable cells still local in the fixpoint, by ID
+	idBuf      []design.CellID // sortCandidates' second radix buffer
+	rowDirty   []bool          // window rows the fixpoint must re-divide
+	ids        []design.CellID // local cells, ascending ID; local index = position
+	cells      []localCell     // parallel to ids
+	multiRow   []int32         // local indices of cells with h > 1
+	segs       []LocalSeg      // backing for Region.Segs
+	rowIdx     [][]int32       // per-row local indices, sorted by x
+	cellPos    []int32         // per-row positions of the local cells, each at its localCell.pos
+	xCount     []int32         // counting-sort buckets by x−win.X, for xOrder
+	xOrder     []int32         // local indices sorted by (x, id)
+	cursor     []int           // computeBounds per-row cursor
 
 	// --- enumeration ---
 	intervals []Interval   // interval slab; stable once enumeration starts

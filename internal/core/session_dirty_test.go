@@ -152,7 +152,7 @@ func TestSessionFailedBatchLeavesNoTrace(t *testing.T) {
 		s, live := dirtyFixture(t, v.mut)
 		l := s.l
 		// The base run needs the full ladder; the batches get three rounds.
-		l.Cfg.MaxRounds, l.Cfg.EscalateWindow = 3, false
+		l.Cfg.MaxRounds = 3
 		pick := newRNG(31)
 		committed, failed := 0, 0
 		for batch := 0; batch < 80; batch++ {

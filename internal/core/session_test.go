@@ -400,6 +400,48 @@ func TestSessionFixedPointAfterEveryBatch(t *testing.T) {
 	}
 }
 
+// TestSessionFixedPointSeesCorruptGrid corrupts the grid behind a
+// session: a placed cell leaves the grid but not the design, so a full
+// pass would no longer see its slot as taken, and the oracle must read
+// false; so must a live cell that is unplaced, which a full pass would
+// place. Restoring the grid restores the fixed point, and a canceled
+// context is an error.
+func TestSessionFixedPointSeesCorruptGrid(t *testing.T) {
+	s, l := legalSession(t, 400, 11, nil)
+	fixed := func() bool {
+		t.Helper()
+		fp, err := s.FixedPoint(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+	if !fixed() {
+		t.Fatal("healthy session: not a fixed point")
+	}
+	id := movableCells(l.D)[7]
+	l.G.Remove(id)
+	if fixed() {
+		t.Fatal("a placed cell missing from the grid reads as a fixed point")
+	}
+	if err := l.G.Insert(id); err != nil {
+		t.Fatal(err)
+	}
+	if !fixed() {
+		t.Fatal("restored grid: not a fixed point")
+	}
+	l.G.Remove(id)
+	l.D.Unplace(id)
+	if fixed() {
+		t.Fatal("an unplaced live cell reads as a fixed point")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.FixedPoint(ctx); !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("canceled context: error %v, want ErrCanceled", err)
+	}
+}
+
 func TestSessionDeleteThenInsertReusesSpace(t *testing.T) {
 	s, l := legalSession(t, 150, 17, nil)
 	ids := movableCells(l.D)

@@ -227,7 +227,7 @@ func TestUndoLogEmptyBetweenCalls(t *testing.T) {
 		}},
 		{"ApplyDelta/abort", func(t *testing.T) *Legalizer {
 			s, live := session(t)
-			s.l.Cfg.MaxRounds, s.l.Cfg.EscalateWindow = 1, false
+			s.l.Cfg.MaxRounds = 1
 			c := s.l.D.Cell(live[0])
 			deltas := make([]Delta, 12)
 			for i := range deltas {

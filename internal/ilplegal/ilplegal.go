@@ -75,6 +75,10 @@ func (s *Solver) SelectInsertionPoint(r *core.Region, c *design.Cell, tx, ty flo
 		return math.Abs(float64(r.AbsRow(t))-ty) * float64(d.SiteH) / float64(d.SiteW)
 	}
 	sortByYCost(cands, yCost)
+	rowCells := make([][]design.CellID, hW)
+	for rel := range r.Segs {
+		rowCells[rel] = r.RowCells(rel)
+	}
 
 	for _, t := range cands {
 		absRow := r.AbsRow(t)
@@ -94,7 +98,7 @@ func (s *Solver) SelectInsertionPoint(r *core.Region, c *design.Cell, tx, ty flo
 		if !ok {
 			continue
 		}
-		gaps, x, obj, solved := s.solveRow(r, c, t, tx)
+		gaps, x, obj, solved := s.solveRow(r, rowCells, c, t, tx)
 		if !solved {
 			continue
 		}
@@ -125,11 +129,12 @@ func (s *Solver) SelectInsertionPoint(r *core.Region, c *design.Cell, tx, ty flo
 	return bestIP, bestX, true
 }
 
-// solveRow builds and solves the MILP for target bottom row (relative) t.
+// solveRow builds and solves the MILP for target bottom row (relative) t;
+// rowCells[rel] holds row rel's local cells in x order (Region.RowCells).
 // It returns the per-row gap indices of the optimal configuration, the
 // optimal (possibly fractional) target x, and the objective in site
 // widths.
-func (s *Solver) solveRow(r *core.Region, c *design.Cell, t int, tx float64) (gaps []int, x float64, obj float64, ok bool) {
+func (s *Solver) solveRow(r *core.Region, rowCells [][]design.CellID, c *design.Cell, t int, tx float64) (gaps []int, x float64, obj float64, ok bool) {
 	// Model only the rows coupled to the target band: pushes propagate
 	// across rows exclusively through multi-row cells, so rows reachable
 	// from [t, t+h) via multi-row row-spans (transitive closure) fully
@@ -145,7 +150,7 @@ func (s *Solver) solveRow(r *core.Region, c *design.Cell, t int, tx float64) (ga
 			if !inRow[rel] || !r.Segs[rel].Valid {
 				continue
 			}
-			for _, id := range r.Segs[rel].Cells {
+			for _, id := range rowCells[rel] {
 				info, _ := r.Info(id)
 				for h := 0; h < info.H; h++ {
 					rr := info.Y + h - r.Window().Y
@@ -163,7 +168,7 @@ func (s *Solver) solveRow(r *core.Region, c *design.Cell, t int, tx float64) (ga
 		if !inRow[rel] || !r.Segs[rel].Valid {
 			continue
 		}
-		for _, id := range r.Segs[rel].Cells {
+		for _, id := range rowCells[rel] {
 			if !seen[id] {
 				seen[id] = true
 				locals = append(locals, id)
@@ -190,7 +195,7 @@ func (s *Solver) solveRow(r *core.Region, c *design.Cell, t int, tx float64) (ga
 	band := make([]int, 0, n) // indices into locals
 	inBand := make([]bool, n)
 	for k := 0; k < c.H; k++ {
-		for _, id := range r.Segs[t+k].Cells {
+		for _, id := range rowCells[t+k] {
 			i := idxOf[id]
 			if !inBand[i] {
 				inBand[i] = true
@@ -261,7 +266,7 @@ func (s *Solver) solveRow(r *core.Region, c *design.Cell, t int, tx float64) (ga
 		if !inRow[rel] {
 			continue
 		}
-		cells := r.Segs[rel].Cells
+		cells := rowCells[rel]
 		for k := 1; k < len(cells); k++ {
 			a, b := idxOf[cells[k-1]], idxOf[cells[k]]
 			if seenPair[pair{a, b}] {
@@ -309,7 +314,7 @@ func (s *Solver) solveRow(r *core.Region, c *design.Cell, t int, tx float64) (ga
 	gaps = make([]int, c.H)
 	for k := 0; k < c.H; k++ {
 		g := 0
-		for _, id := range r.Segs[t+k].Cells {
+		for _, id := range rowCells[t+k] {
 			if sol.X[oVar[idxOf[id]]] > 0.5 {
 				g++
 			}
