@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race allocs cover examples fuzz fuzz-search fuzz-constraints fuzz-submit fuzz-design fuzz-eco bench-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
+.PHONY: check vet build test race race-gp allocs cover examples fuzz fuzz-search fuzz-constraints fuzz-submit fuzz-design fuzz-eco bench-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
 
 check: vet build race allocs cover examples
 
@@ -25,6 +25,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The global placer solves its x and y systems on two goroutines. Every
+# test that calls gp.Place, the fixed-cell and pad-pin design included,
+# runs ten times under the race detector, in about 30 s; `make race` runs
+# TestGoldenGlobalPlace too, once.
+race-gp:
+	$(GO) test -race -count=10 -run 'TestPlace' ./internal/gp
 
 # Allocation guards (TestSingleMLLCallAllocs*, TestReadAllocs,
 # TestWriteAllocsFlat). They skip under -race, whose runtime perturbs
@@ -114,10 +121,12 @@ serve-smoke:
 
 # Quick allocation/latency smoke over the MLL hot path (extraction and
 # the best-first search on their own too), the placement checksum, the
-# text codec and the job-submission decoder (CI gate).
+# text codec and the job-submission decoder (CI gate), then the global
+# placer on its small design (about 60 ms an iteration).
 bench-smoke:
 	$(GO) test -run xxx -bench 'SingleMLLCall|RegionExtraction|SearchBest|InsertionPointEnumeration|PlacementChecksum|IodesignRoundTrip|DecodeSubmit' \
 		-benchtime 100x -benchmem . ./internal/core ./internal/service
+	$(GO) test -run xxx -bench 'GlobalPlacement/small' -benchtime 20x -benchmem .
 
 clean:
 	$(GO) clean ./...

@@ -345,15 +345,38 @@ func BenchmarkSingleMLLCallObserved(b *testing.B) {
 
 // --- Substrate benches ---
 
+// BenchmarkGlobalPlacement places one fixed problem per sub-benchmark, so
+// ns/op does not depend on b.N: "small", a 2,000-cell design, and
+// matrix_mult_1 at scale 50, one of the jobs_table1 inputs, with the seed
+// the Table-1 suite uses. Each iteration places a fresh clone.
 func BenchmarkGlobalPlacement(b *testing.B) {
-	spec := bengen.Spec{Name: "gp", NumCells: 2000, Density: 0.5, Seed: 9}
-	bench := bengen.Generate(spec)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := bench.D.Clone()
-		gp.Place(d, bench.NL, gp.Config{Seed: int64(i)})
+	var mm1 bengen.Spec
+	for _, spec := range bengen.Table1Specs(50) {
+		if spec.Name == "matrix_mult_1" {
+			mm1 = spec
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		spec bengen.Spec
+	}{
+		{"small", bengen.Spec{Name: "gp", NumCells: 2000, Density: 0.5, Seed: 9}},
+		{"matrix_mult_1_s50", mm1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bench := bengen.Generate(bc.spec)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := bench.D.Clone()
+				gpStats = gp.Place(d, bench.NL, gp.Config{Seed: bc.spec.Seed})
+			}
+		})
 	}
 }
+
+// gpStats keeps BenchmarkGlobalPlacement's result live.
+var gpStats gp.Stats
 
 func BenchmarkSegmentGridRebuild(b *testing.B) {
 	p := prepared(b, "superblue12", 400)

@@ -58,16 +58,19 @@ func main() {
 			base = strings.TrimSuffix(base, ".mr")
 			return bookshelf.Write(bookshelf.DirFS(dir), base, b.D, b.NL)
 		}
-		w := os.Stdout
-		if path != "-" {
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
+		if path == "-" {
+			return iodesign.Write(os.Stdout, b.D, b.NL)
 		}
-		return iodesign.Write(w, b.D, b.NL)
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := iodesign.Write(f, b.D, b.NL); err != nil {
+			f.Close()
+			return err
+		}
+		// A failed close can leave a short file behind.
+		return f.Close()
 	}
 
 	if *table1 {

@@ -243,7 +243,9 @@ func main() {
 		if err := render.SVG(f, d, render.Options{ShowDisplacement: true}); err != nil {
 			fatal(err)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
 	}
 	if *out != "" {
 		if strings.HasSuffix(*out, ".aux") {
@@ -254,17 +256,19 @@ func main() {
 			if err := bookshelf.Write(bookshelf.DirFS(dir), strings.TrimSuffix(base, ".aux"), d, nl); err != nil {
 				fatal(err)
 			}
-		} else {
-			w := os.Stdout
-			if *out != "-" {
-				f, err := os.Create(*out)
-				if err != nil {
-					fatal(err)
-				}
-				defer f.Close()
-				w = f
+		} else if *out == "-" {
+			if err := iodesign.Write(os.Stdout, d, nl); err != nil {
+				fatal(err)
 			}
-			if err := iodesign.Write(w, d, nl); err != nil {
+		} else {
+			f, err := os.Create(*out)
+			if err != nil {
+				fatal(err)
+			}
+			if err := iodesign.Write(f, d, nl); err != nil {
+				fatal(err)
+			}
+			if err := f.Close(); err != nil {
 				fatal(err)
 			}
 		}

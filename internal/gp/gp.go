@@ -20,7 +20,9 @@ package gp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 
 	"mrlegal/internal/abacus"
 	"mrlegal/internal/design"
@@ -87,6 +89,12 @@ type Stats struct {
 // Place computes a global placement for every movable cell of d and
 // writes it to the cells' GX/GY fields (fractional site units, cell
 // lower-left). Fixed placed cells act as fixed pins.
+//
+// Each outer iteration solves the x system on a goroutine it starts and
+// the y system on the calling goroutine, and waits for both before it
+// goes on, so no goroutine outlives Place. The two solves share only the
+// nets' pin ranges, which neither writes, and the result is the same bit
+// for bit as solving the axes one after the other.
 func Place(d *design.Design, nl *netlist.Netlist, cfg Config) Stats {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -122,13 +130,20 @@ func Place(d *design.Design, nl *netlist.Netlist, cfg Config) Stats {
 	}
 	anchorX := append([]float64(nil), x...)
 	anchorY := append([]float64(nil), y...)
+	ax, ay := newAxes(d, nl, idx, n)
 
 	st := Stats{MovableCells: n}
 	for iter := 1; iter <= cfg.MaxIters; iter++ {
 		st.Iters = iter
 		aw := cfg.AnchorW * float64(iter)
-		solveAxis(d, nl, idx, movable, x, y, anchorX, aw, cfg, true)
-		solveAxis(d, nl, idx, movable, x, y, anchorY, aw, cfg, false)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ax.solve(x, anchorX, aw, cfg)
+		}()
+		ay.solve(y, anchorY, aw, cfg)
+		wg.Wait()
 		clampCenters(d, movable, x, y)
 
 		peak := spread(d, movable, x, y, anchorX, anchorY, cfg)
@@ -273,62 +288,79 @@ func roughLegalize(d *design.Design, movable []design.CellID, x, y []float64, cf
 	}
 }
 
-// pinPos returns the current coordinate of a pin along one axis, and
-// whether the pin is movable (with its variable index).
-func pinPos(d *design.Design, p netlist.Pin, idx []int, xs, ys []float64, xAxis bool) (pos float64, vi int) {
-	if p.Cell < 0 {
-		if xAxis {
-			return p.DX, -1
-		}
-		return p.DY, -1
-	}
-	c := d.Cell(p.Cell)
-	v := idx[p.Cell]
-	if v < 0 {
-		// Fixed cell: use its placed position.
-		if xAxis {
-			return float64(c.X) + p.DX, -1
-		}
-		return float64(c.Y) + p.DY, -1
-	}
-	// Movable: variable is the cell center; pin offset relative to center.
-	if xAxis {
-		return xs[v] + (p.DX - float64(c.W)/2), v
-	}
-	return ys[v] + (p.DY - float64(c.H)/2), v
+// axis is one coordinate's half of the quadratic solve: its pin table,
+// built once per Place, and one system whose storage and CG vectors every
+// outer iteration reuses. An axis reads and writes only its own
+// coordinates, so the x and y axes share no mutable data.
+type axis struct {
+	pins   []axisPin // the pins of every net with two pins or more, net by net
+	netEnd []int     // end of each such net's run in pins, shared by both axes
+	net    []pin     // one net's pins at the current positions
+	sys    *system
 }
 
-// solveAxis assembles the B2B system for one axis and solves it in place.
-func solveAxis(d *design.Design, nl *netlist.Netlist, idx []int, movable []design.CellID,
-	xs, ys []float64, anchors []float64, anchorW float64, cfg Config, xAxis bool) {
+// axisPin is a pin along one axis: its variable (the cell center), or -1
+// for a fixed pin, and its offset from the variable (DX − W/2) or, for a
+// fixed pin, its position.
+type axisPin struct {
+	vi  int
+	val float64
+}
 
-	n := len(movable)
-	sys := newSystem(n)
-	cur := xs
-	if !xAxis {
-		cur = ys
-	}
+// pin is one pin of a net at the current positions.
+type pin struct {
+	pos float64
+	vi  int
+	off float64 // pin offset from the variable (0 for fixed pins)
+}
 
-	type pin struct {
-		pos float64
-		vi  int
-		off float64 // pin offset from the variable (0 for fixed pins)
-	}
-	var pins []pin
+// newAxes builds the x and y pin tables and systems for n variables. A
+// pin on a fixed cell sits at the cell's placed position plus its
+// offset; a pad pin (no cell) at its offset. A pin that names a cell
+// outside the design panics here, on Place's goroutine.
+func newAxes(d *design.Design, nl *netlist.Netlist, idx []int, n int) (ax, ay *axis) {
+	ax, ay = &axis{sys: newSystem(n)}, &axis{sys: newSystem(n)}
 	for ni := range nl.Nets {
 		net := &nl.Nets[ni]
 		if len(net.Pins) < 2 {
 			continue
 		}
-		pins = pins[:0]
 		for _, p := range net.Pins {
-			pos, vi := pinPos(d, p, idx, xs, ys, xAxis)
-			off := 0.0
-			if vi >= 0 {
-				off = pos - cur[vi]
+			px, py := axisPin{-1, p.DX}, axisPin{-1, p.DY}
+			if p.Cell >= 0 {
+				c := d.Cell(p.Cell)
+				if v := idx[p.Cell]; v >= 0 {
+					px, py = axisPin{v, p.DX - float64(c.W)/2}, axisPin{v, p.DY - float64(c.H)/2}
+				} else {
+					px.val, py.val = float64(c.X)+p.DX, float64(c.Y)+p.DY
+				}
 			}
-			pins = append(pins, pin{pos, vi, off})
+			ax.pins = append(ax.pins, px)
+			ay.pins = append(ay.pins, py)
 		}
+		ax.netEnd = append(ax.netEnd, len(ax.pins))
+	}
+	ay.netEnd = ax.netEnd
+	return ax, ay
+}
+
+// solve assembles the B2B system at the current centers cur, with anchor
+// pseudo-nets of weight anchorW toward anchors, and solves it in place.
+func (ax *axis) solve(cur, anchors []float64, anchorW float64, cfg Config) {
+	sys := ax.sys
+	sys.reset()
+	start := 0
+	for _, end := range ax.netEnd {
+		pins := ax.net[:0]
+		for _, tp := range ax.pins[start:end] {
+			pos, off := tp.val, 0.0
+			if tp.vi >= 0 {
+				pos = cur[tp.vi] + tp.val
+				off = pos - cur[tp.vi]
+			}
+			pins = append(pins, pin{pos, tp.vi, off})
+		}
+		ax.net, start = pins, end
 		// Identify boundary pins.
 		lo, hi := 0, 0
 		for i := 1; i < len(pins); i++ {
@@ -376,11 +408,11 @@ func solveAxis(d *design.Design, nl *netlist.Netlist, idx []int, movable []desig
 		}
 	}
 	// Anchor pseudo-nets toward the spread positions.
-	for vi := 0; vi < n; vi++ {
+	for vi := range cur {
 		sys.addAnchor(vi, anchors[vi], anchorW)
 	}
 	// Guarantee strict diagonal dominance for disconnected cells.
-	for vi := 0; vi < n; vi++ {
+	for vi := range cur {
 		if sys.diag[vi] == 0 {
 			sys.addAnchor(vi, cur[vi], 1)
 		}
@@ -492,7 +524,15 @@ func equalize(band []spreadItem, lo, hi float64, cur, anchors []float64, damping
 	if len(band) == 0 {
 		return
 	}
-	sort.Slice(band, func(i, j int) bool { return band[i].pos < band[j].pos })
+	slices.SortFunc(band, func(a, b spreadItem) int {
+		switch {
+		case a.pos < b.pos:
+			return -1
+		case b.pos < a.pos:
+			return 1
+		}
+		return 0
+	})
 	var total float64
 	for _, it := range band {
 		total += it.area

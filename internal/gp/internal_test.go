@@ -2,6 +2,8 @@ package gp
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"mrlegal/internal/design"
@@ -50,6 +52,31 @@ func TestEqualizeWeightsByArea(t *testing.T) {
 	// Cumulative mids: (1.5/4)*8=3 and (3.5/4)*8=7.
 	if anchors[0] != 3 || anchors[1] != 7 {
 		t.Fatalf("anchors = %v", anchors)
+	}
+}
+
+// TestEqualizeOrderMatchesSortSlice: equalize orders a band exactly as
+// sort.Slice did with the same < comparison, ties included, so bands full
+// of equal positions keep their anchors bit for bit.
+func TestEqualizeOrderMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 400; iter++ {
+		n := rng.Intn(300)
+		distinct := 1 + rng.Intn(4)
+		band := make([]spreadItem, n)
+		for i := range band {
+			band[i] = spreadItem{vi: i, pos: float64(rng.Intn(distinct)), area: 1 + float64(rng.Intn(3))}
+		}
+		want := append([]spreadItem(nil), band...)
+		sort.Slice(want, func(i, j int) bool { return want[i].pos < want[j].pos })
+		cur := make([]float64, n)
+		equalize(band, 0, 100, cur, make([]float64, n), 1)
+		for i := range band {
+			if band[i].vi != want[i].vi {
+				t.Fatalf("iter %d (n=%d, %d positions): item %d is %d, sort.Slice put %d there",
+					iter, n, distinct, i, band[i].vi, want[i].vi)
+			}
+		}
 	}
 }
 

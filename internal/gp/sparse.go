@@ -2,7 +2,8 @@ package gp
 
 // triplet-based symmetric positive-definite system builder and a
 // Jacobi-preconditioned conjugate gradient solver. The quadratic placer
-// assembles one system per coordinate axis per outer iteration.
+// keeps one system per coordinate axis and reassembles it at every outer
+// iteration.
 
 type system struct {
 	n    int
@@ -12,10 +13,20 @@ type system struct {
 	ri, ci []int32
 	v      []float64
 	rhs    []float64
+	// CG work vectors; every solve overwrites them before reading.
+	r, z, p, ap []float64
 }
 
 func newSystem(n int) *system {
-	return &system{n: n, diag: make([]float64, n), rhs: make([]float64, n)}
+	return &system{n: n, diag: make([]float64, n), rhs: make([]float64, n),
+		r: make([]float64, n), z: make([]float64, n), p: make([]float64, n), ap: make([]float64, n)}
+}
+
+// reset empties the system for the next assembly and keeps its storage.
+func (s *system) reset() {
+	clear(s.diag)
+	clear(s.rhs)
+	s.ri, s.ci, s.v = s.ri[:0], s.ci[:0], s.v[:0]
 }
 
 // addConnection adds a two-pin spring of weight w between variables i and
@@ -34,7 +45,7 @@ func (s *system) addAnchor(i int, p, w float64) {
 	s.rhs[i] += w * p
 }
 
-// mulAdd computes y = A·x.
+// mul computes y = A·x.
 func (s *system) mul(x, y []float64) {
 	for i := range y {
 		y[i] = s.diag[i] * x[i]
@@ -50,10 +61,7 @@ func (s *system) mul(x, y []float64) {
 // starting from x0 (overwritten and returned).
 func (s *system) solveCG(x []float64, tol float64, maxIter int) []float64 {
 	n := s.n
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
+	r, z, p, ap := s.r, s.z, s.p, s.ap
 
 	s.mul(x, r)
 	for i := 0; i < n; i++ {

@@ -81,8 +81,7 @@ func (s *Solver) SelectInsertionPoint(r *core.Region, c *design.Cell, tx, ty flo
 	}
 
 	for _, t := range cands {
-		absRow := r.AbsRow(t)
-		if allowRow != nil && !allowRow(absRow) {
+		if allowRow != nil && !allowRow(r.AbsRow(t)) {
 			continue
 		}
 		if yCost(t) >= bestCost {
@@ -98,13 +97,12 @@ func (s *Solver) SelectInsertionPoint(r *core.Region, c *design.Cell, tx, ty flo
 		if !ok {
 			continue
 		}
-		gaps, x, obj, solved := s.solveRow(r, rowCells, c, t, tx)
+		gaps, obj, solved := s.solveRow(r, rowCells, c, t, tx)
 		if !solved {
 			continue
 		}
 		// Add the target's vertical displacement for this row.
 		cost := obj + yCost(t)
-		_ = absRow
 		if cost < bestCost {
 			ip, okIP := r.BuildInsertionPoint(t, gaps, c.W)
 			if !okIP {
@@ -120,7 +118,6 @@ func (s *Solver) SelectInsertionPoint(r *core.Region, c *design.Cell, tx, ty flo
 			bestCost = cost
 			bestIP = ip
 			bestX = ev.X
-			_ = x
 		}
 	}
 	if bestIP == nil {
@@ -131,10 +128,9 @@ func (s *Solver) SelectInsertionPoint(r *core.Region, c *design.Cell, tx, ty flo
 
 // solveRow builds and solves the MILP for target bottom row (relative) t;
 // rowCells[rel] holds row rel's local cells in x order (Region.RowCells).
-// It returns the per-row gap indices of the optimal configuration, the
-// optimal (possibly fractional) target x, and the objective in site
-// widths.
-func (s *Solver) solveRow(r *core.Region, rowCells [][]design.CellID, c *design.Cell, t int, tx float64) (gaps []int, x float64, obj float64, ok bool) {
+// It returns the per-row gap indices of the optimal configuration and the
+// objective in site widths.
+func (s *Solver) solveRow(r *core.Region, rowCells [][]design.CellID, c *design.Cell, t int, tx float64) (gaps []int, obj float64, ok bool) {
 	// Model only the rows coupled to the target band: pushes propagate
 	// across rows exclusively through multi-row cells, so rows reachable
 	// from [t, t+h) via multi-row row-spans (transitive closure) fully
@@ -215,16 +211,6 @@ func (s *Solver) solveRow(r *core.Region, rowCells [][]design.CellID, c *design.
 		p.MaxNodes = s.MaxNodes
 	}
 
-	// Big-M: the full horizontal extent of the region plus slack.
-	lo, hi := math.MaxInt, math.MinInt
-	for rel := range r.Segs {
-		if r.Segs[rel].Valid {
-			lo = min(lo, r.Segs[rel].Span.Lo)
-			hi = max(hi, r.Segs[rel].Span.Hi)
-		}
-	}
-	bigM := float64(hi - lo + c.W + 1)
-
 	// Cell variables: bounds from their segments, |disp| split, objective.
 	cellBounds := make([][2]float64, n)
 	for i, id := range locals {
@@ -252,7 +238,7 @@ func (s *Solver) solveRow(r *core.Region, rowCells [][]design.CellID, c *design.
 		tu = math.Min(tu, float64(sp.Hi-c.W))
 	}
 	if tl > tu {
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 	p.SetBounds(xT, tl, tu)
 	p.SetObjCoef(pT, 1)
@@ -292,7 +278,6 @@ func (s *Solver) solveRow(r *core.Region, rowCells [][]design.CellID, c *design.
 		cl, cu := cellBounds[i][0], cellBounds[i][1]
 		m1 := math.Max(1, cu+float64(info.W)-tl)
 		m2 := math.Max(1, tu+float64(c.W)-cl)
-		_ = bigM
 		p.AddConstraint([]ilp.Term{{Var: xVar(i), Coef: 1}, {Var: xT, Coef: -1}, {Var: o, Coef: m1}}, ilp.LE, m1-float64(info.W))
 		p.AddConstraint([]ilp.Term{{Var: xT, Coef: 1}, {Var: xVar(i), Coef: -1}, {Var: o, Coef: -m2}}, ilp.LE, -float64(c.W))
 	}
@@ -306,7 +291,7 @@ func (s *Solver) solveRow(r *core.Region, rowCells [][]design.CellID, c *design.
 	case ilp.Feasible:
 		s.NonOptRet++
 	default:
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 
 	// Decode gaps: on each band row, the target's gap index is the number
@@ -321,5 +306,5 @@ func (s *Solver) solveRow(r *core.Region, rowCells [][]design.CellID, c *design.
 		}
 		gaps[k] = g
 	}
-	return gaps, sol.X[xT], sol.Obj, true
+	return gaps, sol.Obj, true
 }
