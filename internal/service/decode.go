@@ -61,29 +61,6 @@ func (l *Limits) defaults() {
 	}
 }
 
-// badRequest is a client error: the submission itself is at fault.
-// Handlers map it to 400 with the embedded code.
-type badRequest struct {
-	code string
-	msg  string
-}
-
-func (e *badRequest) Error() string { return e.msg }
-
-func badf(format string, args ...any) error {
-	return &badRequest{code: CodeBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-// IsBadRequest reports whether err is a client-side submission error and
-// returns its API code.
-func IsBadRequest(err error) (code string, ok bool) {
-	var br *badRequest
-	if errors.As(err, &br) {
-		return br.code, true
-	}
-	return "", false
-}
-
 // SubmitRequest is the POST /v1/jobs payload. Exactly one of DesignText,
 // Design or Bookshelf must be present.
 type SubmitRequest struct {
@@ -265,12 +242,12 @@ func decodeSubmitBody(r io.Reader, base core.Config, lim Limits) (p *jobPayload,
 	return p, req.Tenant, err
 }
 
-// wrapDecodeErr keeps http.MaxBytesReader errors distinguishable (the
-// handler maps them to 413) and labels everything else a bad request.
+// wrapDecodeErr tells a body over the http.MaxBytesReader cap from a
+// malformed one.
 func wrapDecodeErr(err error) error {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
-		return err
+		return &requestError{fmt.Sprintf("request body exceeds %d bytes", mbe.Limit), errBodyTooLarge}
 	}
 	return badf("malformed request: %v", err)
 }

@@ -2,7 +2,12 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"strconv"
+	"time"
 
 	"mrlegal/internal/core"
 	"mrlegal/internal/jobq"
@@ -52,38 +57,87 @@ const (
 	CodeInternal     = "internal"
 )
 
-// codeTable orders matter: errors.Is walks wrap chains, and more specific
-// sentinels must be probed before broader ones (jobq.ErrCanceled wraps
-// nothing, but a job canceled by deadline also matches
-// context.DeadlineExceeded — the lifecycle sentinel wins).
+// codeTable decides the HTTP answer to every error the service reports:
+// its code and its status. Order matters: errors.Is walks wrap chains,
+// and more specific sentinels must be probed before broader ones
+// (jobq.ErrCanceled wraps nothing, but a job canceled by deadline also
+// matches context.DeadlineExceeded — the lifecycle sentinel wins). An
+// error no row matches is internal, 500.
 var codeTable = []struct {
-	err  error
-	code string
+	err    error
+	code   string
+	status int
 }{
-	{core.ErrCellTooWide, CodeCellTooWide},
-	{core.ErrNoInsertionPoint, CodeNoInsertionPoint},
-	{core.ErrAuditFailed, CodeAuditFailed},
-	{core.ErrCellTimeout, CodeCellTimeout},
-	{core.ErrCanceled, CodeCanceled},
-	{core.ErrFixedCell, CodeFixedCell},
-	{core.ErrInvalidWidth, CodeInvalidWidth},
-	{core.ErrInvalidTarget, CodeInvalidTarget},
-	{core.ErrPanicked, CodePanicked},
-	{core.ErrRoundsExhausted, CodeRoundsExhausted},
-	{core.ErrRollbackFailed, CodeRollbackFailed},
-	{core.ErrNotLegal, CodeNotLegal},
-	{core.ErrSessionClosed, CodeSessionClosed},
-	{core.ErrUnknownCell, CodeUnknownCell},
-	{jobq.ErrSessionLimit, CodeSessionLimit},
-	{jobq.ErrSessionNotFound, CodeSessionNotFound},
-	{jobq.ErrQueueFull, CodeQueueFull},
-	{jobq.ErrTenantLimit, CodeTenantLimit},
-	{jobq.ErrShuttingDown, CodeShuttingDown},
-	{jobq.ErrJobPanicked, CodeJobPanicked},
-	{jobq.ErrCanceled, CodeJobCanceled},
-	{jobq.ErrNotFound, CodeJobNotFound},
-	{context.DeadlineExceeded, CodeDeadlineExceeded},
-	{context.Canceled, CodeJobCanceled},
+	{core.ErrCellTooWide, CodeCellTooWide, http.StatusConflict},
+	{core.ErrNoInsertionPoint, CodeNoInsertionPoint, http.StatusConflict},
+	{core.ErrAuditFailed, CodeAuditFailed, http.StatusConflict},
+	{core.ErrCellTimeout, CodeCellTimeout, http.StatusConflict},
+	{core.ErrCanceled, CodeCanceled, http.StatusConflict},
+	{core.ErrFixedCell, CodeFixedCell, http.StatusBadRequest},
+	{core.ErrInvalidWidth, CodeInvalidWidth, http.StatusBadRequest},
+	{core.ErrInvalidTarget, CodeInvalidTarget, http.StatusBadRequest},
+	{core.ErrPanicked, CodePanicked, http.StatusConflict},
+	{core.ErrRoundsExhausted, CodeRoundsExhausted, http.StatusConflict},
+	{core.ErrRollbackFailed, CodeRollbackFailed, http.StatusInternalServerError},
+	{core.ErrNotLegal, CodeNotLegal, http.StatusConflict},
+	{core.ErrSessionClosed, CodeSessionClosed, http.StatusNotFound},
+	{core.ErrUnknownCell, CodeUnknownCell, http.StatusBadRequest},
+	{jobq.ErrSessionLimit, CodeSessionLimit, http.StatusTooManyRequests},
+	{jobq.ErrSessionNotFound, CodeSessionNotFound, http.StatusNotFound},
+	{jobq.ErrQueueFull, CodeQueueFull, http.StatusTooManyRequests},
+	{jobq.ErrTenantLimit, CodeTenantLimit, http.StatusTooManyRequests},
+	{jobq.ErrShuttingDown, CodeShuttingDown, http.StatusServiceUnavailable},
+	{jobq.ErrJobPanicked, CodeJobPanicked, http.StatusInternalServerError},
+	{jobq.ErrCanceled, CodeJobCanceled, http.StatusConflict},
+	{jobq.ErrNotFound, CodeJobNotFound, http.StatusNotFound},
+	{context.DeadlineExceeded, CodeDeadlineExceeded, http.StatusConflict},
+	{context.Canceled, CodeJobCanceled, http.StatusConflict},
+	{errBadRequest, CodeBadRequest, http.StatusBadRequest},
+	{errBodyTooLarge, CodeBodyTooLarge, http.StatusRequestEntityTooLarge},
+	{errNotFinished, CodeNotFinished, http.StatusConflict},
+}
+
+// The server's own request errors. Each is a requestError whose row is
+// one of these sentinels, or jobq.ErrShuttingDown for errDraining.
+var (
+	errBadRequest   = errors.New("bad request")
+	errBodyTooLarge = errors.New("request body too large")
+	errNotFinished  = errors.New("job not finished")
+	errDraining     = &requestError{"server is draining", jobq.ErrShuttingDown}
+)
+
+// requestError is an error the server raises about a request itself: the
+// message the client reads, and the codeTable row that answers it.
+type requestError struct {
+	msg string
+	row error
+}
+
+func (e *requestError) Error() string { return e.msg }
+func (e *requestError) Unwrap() error { return e.row }
+
+// badf is a client error: the submission itself is at fault.
+func badf(format string, args ...any) error {
+	return &requestError{fmt.Sprintf(format, args...), errBadRequest}
+}
+
+// IsBadRequest reports whether err is a client-side submission error and
+// returns its API code.
+func IsBadRequest(err error) (code string, ok bool) {
+	if errors.Is(err, errBadRequest) {
+		return CodeBadRequest, true
+	}
+	return "", false
+}
+
+// answer returns err's code and HTTP status from codeTable.
+func answer(err error) (code string, status int) {
+	for _, e := range codeTable {
+		if errors.Is(err, e.err) {
+			return e.code, e.status
+		}
+	}
+	return CodeInternal, http.StatusInternalServerError
 }
 
 // ErrorCode maps any error surfaced by the service to its stable API
@@ -92,10 +146,27 @@ func ErrorCode(err error) string {
 	if err == nil {
 		return ""
 	}
-	for _, e := range codeTable {
-		if errors.Is(err, e.err) {
-			return e.code
-		}
+	code, _ := answer(err)
+	return code
+}
+
+// fail answers err on route with the status, code and message codeTable
+// gives it, and a Retry-After hint where asking again later can succeed:
+// a 429, a 503 or not_finished. Once a delta stream has sent its first
+// frame its status is spent, so the error goes out as the stream's last
+// frame and only the request metric records its status.
+func (s *Server) fail(w http.ResponseWriter, route string, err error) {
+	code, status := answer(err)
+	e := &ErrorJSON{Code: code, Message: err.Error()}
+	if fs, ok := w.(*frameStream); ok && fs.started {
+		payload, _ := json.Marshal(&DeltaFrameJSON{Error: e})
+		_ = writeFrame(fs, payload)
+		fs.flush()
+		s.httpReqs(route, status)
+		return
 	}
-	return CodeInternal
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable || code == CodeNotFinished {
+		w.Header().Set("Retry-After", strconv.Itoa(max(1, int(s.cfg.RetryAfter/time.Second))))
+	}
+	s.writeJSON(w, route, status, map[string]*ErrorJSON{"error": e})
 }

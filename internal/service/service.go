@@ -362,18 +362,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, route string, status int, v an
 	s.httpReqs(route, status)
 }
 
-func (s *Server) writeError(w http.ResponseWriter, route string, status int, code, msg string) {
-	s.writeJSON(w, route, status, map[string]*ErrorJSON{"error": {Code: code, Message: msg}})
-}
-
-func (s *Server) retryAfter(w http.ResponseWriter) {
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, "ok\n")
@@ -392,73 +380,67 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.httpReqs("readyz", http.StatusOK)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	const route = "submit"
+// admit is the front door that submit and session open share: the drain
+// check, the body cap, the decode and the tenant (the X-Tenant header,
+// then the body's tenant field, then "default"). When it fails it has
+// answered the request, and it returns a nil payload.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, route string) (*jobPayload, string) {
 	if !s.ready.Load() {
-		s.retryAfter(w)
-		s.writeError(w, route, http.StatusServiceUnavailable, CodeShuttingDown, "server is draining")
-		return
+		s.fail(w, route, errDraining)
+		return nil, ""
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	defer body.Close()
-
-	// Tenant resolution: header wins, then payload, then "default". The
-	// payload field is re-checked after decode.
-	p, bodyTenant, err := decodeSubmitBody(body, s.base, s.cfg.Limits)
+	p, tenant, err := decodeSubmitBody(body, s.base, s.cfg.Limits)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeError(w, route, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return
-		}
-		code, _ := IsBadRequest(err)
-		if code == "" {
-			code = CodeBadRequest
-		}
-		s.writeError(w, route, http.StatusBadRequest, code, err.Error())
-		return
+		s.fail(w, route, err)
+		return nil, ""
 	}
-	tenant := r.Header.Get("X-Tenant")
-	if tenant == "" {
-		tenant = bodyTenant
+	if h := r.Header.Get("X-Tenant"); h != "" {
+		tenant = h
 	}
 	if tenant == "" {
 		tenant = "default"
 	}
+	return p, tenant
+}
 
-	snap, serr := s.q.Submit(tenant, p, p.deadline)
-	switch {
-	case serr == nil:
-	case errors.Is(serr, jobq.ErrQueueFull), errors.Is(serr, jobq.ErrTenantLimit):
-		s.retryAfter(w)
-		s.writeError(w, route, http.StatusTooManyRequests, ErrorCode(serr), serr.Error())
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	const route = "submit"
+	p, tenant := s.admit(w, r, route)
+	if p == nil {
 		return
-	case errors.Is(serr, jobq.ErrShuttingDown):
-		s.retryAfter(w)
-		s.writeError(w, route, http.StatusServiceUnavailable, CodeShuttingDown, serr.Error())
-		return
-	default:
-		s.writeError(w, route, http.StatusInternalServerError, CodeInternal, serr.Error())
+	}
+	snap, err := s.q.Submit(tenant, p, p.deadline)
+	if err != nil {
+		s.fail(w, route, err)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+snap.ID)
 	s.writeJSON(w, route, http.StatusAccepted, jobJSON(snap))
 }
 
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request, route string) (jobq.Snapshot, bool) {
+// finished returns the result of the job the request names. The route
+// names what the client asked for ("report" or "placement"). When the job
+// is unknown or not finished it has answered the request, and it returns
+// nil.
+func (s *Server) finished(w http.ResponseWriter, r *http.Request, route string) *jobResult {
 	snap, err := s.q.Get(r.PathValue("id"))
-	if err != nil {
-		s.writeError(w, route, http.StatusNotFound, CodeJobNotFound, err.Error())
-		return jobq.Snapshot{}, false
+	if err == nil {
+		if res, _ := snap.Result.(*jobResult); snap.State.Terminal() && res != nil {
+			return res
+		}
+		err = &requestError{fmt.Sprintf("job %s is %s; no %s yet", snap.ID, snap.State, route), errNotFinished}
 	}
-	return snap, true
+	s.fail(w, route, err)
+	return nil
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	const route = "status"
-	snap, ok := s.lookup(w, r, route)
-	if !ok {
+	snap, err := s.q.Get(r.PathValue("id"))
+	if err != nil {
+		s.fail(w, route, err)
 		return
 	}
 	s.writeJSON(w, route, http.StatusOK, jobJSON(snap))
@@ -466,15 +448,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	const route = "report"
-	snap, ok := s.lookup(w, r, route)
-	if !ok {
-		return
-	}
-	res, _ := snap.Result.(*jobResult)
-	if !snap.State.Terminal() || res == nil {
-		s.retryAfter(w)
-		s.writeError(w, route, http.StatusConflict, CodeNotFinished,
-			fmt.Sprintf("job %s is %s; no report yet", snap.ID, snap.State))
+	res := s.finished(w, r, route)
+	if res == nil {
 		return
 	}
 	s.writeJSON(w, route, http.StatusOK, EncodeReport(res.rep, res.checksum))
@@ -482,21 +457,14 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
 	const route = "placement"
-	snap, ok := s.lookup(w, r, route)
-	if !ok {
-		return
-	}
-	res, _ := snap.Result.(*jobResult)
-	if !snap.State.Terminal() || res == nil {
-		s.retryAfter(w)
-		s.writeError(w, route, http.StatusConflict, CodeNotFinished,
-			fmt.Sprintf("job %s is %s; no placement yet", snap.ID, snap.State))
+	res := s.finished(w, r, route)
+	if res == nil {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if err := iodesign.Write(w, res.d, res.nl); err != nil {
 		// Headers are gone; all we can do is log and count.
-		s.log.Printf("mrserve: placement write for %s: %v", snap.ID, err)
+		s.log.Printf("mrserve: placement write for %s: %v", r.PathValue("id"), err)
 		s.httpReqs(route, http.StatusInternalServerError)
 		return
 	}
@@ -507,7 +475,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	const route = "cancel"
 	snap, err := s.q.Cancel(r.PathValue("id"))
 	if err != nil {
-		s.writeError(w, route, http.StatusNotFound, CodeJobNotFound, err.Error())
+		s.fail(w, route, err)
 		return
 	}
 	s.writeJSON(w, route, http.StatusOK, jobJSON(snap))

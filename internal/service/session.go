@@ -24,14 +24,12 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 
 	"mrlegal/internal/core"
 	"mrlegal/internal/design"
-	"mrlegal/internal/jobq"
 	"mrlegal/internal/netlist"
 )
 
@@ -69,40 +67,13 @@ type CheckpointJSON struct {
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	const route = "session_create"
-	if !s.ready.Load() {
-		s.retryAfter(w)
-		s.writeError(w, route, http.StatusServiceUnavailable, CodeShuttingDown, "server is draining")
+	p, tenant := s.admit(w, r, route)
+	if p == nil {
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	defer body.Close()
-
-	p, bodyTenant, err := decodeSubmitBody(body, s.base, s.cfg.Limits)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeError(w, route, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return
-		}
-		code, _ := IsBadRequest(err)
-		if code == "" {
-			code = CodeBadRequest
-		}
-		s.writeError(w, route, http.StatusBadRequest, code, err.Error())
-		return
-	}
-	tenant := r.Header.Get("X-Tenant")
-	if tenant == "" {
-		tenant = bodyTenant
-	}
-	if tenant == "" {
-		tenant = "default"
-	}
-
 	l, err := core.NewLegalizer(p.d, p.cfg)
 	if err != nil {
-		s.writeError(w, route, http.StatusBadRequest, CodeBadRequest, err.Error())
+		s.fail(w, route, badf("%v", err))
 		return
 	}
 	// The initial full legalization runs inline under the job deadline
@@ -117,31 +88,21 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	rep, err := l.LegalizeBestEffort(ctx)
 	if err != nil {
-		s.writeError(w, route, http.StatusInternalServerError, ErrorCode(err), err.Error())
+		s.fail(w, route, err)
 		return
 	}
 	ses, err := core.NewSession(l)
 	if err != nil {
 		// Best-effort legalization left failures (or the input was not
 		// legalizable): no legal baseline, no session.
-		s.writeError(w, route, http.StatusConflict, ErrorCode(err),
-			fmt.Sprintf("design is not legal after initial legalization (%d failures): %v", len(rep.Failed), err))
+		s.fail(w, route, fmt.Errorf("design is not legal after initial legalization (%d failures): %w", len(rep.Failed), err))
 		return
 	}
 	st := &sessionState{ses: ses, l: l, d: p.d, nl: p.nl}
 	reg, err := s.sessions.Open(tenant, st)
 	if err != nil {
 		ses.Close()
-		switch {
-		case errors.Is(err, jobq.ErrSessionLimit):
-			s.retryAfter(w)
-			s.writeError(w, route, http.StatusTooManyRequests, ErrorCode(err), err.Error())
-		case errors.Is(err, jobq.ErrShuttingDown):
-			s.retryAfter(w)
-			s.writeError(w, route, http.StatusServiceUnavailable, CodeShuttingDown, err.Error())
-		default:
-			s.writeError(w, route, http.StatusInternalServerError, CodeInternal, err.Error())
-		}
+		s.fail(w, route, err)
 		return
 	}
 	w.Header().Set("Location", "/v1/sessions/"+reg.ID())
@@ -153,16 +114,33 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// frameStream is a delta route's response. Its status and content type
+// go out with the first frame, and fail sends an error in-band after that.
+type frameStream struct {
+	http.ResponseWriter
+	rc      *http.ResponseController
+	started bool
+}
+
+func (f *frameStream) start() {
+	if !f.started {
+		f.started = true
+		f.Header().Set("Content-Type", "application/vnd.mrlegal.frames")
+		f.WriteHeader(http.StatusOK)
+	}
+}
+
+func (f *frameStream) flush() { _ = f.rc.Flush() }
+
 func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 	const route = "session_deltas"
 	if !s.ready.Load() {
-		s.retryAfter(w)
-		s.writeError(w, route, http.StatusServiceUnavailable, CodeShuttingDown, "server is draining")
+		s.fail(w, route, errDraining)
 		return
 	}
 	sess, err := s.sessions.Get(r.PathValue("id"))
 	if err != nil {
-		s.writeError(w, route, http.StatusNotFound, CodeSessionNotFound, err.Error())
+		s.fail(w, route, err)
 		return
 	}
 
@@ -173,54 +151,23 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 	// HTTP/1 (otherwise the server closes the body on first write).
 	rc := http.NewResponseController(w)
 	if err := rc.EnableFullDuplex(); err != nil {
-		s.writeError(w, route, http.StatusInternalServerError, CodeInternal,
-			fmt.Sprintf("streaming unsupported: %v", err))
+		s.fail(w, route, fmt.Errorf("streaming unsupported: %v", err))
 		return
 	}
-	var (
-		buf     []byte
-		started bool
-	)
-	flush := func() { _ = rc.Flush() }
-	start := func() {
-		if !started {
-			started = true
-			w.Header().Set("Content-Type", "application/vnd.mrlegal.frames")
-			w.WriteHeader(http.StatusOK)
-		}
-	}
-	fail := func(status int, code, msg string) {
-		if !started {
-			s.writeError(w, route, status, code, msg)
-			return
-		}
-		// In-band terminal error frame.
-		payload, _ := json.Marshal(&DeltaFrameJSON{Error: &ErrorJSON{Code: code, Message: msg}})
-		_ = writeFrame(w, payload)
-		flush()
-		s.httpReqs(route, status)
-	}
-
-	for frames := 0; ; frames++ {
+	out := &frameStream{ResponseWriter: w, rc: rc}
+	var buf []byte
+	for {
 		buf, err = readFrame(r.Body, buf, s.cfg.Limits.MaxFrameBytes)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			code, _ := IsBadRequest(err)
-			if code == "" {
-				code = CodeBadRequest
-			}
-			fail(http.StatusBadRequest, code, err.Error())
+			s.fail(out, route, err)
 			return
 		}
 		deltas, derr := DecodeDeltaBatch(buf, s.cfg.Limits)
 		if derr != nil {
-			code, _ := IsBadRequest(derr)
-			if code == "" {
-				code = CodeBadRequest
-			}
-			fail(http.StatusBadRequest, code, derr.Error())
+			s.fail(out, route, derr)
 			return
 		}
 
@@ -235,39 +182,29 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 			return nil
 		})
 		if doErr != nil {
-			status := http.StatusConflict
-			switch {
-			case errors.Is(doErr, jobq.ErrSessionNotFound), errors.Is(doErr, core.ErrSessionClosed):
-				status = http.StatusNotFound
-			case errors.Is(doErr, core.ErrUnknownCell), errors.Is(doErr, core.ErrFixedCell),
-				errors.Is(doErr, core.ErrInvalidWidth), errors.Is(doErr, core.ErrInvalidTarget):
-				status = http.StatusBadRequest
-			case errors.Is(doErr, core.ErrRollbackFailed):
-				status = http.StatusInternalServerError
-			}
 			// The batch rolled back; the session still holds the previous
 			// legal placement, unless the rollback itself failed
-			// (rollback_failed, 500), after which the session's placement
-			// can no longer be trusted. The error frame ends this
-			// response — the client resynchronizes via checkpoint before
-			// streaming more.
-			fail(status, ErrorCode(doErr), doErr.Error())
+			// (rollback_failed), after which the session's placement can
+			// no longer be trusted. The error frame ends this response —
+			// the client resynchronizes via checkpoint before streaming
+			// more.
+			s.fail(out, route, doErr)
 			return
 		}
-		start()
+		out.start()
 		payload, merr := json.Marshal(frame)
 		if merr != nil {
-			fail(http.StatusInternalServerError, CodeInternal, merr.Error())
+			s.fail(out, route, merr)
 			return
 		}
-		if werr := writeFrame(w, payload); werr != nil {
+		if werr := writeFrame(out, payload); werr != nil {
 			// Client went away mid-response; nothing to send.
 			s.httpReqs(route, http.StatusOK)
 			return
 		}
-		flush()
+		out.flush()
 	}
-	start() // an empty stream is a valid no-op
+	out.start() // an empty stream is a valid no-op
 	s.httpReqs(route, http.StatusOK)
 }
 
@@ -275,7 +212,7 @@ func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request)
 	const route = "session_checkpoint"
 	sess, err := s.sessions.Get(r.PathValue("id"))
 	if err != nil {
-		s.writeError(w, route, http.StatusNotFound, CodeSessionNotFound, err.Error())
+		s.fail(w, route, err)
 		return
 	}
 	oracle := r.URL.Query().Get("oracle") == "1"
@@ -304,11 +241,7 @@ func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request)
 		return nil
 	})
 	if doErr != nil {
-		if errors.Is(doErr, jobq.ErrSessionNotFound) {
-			s.writeError(w, route, http.StatusNotFound, CodeSessionNotFound, doErr.Error())
-			return
-		}
-		s.writeError(w, route, http.StatusInternalServerError, ErrorCode(doErr), doErr.Error())
+		s.fail(w, route, doErr)
 		return
 	}
 	s.writeJSON(w, route, http.StatusOK, cp)
@@ -318,7 +251,7 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	const route = "session_close"
 	id := r.PathValue("id")
 	if err := s.sessions.Close(id); err != nil {
-		s.writeError(w, route, http.StatusNotFound, CodeSessionNotFound, err.Error())
+		s.fail(w, route, err)
 		return
 	}
 	s.writeJSON(w, route, http.StatusOK, map[string]any{"id": id, "closed": true})
