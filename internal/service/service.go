@@ -156,11 +156,7 @@ func New(cfg Config) (*Server, error) {
 
 	scfg := cfg.Sessions
 	scfg.Obs = s.obs
-	s.sessions = jobq.NewSessionRegistry(scfg, func(payload any) {
-		if st, ok := payload.(*sessionState); ok {
-			st.ses.Close()
-		}
-	})
+	s.sessions = jobq.NewSessionRegistry(scfg, func(payload any) { payload.(*core.Session).Close() })
 
 	s.mux = http.NewServeMux()
 	s.mux.Handle("GET /metrics", obs.MetricsHandler(reg))

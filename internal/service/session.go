@@ -29,18 +29,7 @@ import (
 	"net/http"
 
 	"mrlegal/internal/core"
-	"mrlegal/internal/design"
-	"mrlegal/internal/netlist"
 )
-
-// sessionState is the registry payload: the live engine session and the
-// design it owns. Access is serialized by jobq.Session.Do.
-type sessionState struct {
-	ses *core.Session
-	l   *core.Legalizer
-	d   *design.Design
-	nl  *netlist.Netlist
-}
 
 // SessionJSON is the session resource returned by create.
 type SessionJSON struct {
@@ -98,8 +87,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, route, fmt.Errorf("design is not legal after initial legalization (%d failures): %w", len(rep.Failed), err))
 		return
 	}
-	st := &sessionState{ses: ses, l: l, d: p.d, nl: p.nl}
-	reg, err := s.sessions.Open(tenant, st)
+	reg, err := s.sessions.Open(tenant, ses)
 	if err != nil {
 		ses.Close()
 		s.fail(w, route, err)
@@ -173,12 +161,12 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 
 		var frame *DeltaFrameJSON
 		doErr := sess.Do(func(payload any) error {
-			st := payload.(*sessionState)
-			rep, aerr := st.ses.ApplyDelta(r.Context(), deltas)
+			ses := payload.(*core.Session)
+			rep, aerr := ses.ApplyDelta(r.Context(), deltas)
 			if aerr != nil {
 				return aerr
 			}
-			frame = encodeDeltaFrame(rep, st.d.PlacementChecksum())
+			frame = encodeDeltaFrame(rep, ses.Design().PlacementChecksum())
 			return nil
 		})
 		if doErr != nil {
@@ -219,12 +207,12 @@ func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request)
 
 	var cp *CheckpointJSON
 	doErr := sess.Do(func(payload any) error {
-		st := payload.(*sessionState)
-		viols := st.ses.Verify(16)
-		stats := st.ses.Stats()
+		ses := payload.(*core.Session)
+		viols := ses.Verify(16)
+		stats := ses.Stats()
 		cp = &CheckpointJSON{
 			ID:                sess.ID(),
-			PlacementChecksum: fmt.Sprintf("%016x", st.d.PlacementChecksum()),
+			PlacementChecksum: fmt.Sprintf("%016x", ses.Design().PlacementChecksum()),
 			Legal:             len(viols) == 0,
 			Violations:        len(viols),
 			Batches:           stats.Batches,
@@ -232,7 +220,7 @@ func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request)
 			DirtyCells:        stats.DirtyCells,
 		}
 		if oracle {
-			fp, ferr := st.ses.FixedPoint(r.Context())
+			fp, ferr := ses.FixedPoint(r.Context())
 			if ferr != nil {
 				return ferr
 			}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"mrlegal/internal/core"
 	"mrlegal/internal/design"
 	"mrlegal/internal/geom"
 	"mrlegal/internal/jobq"
@@ -277,7 +278,7 @@ func TestSessionRollbackFailureIs500(t *testing.T) {
 	// to b's slot and b to a's.
 	var batch string
 	if err := sess.Do(func(payload any) error {
-		l := payload.(*sessionState).l
+		l := payload.(*core.Session).Legalizer()
 		var a, b *design.Cell
 		for i := range l.D.Cells {
 			if c := &l.D.Cells[i]; !c.Fixed && c.H == 1 {
