@@ -29,17 +29,9 @@ import (
 	"mrlegal/internal/netlist"
 )
 
-// Config tunes the placer. Zero values take defaults.
+// Config tunes the placer.
 type Config struct {
-	MaxIters  int     // outer B2B/spreading iterations (default 24)
-	BinW      int     // spreading bin width in sites (default 8)
-	BinH      int     // spreading bin height in rows (default 2)
-	Target    float64 // stop when peak bin utilization ≤ Target (default 0.9)
-	AnchorW   float64 // base anchor weight (default 0.01, grows linearly)
-	Damping   float64 // spreading blend factor in (0,1] (default 0.7)
-	CGTol     float64 // relative CG tolerance (default 1e-5)
-	CGMaxIter int     // CG iteration cap (default 300)
-	Seed      int64
+	Seed int64 // seeds the random start and the rough-legalization jitter
 
 	// SkipRough disables the rough-legalization postpass. Contest-grade
 	// global placers hand off nearly legal placements (that is what makes
@@ -51,32 +43,17 @@ type Config struct {
 	SkipRough bool
 }
 
-func (c *Config) defaults() {
-	if c.MaxIters == 0 {
-		c.MaxIters = 24
-	}
-	if c.BinW == 0 {
-		c.BinW = 8
-	}
-	if c.BinH == 0 {
-		c.BinH = 2
-	}
-	if c.Target == 0 {
-		c.Target = 0.9
-	}
-	if c.AnchorW == 0 {
-		c.AnchorW = 0.01
-	}
-	if c.Damping == 0 {
-		c.Damping = 0.7
-	}
-	if c.CGTol == 0 {
-		c.CGTol = 1e-5
-	}
-	if c.CGMaxIter == 0 {
-		c.CGMaxIter = 300
-	}
-}
+// The placer's fixed settings.
+const (
+	maxIters      = 24   // outer B2B/spreading iterations
+	binW          = 8    // spreading bin width in sites
+	binH          = 2    // spreading bin height in rows
+	targetUtil    = 0.9  // stop when peak bin utilization ≤ targetUtil
+	baseAnchorW   = 0.01 // base anchor weight, grown linearly per iteration
+	spreadDamping = 0.7  // spreading blend factor in (0,1]
+	cgTol         = 1e-5 // relative CG tolerance
+	cgMaxIter     = 300  // CG iteration cap
+)
 
 // Stats reports the outcome of a placement run.
 type Stats struct {
@@ -96,7 +73,6 @@ type Stats struct {
 // nets' pin ranges, which neither writes, and the result is the same bit
 // for bit as solving the axes one after the other.
 func Place(d *design.Design, nl *netlist.Netlist, cfg Config) Stats {
-	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	bounds := d.Bounds()
 	if bounds.Empty() || len(d.Cells) == 0 {
@@ -133,22 +109,22 @@ func Place(d *design.Design, nl *netlist.Netlist, cfg Config) Stats {
 	ax, ay := newAxes(d, nl, idx, n)
 
 	st := Stats{MovableCells: n}
-	for iter := 1; iter <= cfg.MaxIters; iter++ {
+	for iter := 1; iter <= maxIters; iter++ {
 		st.Iters = iter
-		aw := cfg.AnchorW * float64(iter)
+		aw := baseAnchorW * float64(iter)
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ax.solve(x, anchorX, aw, cfg)
+			ax.solve(x, anchorX, aw)
 		}()
-		ay.solve(y, anchorY, aw, cfg)
+		ay.solve(y, anchorY, aw)
 		wg.Wait()
 		clampCenters(d, movable, x, y)
 
-		peak := spread(d, movable, x, y, anchorX, anchorY, cfg)
+		peak := spread(d, movable, x, y, anchorX, anchorY)
 		st.PeakUtil = peak
-		if peak <= cfg.Target && iter >= 4 {
+		if peak <= targetUtil && iter >= 4 {
 			break
 		}
 	}
@@ -245,8 +221,7 @@ func roughLegalize(d *design.Design, movable []design.CellID, x, y []float64, cf
 		y[vi] = float64(bottom) + float64(c.H)/2
 		rows[bottom] = append(rows[bottom], vi)
 	}
-	for row, vis := range rows {
-		_ = row
+	for _, vis := range rows {
 		sort.Slice(vis, func(i, j int) bool {
 			if x[vis[i]] != x[vis[j]] {
 				return x[vis[i]] < x[vis[j]]
@@ -346,7 +321,7 @@ func newAxes(d *design.Design, nl *netlist.Netlist, idx []int, n int) (ax, ay *a
 
 // solve assembles the B2B system at the current centers cur, with anchor
 // pseudo-nets of weight anchorW toward anchors, and solves it in place.
-func (ax *axis) solve(cur, anchors []float64, anchorW float64, cfg Config) {
+func (ax *axis) solve(cur, anchors []float64, anchorW float64) {
 	sys := ax.sys
 	sys.reset()
 	start := 0
@@ -417,7 +392,7 @@ func (ax *axis) solve(cur, anchors []float64, anchorW float64, cfg Config) {
 			sys.addAnchor(vi, cur[vi], 1)
 		}
 	}
-	sys.solveCG(cur, cfg.CGTol, cfg.CGMaxIter)
+	sys.solveCG(cur, cgTol, cgMaxIter)
 }
 
 func clampCenters(d *design.Design, movable []design.CellID, x, y []float64) {
@@ -439,9 +414,6 @@ func clampCenters(d *design.Design, movable []design.CellID, x, y []float64) {
 	}
 }
 
-// spread performs one pass of per-band histogram equalization in x then in
-// y, writes damped spread targets into anchorX/anchorY, and returns the
-// peak bin utilization before spreading.
 // spreadItem is one cell within a spreading band.
 type spreadItem struct {
 	vi   int
@@ -456,9 +428,9 @@ type spreadItem struct {
 // writes the damped result into anchorX/anchorY. It returns the peak bin
 // utilization of the *input* positions (the congestion the next outer
 // iteration is asked to resolve).
-func spread(d *design.Design, movable []design.CellID, x, y []float64, anchorX, anchorY []float64, cfg Config) float64 {
+func spread(d *design.Design, movable []design.CellID, x, y []float64, anchorX, anchorY []float64) float64 {
 	bb := d.Bounds()
-	nby := max(1, (bb.H+cfg.BinH-1)/cfg.BinH)
+	nby := max(1, (bb.H+binH-1)/binH)
 
 	area := make([]float64, len(movable))
 	for vi, id := range movable {
@@ -466,12 +438,12 @@ func spread(d *design.Design, movable []design.CellID, x, y []float64, anchorX, 
 		area[vi] = float64(c.W * c.H)
 	}
 	binY := func(py float64) int {
-		return min(nby-1, max(0, int((py-float64(bb.Y))/float64(cfg.BinH))))
+		return min(nby-1, max(0, int((py-float64(bb.Y))/float64(binH))))
 	}
 	// Congestion is judged on windows 4×4 bins large: single-bin peaks
 	// are dominated by cell-size granularity noise, while the legalizer
 	// cares about window-scale density.
-	cbw, cbh := 4*cfg.BinW, 4*cfg.BinH
+	cbw, cbh := 4*binW, 4*binH
 	cnx := max(1, (bb.W+cbw-1)/cbw)
 	cny := max(1, (bb.H+cbh-1)/cbh)
 	peakUtil := func(px, py []float64) float64 {
@@ -512,8 +484,8 @@ func spread(d *design.Design, movable []design.CellID, x, y []float64, anchorX, 
 		equalize(band, float64(bb.X), float64(bb.X2()), px, px, 1.0)
 	}
 	for vi := range movable {
-		anchorX[vi] = x[vi] + cfg.Damping*(px[vi]-x[vi])
-		anchorY[vi] = y[vi] + cfg.Damping*(py[vi]-y[vi])
+		anchorX[vi] = x[vi] + spreadDamping*(px[vi]-x[vi])
+		anchorY[vi] = y[vi] + spreadDamping*(py[vi]-y[vi])
 	}
 	return inPeak
 }
