@@ -53,7 +53,7 @@ func main() {
 
 	// SIGINT/SIGTERM cancel the experiment context: the in-flight run
 	// unwinds at its next placement boundary (reported as a canceled
-	// result) and the deferred profile/trace flushes still run, so
+	// result) and the profile and trace are still flushed, so
 	// -cpuprofile and -trace-out output survives an interrupt.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
@@ -77,39 +77,14 @@ func main() {
 	// Observability: one observer shared by every run of the experiment;
 	// the exposition is dumped once after the table (docs/OBSERVABILITY.md).
 	var observer *obs.Observer
-	var traceFile *os.File
 	if *metrics || *traceFlag != "" {
-		opt := obs.Options{}
-		if *traceFlag != "" {
-			f, err := os.Create(*traceFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mrbench: %v\n", err)
-				stop()
-				os.Exit(1)
-			}
-			traceFile = f
-			opt.TraceOut = f
+		if observer, err = obs.Open(*traceFlag); err != nil {
+			fmt.Fprintf(os.Stderr, "mrbench: %v\n", err)
+			stop()
+			os.Exit(1)
 		}
-		observer = obs.New(opt)
 		cfg.Obs = observer
 	}
-	finishObs := func() {
-		if observer == nil {
-			return
-		}
-		if err := observer.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "mrbench: trace-out: %v\n", err)
-		}
-		if traceFile != nil {
-			traceFile.Close()
-		}
-		if *metrics {
-			if err := observer.Registry().WritePrometheus(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "mrbench: metrics: %v\n", err)
-			}
-		}
-	}
-	defer finishObs()
 
 	switch *exp {
 	case "table1":
@@ -144,5 +119,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mrbench: unknown experiment %q\n", *exp)
 		stop()
 		os.Exit(2)
+	}
+
+	traceErr := observer.Close()
+	if *metrics {
+		if err := observer.Registry().WritePrometheus(os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "mrbench: metrics: %v\n", err)
+		}
+	}
+	if traceErr != nil {
+		fmt.Fprintf(os.Stderr, "mrbench: trace-out: %v\n", traceErr)
+		stop()
+		os.Exit(1)
 	}
 }

@@ -39,10 +39,10 @@ import (
 // so -cpuprofile/-trace output survives error paths.
 var stopProfiles = func() {}
 
-// flushTrace flushes and closes the -trace-out sink; fatal and early
-// exits call it so an interrupted run leaves a valid (if partial) trace
-// rather than a truncated one.
-var flushTrace = func() {}
+// observer feeds -metrics-addr and the -trace-out sink. fatal closes it
+// too, so an interrupted run leaves a valid (if partial) trace rather
+// than a truncated one.
+var observer *obs.Observer
 
 func main() {
 	var (
@@ -126,33 +126,11 @@ func main() {
 
 	// Observability: a shared observer feeds the -metrics-addr exposition
 	// and the -trace-out JSONL sink (docs/OBSERVABILITY.md).
-	var observer *obs.Observer
-	var traceFile *os.File
 	if *metricsAddr != "" || *traceFlag != "" {
-		opt := obs.Options{}
-		if *traceFlag != "" {
-			if *traceFlag == "-" {
-				opt.TraceOut = os.Stdout
-			} else {
-				f, err := os.Create(*traceFlag)
-				if err != nil {
-					fatal(err)
-				}
-				traceFile = f
-				opt.TraceOut = f
-			}
+		if observer, err = obs.Open(*traceFlag); err != nil {
+			fatal(err)
 		}
-		observer = obs.New(opt)
 		cfg.Obs = observer
-		flushTrace = func() {
-			if err := observer.Flush(); err != nil {
-				fmt.Fprintf(os.Stderr, "mrlegal: trace-out: %v\n", err)
-			}
-			if traceFile != nil {
-				traceFile.Close()
-				traceFile = nil
-			}
-		}
 		if *metricsAddr != "" {
 			srv, err := obs.Serve(*metricsAddr, observer.Registry())
 			if err != nil {
@@ -196,11 +174,8 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	flushTrace()
-	if observer != nil {
-		if err := observer.TraceErr(); err != nil {
-			fatal(fmt.Errorf("trace-out: %w", err))
-		}
+	if err := observer.Close(); err != nil {
+		fatal(fmt.Errorf("trace-out: %w", err))
 	}
 
 	if vs := verify.Check(d, verify.Options{RequirePlaced: allPlaced, PowerAlignment: cfg.PowerAlign,
@@ -277,7 +252,9 @@ func main() {
 
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "mrlegal: %v\n", err)
-	flushTrace()
+	// The trace's own error, if any, is err itself or second to it, so
+	// only err is printed.
+	_ = observer.Close()
 	stopProfiles()
 	os.Exit(1)
 }

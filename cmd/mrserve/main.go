@@ -81,17 +81,10 @@ func main() {
 	}
 	base.Constraints = cons
 
-	opt := obs.Options{}
-	var traceFile *os.File
-	if *traceFlag != "" {
-		f, err := os.Create(*traceFlag)
-		if err != nil {
-			fatal(err)
-		}
-		traceFile = f
-		opt.TraceOut = f
+	observer, err := obs.Open(*traceFlag)
+	if err != nil {
+		fatal(err)
 	}
-	observer := obs.New(opt)
 	base.Obs = observer
 
 	srv, err := service.New(service.Config{
@@ -132,10 +125,8 @@ func main() {
 	stop() // a second signal kills immediately instead of re-draining
 	fmt.Fprintf(os.Stderr, "mrserve: shutdown requested, draining (deadline %s)\n", *drain)
 	err = srv.Close()
-	if traceFile != nil {
-		if cerr := traceFile.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("trace-out: %w", cerr)
-		}
+	if cerr := observer.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("trace-out: %w", cerr)
 	}
 	if err != nil {
 		fatal(err)

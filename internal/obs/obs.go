@@ -31,6 +31,7 @@ type Observer struct {
 
 	mu    sync.Mutex
 	trace *TraceWriter
+	file  io.Closer // the trace file Open created, until Close closes it
 	seq   uint64
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"os"
 )
 
 // TraceWriter encodes cell events as JSON Lines: one CellEvent object per
@@ -51,6 +52,47 @@ func (o *Observer) Flush() error {
 		return nil
 	}
 	return o.trace.Flush()
+}
+
+// Open returns a new Observer with default options whose trace sink is
+// the file at path, created or truncated; "-" means stdout and "" no
+// sink. Close flushes the sink and closes the file.
+func Open(path string) (*Observer, error) {
+	switch path {
+	case "":
+		return New(Options{}), nil
+	case "-":
+		return New(Options{TraceOut: os.Stdout}), nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	o := New(Options{TraceOut: f})
+	o.file = f
+	return o, nil
+}
+
+// Close flushes the trace sink, closes the file Open created for it, and
+// returns the sink's first write, flush or close error. It is safe to
+// call again, on a nil Observer too, and then returns the same error.
+func (o *Observer) Close() error {
+	if o == nil {
+		return nil
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.trace == nil {
+		return nil
+	}
+	o.trace.Flush() // a write or flush error stays in trace.err
+	if o.file != nil {
+		if err := o.file.Close(); o.trace.err == nil {
+			o.trace.err = err
+		}
+		o.file = nil
+	}
+	return o.trace.err
 }
 
 // ReadTrace decodes a JSONL trace stream back into events, for tests and

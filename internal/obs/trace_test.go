@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -100,5 +102,84 @@ func TestObserverNoTrace(t *testing.T) {
 	}
 	if o.Ring().Cap() != DefaultRingSize {
 		t.Errorf("default ring cap = %d, want %d", o.Ring().Cap(), DefaultRingSize)
+	}
+}
+
+// failCloser is a trace file whose Close fails; it counts the calls.
+type failCloser struct {
+	bytes.Buffer
+	closes int
+}
+
+func (f *failCloser) Close() error {
+	f.closes++
+	return errors.New("close failed")
+}
+
+// TestObserverClose checks Close flushes the sink, closes the file Open
+// would have created exactly once, and returns the close error on every
+// call; no local file can be made to fail Close on demand, so the file
+// is a failCloser set where Open sets it.
+func TestObserverClose(t *testing.T) {
+	f := &failCloser{}
+	o := New(Options{TraceOut: f})
+	o.file = f
+	o.RecordCell(CellEvent{Cell: 1, Outcome: OutcomeDirect})
+	for i := 0; i < 2; i++ {
+		if err := o.Close(); err == nil || err.Error() != "close failed" {
+			t.Fatalf("Close #%d = %v, want the close error", i+1, err)
+		}
+	}
+	if f.closes != 1 {
+		t.Errorf("file closed %d times, want 1", f.closes)
+	}
+	if got := strings.Count(f.String(), "\n"); got != 1 {
+		t.Errorf("trace has %d lines after Close, want 1", got)
+	}
+
+	// A write error comes first and wins over the close error.
+	o = New(Options{TraceOut: &failWriter{}})
+	o.file = &failCloser{}
+	o.RecordCell(CellEvent{Cell: 1})
+	if err := o.Close(); err == nil || err.Error() != "sink full" {
+		t.Fatalf("Close = %v, want the write error", err)
+	}
+
+	var none *Observer
+	if err := none.Close(); err != nil {
+		t.Errorf("nil Observer: Close = %v", err)
+	}
+	if err := New(Options{}).Close(); err != nil {
+		t.Errorf("sink-less Observer: Close = %v", err)
+	}
+}
+
+// TestOpen checks Open's trace file: every event recorded before Close
+// is in it, a second Close is a no-op, and a path Open cannot create is
+// an error.
+func TestOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	o, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.RecordCell(CellEvent{Cell: 7, Outcome: OutcomeMLL})
+	for i := 0; i < 2; i++ {
+		if err := o.Close(); err != nil {
+			t.Fatalf("Close #%d = %v", i+1, err)
+		}
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evs, err := ReadTrace(bytes.NewReader(b)); err != nil || len(evs) != 1 || evs[0].Cell != 7 {
+		t.Fatalf("trace file holds %+v (%v), want the one event", evs, err)
+	}
+	if _, err := Open(filepath.Join(t.TempDir(), "missing", "trace.jsonl")); err == nil {
+		t.Error("Open in a missing directory: want an error")
+	}
+	if o, err := Open(""); err != nil || o.Close() != nil {
+		t.Errorf(`Open(""): %v`, err)
 	}
 }
