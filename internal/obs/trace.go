@@ -74,8 +74,8 @@ func Open(path string) (*Observer, error) {
 }
 
 // Close flushes the trace sink, closes the file Open created for it, and
-// returns the sink's first write, flush or close error. It is safe to
-// call again, on a nil Observer too, and then returns the same error.
+// returns the sink's first write, flush or close error. A second call
+// returns the same error; on a nil Observer Close returns nil.
 func (o *Observer) Close() error {
 	if o == nil {
 		return nil
@@ -85,14 +85,15 @@ func (o *Observer) Close() error {
 	if o.trace == nil {
 		return nil
 	}
-	o.trace.Flush() // a write or flush error stays in trace.err
+	err := o.trace.Flush() // the sink's first write or flush error
 	if o.file != nil {
-		if err := o.file.Close(); o.trace.err == nil {
-			o.trace.err = err
+		if cerr := o.file.Close(); err == nil {
+			err = cerr
 		}
 		o.file = nil
+		o.trace.err = err
 	}
-	return o.trace.err
+	return err
 }
 
 // ReadTrace decodes a JSONL trace stream back into events, for tests and
