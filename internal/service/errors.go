@@ -160,7 +160,7 @@ func (s *Server) fail(w http.ResponseWriter, route string, err error) {
 	e := &ErrorJSON{Code: code, Message: err.Error()}
 	if fs, ok := w.(*frameStream); ok && fs.started {
 		payload, _ := json.Marshal(&DeltaFrameJSON{Error: e})
-		_ = writeFrame(fs, payload)
+		_ = writeFrame(fs, payload) // the stream ends here either way
 		fs.flush()
 		s.httpReqs(route, status)
 		return
