@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -198,7 +197,8 @@ func writeNets(fs FS, base string, d *design.Design, nl *netlist.Netlist) error 
 
 // Read parses a Bookshelf benchmark rooted at the given .aux file name.
 // The site dimensions are recovered from the .scl rows (Sitewidth and
-// Height must be uniform).
+// Height must be uniform). The design and netlist Validate methods check
+// the result, and sort the rows by coordinate.
 func Read(fs FS, auxName string) (*design.Design, *netlist.Netlist, error) {
 	files, err := readAux(fs, auxName)
 	if err != nil {
@@ -209,10 +209,7 @@ func Read(fs FS, auxName string) (*design.Design, *netlist.Netlist, error) {
 		return nil, nil, err
 	}
 	d := design.New(strings.TrimSuffix(filepath.Base(auxName), ".aux"), scl.siteW, scl.siteH)
-	for _, r := range scl.rows {
-		d.Rows = append(d.Rows, r)
-	}
-	sort.Slice(d.Rows, func(i, j int) bool { return d.Rows[i].Y < d.Rows[j].Y })
+	d.Rows = scl.rows
 
 	names, err := readNodes(fs, files["nodes"], d)
 	if err != nil {
@@ -223,6 +220,12 @@ func Read(fs FS, auxName string) (*design.Design, *netlist.Netlist, error) {
 	}
 	nl, err := readNets(fs, files["nets"], d, names)
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := d.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if err := nl.Validate(d); err != nil {
 		return nil, nil, err
 	}
 	nl.BuildIndex(len(d.Cells))
@@ -288,7 +291,7 @@ func readScl(fs FS, name string) (*sclData, error) {
 		} else if out.siteH != height || out.siteW != sitew {
 			return fmt.Errorf("bookshelf: non-uniform site geometry")
 		}
-		if height == 0 || sitew == 0 {
+		if height <= 0 || sitew <= 0 {
 			return fmt.Errorf("bookshelf: row missing Height/Sitewidth")
 		}
 		if coord%height != 0 || origin%sitew != 0 {
@@ -378,9 +381,10 @@ func readNodes(fs FS, name string, d *design.Design) (map[string]design.CellID, 
 		key := [2]int{w, h}
 		mi, ok := masters[key]
 		if !ok {
-			mi = d.AddMaster(design.Master{
-				Name: fmt.Sprintf("bs_%dx%d", w, h), Width: w, Height: h, BottomRail: design.VSS,
-			})
+			// Appended rather than added: design.AddMaster panics on a
+			// non-positive size, which Validate reports as an error.
+			mi = len(d.Lib)
+			d.Lib = append(d.Lib, design.Master{Name: fmt.Sprintf("bs_%dx%d", w, h), Width: w, Height: h})
 			masters[key] = mi
 		}
 		id := d.AddCell(ff[0], mi, 0, 0)

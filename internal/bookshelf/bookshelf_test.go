@@ -1,6 +1,8 @@
 package bookshelf
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -219,5 +221,38 @@ func TestDirFS(t *testing.T) {
 	}
 	if len(d2.Cells) != 1 || d2.Cells[0].W != 3 {
 		t.Fatal("disk roundtrip failed")
+	}
+}
+
+// TestReadRejectsInvalidDesigns: files that parse but describe no usable
+// design must give an error, not a panic or a design the engine misreads.
+func TestReadRejectsInvalidDesigns(t *testing.T) {
+	rows := func(coords ...int) string {
+		s := "UCLA scl 1.0\n"
+		for _, c := range coords {
+			s += fmt.Sprintf("CoreRow Horizontal\n Coordinate : %d\n Height : 2000\n Sitewidth : 200\n SubrowOrigin : 0 NumSites : 10\nEnd\n", c)
+		}
+		return s
+	}
+	cases := []struct{ name, nodes, scl string }{
+		{"zero-width node", "UCLA nodes 1.0\n a 0 2000\n", rows(0, 2000)},
+		{"two rows at one coordinate", "UCLA nodes 1.0\n a 200 2000\n", rows(0, 0, 2000)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fs := NewMemFS()
+			for name, content := range map[string]string{
+				"v.aux":   "RowBasedPlacement : v.nodes v.nets v.pl v.scl\n",
+				"v.nodes": c.nodes,
+				"v.scl":   c.scl,
+				"v.pl":    "UCLA pl 1.0\na 0 0 : N\n",
+				"v.nets":  "UCLA nets 1.0\nNumNets : 0\nNumPins : 0\n",
+			} {
+				fs.Files[name] = bytes.NewBufferString(content)
+			}
+			if d, _, err := Read(fs, "v.aux"); err == nil {
+				t.Fatalf("read a design of %d rows and %d cells, want an error", len(d.Rows), len(d.Cells))
+			}
+		})
 	}
 }

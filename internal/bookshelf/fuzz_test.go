@@ -55,6 +55,10 @@ func FuzzRead(f *testing.F) {
 	f.Add(aux, nodes, []byte("UCLA nets 1.0\nNumNets : 1\nNetDegree : 99999999999999999999 n0\n"), pl, scl)
 	f.Add(aux, nodes, nets, []byte("UCLA pl 1.0\nc0 1e308 -1e308 : N\n"), scl)
 	f.Add(aux, nodes, nets, pl, []byte("UCLA scl 1.0\nNumRows : 2\nCoreRow Horizontal\nEnd\n"))
+	// A node of width 0 (design.AddMaster panics on it). The aux names the
+	// files the harness stores.
+	f.Add([]byte("RowBasedPlacement : f.nodes f.nets f.pl f.scl\n"),
+		bytes.Replace(nodes, []byte(" 800 "), []byte(" 0 "), 1), nets, pl, scl)
 
 	f.Fuzz(func(t *testing.T, aux, nodes, nets, pl, scl []byte) {
 		fs := NewMemFS()

@@ -401,16 +401,12 @@ func (l *Legalizer) TryPlaceCell(id design.CellID, tx, ty float64) error {
 	})
 }
 
-// maxTargetCoord bounds a usable target coordinate, in sites or rows: far
-// past any die, and the bound the service's delta decoder applies.
-const maxTargetCoord = 1e12
-
 // validTarget reports whether (tx, ty) is a usable desired position: both
-// coordinates finite and within ±maxTargetCoord. Go converts NaN, an
+// coordinates finite and within ±design.MaxCoord. Go converts NaN, an
 // infinity or an out-of-range float to int in an implementation-dependent
 // way, so such a target could place differently on another GOARCH.
 func validTarget(tx, ty float64) bool {
-	return math.Abs(tx) <= maxTargetCoord && math.Abs(ty) <= maxTargetCoord
+	return math.Abs(tx) <= design.MaxCoord && math.Abs(ty) <= design.MaxCoord
 }
 
 // snap returns the nearest site-aligned, row-contained and (when power

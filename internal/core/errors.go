@@ -41,7 +41,8 @@ var (
 	ErrInvalidWidth = errors.New("core: invalid cell width")
 
 	// ErrInvalidTarget marks a move or insert whose desired position is
-	// NaN, infinite or beyond ±1e12 on either coordinate (validTarget).
+	// NaN, infinite or beyond ±design.MaxCoord (2^30) on either
+	// coordinate (validTarget).
 	ErrInvalidTarget = errors.New("core: invalid target position")
 
 	// ErrPanicked marks a panic raised inside MLL or realization that was

@@ -6,10 +6,19 @@
 package design
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"mrlegal/internal/geom"
 )
+
+// MaxCoord bounds every coordinate and size a valid design holds, and
+// every target a move or insert may name, in sites or rows: far past any
+// die, and small enough that no span, area or displacement computed from
+// them overflows.
+const MaxCoord = 1 << 30
 
 // Rail identifies a power rail kind on a row or master boundary.
 type Rail uint8
@@ -204,6 +213,61 @@ func (d *Design) AddUniformRows(n int, span geom.Span) {
 		d.Rows[i] = Row{Y: i, Span: span}
 	}
 }
+
+// Validate sorts d.Rows by Y and checks the structure the engine assumes.
+// Every reader of outside input calls it (and netlist's Validate) before
+// it returns a design:
+//
+//   - there is at least one row, and the rows' Y values are exactly
+//     0…n−1, each row spanning a non-empty [Lo, Hi) within ±MaxCoord;
+//   - blockages have non-negative sizes, all within ±MaxCoord;
+//   - every master is 1 to MaxCoord sites wide and fits the rows;
+//   - every cell's input position is finite and within ±MaxCoord;
+//   - a placed cell sits on a row, at an x within ±MaxCoord;
+//   - a fixed cell is placed.
+func (d *Design) Validate() error {
+	slices.SortFunc(d.Rows, func(a, b Row) int { return cmp.Compare(a.Y, b.Y) })
+	if len(d.Rows) == 0 {
+		return fmt.Errorf("design: at least one row is required")
+	}
+	for i := range d.Rows {
+		r := &d.Rows[i]
+		if r.Y != i {
+			return fmt.Errorf("design: row y=%d: rows must be numbered 0 to %d, each once", r.Y, len(d.Rows)-1)
+		}
+		if r.Span.Lo >= r.Span.Hi || !within(r.Span.Lo) || !within(r.Span.Hi) {
+			return fmt.Errorf("design: row %d span [%d, %d) is empty or out of range", r.Y, r.Span.Lo, r.Span.Hi)
+		}
+	}
+	for i, b := range d.Blockages {
+		if !within(b.X) || !within(b.Y) || b.W < 0 || b.H < 0 || b.W > MaxCoord || b.H > MaxCoord {
+			return fmt.Errorf("design: blockage %d (%d, %d, %d, %d) has a negative size or is out of range", i, b.X, b.Y, b.W, b.H)
+		}
+	}
+	for i := range d.Lib {
+		m := &d.Lib[i]
+		if m.Width < 1 || m.Width > MaxCoord || m.Height < 1 || m.Height > len(d.Rows) {
+			return fmt.Errorf("design: master %q is %dx%d; want 1 to %d sites wide and 1 to %d rows tall",
+				m.Name, m.Width, m.Height, MaxCoord, len(d.Rows))
+		}
+	}
+	for i := range d.Cells {
+		c := &d.Cells[i]
+		if !(math.Abs(c.GX) <= MaxCoord && math.Abs(c.GY) <= MaxCoord) { // NaN compares false, so it fails too
+			return fmt.Errorf("design: cell %q has input position (%v, %v), want finite and within ±%d", c.Name, c.GX, c.GY, MaxCoord)
+		}
+		if c.Placed && (c.Y < 0 || c.Y >= len(d.Rows) || !within(c.X)) {
+			return fmt.Errorf("design: cell %q is placed at (%d, %d), off the rows", c.Name, c.X, c.Y)
+		}
+		if c.Fixed && !c.Placed {
+			return fmt.Errorf("design: cell %q is fixed but not placed", c.Name)
+		}
+	}
+	return nil
+}
+
+// within reports whether v lies within ±MaxCoord.
+func within(v int) bool { return -MaxCoord <= v && v <= MaxCoord }
 
 // Cell returns the cell with the given ID.
 func (d *Design) Cell(id CellID) *Cell {

@@ -18,9 +18,7 @@ import (
 // difference: the error text (line number included), the design, the
 // netlist with every cell's NetsOf, or Write's output against
 // referenceWrite's. A successful read must also re-read from Write's
-// output to the same design and netlist, unless a net names a cell the
-// design does not have (a second design header drops the cells before
-// it, not the nets), which the re-read rejects.
+// output to the same design and netlist.
 func compareRead(in []byte) error {
 	d, nl, err := Read(bytes.NewReader(in))
 	rd, rnl, rerr := referenceRead(bytes.NewReader(in))
@@ -48,9 +46,6 @@ func compareRead(in []byte) error {
 	}
 	if !bytes.Equal(out.Bytes(), ref.Bytes()) {
 		return fmt.Errorf("Write gives\n%q\nreference\n%q", out.Bytes(), ref.Bytes())
-	}
-	if nl.Validate(d) != nil {
-		return nil
 	}
 	d2, nl2, err := Read(bytes.NewReader(out.Bytes()))
 	if err != nil {

@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -157,7 +156,10 @@ func appendName(b []byte, s string) []byte {
 }
 
 // Read parses a design and netlist from r. The returned netlist is empty
-// (not nil) when the input has no net lines.
+// (not nil) when the input has no net lines. Rows may be listed in any
+// order. Once the whole text is in, the design and netlist Validate
+// methods check what the parser leaves to them: row indices, spans,
+// sizes, finite positions, fixed cells placed, pin cells and offsets.
 //
 // Fields are sub-slices of the scanner's buffer, cut exactly where
 // strings.Fields would cut the line, and numbers parse from them in
@@ -180,7 +182,10 @@ func Read(r io.Reader) (*design.Design, *netlist.Netlist, error) {
 	if d == nil {
 		return nil, nil, fmt.Errorf("iodesign: no design header found")
 	}
-	if err := validate(d); err != nil {
+	if err := d.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if err := p.nl.Validate(d); err != nil {
 		return nil, nil, err
 	}
 	p.nl.BuildIndex(len(d.Cells))
@@ -302,13 +307,9 @@ func (p *parser) parseLine(line []byte) error {
 		default:
 			return p.fail("bad rail %q", f[4])
 		}
-		// Checked here rather than left to design.AddMaster: AddMaster
-		// panics on non-positive sizes, and a malformed input file must
-		// produce an error, not a panic.
-		if v[0] < 1 || v[1] < 1 {
-			return p.fail("master %q has non-positive size %dx%d", f[1], v[0], v[1])
-		}
-		p.d.AddMaster(design.Master{Name: string(f[1]), Width: v[0], Height: v[1], BottomRail: rail})
+		// Appended rather than added: design.AddMaster panics on a
+		// non-positive size, which Validate reports as an error.
+		p.d.Lib = append(p.d.Lib, design.Master{Name: string(f[1]), Width: v[0], Height: v[1], BottomRail: rail})
 	case "cell":
 		return p.cell(f)
 	case "net":
@@ -333,8 +334,7 @@ func (p *parser) cell(f [][]byte) error {
 	}
 	gx, err1 := strconv.ParseFloat(string(f[3]), 64)
 	gy, err2 := strconv.ParseFloat(string(f[4]), 64)
-	if err1 != nil || err2 != nil ||
-		math.IsNaN(gx) || math.IsInf(gx, 0) || math.IsNaN(gy) || math.IsInf(gy, 0) {
+	if err1 != nil || err2 != nil {
 		return p.fail("bad input position")
 	}
 	id := d.AddCell(string(f[1]), mi, gx, gy)
@@ -378,7 +378,7 @@ func (p *parser) net(f [][]byte) error {
 		var cid design.CellID = design.NoCell
 		if string(f[i]) != "-" {
 			ci, err := strconv.Atoi(string(f[i]))
-			if err != nil || ci < 0 || ci >= len(p.d.Cells) {
+			if err != nil || ci < 0 {
 				return p.fail("bad pin cell %q", f[i])
 			}
 			cid = design.CellID(ci)
@@ -395,38 +395,6 @@ func (p *parser) net(f [][]byte) error {
 		pins = p.pins[lo:len(p.pins):len(p.pins)]
 	}
 	p.nl.AddNet(string(f[1]), pins...)
-	return nil
-}
-
-// validate applies the structural invariants downstream consumers assume
-// (the segment grid indexes rows by their Y field) once the whole file is
-// in, since the format allows directives in any order. Shapes the engine
-// would panic on — duplicate or out-of-range row indices, placements on
-// nonexistent rows, masters taller than the design — become errors here.
-func validate(d *design.Design) error {
-	seen := make([]bool, len(d.Rows))
-	for i := range d.Rows {
-		y := d.Rows[i].Y
-		if y < 0 || y >= len(d.Rows) || seen[y] {
-			return fmt.Errorf("iodesign: row %d has invalid or duplicate index y=%d", i, y)
-		}
-		seen[y] = true
-		if sp := d.Rows[i].Span; sp.Lo >= sp.Hi {
-			return fmt.Errorf("iodesign: row y=%d has empty span [%d, %d)", y, sp.Lo, sp.Hi)
-		}
-	}
-	for i := range d.Lib {
-		if d.Lib[i].Height > len(d.Rows) {
-			return fmt.Errorf("iodesign: master %q is %d rows tall but the design has %d rows",
-				d.Lib[i].Name, d.Lib[i].Height, len(d.Rows))
-		}
-	}
-	for i := range d.Cells {
-		c := &d.Cells[i]
-		if c.Placed && (c.Y < 0 || c.Y >= len(d.Rows)) {
-			return fmt.Errorf("iodesign: cell %q placed on row %d of %d", c.Name, c.Y, len(d.Rows))
-		}
-	}
 	return nil
 }
 

@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"mrlegal/internal/bengen"
+	"mrlegal/internal/core"
 	"mrlegal/internal/design"
 	"mrlegal/internal/dtest"
 	"mrlegal/internal/geom"
 	"mrlegal/internal/netlist"
+	"mrlegal/internal/verify"
 )
 
 func TestRoundTripSmall(t *testing.T) {
@@ -180,5 +182,48 @@ func TestRoundTripWhitespaceNames(t *testing.T) {
 		if d2.Cells[i].GX != float64(i) || nl2.Nets[i].Pins[0].Cell != design.CellID(i) {
 			t.Errorf("cell %d fields shifted after its name", i)
 		}
+	}
+}
+
+// TestReadRejectsInvalidDesigns: each text parses line by line, but the
+// design it describes would crash the engine or give a wrong answer, so
+// Read must return an error (and not panic).
+func TestReadRejectsInvalidDesigns(t *testing.T) {
+	const head = "design d 200 2000\nrow 0 0 20\nmaster m 1 1 VSS\ncell a 0 1 0\ncell b 0 5 0\n"
+	cases := []struct{ name, in string }{
+		// A second header drops the cells read before it, not the nets.
+		{"net on a dropped cell", head + "net n 0 0 0 1 0 0\ndesign e 200 2000\nrow 0 0 20\nmaster m 1 1 VSS\ncell z 0 1 0\n"},
+		{"fixed cell without a position", head + "cell f 0 9 0 fixed\n"},
+		{"NaN pin offset", head + "net n 0 NaN 0 1 0 0\n"},
+		{"row span past 2^30", "design d 200 2000\nrow 0 -9223372036854775800 9223372036854775800\nmaster m 1 1 VSS\ncell a 0 1 0\n"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if d, _, err := Read(strings.NewReader(c.in)); err == nil {
+				t.Fatalf("read a design of %d rows and %d cells, want an error", len(d.Rows), len(d.Cells))
+			}
+		})
+	}
+}
+
+// TestReadRowsInAnyOrder: rows may be listed in any order. The blockage
+// on row 0 must block row 0 whatever the order, so the cells legalize
+// beside it.
+func TestReadRowsInAnyOrder(t *testing.T) {
+	const in = "design d 200 2000\nrow 1 0 40\nrow 0 0 40\nblockage 0 0 20 1\n" +
+		"master m 4 1 VSS\ncell a 0 2 0\ncell b 0 8 0\n"
+	d, _, err := Read(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := core.NewLegalizer(d, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Legalize(); err != nil {
+		t.Fatal(err)
+	}
+	if v := verify.Check(d, verify.Options{RequirePlaced: true, PowerAlignment: true}, 10); len(v) > 0 {
+		t.Fatalf("violations: %v", v)
 	}
 }

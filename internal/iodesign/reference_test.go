@@ -1,17 +1,18 @@
 package iodesign
 
 // The text codec as it stood before Read and Write worked on bytes in
-// place, kept verbatim (only renamed) as the reference the byte-level
-// versions must match: the same design and netlist or the same error at
-// the same line, and byte-identical output. validate and
-// netlist.BuildIndex are shared; TestBuildIndexMatchesReference in
-// internal/netlist pins the latter.
+// place, kept (renamed) as the reference the byte-level versions must
+// match: the same design and netlist or the same error at the same line,
+// and byte-identical output. The checks on values that Design.Validate
+// and Netlist.Validate now make once the text is in (master sizes, finite
+// input positions, pin cells past the last cell) left both parsers alike.
+// Those two validators and netlist.BuildIndex are shared;
+// TestBuildIndexMatchesReference in internal/netlist pins the latter.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -166,13 +167,7 @@ func referenceRead(r io.Reader) (*design.Design, *netlist.Netlist, error) {
 			default:
 				return nil, nil, fail("bad rail %q", f[4])
 			}
-			// Checked here rather than left to design.AddMaster: AddMaster
-			// panics on non-positive sizes, and a malformed input file must
-			// produce an error, not a panic.
-			if v[0] < 1 || v[1] < 1 {
-				return nil, nil, fail("master %q has non-positive size %dx%d", f[1], v[0], v[1])
-			}
-			d.AddMaster(design.Master{Name: f[1], Width: v[0], Height: v[1], BottomRail: rail})
+			d.Lib = append(d.Lib, design.Master{Name: f[1], Width: v[0], Height: v[1], BottomRail: rail})
 		case "cell":
 			if err := needDesign(); err != nil {
 				return nil, nil, err
@@ -186,8 +181,7 @@ func referenceRead(r io.Reader) (*design.Design, *netlist.Netlist, error) {
 			}
 			gx, err1 := strconv.ParseFloat(f[3], 64)
 			gy, err2 := strconv.ParseFloat(f[4], 64)
-			if err1 != nil || err2 != nil ||
-				math.IsNaN(gx) || math.IsInf(gx, 0) || math.IsNaN(gy) || math.IsInf(gy, 0) {
+			if err1 != nil || err2 != nil {
 				return nil, nil, fail("bad input position")
 			}
 			id := d.AddCell(f[1], mi, gx, gy)
@@ -223,7 +217,7 @@ func referenceRead(r io.Reader) (*design.Design, *netlist.Netlist, error) {
 				var cid design.CellID = design.NoCell
 				if f[i] != "-" {
 					ci, err := strconv.Atoi(f[i])
-					if err != nil || ci < 0 || ci >= len(d.Cells) {
+					if err != nil || ci < 0 {
 						return nil, nil, fail("bad pin cell %q", f[i])
 					}
 					cid = design.CellID(ci)
@@ -246,7 +240,10 @@ func referenceRead(r io.Reader) (*design.Design, *netlist.Netlist, error) {
 	if d == nil {
 		return nil, nil, fmt.Errorf("iodesign: no design header found")
 	}
-	if err := validate(d); err != nil {
+	if err := d.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if err := nl.Validate(d); err != nil {
 		return nil, nil, err
 	}
 	nl.BuildIndex(len(d.Cells))

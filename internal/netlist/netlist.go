@@ -151,15 +151,17 @@ func HPWLDelta(before, after float64) float64 {
 	return (after - before) / before
 }
 
-// Validate checks that every pin references a valid cell of d.
+// Validate checks that every pin names a cell of d, or none (a pad), and
+// has a finite offset.
 func (nl *Netlist) Validate(d *design.Design) error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	for ni := range nl.Nets {
 		for pi, p := range nl.Nets[ni].Pins {
-			if p.Cell == design.NoCell {
-				continue
-			}
-			if p.Cell < 0 || int(p.Cell) >= len(d.Cells) {
+			if p.Cell != design.NoCell && (p.Cell < 0 || int(p.Cell) >= len(d.Cells)) {
 				return fmt.Errorf("netlist: net %d pin %d references invalid cell %d", ni, pi, p.Cell)
+			}
+			if !finite(p.DX) || !finite(p.DY) {
+				return fmt.Errorf("netlist: net %d pin %d has non-finite offset (%v, %v)", ni, pi, p.DX, p.DY)
 			}
 		}
 	}

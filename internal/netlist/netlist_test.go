@@ -117,3 +117,21 @@ func TestValidate(t *testing.T) {
 		t.Fatal("expected validation error")
 	}
 }
+
+// TestValidateRejectsNonFiniteOffset: a NaN or infinite pin offset, on a
+// cell pin or a pad, makes HPWL meaningless, so Validate rejects it.
+func TestValidateRejectsNonFiniteOffset(t *testing.T) {
+	d := dtest.Flat(2, 20)
+	a := dtest.Placed(d, 2, 1, 0, 0)
+	for _, p := range []netlist.Pin{
+		{Cell: a, DX: math.NaN()},
+		{Cell: a, DY: math.Inf(1)},
+		{Cell: design.NoCell, DX: math.Inf(-1)},
+	} {
+		nl := netlist.New()
+		nl.AddNet("n", netlist.Pin{Cell: a}, p)
+		if err := nl.Validate(d); err == nil {
+			t.Errorf("pin %+v passed", p)
+		}
+	}
+}

@@ -305,7 +305,9 @@ func (g *Grid) CellsIn(win geom.Rect, dst []design.CellID) []design.CellID {
 }
 
 // RebuildOccupancy clears every cell list and re-inserts all placed
-// movable cells. Returns the first insertion error encountered, if any.
+// movable cells. It returns the first error: a cell that no segment
+// contains, or one that overlaps a cell inserted before it. Such a cell is
+// left out, so the lists stay x-sorted and non-overlapping.
 func (g *Grid) RebuildOccupancy() error {
 	for _, segs := range g.rows {
 		for _, s := range segs {
@@ -318,11 +320,28 @@ func (g *Grid) RebuildOccupancy() error {
 		if c.Fixed || !c.Placed {
 			continue
 		}
-		if err := g.Insert(c.ID); err != nil && firstErr == nil {
+		err := g.overlapErr(c)
+		if err == nil {
+			err = g.Insert(c.ID)
+		}
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// overlapErr reports a listed cell that placed cell c overlaps, on any row
+// where one segment contains c.
+func (g *Grid) overlapErr(c *design.Cell) error {
+	for h := 0; h < c.H; h++ {
+		if s := g.SegmentContaining(c.Y+h, c.X, c.W); s != nil {
+			if ov := g.CellsOverlapping(s, geom.Span{Lo: c.X, Hi: c.X + c.W}); len(ov) > 0 {
+				return fmt.Errorf("segment: cell %d (%s) at (%d,%d) overlaps cell %d", c.ID, c.Name, c.X, c.Y, ov[0])
+			}
+		}
+	}
+	return nil
 }
 
 // CheckConsistency validates the grid invariants: every list is sorted by

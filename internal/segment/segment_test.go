@@ -297,3 +297,16 @@ func TestRandomInsertRemoveConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestRebuildOccupancyRejectsOverlap: two preplaced movable cells that
+// overlap cannot both enter the x-sorted, non-overlapping cell lists, so
+// RebuildOccupancy reports the second.
+func TestRebuildOccupancyRejectsOverlap(t *testing.T) {
+	d := dtest.Flat(2, 40)
+	dtest.Placed(d, 4, 1, 2, 0)
+	dtest.Placed(d, 4, 1, 4, 0)
+	g := segment.Build(d)
+	if err := g.RebuildOccupancy(); err == nil {
+		t.Fatal("RebuildOccupancy accepted two overlapping cells")
+	}
+}

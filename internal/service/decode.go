@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"time"
 
@@ -101,8 +100,8 @@ type DesignJSON struct {
 	Nets      []NetJSON    `json:"nets,omitempty"`
 }
 
-// RowJSON is one placement row: index y (must equal its position in the
-// rows array), spanning sites [lo, hi).
+// RowJSON is one placement row: index y, spanning sites [lo, hi). Rows
+// may be listed in any order; their y values must be 0…n−1.
 type RowJSON struct {
 	Y  int `json:"y"`
 	Lo int `json:"lo"`
@@ -281,7 +280,7 @@ func decodeSubmitReq(req *SubmitRequest, text []byte, base core.Config, lim Limi
 			return nil, badf("design_text: %v", err)
 		}
 	case req.Design != nil:
-		d, nl, err = buildDesign(req.Design, lim)
+		d, nl, err = buildDesign(req.Design)
 		if err != nil {
 			return nil, err
 		}
@@ -320,44 +319,22 @@ func jobDeadline(ms int64, lim Limits) (time.Duration, error) {
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
-func buildDesign(dj *DesignJSON, lim Limits) (*design.Design, *netlist.Netlist, error) {
-	const maxCoord = 1 << 30 // keeps every span/area computation far from overflow
+// buildDesign turns a JSON design into a design and netlist. It checks
+// only what would make design.New and AddCell panic (site size, master
+// index), and appends masters as the other readers do; Design.Validate
+// and Netlist.Validate check the rest.
+func buildDesign(dj *DesignJSON) (*design.Design, *netlist.Netlist, error) {
 	if dj.SiteW < 1 || dj.SiteH < 1 {
 		return nil, nil, badf("design: site dimensions must be positive (got %d x %d)", dj.SiteW, dj.SiteH)
 	}
-	if len(dj.Rows) == 0 {
-		return nil, nil, badf("design: at least one row is required")
-	}
-	if len(dj.Rows) > lim.MaxRows {
-		return nil, nil, badf("design: %d rows exceeds the limit of %d", len(dj.Rows), lim.MaxRows)
-	}
-	if len(dj.Cells) > lim.MaxCells {
-		return nil, nil, badf("design: %d cells exceeds the limit of %d", len(dj.Cells), lim.MaxCells)
-	}
-	if len(dj.Masters) == 0 && len(dj.Cells) > 0 {
-		return nil, nil, badf("design: cells without masters")
-	}
-
 	d := design.New(dj.Name, dj.SiteW, dj.SiteH)
-	for i, r := range dj.Rows {
-		if r.Y != i {
-			return nil, nil, badf("design: rows[%d] has y=%d; rows must be listed in index order", i, r.Y)
-		}
-		if r.Lo >= r.Hi || r.Lo < -maxCoord || r.Hi > maxCoord {
-			return nil, nil, badf("design: rows[%d] span [%d, %d) is empty or out of range", i, r.Lo, r.Hi)
-		}
+	for _, r := range dj.Rows {
 		d.Rows = append(d.Rows, design.Row{Y: r.Y, Span: geom.Span{Lo: r.Lo, Hi: r.Hi}})
 	}
-	for i, b := range dj.Blockages {
-		if b.W < 0 || b.H < 0 || abs(b.X) > maxCoord || abs(b.Y) > maxCoord || b.W > maxCoord || b.H > maxCoord {
-			return nil, nil, badf("design: blockages[%d] has bogus geometry", i)
-		}
+	for _, b := range dj.Blockages {
 		d.Blockages = append(d.Blockages, geom.Rect{X: b.X, Y: b.Y, W: b.W, H: b.H})
 	}
 	for i, m := range dj.Masters {
-		if m.Width < 1 || m.Height < 1 || m.Width > maxCoord || m.Height > len(dj.Rows) {
-			return nil, nil, badf("design: masters[%d] (%q) has bogus size %dx%d", i, m.Name, m.Width, m.Height)
-		}
 		rail := design.VSS
 		switch m.Rail {
 		case "", "VSS":
@@ -366,46 +343,35 @@ func buildDesign(dj *DesignJSON, lim Limits) (*design.Design, *netlist.Netlist, 
 		default:
 			return nil, nil, badf("design: masters[%d] has unknown rail %q", i, m.Rail)
 		}
-		d.AddMaster(design.Master{Name: m.Name, Width: m.Width, Height: m.Height, BottomRail: rail})
+		d.Lib = append(d.Lib, design.Master{Name: m.Name, Width: m.Width, Height: m.Height, BottomRail: rail})
 	}
 	for i, c := range dj.Cells {
 		if c.Master < 0 || c.Master >= len(d.Lib) {
 			return nil, nil, badf("design: cells[%d] (%q) references master %d of %d", i, c.Name, c.Master, len(d.Lib))
 		}
-		if !finite(c.GX) || !finite(c.GY) || math.Abs(c.GX) > maxCoord || math.Abs(c.GY) > maxCoord {
-			return nil, nil, badf("design: cells[%d] has bogus input position (%v, %v)", i, c.GX, c.GY)
-		}
 		id := d.AddCell(c.Name, c.Master, c.GX, c.GY)
 		if c.Placed {
-			if abs(c.X) > maxCoord || c.Y < 0 || c.Y >= len(d.Rows) {
-				return nil, nil, badf("design: cells[%d] placed at bogus (%d, %d)", i, c.X, c.Y)
-			}
 			d.Place(id, c.X, c.Y)
 		}
-		if c.Fixed {
-			if !c.Placed {
-				return nil, nil, badf("design: cells[%d] is fixed but not placed", i)
-			}
-			d.Cell(id).Fixed = true
-		}
+		d.Cell(id).Fixed = c.Fixed
 	}
 	nl := netlist.New()
-	for i, n := range dj.Nets {
+	for _, n := range dj.Nets {
 		pins := make([]netlist.Pin, 0, len(n.Pins))
-		for j, p := range n.Pins {
+		for _, p := range n.Pins {
 			cid := design.NoCell
 			if p.Cell >= 0 {
-				if p.Cell >= len(d.Cells) {
-					return nil, nil, badf("design: nets[%d].pins[%d] references cell %d of %d", i, j, p.Cell, len(d.Cells))
-				}
 				cid = design.CellID(p.Cell)
-			}
-			if !finite(p.DX) || !finite(p.DY) {
-				return nil, nil, badf("design: nets[%d].pins[%d] has bogus offset", i, j)
 			}
 			pins = append(pins, netlist.Pin{Cell: cid, DX: p.DX, DY: p.DY})
 		}
 		nl.AddNet(n.Name, pins...)
+	}
+	if err := d.Validate(); err != nil {
+		return nil, nil, badf("%v", err)
+	}
+	if err := nl.Validate(d); err != nil {
+		return nil, nil, badf("%v", err)
 	}
 	nl.BuildIndex(len(d.Cells))
 	return d, nl, nil
@@ -433,18 +399,10 @@ func readBookshelf(bj *BookshelfJSON) (*design.Design, *netlist.Netlist, error) 
 	return d, nl, nil
 }
 
-// validateDesign applies the structural invariants the engine's segment
-// grid assumes (segment.Build indexes rows by their Y field) plus the
-// service's resource limits, regardless of which decoder produced the
-// design. Text and Bookshelf parsers accept some shapes the engine
-// would panic on, and some it would mis-report (a non-finite pin offset
-// makes HPWL NaN or infinite; a fixed cell with no position drops out of
-// the report; a pin on a missing cell makes the placement unreadable);
-// this is the single gate in front of NewLegalizer.
+// validateDesign applies the service's resource limits, whichever
+// source the design came from. Its structure the reader has already
+// checked (Design.Validate, Netlist.Validate).
 func validateDesign(d *design.Design, nl *netlist.Netlist, lim Limits) error {
-	if len(d.Rows) == 0 {
-		return badf("design: at least one row is required")
-	}
 	if len(d.Rows) > lim.MaxRows {
 		return badf("design: %d rows exceeds the limit of %d", len(d.Rows), lim.MaxRows)
 	}
@@ -453,51 +411,6 @@ func validateDesign(d *design.Design, nl *netlist.Netlist, lim Limits) error {
 	}
 	if len(nl.Nets) > lim.MaxNets {
 		return badf("design: %d nets exceeds the limit of %d", len(nl.Nets), lim.MaxNets)
-	}
-	seen := make([]bool, len(d.Rows))
-	for i := range d.Rows {
-		y := d.Rows[i].Y
-		if y < 0 || y >= len(d.Rows) || seen[y] {
-			return badf("design: row %d has invalid or duplicate index y=%d", i, y)
-		}
-		seen[y] = true
-		if sp := d.Rows[i].Span; sp.Lo >= sp.Hi {
-			return badf("design: row %d has empty span [%d, %d)", i, sp.Lo, sp.Hi)
-		}
-	}
-	for i := range d.Lib {
-		m := &d.Lib[i]
-		if m.Width < 1 || m.Height < 1 || m.Height > len(d.Rows) {
-			return badf("design: master %q has bogus size %dx%d", m.Name, m.Width, m.Height)
-		}
-	}
-	for i := range d.Cells {
-		c := &d.Cells[i]
-		if c.Master < 0 || c.Master >= len(d.Lib) {
-			return badf("design: cell %q references master %d of %d", c.Name, c.Master, len(d.Lib))
-		}
-		if !finite(c.GX) || !finite(c.GY) {
-			return badf("design: cell %q has non-finite input position", c.Name)
-		}
-		if c.Placed && (c.Y < 0 || c.Y >= len(d.Rows)) {
-			return badf("design: cell %q placed on row %d of %d", c.Name, c.Y, len(d.Rows))
-		}
-		if c.Fixed && !c.Placed {
-			return badf("design: cell %q is fixed but not placed", c.Name)
-		}
-	}
-	for i := range nl.Nets {
-		n := &nl.Nets[i]
-		for j, pin := range n.Pins {
-			if !finite(pin.DX) || !finite(pin.DY) {
-				return badf("design: net %q pin %d has non-finite offset", n.Name, j)
-			}
-		}
-	}
-	// A text design's second header drops the cells read before it but
-	// not the nets, which may then name cells the design lacks.
-	if err := nl.Validate(d); err != nil {
-		return badf("design: %v", err)
 	}
 	return nil
 }
@@ -557,13 +470,4 @@ func applyConfig(base core.Config, cj *ConfigJSON, lim Limits) (core.Config, err
 		cfg.CellTimeout = time.Duration(ms) * time.Millisecond
 	}
 	return cfg, nil
-}
-
-func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -194,7 +194,7 @@ func decodeDelta(dj *DeltaJSON) (core.Delta, error) {
 		return nil
 	}
 	coord := func(p *float64, field string) (float64, error) {
-		if math.IsNaN(*p) || math.IsInf(*p, 0) || math.Abs(*p) > 1e12 {
+		if math.IsNaN(*p) || math.Abs(*p) > design.MaxCoord {
 			return 0, fmt.Errorf("%q = %v is not a usable coordinate", field, *p)
 		}
 		return *p, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -150,19 +151,6 @@ func TestFailureContract(t *testing.T) {
 				"core: session requires a fully legal design: cell 1 (huge) is unplaced",
 		},
 		{
-			name: "session open under an invalid base config",
-			cfg: func(c *Config) {
-				base := core.DefaultConfig()
-				base.Rx = -5
-				c.BaseCfg = &base
-			},
-			req: func(t *testing.T, s *Server, ts *httptest.Server) *http.Request {
-				return post(ts.URL+"/v1/sessions", submitJSON(t, SubmitRequest{DesignText: benchText(t, 20, 1)}))
-			},
-			route: "session_create", status: http.StatusBadRequest, code: CodeBadRequest,
-			message: "core: Config.Rx = -5, want >= 0",
-		},
-		{
 			name: "bad frame after a committed frame",
 			req: func(t *testing.T, s *Server, ts *httptest.Server) *http.Request {
 				_, sj := createSession(t, ts, "", submitJSON(t, SubmitRequest{DesignText: benchText(t, 120, 11)}))
@@ -236,5 +224,20 @@ func TestFailureContract(t *testing.T) {
 				t.Errorf("no %s request counted under %s", tc.route, counted)
 			}
 		})
+	}
+}
+
+// TestNewRejectsInvalidBaseConfig: an unusable base config stops the
+// server before it listens, instead of failing every job it admits.
+func TestNewRejectsInvalidBaseConfig(t *testing.T) {
+	base := core.DefaultConfig()
+	base.Rx = -5
+	s, err := New(Config{BaseCfg: &base, Log: log.New(io.Discard, "", 0)})
+	if err == nil {
+		s.Close()
+		t.Fatal("New accepted base config Rx = -5")
+	}
+	if want := "core: Config.Rx = -5, want >= 0"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
 	}
 }

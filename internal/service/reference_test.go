@@ -4,11 +4,11 @@ package service
 // took design_text out of encoding/json's hands, kept verbatim (only
 // renamed) as the reference FuzzDecodeSubmit holds decodeSubmitBody to.
 // It shares the helpers that did not change: wrapDecodeErr, buildDesign,
-// readBookshelf, validateDesign (which now also rejects non-finite pin
-// offsets and fixed cells with no position, on both sides alike),
-// applyConfig, jobDeadline (the deadline clamp, shared since it stopped
-// overflowing on a huge deadline_ms) and iodesign.Read, which FuzzRead
-// holds to its own reference.
+// readBookshelf, applyConfig, jobDeadline (the deadline clamp, shared
+// since it stopped overflowing on a huge deadline_ms), validateDesign
+// (now the Limits caps alone) and iodesign.Read, which FuzzRead holds to
+// its own reference. Each design reader checks its design with
+// Design.Validate and Netlist.Validate, so both sides check alike.
 
 import (
 	"encoding/json"
@@ -75,7 +75,7 @@ func referenceDecodeSubmitReq(req *SubmitRequest, base core.Config, lim Limits) 
 			return nil, badf("design_text: %v", err)
 		}
 	case req.Design != nil:
-		d, nl, err = buildDesign(req.Design, lim)
+		d, nl, err = buildDesign(req.Design)
 		if err != nil {
 			return nil, err
 		}

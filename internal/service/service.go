@@ -114,7 +114,8 @@ type Server struct {
 	httpReqs func(route string, status int)
 }
 
-// New validates cfg and builds the server (listener not yet open).
+// New validates cfg, the base legalizer config included, and builds the
+// server (listener not yet open).
 func New(cfg Config) (*Server, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -140,6 +141,9 @@ func New(cfg Config) (*Server, error) {
 	s.base = core.DefaultConfig()
 	if cfg.BaseCfg != nil {
 		s.base = *cfg.BaseCfg
+	}
+	if err := s.base.Validate(); err != nil {
+		return nil, err
 	}
 
 	reg := s.obs.Registry()
@@ -291,7 +295,7 @@ func (s *Server) runJob(ctx context.Context, id string, payload any) (any, error
 	}
 	l, err := core.NewLegalizer(p.d, p.cfg)
 	if err != nil {
-		return nil, err
+		return nil, badf("%v", err)
 	}
 	rep, err := l.LegalizeBestEffort(ctx)
 	if err != nil {

@@ -50,7 +50,9 @@ type CheckpointJSON struct {
 	DirtyCells        uint64 `json:"dirty_cells"`
 	// FixedPoint is present when the request asked for the oracle
 	// (?oracle=1): whether a full legalization pass over the session's
-	// placement is a no-op. Expensive — it runs the full engine.
+	// placement would be a no-op. It runs no engine pass: it checks that
+	// every live movable cell is placed and that the grid holds exactly
+	// the design's placement, a pass over every cell.
 	FixedPoint *bool `json:"fixed_point,omitempty"`
 }
 
