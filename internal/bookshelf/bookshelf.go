@@ -304,34 +304,39 @@ func readScl(fs FS, name string) (*sclData, error) {
 		return nil
 	}
 	for sc.Scan() {
-		fields := strings.Fields(strings.ReplaceAll(sc.Text(), ":", " : "))
+		line := strings.TrimSpace(sc.Text())
+		fields := strings.Fields(strings.ReplaceAll(line, ":", " : "))
 		if len(fields) == 0 {
 			continue
 		}
+		var err error
 		switch fields[0] {
 		case "CoreRow":
 			inRow = true
 			coord, origin, numSites, height, sitew = 0, 0, 0, 0, 0
 		case "Coordinate":
-			coord = lastInt(fields)
+			coord, err = lastInt(fields)
 		case "Height":
-			height = lastInt(fields)
+			height, err = lastInt(fields)
 		case "Sitewidth":
-			sitew = lastInt(fields)
+			sitew, err = lastInt(fields)
 		case "SubrowOrigin":
 			// SubrowOrigin : X NumSites : N
-			for i := 0; i < len(fields); i++ {
-				if fields[i] == "SubrowOrigin" && i+2 < len(fields) {
-					origin, _ = strconv.ParseInt(fields[i+2], 10, 64)
-				}
-				if fields[i] == "NumSites" && i+2 < len(fields) {
-					numSites, _ = strconv.ParseInt(fields[i+2], 10, 64)
+			for i := 0; i+2 < len(fields) && err == nil; i++ {
+				switch fields[i] {
+				case "SubrowOrigin":
+					origin, err = strconv.ParseInt(fields[i+2], 10, 64)
+				case "NumSites":
+					numSites, err = strconv.ParseInt(fields[i+2], 10, 64)
 				}
 			}
 		case "End":
 			if err := flush(); err != nil {
 				return nil, err
 			}
+		}
+		if err != nil {
+			return nil, badLine(name, "number", line)
 		}
 	}
 	if err := flush(); err != nil {
@@ -343,9 +348,13 @@ func readScl(fs FS, name string) (*sclData, error) {
 	return out, sc.Err()
 }
 
-func lastInt(fields []string) int64 {
-	v, _ := strconv.ParseInt(fields[len(fields)-1], 10, 64)
-	return v
+func lastInt(fields []string) (int64, error) {
+	return strconv.ParseInt(fields[len(fields)-1], 10, 64)
+}
+
+// badLine reports a malformed line of file name.
+func badLine(name, what, line string) error {
+	return fmt.Errorf("bookshelf: %s: bad %s in %q", name, what, line)
 }
 
 // readNodes parses cells; returns name → CellID.
@@ -367,12 +376,12 @@ func readNodes(fs FS, name string, d *design.Design) (map[string]design.CellID, 
 		}
 		ff := strings.Fields(line)
 		if len(ff) < 3 {
-			return nil, fmt.Errorf("bookshelf: bad nodes line %q", line)
+			return nil, badLine(name, "nodes line", line)
 		}
 		wDBU, err1 := strconv.ParseInt(ff[1], 10, 64)
 		hDBU, err2 := strconv.ParseInt(ff[2], 10, 64)
 		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("bookshelf: bad node size in %q", line)
+			return nil, badLine(name, "node size", line)
 		}
 		if wDBU%d.SiteW != 0 || hDBU%d.SiteH != 0 {
 			return nil, fmt.Errorf("bookshelf: node %s size %dx%d not on the site grid", ff[0], wDBU, hDBU)
@@ -411,7 +420,7 @@ func readPl(fs FS, name string, d *design.Design, names map[string]design.CellID
 		}
 		ff := strings.Fields(line)
 		if len(ff) < 3 {
-			continue
+			return badLine(name, ".pl line", line)
 		}
 		id, ok := names[ff[0]]
 		if !ok {
@@ -420,7 +429,7 @@ func readPl(fs FS, name string, d *design.Design, names map[string]design.CellID
 		x, err1 := strconv.ParseFloat(ff[1], 64)
 		y, err2 := strconv.ParseFloat(ff[2], 64)
 		if err1 != nil || err2 != nil {
-			return fmt.Errorf("bookshelf: bad position in %q", line)
+			return badLine(name, "position", line)
 		}
 		c := d.Cell(id)
 		c.GX = x / float64(d.SiteW)
@@ -476,11 +485,16 @@ func readNets(fs FS, name string, d *design.Design, names map[string]design.Cell
 		if !started {
 			return nil, fmt.Errorf("bookshelf: pin line before NetDegree: %q", line)
 		}
-		// "<node> I : ox oy" — offsets from node center.
+		// "<node> I : ox oy" — offsets from node center, which may be
+		// left out.
 		var ox, oy float64
 		if len(ff) >= 5 {
-			ox, _ = strconv.ParseFloat(ff[3], 64)
-			oy, _ = strconv.ParseFloat(ff[4], 64)
+			var err1, err2 error
+			ox, err1 = strconv.ParseFloat(ff[3], 64)
+			oy, err2 = strconv.ParseFloat(ff[4], 64)
+			if err1 != nil || err2 != nil {
+				return nil, badLine(name, "pin offset", line)
+			}
 		}
 		if ff[0] == "__pad" {
 			pins = append(pins, netlist.Pin{

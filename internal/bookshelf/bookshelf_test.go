@@ -225,7 +225,9 @@ func TestDirFS(t *testing.T) {
 }
 
 // TestReadRejectsInvalidDesigns: files that parse but describe no usable
-// design must give an error, not a panic or a design the engine misreads.
+// design, or hold a malformed number, must give an error, not a panic or
+// a design the engine misreads. A malformed number's error names the file
+// and quotes the line.
 func TestReadRejectsInvalidDesigns(t *testing.T) {
 	rows := func(coords ...int) string {
 		s := "UCLA scl 1.0\n"
@@ -234,24 +236,56 @@ func TestReadRejectsInvalidDesigns(t *testing.T) {
 		}
 		return s
 	}
-	cases := []struct{ name, nodes, scl string }{
-		{"zero-width node", "UCLA nodes 1.0\n a 0 2000\n", rows(0, 2000)},
-		{"two rows at one coordinate", "UCLA nodes 1.0\n a 200 2000\n", rows(0, 0, 2000)},
+	// The pin line of base has no offsets: a part that may be left out
+	// reads as absent.
+	base := map[string]string{
+		"v.aux":   "RowBasedPlacement : v.nodes v.nets v.pl v.scl\n",
+		"v.nodes": "UCLA nodes 1.0\n a 200 2000\n",
+		"v.scl":   rows(0, 2000),
+		"v.pl":    "UCLA pl 1.0\na 0 0 : N\n",
+		"v.nets":  "UCLA nets 1.0\nNetDegree : 1 n\n a I\n",
+	}
+	// read reads base with the content of one file replaced.
+	read := func(file, content string) (*design.Design, error) {
+		fs := NewMemFS()
+		for name, c := range base {
+			if name == file {
+				c = content
+			}
+			fs.Files[name] = bytes.NewBufferString(c)
+		}
+		d, _, err := Read(fs, "v.aux")
+		return d, err
+	}
+	if _, err := read("", ""); err != nil {
+		t.Fatalf("the unedited benchmark: %v", err)
+	}
+	nets := func(pin string) string { return "UCLA nets 1.0\nNetDegree : 1 n\n " + pin + "\n" }
+	cases := []struct {
+		name, file, content string
+		want                string // a part of the error, when the test pins one
+	}{
+		{"zero-width node", "v.nodes", "UCLA nodes 1.0\n a 0 2000\n", ""},
+		{"two rows at one coordinate", "v.scl", rows(0, 0, 2000), ""},
+		{"row span past 2^30", "v.scl", strings.Replace(rows(0, 2000), "NumSites : 10", "NumSites : 2000000000", 1), ""},
+		{"NaN pin offset", "v.nets", nets("a I : NaN 0"), ""},
+		{"terminal with no .pl line", "v.nodes", "UCLA nodes 1.0\n a 200 2000\n f 200 2000 terminal\n", ""},
+		{"Coordinate not a number", "v.scl", strings.Replace(rows(0, 2000), "Coordinate : 0\n", "Coordinate : zero\n", 1),
+			`bookshelf: v.scl: bad number in "Coordinate : zero"`},
+		{"SubrowOrigin not decimal", "v.scl", strings.Replace(rows(0, 2000), "SubrowOrigin : 0 ", "SubrowOrigin : 0x10 ", 1),
+			`bookshelf: v.scl: bad number in "SubrowOrigin : 0x10 NumSites : 10"`},
+		{"pin offsets not numbers", "v.nets", nets("a I : abc xyz"), `bookshelf: v.nets: bad pin offset in "a I : abc xyz"`},
+		{"pin offset with trailing junk", "v.nets", nets("a I : 1e9x 0"), `bookshelf: v.nets: bad pin offset in "a I : 1e9x 0"`},
+		{".pl line without y", "v.pl", "UCLA pl 1.0\na 600\n", `bookshelf: v.pl: bad .pl line in "a 600"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			fs := NewMemFS()
-			for name, content := range map[string]string{
-				"v.aux":   "RowBasedPlacement : v.nodes v.nets v.pl v.scl\n",
-				"v.nodes": c.nodes,
-				"v.scl":   c.scl,
-				"v.pl":    "UCLA pl 1.0\na 0 0 : N\n",
-				"v.nets":  "UCLA nets 1.0\nNumNets : 0\nNumPins : 0\n",
-			} {
-				fs.Files[name] = bytes.NewBufferString(content)
-			}
-			if d, _, err := Read(fs, "v.aux"); err == nil {
+			d, err := read(c.file, c.content)
+			if err == nil {
 				t.Fatalf("read a design of %d rows and %d cells, want an error", len(d.Rows), len(d.Cells))
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q, want it to contain %q", err, c.want)
 			}
 		})
 	}

@@ -126,8 +126,9 @@ func (l *Legalizer) rollbackTo(mark int) error {
 		}
 	}
 	// Phase 2: restore snapshots and re-insert pre-savepoint placements.
-	// All touched cells were removed above and untouched cells still sit at
-	// positions legal alongside the snapshots, so every insert lands free.
+	// All touched cells were removed above, so a slot that is not free
+	// (occupied, or outside every segment) was changed behind the log: the
+	// cell is left out of the grid and the rollback fails.
 	var firstErr error
 	for i := range tail {
 		r := &tail[i]
@@ -135,9 +136,14 @@ func (l *Legalizer) rollbackTo(mark int) error {
 			continue
 		}
 		d.Cells[r.id] = r.prev
-		if r.prev.Placed && !r.prev.Fixed {
-			if err := g.Insert(r.id); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("%w: reinsert cell %d: %v", ErrRollbackFailed, r.id, err)
+		c := &r.prev
+		if !c.Placed || c.Fixed {
+			continue
+		}
+		if !g.FreeAt(c.X, c.Y, c.W, c.H) || g.Insert(r.id) != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%w: reinsert cell %d: slot (%d,%d) w=%d h=%d is not free",
+					ErrRollbackFailed, r.id, c.X, c.Y, c.W, c.H)
 			}
 		}
 	}

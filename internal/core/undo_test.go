@@ -339,6 +339,55 @@ func TestApplyDeltaReportsRollbackFailure(t *testing.T) {
 	assertLogEmpty(t, l)
 }
 
+// TestRollbackRefusesATakenSlot checks that a rollback does not
+// re-insert a snapshot over a cell that took its slot behind the log. A
+// batch moves cell a off row 0 and then moves cell b; at b's first insert
+// the untouched cell c, of a's size, moves into a's old slot, and every
+// insert of b fails, so the batch aborts and its rollback finds a's slot
+// taken. The batch error must wrap ErrRollbackFailed, and the undo log
+// must still end empty.
+func TestRollbackRefusesATakenSlot(t *testing.T) {
+	d := dtest.Flat(2, 40)
+	a := dtest.Placed(d, 4, 1, 0, 0)
+	b := dtest.Placed(d, 4, 1, 10, 0)
+	c := dtest.Placed(d, 4, 1, 30, 1)
+	cfg := testConfig()
+	cfg.MaxRounds = 1
+	l, err := NewLegalizer(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var moved error
+	fired := false
+	l.Cfg.Faults = insertHook(func(id design.CellID) error {
+		if id != b {
+			return nil
+		}
+		if !fired {
+			fired = true
+			l.G.Remove(c)
+			l.D.Cells[c].X, l.D.Cells[c].Y = 0, 0
+			moved = l.G.Insert(c)
+		}
+		return errors.New("injected insert failure")
+	})
+	_, err = s.ApplyDelta(context.Background(), []Delta{
+		{Op: DeltaMove, Cell: a, TX: 20, TY: 1},
+		{Op: DeltaMove, Cell: b, TX: 26, TY: 1},
+	})
+	if !fired || moved != nil {
+		t.Fatalf("the injector fired %v, moving cell c: %v", fired, moved)
+	}
+	if !errors.Is(err, ErrRollbackFailed) {
+		t.Fatalf("batch error %v does not wrap ErrRollbackFailed", err)
+	}
+	assertLogEmpty(t, l)
+}
+
 // TestBestEffortStopsOnRollbackFailure checks that a full run stops on
 // an attempt whose rollback failed and returns ErrRollbackFailed, as
 // LegalizeBestEffort's contract says, instead of recording one cell's

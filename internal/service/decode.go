@@ -9,11 +9,9 @@ import (
 	"net/http"
 	"time"
 
-	"mrlegal/internal/bookshelf"
 	"mrlegal/internal/constraint"
 	"mrlegal/internal/core"
 	"mrlegal/internal/design"
-	"mrlegal/internal/geom"
 	"mrlegal/internal/iodesign"
 	"mrlegal/internal/netlist"
 )
@@ -60,24 +58,17 @@ func (l *Limits) defaults() {
 	}
 }
 
-// SubmitRequest is the POST /v1/jobs payload. Exactly one of DesignText,
-// Design or Bookshelf must be present.
+// SubmitRequest is the POST /v1/jobs payload.
 type SubmitRequest struct {
 	// Tenant identifies the submitter for admission control; the
 	// X-Tenant header takes precedence. Empty means "default".
 	Tenant string `json:"tenant,omitempty"`
 
-	// DesignText is a design in the mrlegal text format
+	// DesignText is the design, required, in the mrlegal text format
 	// (internal/iodesign): the exact bytes `mrlegal -o -` emits. Clients
 	// set it; the server decodes the string from the body itself
 	// (spliceDesignText) and never reads this field.
 	DesignText string `json:"design_text,omitempty"`
-
-	// Design is a structured JSON design.
-	Design *DesignJSON `json:"design,omitempty"`
-
-	// Bookshelf carries the component files of a Bookshelf benchmark.
-	Bookshelf *BookshelfJSON `json:"bookshelf,omitempty"`
 
 	// Config overrides the server's base legalizer configuration.
 	Config *ConfigJSON `json:"config,omitempty"`
@@ -86,76 +77,6 @@ type SubmitRequest struct {
 	// default; capped by Limits.MaxDeadline). When the deadline expires
 	// the job still returns a best-effort report with timed_out set.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-}
-
-// DesignJSON is the structured design payload.
-type DesignJSON struct {
-	Name      string       `json:"name"`
-	SiteW     int64        `json:"site_w"`
-	SiteH     int64        `json:"site_h"`
-	Rows      []RowJSON    `json:"rows"`
-	Blockages []RectJSON   `json:"blockages,omitempty"`
-	Masters   []MasterJSON `json:"masters"`
-	Cells     []CellJSON   `json:"cells"`
-	Nets      []NetJSON    `json:"nets,omitempty"`
-}
-
-// RowJSON is one placement row: index y, spanning sites [lo, hi). Rows
-// may be listed in any order; their y values must be 0…n−1.
-type RowJSON struct {
-	Y  int `json:"y"`
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-}
-
-// RectJSON is a blockage rectangle in site units.
-type RectJSON struct {
-	X int `json:"x"`
-	Y int `json:"y"`
-	W int `json:"w"`
-	H int `json:"h"`
-}
-
-// MasterJSON is a library cell: width in sites, height in rows, bottom
-// rail "VSS" or "VDD".
-type MasterJSON struct {
-	Name   string `json:"name"`
-	Width  int    `json:"width"`
-	Height int    `json:"height"`
-	Rail   string `json:"rail"`
-}
-
-// CellJSON is one cell instance. GX/GY is the input (global placement)
-// position; X/Y with Placed set records an existing legal placement.
-type CellJSON struct {
-	Name   string  `json:"name"`
-	Master int     `json:"master"`
-	GX     float64 `json:"gx"`
-	GY     float64 `json:"gy"`
-	X      int     `json:"x,omitempty"`
-	Y      int     `json:"y,omitempty"`
-	Placed bool    `json:"placed,omitempty"`
-	Fixed  bool    `json:"fixed,omitempty"`
-}
-
-// NetJSON is one net; pins reference cells by index (-1 = fixed pad).
-type NetJSON struct {
-	Name string    `json:"name"`
-	Pins []PinJSON `json:"pins"`
-}
-
-// PinJSON is one pin: cell index and offset from the cell origin.
-type PinJSON struct {
-	Cell int     `json:"cell"`
-	DX   float64 `json:"dx"`
-	DY   float64 `json:"dy"`
-}
-
-// BookshelfJSON carries a Bookshelf benchmark inline: the file contents
-// keyed by name, plus the .aux entry point.
-type BookshelfJSON struct {
-	Aux   string            `json:"aux"`
-	Files map[string]string `json:"files"`
 }
 
 // ConfigJSON overrides legalizer parameters per job. Pointers
@@ -254,41 +175,12 @@ func wrapDecodeErr(err error) error {
 // decodeSubmitReq builds the payload from a decoded request whose
 // design_text is text.
 func decodeSubmitReq(req *SubmitRequest, text []byte, base core.Config, lim Limits) (*jobPayload, error) {
-	sources := 0
-	if len(text) > 0 {
-		sources++
+	if len(text) == 0 {
+		return nil, badf("design_text is required")
 	}
-	if req.Design != nil {
-		sources++
-	}
-	if req.Bookshelf != nil {
-		sources++
-	}
-	if sources != 1 {
-		return nil, badf("exactly one of design_text, design or bookshelf is required (got %d)", sources)
-	}
-
-	var (
-		d   *design.Design
-		nl  *netlist.Netlist
-		err error
-	)
-	switch {
-	case len(text) > 0:
-		d, nl, err = iodesign.Read(bytes.NewReader(text))
-		if err != nil {
-			return nil, badf("design_text: %v", err)
-		}
-	case req.Design != nil:
-		d, nl, err = buildDesign(req.Design)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		d, nl, err = readBookshelf(req.Bookshelf)
-		if err != nil {
-			return nil, err
-		}
+	d, nl, err := iodesign.Read(bytes.NewReader(text))
+	if err != nil {
+		return nil, badf("design_text: %v", err)
 	}
 	if err := validateDesign(d, nl, lim); err != nil {
 		return nil, err
@@ -319,89 +211,8 @@ func jobDeadline(ms int64, lim Limits) (time.Duration, error) {
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
-// buildDesign turns a JSON design into a design and netlist. It checks
-// only what would make design.New and AddCell panic (site size, master
-// index), and appends masters as the other readers do; Design.Validate
-// and Netlist.Validate check the rest.
-func buildDesign(dj *DesignJSON) (*design.Design, *netlist.Netlist, error) {
-	if dj.SiteW < 1 || dj.SiteH < 1 {
-		return nil, nil, badf("design: site dimensions must be positive (got %d x %d)", dj.SiteW, dj.SiteH)
-	}
-	d := design.New(dj.Name, dj.SiteW, dj.SiteH)
-	for _, r := range dj.Rows {
-		d.Rows = append(d.Rows, design.Row{Y: r.Y, Span: geom.Span{Lo: r.Lo, Hi: r.Hi}})
-	}
-	for _, b := range dj.Blockages {
-		d.Blockages = append(d.Blockages, geom.Rect{X: b.X, Y: b.Y, W: b.W, H: b.H})
-	}
-	for i, m := range dj.Masters {
-		rail := design.VSS
-		switch m.Rail {
-		case "", "VSS":
-		case "VDD":
-			rail = design.VDD
-		default:
-			return nil, nil, badf("design: masters[%d] has unknown rail %q", i, m.Rail)
-		}
-		d.Lib = append(d.Lib, design.Master{Name: m.Name, Width: m.Width, Height: m.Height, BottomRail: rail})
-	}
-	for i, c := range dj.Cells {
-		if c.Master < 0 || c.Master >= len(d.Lib) {
-			return nil, nil, badf("design: cells[%d] (%q) references master %d of %d", i, c.Name, c.Master, len(d.Lib))
-		}
-		id := d.AddCell(c.Name, c.Master, c.GX, c.GY)
-		if c.Placed {
-			d.Place(id, c.X, c.Y)
-		}
-		d.Cell(id).Fixed = c.Fixed
-	}
-	nl := netlist.New()
-	for _, n := range dj.Nets {
-		pins := make([]netlist.Pin, 0, len(n.Pins))
-		for _, p := range n.Pins {
-			cid := design.NoCell
-			if p.Cell >= 0 {
-				cid = design.CellID(p.Cell)
-			}
-			pins = append(pins, netlist.Pin{Cell: cid, DX: p.DX, DY: p.DY})
-		}
-		nl.AddNet(n.Name, pins...)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, nil, badf("%v", err)
-	}
-	if err := nl.Validate(d); err != nil {
-		return nil, nil, badf("%v", err)
-	}
-	nl.BuildIndex(len(d.Cells))
-	return d, nl, nil
-}
-
-func readBookshelf(bj *BookshelfJSON) (*design.Design, *netlist.Netlist, error) {
-	if bj.Aux == "" {
-		return nil, nil, badf("bookshelf: aux file name is required")
-	}
-	fs := bookshelf.NewMemFS()
-	for name, content := range bj.Files {
-		w, err := fs.Create(name)
-		if err != nil {
-			return nil, nil, badf("bookshelf: %v", err)
-		}
-		if _, err := io.WriteString(w, content); err != nil {
-			return nil, nil, badf("bookshelf: %v", err)
-		}
-		w.Close()
-	}
-	d, nl, err := bookshelf.Read(fs, bj.Aux)
-	if err != nil {
-		return nil, nil, badf("bookshelf: %v", err)
-	}
-	return d, nl, nil
-}
-
-// validateDesign applies the service's resource limits, whichever
-// source the design came from. Its structure the reader has already
-// checked (Design.Validate, Netlist.Validate).
+// validateDesign applies the service's resource limits. Its structure
+// iodesign.Read has already checked (Design.Validate, Netlist.Validate).
 func validateDesign(d *design.Design, nl *netlist.Netlist, lim Limits) error {
 	if len(d.Rows) > lim.MaxRows {
 		return badf("design: %d rows exceeds the limit of %d", len(d.Rows), lim.MaxRows)

@@ -22,8 +22,9 @@ import (
 func FuzzDecodeSubmit(f *testing.F) {
 	valid := benchText(f, 40, 3)
 
-	// A well-formed submission of each design source, plus config and
-	// deadline fields.
+	// A well-formed submission with deadline and config fields, then a
+	// JSON design and a Bookshelf benchmark, the design sources the server
+	// no longer takes: both sides must reject those two.
 	f.Add(submitJSON(f, SubmitRequest{DesignText: valid, DeadlineMS: 1000}))
 	f.Add(submitJSON(f, SubmitRequest{
 		DesignText: valid,

@@ -1,14 +1,14 @@
 package service
 
 // The submission decoder as it stood before it read the body whole and
-// took design_text out of encoding/json's hands, kept verbatim (only
-// renamed) as the reference FuzzDecodeSubmit holds decodeSubmitBody to.
-// It shares the helpers that did not change: wrapDecodeErr, buildDesign,
-// readBookshelf, applyConfig, jobDeadline (the deadline clamp, shared
-// since it stopped overflowing on a huge deadline_ms), validateDesign
-// (now the Limits caps alone) and iodesign.Read, which FuzzRead holds to
-// its own reference. Each design reader checks its design with
-// Design.Validate and Netlist.Validate, so both sides check alike.
+// took design_text out of encoding/json's hands, kept as the reference
+// FuzzDecodeSubmit holds decodeSubmitBody to: renamed, and without the
+// JSON design and Bookshelf sources that both have dropped since.
+// It shares the helpers that did not change: wrapDecodeErr, applyConfig,
+// jobDeadline (the deadline clamp, shared since it stopped overflowing on
+// a huge deadline_ms), validateDesign (now the Limits caps alone) and
+// iodesign.Read, which FuzzRead holds to its own reference and which
+// checks its design with Design.Validate and Netlist.Validate.
 
 import (
 	"encoding/json"
@@ -16,9 +16,7 @@ import (
 	"strings"
 
 	"mrlegal/internal/core"
-	"mrlegal/internal/design"
 	"mrlegal/internal/iodesign"
-	"mrlegal/internal/netlist"
 )
 
 // referenceDecodeSubmitBody is DecodeSubmit plus access to the decoded request
@@ -49,41 +47,12 @@ func referenceDecodeSubmitBody(r io.Reader, base core.Config, lim Limits) (p *jo
 }
 
 func referenceDecodeSubmitReq(req *SubmitRequest, base core.Config, lim Limits) (*jobPayload, error) {
-	sources := 0
-	if req.DesignText != "" {
-		sources++
+	if req.DesignText == "" {
+		return nil, badf("design_text is required")
 	}
-	if req.Design != nil {
-		sources++
-	}
-	if req.Bookshelf != nil {
-		sources++
-	}
-	if sources != 1 {
-		return nil, badf("exactly one of design_text, design or bookshelf is required (got %d)", sources)
-	}
-
-	var (
-		d   *design.Design
-		nl  *netlist.Netlist
-		err error
-	)
-	switch {
-	case req.DesignText != "":
-		d, nl, err = iodesign.Read(strings.NewReader(req.DesignText))
-		if err != nil {
-			return nil, badf("design_text: %v", err)
-		}
-	case req.Design != nil:
-		d, nl, err = buildDesign(req.Design)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		d, nl, err = readBookshelf(req.Bookshelf)
-		if err != nil {
-			return nil, err
-		}
+	d, nl, err := iodesign.Read(strings.NewReader(req.DesignText))
+	if err != nil {
+		return nil, badf("design_text: %v", err)
 	}
 	if err := validateDesign(d, nl, lim); err != nil {
 		return nil, err

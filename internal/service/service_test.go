@@ -291,6 +291,8 @@ func TestSubmitMalformed(t *testing.T) {
 		`{"frobnicate": 1}`,
 		`{}`,
 		`{"design_text":"design d 200 2000\nrow 0 0 10\nmaster m 0 1 VSS"}`,
+		designJSONBody,
+		bookshelfBody,
 	} {
 		resp, _ := submit(t, ts, "", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -532,75 +534,48 @@ const rowsOutOfOrder = "design d 200 2000\nrow 1 0 40\nrow 0 0 40\nblockage 0 0 
 	"master m 4 1 VSS\ncell a 0 2 0\ncell b 0 8 0\n"
 
 // TestJobRowsInAnyOrder: a design whose rows are listed out of order is
-// admitted from every source, and the job legalizes it with no
-// violation: the blockage on row 0 stays blocked.
+// admitted, and the job legalizes it with no violation: the blockage on
+// row 0 stays blocked.
 func TestJobRowsInAnyOrder(t *testing.T) {
 	s, _ := newTestServer(t, nil)
-	dj := &DesignJSON{
-		Name: "d", SiteW: 200, SiteH: 2000,
-		Rows:      []RowJSON{{Y: 1, Lo: 0, Hi: 40}, {Y: 0, Lo: 0, Hi: 40}},
-		Blockages: []RectJSON{{X: 0, Y: 0, W: 20, H: 1}},
-		Masters:   []MasterJSON{{Name: "m", Width: 4, Height: 1, Rail: "VSS"}},
-		Cells:     []CellJSON{{Name: "a", Master: 0, GX: 2}, {Name: "b", Master: 0, GX: 8}},
-	}
-	for _, src := range []struct{ name, body string }{
-		{"design_text", submitJSON(t, SubmitRequest{DesignText: rowsOutOfOrder})},
-		{"design", submitJSON(t, SubmitRequest{Design: dj})},
-		{"bookshelf", bookshelfBody(t, rowsOutOfOrder, nil)},
-	} {
-		t.Run(src.name, func(t *testing.T) {
-			p, err := DecodeSubmit(strings.NewReader(src.body), s.base, s.cfg.Limits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := s.runJob(context.Background(), "j", p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := out.(*jobResult)
-			if len(res.rep.Failed) != 0 {
-				t.Fatalf("failed cells: %v", res.rep.Failed)
-			}
-			if v := verify.Check(res.d, verify.Options{RequirePlaced: true, PowerAlignment: true}, 10); len(v) > 0 {
-				t.Fatalf("violations: %v", v)
-			}
-		})
-	}
+	t.Run("design_text", func(t *testing.T) {
+		p, err := DecodeSubmit(strings.NewReader(submitJSON(t, SubmitRequest{DesignText: rowsOutOfOrder})), s.base, s.cfg.Limits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.runJob(context.Background(), "j", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := out.(*jobResult)
+		if len(res.rep.Failed) != 0 {
+			t.Fatalf("failed cells: %v", res.rep.Failed)
+		}
+		if v := verify.Check(res.d, verify.Options{RequirePlaced: true, PowerAlignment: true}, 10); len(v) > 0 {
+			t.Fatalf("violations: %v", v)
+		}
+	})
 }
 
 // TestOverlappingPreplacementsRejected: two preplaced movable cells that
 // overlap are a bad request, whether the design comes as a job or as a
-// session, as text or as JSON.
+// session.
 func TestOverlappingPreplacementsRejected(t *testing.T) {
 	const text = "design d 200 2000\nrow 0 0 40\nrow 1 0 40\nmaster m 4 1 VSS\n" +
 		"cell a 0 2 0 @ 2 0\ncell b 0 4 0 @ 4 0\ncell c 0 10 1\n"
-	dj := &DesignJSON{
-		Name: "d", SiteW: 200, SiteH: 2000,
-		Rows:    []RowJSON{{Y: 0, Lo: 0, Hi: 40}, {Y: 1, Lo: 0, Hi: 40}},
-		Masters: []MasterJSON{{Name: "m", Width: 4, Height: 1, Rail: "VSS"}},
-		Cells: []CellJSON{
-			{Name: "a", Master: 0, GX: 2, X: 2, Placed: true},
-			{Name: "b", Master: 0, GX: 4, X: 4, Placed: true},
-			{Name: "c", Master: 0, GX: 10, GY: 1},
-		},
-	}
 	s, ts := newTestServer(t, nil)
-	for _, src := range []struct{ name, body string }{
-		{"design_text", submitJSON(t, SubmitRequest{DesignText: text})},
-		{"design", submitJSON(t, SubmitRequest{Design: dj})},
-	} {
-		t.Run(src.name, func(t *testing.T) {
-			p, err := DecodeSubmit(strings.NewReader(src.body), s.base, s.cfg.Limits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.runJob(context.Background(), "j", p); ErrorCode(err) != CodeBadRequest {
-				t.Fatalf("job: error %v (code %q), want %s", err, ErrorCode(err), CodeBadRequest)
-			}
-			resp, _ := createSession(t, ts, "", src.body)
-			if e := apiError(t, resp); resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest {
-				t.Fatalf("session open: %d %+v, want 400 %s", resp.StatusCode, e, CodeBadRequest)
-			}
-		})
-	}
+	t.Run("design_text", func(t *testing.T) {
+		body := submitJSON(t, SubmitRequest{DesignText: text})
+		p, err := DecodeSubmit(strings.NewReader(body), s.base, s.cfg.Limits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.runJob(context.Background(), "j", p); ErrorCode(err) != CodeBadRequest {
+			t.Fatalf("job: error %v (code %q), want %s", err, ErrorCode(err), CodeBadRequest)
+		}
+		resp, _ := createSession(t, ts, "", body)
+		if e := apiError(t, resp); resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest {
+			t.Fatalf("session open: %d %+v, want 400 %s", resp.StatusCode, e, CodeBadRequest)
+		}
+	})
 }

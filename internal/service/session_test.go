@@ -355,12 +355,16 @@ func TestSessionUnknownIDAndBadCreate(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	resp, sj := createSession(t, ts, "", `{"design_text": 5}`)
-	if sj != nil {
-		t.Fatal("malformed create accepted")
-	}
-	if e := apiError(t, resp); resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest {
-		t.Fatalf("malformed create: %d %+v", resp.StatusCode, e)
+	// A body without design_text, as a JSON design or a Bookshelf
+	// benchmark, is as malformed as a design_text of the wrong type.
+	for _, body := range []string{`{"design_text": 5}`, `{}`, designJSONBody, bookshelfBody} {
+		resp, sj := createSession(t, ts, "", body)
+		if sj != nil {
+			t.Fatalf("malformed create %.40q accepted", body)
+		}
+		if e := apiError(t, resp); resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest {
+			t.Fatalf("malformed create %.40q: %d %+v", body, resp.StatusCode, e)
+		}
 	}
 }
 
