@@ -45,24 +45,24 @@ var stopProfiles = func() {}
 var observer *obs.Observer
 
 func main() {
+	cfg := core.DefaultConfig()
 	var (
 		in      = flag.String("in", "-", "input design file ('-' = stdin)")
 		out     = flag.String("o", "-", "output design file ('-' = stdout, '' = none)")
-		rx      = flag.Int("rx", 30, "local region half-width Rx (sites)")
-		ry      = flag.Int("ry", 5, "local region half-height Ry (rows)")
+		rx      = flag.Int("rx", cfg.Rx, "local region half-width Rx (sites)")
+		ry      = flag.Int("ry", cfg.Ry, "local region half-height Ry (rows)")
 		noalign = flag.Bool("noalign", false, "relax the power-line alignment constraint")
 		exact   = flag.Bool("exact", false, "use exact insertion-point evaluation instead of the paper's approximation")
 		exhaust = flag.Bool("exhaustive-search", false, "evaluate every insertion point instead of the pruned best-first search (same result, more work)")
 		useILP  = flag.Bool("ilp", false, "use the ILP local solver baseline instead of MLL")
 		consStr = flag.String("constraints", "", "constraint plugins, ';'-separated specs: fence:x0=..,y0=..,x1=..,y1=..[,minh=N] | spacing:gap=G[,minw=M] | tpl:sep=S (docs/CONSTRAINTS.md)")
-		seed    = flag.Int64("seed", 1, "retry-offset random seed")
+		seed    = flag.Int64("seed", cfg.Seed, "retry-offset random seed")
 		quiet   = flag.Bool("q", false, "suppress the metrics report")
 		svg     = flag.String("svg", "", "also write an SVG rendering (with displacement vectors) to this file")
 
-		timeout     = flag.Duration("timeout", 0, "overall legalization deadline (0 = none)")
-		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell placement deadline (0 = none)")
-		bestEffort  = flag.Bool("best-effort", false, "place as many cells as possible and report failures instead of aborting")
-		auditEvery  = flag.Int("audit-every", 0, "run a full invariant audit every N placements, rolling back the batch on violation (0 = off)")
+		timeout    = flag.Duration("timeout", 0, "overall legalization deadline (0 = none)")
+		bestEffort = flag.Bool("best-effort", false, "place as many cells as possible and report failures instead of aborting")
+		auditEvery = flag.Int("audit-every", 0, "run a full invariant audit every N placements, rolling back the batch on violation (0 = off)")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve live Prometheus metrics at http://ADDR/metrics during the run (':0' picks a free port; see docs/OBSERVABILITY.md)")
 		traceFlag   = flag.String("trace-out", "", "write the per-cell JSONL placement trace to this file ('-' = stdout)")
@@ -106,13 +106,11 @@ func main() {
 	}
 	before := nl.HPWL(d)
 
-	cfg := core.DefaultConfig()
 	cfg.Rx, cfg.Ry = *rx, *ry
 	cfg.PowerAlign = !*noalign
 	cfg.ExactEval = *exact
 	cfg.ExhaustiveSearch = *exhaust
 	cfg.Seed = *seed
-	cfg.CellTimeout = *cellTimeout
 	cfg.AuditEvery = *auditEvery
 	cfg.PhaseTiming = !*quiet
 	if *useILP {

@@ -34,24 +34,25 @@ import (
 )
 
 func main() {
+	base := core.DefaultConfig()
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (':0' picks a free port)")
 		addrFile = flag.String("addr-file", "", "write the resolved listen address to this file once serving (for scripts)")
 
-		workers    = flag.Int("workers", 0, "job worker pool size (0 = NumCPU)")
+		workers    = flag.Int("workers", 0, "job worker pool size (unset = NumCPU)")
 		queueBound = flag.Int("queue-bound", 64, "global queued-job bound; submissions beyond it answer 429")
 		perTenant  = flag.Int("per-tenant", 16, "per-tenant in-flight (queued+running) cap; beyond it answers 429")
 		jobTimeout = flag.Duration("job-timeout", 5*time.Minute, "default per-job deadline when the client sets none")
 		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain deadline; jobs still running after it are canceled")
 		maxBody    = flag.Int64("max-body", 64<<20, "maximum request body size in bytes")
 
-		maxSessions       = flag.Int("max-sessions", 0, "cap on concurrently open ECO sessions across all tenants (0 = default 16)")
-		sessionsPerTenant = flag.Int("sessions-per-tenant", 0, "cap on concurrently open ECO sessions per tenant (0 = default 4)")
+		maxSessions       = flag.Int("max-sessions", 0, "cap on concurrently open ECO sessions across all tenants (unset = 16)")
+		sessionsPerTenant = flag.Int("sessions-per-tenant", 0, "cap on concurrently open ECO sessions per tenant (unset = 4)")
 
-		rx      = flag.Int("rx", 30, "local region half-width Rx (sites)")
-		ry      = flag.Int("ry", 5, "local region half-height Ry (rows)")
+		rx      = flag.Int("rx", base.Rx, "local region half-width Rx (sites)")
+		ry      = flag.Int("ry", base.Ry, "local region half-height Ry (rows)")
 		noalign = flag.Bool("noalign", false, "relax the power-line alignment constraint")
-		seed    = flag.Int64("seed", 1, "retry-offset random seed")
+		seed    = flag.Int64("seed", base.Seed, "retry-offset random seed")
 		consStr = flag.String("constraints", "", "base constraint plugins for every job, ';'-separated specs (see mrlegal -constraints; jobs may override via config.constraints)")
 
 		traceFlag = flag.String("trace-out", "", "write per-cell JSONL placement traces to this file")
@@ -62,7 +63,7 @@ func main() {
 	// fast with usage instead of silently running in a different mode.
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "workers", "max-sessions", "sessions-per-tenant":
+		case "workers", "queue-bound", "per-tenant", "max-body", "max-sessions", "sessions-per-tenant":
 			if n, err := strconv.Atoi(f.Value.String()); err == nil && n <= 0 {
 				fmt.Fprintf(os.Stderr, "mrserve: -%s: count must be positive, got %d\n", f.Name, n)
 				flag.Usage()
@@ -71,7 +72,6 @@ func main() {
 		}
 	})
 
-	base := core.DefaultConfig()
 	base.Rx, base.Ry = *rx, *ry
 	base.PowerAlign = !*noalign
 	base.Seed = *seed

@@ -485,16 +485,20 @@ func readNets(fs FS, name string, d *design.Design, names map[string]design.Cell
 		if !started {
 			return nil, fmt.Errorf("bookshelf: pin line before NetDegree: %q", line)
 		}
-		// "<node> I : ox oy" — offsets from node center, which may be
-		// left out.
+		// "<node> <dir> : ox oy", offsets from the node center, or
+		// "<node> <dir>", which reads as offsets 0.
 		var ox, oy float64
-		if len(ff) >= 5 {
+		switch {
+		case len(ff) == 2:
+		case len(ff) == 5 && ff[2] == ":":
 			var err1, err2 error
 			ox, err1 = strconv.ParseFloat(ff[3], 64)
 			oy, err2 = strconv.ParseFloat(ff[4], 64)
 			if err1 != nil || err2 != nil {
 				return nil, badLine(name, "pin offset", line)
 			}
+		default:
+			return nil, badLine(name, "pin line", line)
 		}
 		if ff[0] == "__pad" {
 			pins = append(pins, netlist.Pin{

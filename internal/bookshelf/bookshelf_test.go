@@ -277,6 +277,9 @@ func TestReadRejectsInvalidDesigns(t *testing.T) {
 		{"pin offsets not numbers", "v.nets", nets("a I : abc xyz"), `bookshelf: v.nets: bad pin offset in "a I : abc xyz"`},
 		{"pin offset with trailing junk", "v.nets", nets("a I : 1e9x 0"), `bookshelf: v.nets: bad pin offset in "a I : 1e9x 0"`},
 		{".pl line without y", "v.pl", "UCLA pl 1.0\na 600\n", `bookshelf: v.pl: bad .pl line in "a 600"`},
+		{"pin line with one offset", "v.nets", nets("a I : 5"), `bookshelf: v.nets: bad pin line in "a I : 5"`},
+		{"pin offsets without a colon", "v.nets", nets("a I 5 7"), `bookshelf: v.nets: bad pin line in "a I 5 7"`},
+		{"pin line with a sixth field", "v.nets", nets("a I : 5 7 9"), `bookshelf: v.nets: bad pin line in "a I : 5 7 9"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"mrlegal/internal/dtest"
 )
@@ -19,12 +18,17 @@ func TestConfigValidate(t *testing.T) {
 		mut   func(*Config)
 	}{
 		{"Rx", func(c *Config) { c.Rx = -5 }},
+		{"Rx", func(c *Config) { c.Rx = 0 }},
+		{"Rx", func(c *Config) { c.Rx = 100_001 }},
 		{"Ry", func(c *Config) { c.Ry = -1 }},
+		{"Ry", func(c *Config) { c.Ry = 0 }},
+		{"Ry", func(c *Config) { c.Ry = 10_001 }},
 		{"MaxRounds", func(c *Config) { c.MaxRounds = 0 }},
 		{"MaxRounds", func(c *Config) { c.MaxRounds = -3 }},
+		{"MaxRounds", func(c *Config) { c.MaxRounds = 100_001 }},
 		{"Workers", func(c *Config) { c.Workers = -2 }},
 		{"AuditEvery", func(c *Config) { c.AuditEvery = -1 }},
-		{"CellTimeout", func(c *Config) { c.CellTimeout = -time.Second }},
+		{"AuditEvery", func(c *Config) { c.AuditEvery = 1_000_001 }},
 		{"Constraints", func(c *Config) {
 			c.Solver = refusingSolver{}
 			c.Constraints = coverSet(t, coverSpacing(t, 1, 1))
@@ -44,16 +48,21 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestConfigValidateAcceptsEdges pins the smallest value each bounded
-// field accepts, so Validate rejects only what no run can use.
+// TestConfigValidateAcceptsEdges pins both edges of each bounded field,
+// so Validate rejects only what no run can use. The ranges are the ones
+// the job server has always admitted.
 func TestConfigValidateAcceptsEdges(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Rx, cfg.Ry = 0, 0
+	cfg.Rx, cfg.Ry = 1, 1
 	cfg.MaxRounds = 1
 	cfg.Workers, cfg.AuditEvery = 0, 0
-	cfg.CellTimeout = 0
 	cfg.Solver = refusingSolver{}
 	if err := cfg.Validate(); err != nil {
-		t.Fatalf("edge values rejected: %v", err)
+		t.Fatalf("lower edges rejected: %v", err)
+	}
+	cfg.Rx, cfg.Ry = 100_000, 10_000
+	cfg.MaxRounds, cfg.AuditEvery = 100_000, 1_000_000
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("upper edges rejected: %v", err)
 	}
 }

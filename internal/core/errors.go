@@ -30,10 +30,6 @@ var (
 	// run deadline.
 	ErrCanceled = errors.New("core: legalization canceled")
 
-	// ErrCellTimeout marks a single cell attempt abandoned because it
-	// exceeded Cfg.CellTimeout.
-	ErrCellTimeout = errors.New("core: per-cell deadline exceeded")
-
 	// ErrFixedCell marks an attempt to move or resize a fixed cell.
 	ErrFixedCell = errors.New("core: cell is fixed")
 

@@ -98,13 +98,6 @@ type Config struct {
 	// 0 disables mid-run audits.
 	AuditEvery int
 
-	// CellTimeout bounds the wall-clock time spent on a single cell
-	// attempt (enumeration is abandoned once exceeded and the cell fails
-	// with ErrCellTimeout for that round). 0 disables the per-cell
-	// deadline. Note that a non-zero value trades determinism for
-	// bounded latency.
-	CellTimeout time.Duration
-
 	// Faults, when non-nil, injects deterministic failures at the
 	// engine's mutation points for chaos testing (see FaultInjector and
 	// internal/faultinject). Nil in production.
@@ -143,23 +136,22 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports the first field of c that no run can use, or nil.
-// NewLegalizer calls it, so a legalizer never starts from a silently
-// clamped or misread setting.
+// Validate reports the first field of c that no run can use, or nil. It
+// is the one place a setting is ranged: NewLegalizer calls it, and so
+// does the job server on every config it admits. A window radius of 0
+// leaves its axis no slack and no retry offset, so Rx and Ry start at 1.
 func (c Config) Validate() error {
 	switch {
-	case c.Rx < 0:
-		return fmt.Errorf("core: Config.Rx = %d, want >= 0", c.Rx)
-	case c.Ry < 0:
-		return fmt.Errorf("core: Config.Ry = %d, want >= 0", c.Ry)
-	case c.MaxRounds < 1:
-		return fmt.Errorf("core: Config.MaxRounds = %d, want >= 1", c.MaxRounds)
+	case c.Rx < 1 || c.Rx > 100_000:
+		return fmt.Errorf("core: Config.Rx = %d, want 1..100000", c.Rx)
+	case c.Ry < 1 || c.Ry > 10_000:
+		return fmt.Errorf("core: Config.Ry = %d, want 1..10000", c.Ry)
+	case c.MaxRounds < 1 || c.MaxRounds > 100_000:
+		return fmt.Errorf("core: Config.MaxRounds = %d, want 1..100000", c.MaxRounds)
+	case c.AuditEvery < 0 || c.AuditEvery > 1_000_000:
+		return fmt.Errorf("core: Config.AuditEvery = %d, want 0..1000000 (0 = off)", c.AuditEvery)
 	case c.Workers < 0:
 		return fmt.Errorf("core: Config.Workers = %d, want >= 0", c.Workers)
-	case c.AuditEvery < 0:
-		return fmt.Errorf("core: Config.AuditEvery = %d, want >= 0 (0 = off)", c.AuditEvery)
-	case c.CellTimeout < 0:
-		return fmt.Errorf("core: Config.CellTimeout = %v, want >= 0 (0 = off)", c.CellTimeout)
 	case c.Solver != nil && !c.Constraints.Empty():
 		return errors.New("core: Config.Constraints cannot be combined with an external Solver (plugins ride the built-in enumeration)")
 	}
@@ -403,11 +395,6 @@ func (l *Legalizer) resetCancel(sc *scratch) {
 	sc.runCtx = l.runCtx
 	sc.checkTick = 0
 	sc.expired = nil
-	if l.Cfg.CellTimeout > 0 {
-		sc.cellDeadline = time.Now().Add(l.Cfg.CellTimeout)
-	} else {
-		sc.cellDeadline = time.Time{}
-	}
 }
 
 // place is one placement step for the unplaced cell id desiring (tx, ty).
@@ -504,26 +491,22 @@ func mllWindow(c *design.Cell, tx, ty float64, rx, ry int) geom.Rect {
 }
 
 // cancelCheck is polled inside the enumeration hot loop (rate-limited to
-// one time syscall per 256 insertion points). It reports whether the
-// current cell attempt should be abandoned and caches the cause in
-// sc.expired.
+// one look at the run context per 256 insertion points). It reports
+// whether the current cell attempt should be abandoned because the run
+// was canceled, and caches the cause in sc.expired.
 func (sc *scratch) cancelCheck() bool {
 	if sc.expired != nil {
 		return true
 	}
-	if sc.runCtx == nil && sc.cellDeadline.IsZero() {
+	if sc.runCtx == nil {
 		return false
 	}
 	sc.checkTick++
 	if sc.checkTick&255 != 0 {
 		return false
 	}
-	if sc.runCtx != nil && sc.runCtx.Err() != nil {
+	if sc.runCtx.Err() != nil {
 		sc.expired = ErrCanceled
-		return true
-	}
-	if !sc.cellDeadline.IsZero() && time.Now().After(sc.cellDeadline) {
-		sc.expired = ErrCellTimeout
 		return true
 	}
 	return false

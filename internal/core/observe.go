@@ -158,8 +158,6 @@ func outcomeFor(err error) obs.CellOutcome {
 		return obs.OutcomeNoIP
 	case errors.Is(err, ErrCellTooWide):
 		return obs.OutcomeTooWide
-	case errors.Is(err, ErrCellTimeout):
-		return obs.OutcomeTimeout
 	case errors.Is(err, ErrCanceled):
 		return obs.OutcomeCanceled
 	case errors.Is(err, ErrAuditFailed):

@@ -9,7 +9,7 @@ import (
 
 // CellFailure records why one cell could not be placed. Err wraps a
 // taxonomy sentinel (ErrCellTooWide, ErrNoInsertionPoint, ErrAuditFailed,
-// ErrCellTimeout, ErrCanceled, ErrPanicked, ...).
+// ErrCanceled, ErrPanicked, ...).
 type CellFailure struct {
 	Cell design.CellID
 	Name string

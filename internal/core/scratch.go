@@ -93,10 +93,9 @@ type scratch struct {
 	phases PhaseTimes
 
 	// --- per-attempt cancellation state (resetCancel arms it) ---
-	runCtx       context.Context
-	cellDeadline time.Time
-	checkTick    int
-	expired      error
+	runCtx    context.Context
+	checkTick int
+	expired   error
 }
 
 // newScratch returns an empty scratch with the target clamp open, as

@@ -66,7 +66,7 @@ type Table1Config struct {
 
 	// ILPMaxNodes bounds branch & bound per local MILP (0 = solver default).
 	ILPMaxNodes int
-	// Rx, Ry override the window size (0 = paper defaults 30, 5).
+	// Rx, Ry override the window size (0 keeps core.DefaultConfig's).
 	Rx, Ry int
 	// Seed offsets all generator/placer seeds for sensitivity runs.
 	Seed int64
@@ -96,12 +96,6 @@ func (c *Table1Config) ctx() context.Context {
 func (c *Table1Config) defaults() {
 	if c.Scale == 0 {
 		c.Scale = 200
-	}
-	if c.Rx == 0 {
-		c.Rx = 30
-	}
-	if c.Ry == 0 {
-		c.Ry = 5
 	}
 }
 
@@ -163,7 +157,12 @@ func (p *Prepared) score(res *LegalizeResult, d *design.Design, powerAlign bool,
 // coreConfig builds the legalizer configuration for one Table-1 cell.
 func (c *Table1Config) coreConfig(align, useILP bool) core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Rx, cfg.Ry = c.Rx, c.Ry
+	if c.Rx != 0 {
+		cfg.Rx = c.Rx
+	}
+	if c.Ry != 0 {
+		cfg.Ry = c.Ry
+	}
 	cfg.PowerAlign = align
 	cfg.Seed = 1 + c.Seed
 	cfg.Obs = c.Obs

@@ -105,7 +105,6 @@ const (
 	OutcomeFinal    CellOutcome = "final"  // end-of-run placement summary event
 	OutcomeNoIP     CellOutcome = "no_insertion_point"
 	OutcomeTooWide  CellOutcome = "too_wide"
-	OutcomeTimeout  CellOutcome = "timeout"
 	OutcomeCanceled CellOutcome = "canceled"
 	OutcomeAudit    CellOutcome = "audit_rollback"
 	OutcomePanic    CellOutcome = "panicked"

@@ -27,8 +27,7 @@ type Limits struct {
 	MaxRows int
 	// MaxNets caps the net count. Default 4,000,000.
 	MaxNets int
-	// MaxDeadline caps the client-requested job deadline and the per-job
-	// cell timeout. Default 10m.
+	// MaxDeadline caps the client-requested job deadline. Default 10m.
 	MaxDeadline time.Duration
 	// MaxDeltasPerBatch caps the deltas one session frame may carry.
 	// Default 10,000.
@@ -80,17 +79,16 @@ type SubmitRequest struct {
 }
 
 // ConfigJSON overrides legalizer parameters per job. Pointers
-// distinguish "absent" from zero values.
+// distinguish "absent" from zero values. core.Config.Validate ranges
+// the result.
 type ConfigJSON struct {
-	Rx               *int   `json:"rx,omitempty"`
-	Ry               *int   `json:"ry,omitempty"`
-	PowerAlign       *bool  `json:"power_align,omitempty"`
-	ExactEval        *bool  `json:"exact_eval,omitempty"`
-	Seed             *int64 `json:"seed,omitempty"`
-	MaxRounds        *int   `json:"max_rounds,omitempty"`
-	ExhaustiveSearch *bool  `json:"exhaustive_search,omitempty"`
-	CellTimeoutMS    *int64 `json:"cell_timeout_ms,omitempty"`
-	AuditEvery       *int   `json:"audit_every,omitempty"`
+	Rx         *int   `json:"rx,omitempty"`
+	Ry         *int   `json:"ry,omitempty"`
+	PowerAlign *bool  `json:"power_align,omitempty"`
+	ExactEval  *bool  `json:"exact_eval,omitempty"`
+	Seed       *int64 `json:"seed,omitempty"`
+	MaxRounds  *int   `json:"max_rounds,omitempty"`
+	AuditEvery *int   `json:"audit_every,omitempty"`
 	// Constraints is a ';'-separated constraint-plugin spec string
 	// (internal/constraint.Parse). It replaces the server's base set for
 	// this job; an explicit "" clears it.
@@ -186,7 +184,7 @@ func decodeSubmitReq(req *SubmitRequest, text []byte, base core.Config, lim Limi
 		return nil, err
 	}
 
-	cfg, err := applyConfig(base, req.Config, lim)
+	cfg, err := applyConfig(base, req.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -226,32 +224,24 @@ func validateDesign(d *design.Design, nl *netlist.Netlist, lim Limits) error {
 	return nil
 }
 
-func applyConfig(base core.Config, cj *ConfigJSON, lim Limits) (core.Config, error) {
+// applyConfig overlays the fields cj carries on base and answers
+// core.Config.Validate's verdict on the result as a bad request.
+func applyConfig(base core.Config, cj *ConfigJSON) (core.Config, error) {
 	cfg := base
 	if cj == nil {
 		return cfg, nil
 	}
-	setInt := func(dst *int, v *int, name string, lo, hi int) error {
-		if v == nil {
-			return nil
-		}
-		if *v < lo || *v > hi {
-			return badf("config: %s=%d out of range [%d, %d]", name, *v, lo, hi)
-		}
-		*dst = *v
-		return nil
+	if cj.Rx != nil {
+		cfg.Rx = *cj.Rx
 	}
-	if err := setInt(&cfg.Rx, cj.Rx, "rx", 1, 100_000); err != nil {
-		return cfg, err
+	if cj.Ry != nil {
+		cfg.Ry = *cj.Ry
 	}
-	if err := setInt(&cfg.Ry, cj.Ry, "ry", 1, 10_000); err != nil {
-		return cfg, err
+	if cj.MaxRounds != nil {
+		cfg.MaxRounds = *cj.MaxRounds
 	}
-	if err := setInt(&cfg.MaxRounds, cj.MaxRounds, "max_rounds", 1, 100_000); err != nil {
-		return cfg, err
-	}
-	if err := setInt(&cfg.AuditEvery, cj.AuditEvery, "audit_every", 0, 1_000_000); err != nil {
-		return cfg, err
+	if cj.AuditEvery != nil {
+		cfg.AuditEvery = *cj.AuditEvery
 	}
 	if cj.PowerAlign != nil {
 		cfg.PowerAlign = *cj.PowerAlign
@@ -262,9 +252,6 @@ func applyConfig(base core.Config, cj *ConfigJSON, lim Limits) (core.Config, err
 	if cj.Seed != nil {
 		cfg.Seed = *cj.Seed
 	}
-	if cj.ExhaustiveSearch != nil {
-		cfg.ExhaustiveSearch = *cj.ExhaustiveSearch
-	}
 	if cj.Constraints != nil {
 		set, err := constraint.Parse(*cj.Constraints)
 		if err != nil {
@@ -272,13 +259,8 @@ func applyConfig(base core.Config, cj *ConfigJSON, lim Limits) (core.Config, err
 		}
 		cfg.Constraints = set
 	}
-	if cj.CellTimeoutMS != nil {
-		// Compared in milliseconds: converting first can overflow.
-		ms := *cj.CellTimeoutMS
-		if ms < 0 || ms > lim.MaxDeadline.Milliseconds() {
-			return cfg, badf("config: cell_timeout_ms=%d out of range", ms)
-		}
-		cfg.CellTimeout = time.Duration(ms) * time.Millisecond
+	if err := cfg.Validate(); err != nil {
+		return cfg, badf("config: %v", err)
 	}
 	return cfg, nil
 }

@@ -36,6 +36,14 @@ func submitJSON(t testing.TB, req SubmitRequest) string {
 	return string(blob)
 }
 
+// withConfig is a submission of design whose config object holds the
+// raw JSON members fields, which ConfigJSON need not declare.
+func withConfig(t testing.TB, design, fields string) string {
+	t.Helper()
+	return strings.Replace(submitJSON(t, SubmitRequest{DesignText: design, Config: &ConfigJSON{}}),
+		`"config":{}`, `"config":{`+fields+`}`, 1)
+}
+
 // The two design sources the server no longer takes, each a valid
 // design: a body that carries either answers bad_request as an unknown
 // field.
@@ -110,11 +118,6 @@ func TestDecodeSubmitRejects(t *testing.T) {
 	tiny := Limits{MaxCells: 10, MaxRows: 8, MaxNets: 5}
 	valid := benchText(t, 5, 1)
 	twoCells := "design d 200 2000\nrow 0 0 20\nmaster m 1 1 VSS\ncell a 0 1 0\ncell b 0 5 0\n"
-	// withConfig is a valid submission whose config object holds fields.
-	withConfig := func(fields string) string {
-		return strings.Replace(submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{}}),
-			`"config":{}`, `"config":{`+fields+`}`, 1)
-	}
 	cases := []struct {
 		name string
 		body string
@@ -137,16 +140,16 @@ func TestDecodeSubmitRejects(t *testing.T) {
 		{"too many cells", submitJSON(t, SubmitRequest{DesignText: benchText(t, 40, 2)}), tiny},
 		{"config out of range", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{Rx: intp(-3)}}), Limits{}},
 		// workers and shards are not config fields: any value is rejected.
-		{"config workers over cap", withConfig(`"workers":64`), Limits{}},
-		{"config shards over cap", withConfig(`"shards":64`), Limits{}},
-		{"config workers over shard cap", withConfig(`"workers":4`), Limits{}},
-		{"config extract_cache", withConfig(`"extract_cache":true`), Limits{}},
-		{"config negative shards", withConfig(`"shards":-1`), Limits{}},
-		{"config bad cell timeout", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{CellTimeoutMS: int64p(-5)}}), Limits{}},
-		// Past MaxDeadline by far: a timeout converted to time.Duration
-		// before the comparison wraps negative or tiny instead.
-		{"config cell timeout wraps negative", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{CellTimeoutMS: int64p(9_223_372_036_855)}}), Limits{}},
-		{"config cell timeout wraps small", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{CellTimeoutMS: int64p(18_446_744_073_710)}}), Limits{}},
+		{"config workers over cap", withConfig(t, valid, `"workers":64`), Limits{}},
+		{"config shards over cap", withConfig(t, valid, `"shards":64`), Limits{}},
+		{"config workers over shard cap", withConfig(t, valid, `"workers":4`), Limits{}},
+		{"config extract_cache", withConfig(t, valid, `"extract_cache":true`), Limits{}},
+		{"config negative shards", withConfig(t, valid, `"shards":-1`), Limits{}},
+		// cell_timeout_ms and exhaustive_search are not config fields
+		// either, and a zero window fails core.Config.Validate.
+		{"config bad cell timeout", withConfig(t, valid, `"cell_timeout_ms":5`), Limits{}},
+		{"config exhaustive_search", withConfig(t, valid, `"exhaustive_search":true`), Limits{}},
+		{"config zero rx", withConfig(t, valid, `"rx":0`), Limits{}},
 		{"config bad constraints", submitJSON(t, SubmitRequest{DesignText: valid, Config: &ConfigJSON{Constraints: strp("zoneplate:q=1")}}), Limits{}},
 
 		// iodesign.Read rejects these: it checks its design with

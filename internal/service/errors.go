@@ -26,7 +26,6 @@ const (
 	CodeNoInsertionPoint = "no_insertion_point"
 	CodeAuditFailed      = "audit_failed"
 	CodeCanceled         = "canceled"
-	CodeCellTimeout      = "cell_timeout"
 	CodeFixedCell        = "fixed_cell"
 	CodeInvalidWidth     = "invalid_width"
 	CodeInvalidTarget    = "invalid_target"
@@ -71,7 +70,6 @@ var codeTable = []struct {
 	{core.ErrCellTooWide, CodeCellTooWide, http.StatusConflict},
 	{core.ErrNoInsertionPoint, CodeNoInsertionPoint, http.StatusConflict},
 	{core.ErrAuditFailed, CodeAuditFailed, http.StatusConflict},
-	{core.ErrCellTimeout, CodeCellTimeout, http.StatusConflict},
 	{core.ErrCanceled, CodeCanceled, http.StatusConflict},
 	{core.ErrFixedCell, CodeFixedCell, http.StatusBadRequest},
 	{core.ErrInvalidWidth, CodeInvalidWidth, http.StatusBadRequest},

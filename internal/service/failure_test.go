@@ -176,6 +176,30 @@ func TestFailureContract(t *testing.T) {
 			message: "server is draining", retryAfter: "3",
 		},
 		{
+			name: "submit carrying cell_timeout_ms",
+			req: func(t *testing.T, s *Server, ts *httptest.Server) *http.Request {
+				return post(ts.URL+"/v1/jobs", withConfig(t, benchText(t, 10, 1), `"cell_timeout_ms":5`))
+			},
+			route: "submit", status: http.StatusBadRequest, code: CodeBadRequest,
+			message: `malformed request: json: unknown field "cell_timeout_ms"`,
+		},
+		{
+			name: "session open carrying exhaustive_search",
+			req: func(t *testing.T, s *Server, ts *httptest.Server) *http.Request {
+				return post(ts.URL+"/v1/sessions", withConfig(t, benchText(t, 10, 1), `"exhaustive_search":true`))
+			},
+			route: "session_create", status: http.StatusBadRequest, code: CodeBadRequest,
+			message: `malformed request: json: unknown field "exhaustive_search"`,
+		},
+		{
+			name: "session open with a zero window",
+			req: func(t *testing.T, s *Server, ts *httptest.Server) *http.Request {
+				return post(ts.URL+"/v1/sessions", withConfig(t, benchText(t, 10, 1), `"rx":0`))
+			},
+			route: "session_create", status: http.StatusBadRequest, code: CodeBadRequest,
+			message: "config: core: Config.Rx = 0, want 1..100000",
+		},
+		{
 			name: "closing an unknown session",
 			req: func(t *testing.T, s *Server, ts *httptest.Server) *http.Request {
 				req, _ := http.NewRequest("DELETE", ts.URL+"/v1/sessions/s-999999", nil)
@@ -237,7 +261,7 @@ func TestNewRejectsInvalidBaseConfig(t *testing.T) {
 		s.Close()
 		t.Fatal("New accepted base config Rx = -5")
 	}
-	if want := "core: Config.Rx = -5, want >= 0"; err.Error() != want {
+	if want := "core: Config.Rx = -5, want 1..100000"; err.Error() != want {
 		t.Fatalf("error %q, want %q", err, want)
 	}
 }

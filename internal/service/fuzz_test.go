@@ -115,10 +115,12 @@ func FuzzDecodeSubmit(f *testing.F) {
 	}
 
 	// Milliseconds that overflow time.Duration when converted before the
-	// MaxDeadline comparison: one wraps negative, one to 448µs.
+	// MaxDeadline comparison: one wraps negative, one to 448µs. As
+	// config.cell_timeout_ms, an unknown field, both sides must reject
+	// them.
 	for _, ms := range []int64{9_223_372_036_855, 18_446_744_073_710} {
 		f.Add(submitJSON(f, SubmitRequest{DesignText: valid, DeadlineMS: ms}))
-		f.Add(submitJSON(f, SubmitRequest{DesignText: valid, Config: &ConfigJSON{CellTimeoutMS: int64p(ms)}}))
+		f.Add(withConfig(f, valid, fmt.Sprintf(`"cell_timeout_ms":%d`, ms)))
 	}
 
 	// Small limits keep hostile payloads cheap: the fuzzer explores
@@ -129,7 +131,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body string) {
 		p, tenant, err := decodeSubmitBody(strings.NewReader(body), base, lim)
-		if err == nil && (p == nil || p.d == nil || p.cfg.Rx < 1) {
+		if err == nil && (p == nil || p.d == nil || p.cfg.Validate() != nil) {
 			t.Fatalf("nil/invalid payload with nil error: %+v", p)
 		}
 		if err != nil && p != nil {
@@ -142,20 +144,13 @@ func FuzzDecodeSubmit(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// An admitted job's deadline is deadline_ms capped at MaxDeadline,
-		// and its cell timeout is cell_timeout_ms, which must not exceed it.
+		// An admitted job's deadline is deadline_ms capped at MaxDeadline.
 		want := lim.MaxDeadline
 		if ms := rreq.DeadlineMS; ms < lim.MaxDeadline.Milliseconds() {
 			want = time.Duration(ms) * time.Millisecond
 		}
 		if p.deadline != want {
 			t.Fatalf("deadline_ms %d: deadline %v, want %v", rreq.DeadlineMS, p.deadline, want)
-		}
-		if c := rreq.Config; c != nil && c.CellTimeoutMS != nil {
-			ms := *c.CellTimeoutMS
-			if ms > lim.MaxDeadline.Milliseconds() || p.cfg.CellTimeout != time.Duration(ms)*time.Millisecond {
-				t.Fatalf("cell_timeout_ms %d admitted as %v (MaxDeadline %v)", ms, p.cfg.CellTimeout, lim.MaxDeadline)
-			}
 		}
 	})
 }

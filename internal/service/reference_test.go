@@ -58,7 +58,7 @@ func referenceDecodeSubmitReq(req *SubmitRequest, base core.Config, lim Limits) 
 		return nil, err
 	}
 
-	cfg, err := applyConfig(base, req.Config, lim)
+	cfg, err := applyConfig(base, req.Config)
 	if err != nil {
 		return nil, err
 	}

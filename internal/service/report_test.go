@@ -29,7 +29,7 @@ func TestReportRoundTrip(t *testing.T) {
 		Failed: []core.CellFailure{
 			{Cell: 7, Name: "u7", Err: fmt.Errorf("no gap wide enough: %w", core.ErrNoInsertionPoint)},
 			{Cell: 9, Name: "u9", Err: core.ErrCellTooWide},
-			{Cell: 12, Name: "u12", Err: fmt.Errorf("ran out: %w", core.ErrCellTimeout)},
+			{Cell: 12, Name: "u12", Err: fmt.Errorf("rolled back: %w", core.ErrAuditFailed)},
 		},
 	}
 	const checksum = uint64(0xdeadbeefcafef00d)
@@ -61,7 +61,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if len(failed) != len(rep.Failed) {
 		t.Fatalf("failed = %v, want %d entries", got["failed"], len(rep.Failed))
 	}
-	wantCodes := []string{"no_insertion_point", "cell_too_wide", "cell_timeout"}
+	wantCodes := []string{"no_insertion_point", "cell_too_wide", "audit_failed"}
 	for i, f := range failed {
 		fj, _ := f.(map[string]any)
 		src := rep.Failed[i]
@@ -84,7 +84,6 @@ func TestErrorCodeTaxonomy(t *testing.T) {
 		{core.ErrNoInsertionPoint, "no_insertion_point"},
 		{core.ErrAuditFailed, "audit_failed"},
 		{core.ErrCanceled, "canceled"},
-		{core.ErrCellTimeout, "cell_timeout"},
 		{core.ErrFixedCell, "fixed_cell"},
 		{core.ErrInvalidWidth, "invalid_width"},
 		{core.ErrInvalidTarget, "invalid_target"},

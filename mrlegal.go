@@ -140,7 +140,6 @@ var (
 	ErrNoInsertionPoint = core.ErrNoInsertionPoint
 	ErrAuditFailed      = core.ErrAuditFailed
 	ErrCanceled         = core.ErrCanceled
-	ErrCellTimeout      = core.ErrCellTimeout
 	ErrFixedCell        = core.ErrFixedCell
 	ErrInvalidWidth     = core.ErrInvalidWidth
 	ErrInvalidTarget    = core.ErrInvalidTarget
