@@ -79,7 +79,7 @@ func TestSingleMLLCallAllocs(t *testing.T) {
 }
 
 // TestSingleMLLCallAllocsObserved pins the obs-enabled ceiling: attaching
-// an Observer (metrics + ring, no trace sink) must not put allocations on
+// an Observer (metrics, no trace sink) must not put allocations on
 // the incremental path.
 func TestSingleMLLCallAllocsObserved(t *testing.T) {
 	if raceEnabled {

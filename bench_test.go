@@ -312,7 +312,7 @@ func BenchmarkSingleMLLCall(b *testing.B) {
 }
 
 // BenchmarkSingleMLLCallObserved is BenchmarkSingleMLLCall with the
-// observability layer attached (metrics + event ring, no trace sink);
+// observability layer attached (metrics, no trace sink);
 // comparing the two quantifies the instrumentation overhead quoted in
 // docs/OBSERVABILITY.md.
 func BenchmarkSingleMLLCallObserved(b *testing.B) {

@@ -42,7 +42,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "job worker pool size (unset = NumCPU)")
 		queueBound = flag.Int("queue-bound", 64, "global queued-job bound; submissions beyond it answer 429")
 		perTenant  = flag.Int("per-tenant", 16, "per-tenant in-flight (queued+running) cap; beyond it answers 429")
-		jobTimeout = flag.Duration("job-timeout", 5*time.Minute, "default per-job deadline when the client sets none")
+		jobTimeout = flag.Duration("job-timeout", 5*time.Minute, "deadline of every job and session open; a request's deadline_ms can only shorten it")
 		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain deadline; jobs still running after it are canceled")
 		maxBody    = flag.Int64("max-body", 64<<20, "maximum request body size in bytes")
 
@@ -58,14 +58,21 @@ func main() {
 		traceFlag = flag.String("trace-out", "", "write per-cell JSONL placement traces to this file")
 	)
 	flag.Parse()
-	// An explicitly-passed zero or negative count is a configuration
-	// error, not a request for the flag's "auto/default" semantics — fail
-	// fast with usage instead of silently running in a different mode.
+	// An explicitly-passed zero or negative count or duration is a
+	// configuration error, not a request for the flag's "auto/default"
+	// semantics — fail fast with usage instead of silently running in a
+	// different mode.
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "workers", "queue-bound", "per-tenant", "max-body", "max-sessions", "sessions-per-tenant":
 			if n, err := strconv.Atoi(f.Value.String()); err == nil && n <= 0 {
 				fmt.Fprintf(os.Stderr, "mrserve: -%s: count must be positive, got %d\n", f.Name, n)
+				flag.Usage()
+				os.Exit(2)
+			}
+		case "job-timeout", "drain-timeout":
+			if d := f.Value.(flag.Getter).Get().(time.Duration); d <= 0 {
+				fmt.Fprintf(os.Stderr, "mrserve: -%s: duration must be positive, got %s\n", f.Name, d)
 				flag.Usage()
 				os.Exit(2)
 			}
@@ -93,13 +100,13 @@ func main() {
 			Workers:    *workers,
 			QueueBound: *queueBound,
 			PerTenant:  *perTenant,
-			JobTimeout: *jobTimeout,
 		},
 		Sessions: jobq.SessionConfig{
 			MaxSessions: *maxSessions,
 			PerTenant:   *sessionsPerTenant,
 		},
 		BaseCfg:      &base,
+		Limits:       service.Limits{MaxDeadline: *jobTimeout},
 		MaxBodyBytes: *maxBody,
 		DrainTimeout: *drain,
 		Obs:          observer,

@@ -104,9 +104,9 @@ type Config struct {
 	Faults FaultInjector
 
 	// Obs, when non-nil, attaches the observability layer: the metric
-	// registry, the per-cell trace ring and any configured sinks (see
-	// internal/obs and docs/OBSERVABILITY.md). Nil disables everything at
-	// the cost of one pointer compare per instrumentation site; the
+	// registry and any configured trace sink (see internal/obs and
+	// docs/OBSERVABILITY.md). Nil disables everything at the cost of
+	// one pointer compare per instrumentation site; the
 	// placement result is byte-identical either way. Attaching an
 	// observer implicitly enables phase timing (the phase histograms need
 	// the same clocks as Report.Phases).

@@ -169,7 +169,7 @@ func outcomeFor(err error) obs.CellOutcome {
 }
 
 // observeAttempt records one driver placement attempt: counters, the
-// attempt-duration histogram and a ring/trace event. s0 is the snapshot
+// attempt-duration histogram and a trace event. s0 is the snapshot
 // of the Stats taken before the attempt, so the delta is the attempt's
 // own work.
 func (l *Legalizer) observeAttempt(id design.CellID, round, rx, ry int, s0 Stats, dur time.Duration, err error) {

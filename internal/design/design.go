@@ -37,14 +37,6 @@ func (r Rail) String() string {
 	return "VSS"
 }
 
-// Opposite returns the other rail kind.
-func (r Rail) Opposite() Rail {
-	if r == VDD {
-		return VSS
-	}
-	return VDD
-}
-
 // Orient is a cell instance orientation. Only the two orientations that
 // matter for rail alignment are modelled: N (as drawn) and FS (flipped
 // about the x axis, i.e. south-flip).
@@ -353,17 +345,6 @@ func (d *Design) Delete(id CellID) {
 		panic(fmt.Sprintf("design: Delete %d (%s): cell is still placed", id, c.Name))
 	}
 	c.Dead = true
-}
-
-// LiveCells returns the number of non-deleted cells.
-func (d *Design) LiveCells() int {
-	n := 0
-	for i := range d.Cells {
-		if !d.Cells[i].Dead {
-			n++
-		}
-	}
-	return n
 }
 
 // CellArea returns the total movable cell area in site units.

@@ -112,7 +112,6 @@ type JobInjector struct {
 	starts   atomic.Int64
 	finishes atomic.Int64
 	panics   atomic.Int64
-	fails    atomic.Int64
 }
 
 // OnJobStart runs as a job begins executing. It may panic (the injected
@@ -131,7 +130,6 @@ func (in *JobInjector) OnJobStart(id string) {
 func (in *JobInjector) OnJobFinish(id string) error {
 	n := in.finishes.Add(1)
 	if in.FailFinishEvery > 0 && n%int64(in.FailFinishEvery) == 0 {
-		in.fails.Add(1)
 		return fmt.Errorf("%w: mid-job fault at completion #%d (%s)", ErrInjected, n, id)
 	}
 	return nil
@@ -147,8 +145,5 @@ func (in *JobInjector) NewCellInjector() *Injector {
 	return &Injector{FailInsertEvery: in.CellFaultEvery}
 }
 
-// Starts, Panics and FinishFails expose the counters for test
-// assertions.
-func (in *JobInjector) Starts() int64      { return in.starts.Load() }
-func (in *JobInjector) Panics() int64      { return in.panics.Load() }
-func (in *JobInjector) FinishFails() int64 { return in.fails.Load() }
+// Panics exposes the injected-panic count for test assertions.
+func (in *JobInjector) Panics() int64 { return in.panics.Load() }

@@ -55,11 +55,6 @@ func (r Rect) Contains(s Rect) bool {
 	return s.X >= r.X && s.X2() <= r.X2() && s.Y >= r.Y && s.Y2() <= r.Y2()
 }
 
-// ContainsPoint reports whether p lies inside r.
-func (r Rect) ContainsPoint(p Point) bool {
-	return p.X >= r.X && p.X < r.X2() && p.Y >= r.Y && p.Y < r.Y2()
-}
-
 // Intersect returns the overlap of r and s. The result may be Empty.
 func (r Rect) Intersect(s Rect) Rect {
 	x := max(r.X, s.X)
@@ -124,14 +119,6 @@ func (s Span) String() string { return fmt.Sprintf("[%d,%d)", s.Lo, s.Hi) }
 
 // Abs returns |v|.
 func Abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// Abs64 returns |v|.
-func Abs64(v int64) int64 {
 	if v < 0 {
 		return -v
 	}

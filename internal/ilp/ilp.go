@@ -113,9 +113,6 @@ func NewProblem(n int) *Problem {
 	return p
 }
 
-// NumVars returns the number of variables.
-func (p *Problem) NumVars() int { return p.n }
-
 // SetObjCoef sets the objective coefficient of variable i.
 func (p *Problem) SetObjCoef(i int, c float64) { p.obj[i] = c }
 

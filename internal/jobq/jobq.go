@@ -126,10 +126,6 @@ type Config struct {
 	// <= 0 means 16. Submits beyond the cap fail with ErrTenantLimit.
 	PerTenant int
 
-	// JobTimeout is the default per-job deadline; 0 means none. A
-	// per-submit deadline overrides it.
-	JobTimeout time.Duration
-
 	// DoneCap bounds retained terminal jobs: once exceeded, the oldest
 	// finished jobs are evicted from the registry (their IDs then report
 	// ErrNotFound). <= 0 means 1024.
@@ -283,19 +279,11 @@ func New(cfg Config, run Runner) *Queue {
 	return q
 }
 
-// Submit admits a job for tenant with the given payload. deadline bounds
-// the job's execution (0 = Config.JobTimeout; negative = no deadline
-// even if a default is configured). It returns the queued snapshot, or
-// an admission error wrapping ErrQueueFull, ErrTenantLimit or
-// ErrShuttingDown. Submit never blocks.
+// Submit admits a job for tenant with the given payload. A positive
+// deadline bounds the job's execution; 0 means none. It returns the
+// queued snapshot, or an admission error wrapping ErrQueueFull,
+// ErrTenantLimit or ErrShuttingDown. Submit never blocks.
 func (q *Queue) Submit(tenant string, payload any, deadline time.Duration) (Snapshot, error) {
-	switch {
-	case deadline == 0:
-		deadline = q.cfg.JobTimeout
-	case deadline < 0:
-		deadline = 0
-	}
-
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -460,9 +448,12 @@ func (q *Queue) execute(j *job) {
 	}
 	j.state = Running
 	j.started = q.cfg.now()
-	ctx, cancel := context.WithCancel(q.baseCtx)
+	var ctx context.Context
+	var cancel context.CancelFunc
 	if j.deadline > 0 {
 		ctx, cancel = context.WithTimeout(q.baseCtx, j.deadline)
+	} else {
+		ctx, cancel = context.WithCancel(q.baseCtx)
 	}
 	if j.cancelWant {
 		cancel()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,18 +281,40 @@ func TestJobDeadline(t *testing.T) {
 	}
 }
 
-func TestDefaultJobTimeout(t *testing.T) {
-	g := newGateRunner()
-	q := New(Config{Workers: 1, JobTimeout: 20 * time.Millisecond}, g.run)
-	defer shutdownOK(t, q)
+// childCounter is a base context that counts the contexts derived from
+// it that are still live: context.WithCancel and WithTimeout register a
+// child through its AfterFunc and call the stop function AfterFunc
+// returned when the child is canceled.
+type childCounter struct {
+	context.Context // Background's Deadline, Err and Value
+	done            chan struct{}
+	live            atomic.Int64
+}
 
-	s, err := q.Submit("t", nil, 0) // inherits JobTimeout
-	if err != nil {
-		t.Fatal(err)
+func (c *childCounter) Done() <-chan struct{} { return c.done }
+
+func (c *childCounter) AfterFunc(func()) func() bool {
+	c.live.Add(1)
+	return func() bool { c.live.Add(-1); return true }
+}
+
+// TestJobContextsReleased checks a finished job leaves no context live
+// on the queue's base context, deadline or not.
+func TestJobContextsReleased(t *testing.T) {
+	const n = 1000
+	q := New(Config{Workers: 1, QueueBound: n, PerTenant: n}, func(context.Context, string, any) (any, error) {
+		return nil, nil
+	})
+	base := &childCounter{Context: context.Background(), done: make(chan struct{})}
+	q.baseCtx = base // before any Submit, so before any worker reads it
+	for i := 0; i < n; i++ {
+		if _, err := q.Submit("t", nil, time.Minute); err != nil {
+			t.Fatal(err)
+		}
 	}
-	fin := waitState(t, q, s.ID, Failed)
-	if !errors.Is(fin.Err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded, got %v", fin.Err)
+	shutdownOK(t, q)
+	if got := base.live.Load(); got != 0 {
+		t.Fatalf("%d of %d finished jobs left a context live on the base context, want 0", got, n)
 	}
 }
 
@@ -461,23 +484,6 @@ func TestMetrics(t *testing.T) {
 	if n := reg.Histogram("jobq_job_run_seconds", "", nil).Count(); n != 2 {
 		t.Errorf("run histogram count = %d, want 2", n)
 	}
-}
-
-// TestNegativeDeadlineDisablesDefault checks deadline < 0 opts a job out
-// of Config.JobTimeout.
-func TestNegativeDeadlineDisablesDefault(t *testing.T) {
-	g := newGateRunner()
-	q := New(Config{Workers: 1, JobTimeout: 10 * time.Millisecond}, g.run)
-	defer shutdownOK(t, q)
-
-	s, err := q.Submit("t", nil, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-g.started
-	time.Sleep(30 * time.Millisecond) // would have expired under the default
-	g.release <- struct{}{}
-	waitState(t, q, s.ID, Succeeded)
 }
 
 func TestSnapshotStringStates(t *testing.T) {

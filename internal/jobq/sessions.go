@@ -4,11 +4,12 @@ package jobq
 // long-lived incremental (ECO) legalization sessions (internal/service,
 // docs/SERVICE.md §8). Like the job queue it carries no knowledge of
 // legalization — a session holds an opaque payload — and enforces the
-// same discipline: bounded admission (global and per-tenant caps),
-// serialized access (one delta batch at a time per session, extra
-// callers queue on the session mutex so TCP flow control is the only
-// backpressure a client sees), and drain-aware shutdown (CloseAll waits
-// for every in-flight batch to finish before tearing a session down).
+// same discipline: bounded admission (global and per-tenant caps, checked
+// before the payload is built), serialized access (one delta batch at a
+// time per session, extra callers queue on the session mutex so TCP flow
+// control is the only backpressure a client sees), and drain-aware
+// shutdown (CloseAll waits for every in-flight batch to finish before
+// tearing a session down).
 
 import (
 	"errors"
@@ -90,7 +91,8 @@ type SessionRegistry struct {
 
 	mu        sync.Mutex
 	sessions  map[string]*Session
-	perTenant map[string]int
+	opening   int            // slots held by opens whose build is running
+	perTenant map[string]int // slots held per tenant: open plus opening
 	seq       uint64
 	shutdown  bool
 
@@ -131,36 +133,85 @@ func NewSessionRegistry(cfg SessionConfig, onClose func(payload any)) *SessionRe
 	return r
 }
 
-// Open admits a new session for the tenant holding the given payload.
-// Admission fails with ErrSessionLimit at either cap and with
-// ErrShuttingDown after CloseAll began.
-func (r *SessionRegistry) Open(tenant string, payload any) (*Session, error) {
+// Open admits a new session for the tenant. It takes a slot under both
+// caps, where opens whose build still runs count too, and only then calls
+// build, outside the registry lock; the session holds the payload build
+// returns. A build that fails or panics frees its slot, and Open returns
+// its error (a panic goes on up). Admission fails with ErrSessionLimit at
+// either cap and with ErrShuttingDown after CloseAll began; a payload
+// built after CloseAll began is released through onClose.
+func (r *SessionRegistry) Open(tenant string, build func() (any, error)) (*Session, error) {
+	if err := r.reserve(tenant); err != nil {
+		return nil, err
+	}
+	var s *Session
+	defer func() {
+		if s == nil {
+			r.release(tenant)
+		}
+	}()
+	payload, err := build()
+	if err != nil {
+		return nil, err
+	}
+	if s = r.register(tenant, payload); s == nil {
+		if r.onClose != nil {
+			r.onClose(payload)
+		}
+		return nil, ErrShuttingDown
+	}
+	return s, nil
+}
+
+// reserve takes a session slot for the tenant, or says why it cannot.
+func (r *SessionRegistry) reserve(tenant string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.shutdown {
-		return nil, ErrShuttingDown
+		return ErrShuttingDown
 	}
-	if len(r.sessions) >= r.cfg.MaxSessions {
+	if n := len(r.sessions) + r.opening; n >= r.cfg.MaxSessions {
 		if r.m != nil {
 			r.m.rejected.Inc()
 		}
-		return nil, fmt.Errorf("%w: %d sessions active", ErrSessionLimit, len(r.sessions))
+		return fmt.Errorf("%w: %d sessions open or opening", ErrSessionLimit, n)
 	}
 	if r.perTenant[tenant] >= r.cfg.PerTenant {
 		if r.m != nil {
 			r.m.rejected.Inc()
 		}
-		return nil, fmt.Errorf("%w: tenant %q has %d sessions", ErrSessionLimit, tenant, r.perTenant[tenant])
+		return fmt.Errorf("%w: tenant %q has %d sessions", ErrSessionLimit, tenant, r.perTenant[tenant])
 	}
+	r.opening++
+	r.perTenant[tenant]++
+	return nil
+}
+
+// release frees a slot reserve took whose open registered no session.
+func (r *SessionRegistry) release(tenant string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.opening--
+	r.dropTenantLocked(tenant)
+}
+
+// register turns a reserved slot into an open session holding payload.
+// It returns nil, keeping the slot, once CloseAll has begun.
+func (r *SessionRegistry) register(tenant string, payload any) *Session {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.shutdown {
+		return nil
+	}
+	r.opening--
 	r.seq++
 	s := &Session{id: fmt.Sprintf("s-%06d", r.seq), tenant: tenant, reg: r, payload: payload}
 	r.sessions[s.id] = s
-	r.perTenant[tenant]++
 	if r.m != nil {
 		r.m.opened.Inc()
 		r.m.active.Set(int64(len(r.sessions)))
 	}
-	return s, nil
+	return s
 }
 
 // Get returns the open session with the given id.
@@ -192,14 +243,18 @@ func (r *SessionRegistry) Close(id string) error {
 // unregisterLocked removes the session from the index. Caller holds r.mu.
 func (r *SessionRegistry) unregisterLocked(s *Session) {
 	delete(r.sessions, s.id)
-	if n := r.perTenant[s.tenant]; n <= 1 {
-		delete(r.perTenant, s.tenant)
-	} else {
-		r.perTenant[s.tenant] = n - 1
-	}
+	r.dropTenantLocked(s.tenant)
 	if r.m != nil {
 		r.m.closed.Inc()
 		r.m.active.Set(int64(len(r.sessions)))
+	}
+}
+
+// dropTenantLocked frees one of the tenant's slots. Caller holds r.mu.
+func (r *SessionRegistry) dropTenantLocked(tenant string) {
+	r.perTenant[tenant]--
+	if r.perTenant[tenant] == 0 {
+		delete(r.perTenant, tenant)
 	}
 }
 
@@ -245,7 +300,8 @@ func (r *SessionRegistry) Active() int {
 	return len(r.sessions)
 }
 
-// ActiveFor returns the number of open sessions for one tenant.
+// ActiveFor returns the number of session slots one tenant holds: its
+// open sessions plus its opens whose build is still running.
 func (r *SessionRegistry) ActiveFor(tenant string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

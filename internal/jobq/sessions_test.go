@@ -8,32 +8,37 @@ import (
 	"time"
 )
 
+// built returns a build that yields payload.
+func built(payload any) func() (any, error) {
+	return func() (any, error) { return payload, nil }
+}
+
 func TestSessionRegistryCaps(t *testing.T) {
 	r := NewSessionRegistry(SessionConfig{MaxSessions: 3, PerTenant: 2}, nil)
 
-	a1, err := r.Open("a", 1)
+	a1, err := r.Open("a", built(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Open("a", 2); err != nil {
+	if _, err := r.Open("a", built(2)); err != nil {
 		t.Fatal(err)
 	}
 	// Tenant cap.
-	if _, err := r.Open("a", 3); !errors.Is(err, ErrSessionLimit) {
+	if _, err := r.Open("a", built(3)); !errors.Is(err, ErrSessionLimit) {
 		t.Fatalf("per-tenant overflow: err = %v, want ErrSessionLimit", err)
 	}
-	if _, err := r.Open("b", 4); err != nil {
+	if _, err := r.Open("b", built(4)); err != nil {
 		t.Fatal(err)
 	}
 	// Global cap.
-	if _, err := r.Open("c", 5); !errors.Is(err, ErrSessionLimit) {
+	if _, err := r.Open("c", built(5)); !errors.Is(err, ErrSessionLimit) {
 		t.Fatalf("global overflow: err = %v, want ErrSessionLimit", err)
 	}
 	// Closing frees both caps.
 	if err := r.Close(a1.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Open("c", 6); err != nil {
+	if _, err := r.Open("c", built(6)); err != nil {
 		t.Fatalf("open after close: %v", err)
 	}
 	if got := r.Active(); got != 3 {
@@ -47,7 +52,7 @@ func TestSessionRegistryCaps(t *testing.T) {
 func TestSessionRegistryLifecycle(t *testing.T) {
 	var closed atomic.Int32
 	r := NewSessionRegistry(SessionConfig{}, func(p any) { closed.Add(1) })
-	s, err := r.Open("t", "payload")
+	s, err := r.Open("t", built("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +86,7 @@ func TestSessionRegistryLifecycle(t *testing.T) {
 
 func TestSessionDoSerializes(t *testing.T) {
 	r := NewSessionRegistry(SessionConfig{}, nil)
-	s, err := r.Open("t", nil)
+	s, err := r.Open("t", built(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +119,8 @@ func TestSessionDoSerializes(t *testing.T) {
 func TestSessionCloseAllDrains(t *testing.T) {
 	var closed atomic.Int32
 	r := NewSessionRegistry(SessionConfig{MaxSessions: 8}, func(any) { closed.Add(1) })
-	s1, _ := r.Open("a", nil)
-	_, _ = r.Open("b", nil)
+	s1, _ := r.Open("a", built(nil))
+	_, _ = r.Open("b", built(nil))
 
 	// Hold a batch in flight; CloseAll must wait for it.
 	started := make(chan struct{})
@@ -138,7 +143,7 @@ func TestSessionCloseAllDrains(t *testing.T) {
 	for r.Active() != 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := r.Open("c", nil); !errors.Is(err, ErrShuttingDown) {
+	if _, err := r.Open("c", built(nil)); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("open during shutdown: err = %v, want ErrShuttingDown", err)
 	}
 	select {
@@ -154,5 +159,63 @@ func TestSessionCloseAllDrains(t *testing.T) {
 	}
 	if r.Active() != 0 {
 		t.Fatalf("Active = %d after CloseAll", r.Active())
+	}
+}
+
+// TestSessionOpenBuild checks the slot an open takes before its build:
+// a failing or panicking build frees it, a build still running holds it
+// against both caps without running the other opens' builds, and a
+// payload built after CloseAll began is released through onClose.
+func TestSessionOpenBuild(t *testing.T) {
+	var released []any
+	r := NewSessionRegistry(SessionConfig{MaxSessions: 1, PerTenant: 1}, func(p any) { released = append(released, p) })
+
+	boom := errors.New("boom")
+	if _, err := r.Open("a", func() (any, error) { return nil, boom }); err != boom {
+		t.Fatalf("failing build: err = %v, want its error", err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a build's panic did not reach Open's caller")
+			}
+		}()
+		_, _ = r.Open("a", func() (any, error) { panic("build") })
+	}()
+	if got := r.ActiveFor("a"); got != 0 {
+		t.Fatalf("ActiveFor(a) = %d after a failed and a panicked build, want 0", got)
+	}
+
+	building, finish := make(chan struct{}), make(chan struct{})
+	opened := make(chan error, 1)
+	go func() {
+		_, err := r.Open("a", func() (any, error) {
+			close(building)
+			<-finish
+			return "late", nil
+		})
+		opened <- err
+	}()
+	<-building
+	for _, tenant := range []string{"a", "b"} {
+		_, err := r.Open(tenant, func() (any, error) {
+			t.Errorf("open by %s beside a running build ran its build", tenant)
+			return nil, nil
+		})
+		if !errors.Is(err, ErrSessionLimit) {
+			t.Fatalf("open by %s beside a running build: err = %v, want ErrSessionLimit", tenant, err)
+		}
+	}
+
+	r.CloseAll()
+	close(finish)
+	if err := <-opened; !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("build finished after CloseAll: err = %v, want ErrShuttingDown", err)
+	}
+	if len(released) != 1 || released[0] != "late" {
+		t.Fatalf("onClose got %v, want the late payload", released)
+	}
+	if r.Active() != 0 || r.ActiveFor("a") != 0 {
+		t.Fatalf("Active = %d, ActiveFor(a) = %d after CloseAll, want 0 and 0", r.Active(), r.ActiveFor("a"))
 	}
 }

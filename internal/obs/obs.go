@@ -1,8 +1,8 @@
 // Package obs is the legalizer's observability layer: a race-safe,
 // allocation-disciplined metrics registry (counters, gauges and
-// histograms), a bounded per-cell event ring, a JSONL trace sink and a
-// Prometheus text-format exposition (docs/OBSERVABILITY.md catalogs
-// every metric and the trace schema).
+// histograms), a JSONL cell-event trace sink and a Prometheus
+// text-format exposition (docs/OBSERVABILITY.md catalogs every metric
+// and the trace schema).
 //
 // The layer is strictly passive: nothing in this package reads or mutates
 // design or grid state, and the engine consults it only through nil-checked
@@ -11,55 +11,49 @@
 //
 // Concurrency contract: every exported mutation (Counter.Add, Gauge.Set,
 // Histogram.Observe, Observer.RecordCell) is safe from any number of
-// goroutines, and so is every read (Value, Snapshot, WritePrometheus,
-// Events).
+// goroutines, and so is every read (Value, Snapshot, WritePrometheus).
 package obs
 
 import (
+	"bufio"
+	"encoding/json"
 	"io"
 	"sync"
 	"time"
 )
 
-// Observer bundles one run's observability surface: the metric registry,
-// the bounded per-cell event ring and the optional JSONL trace sink. A nil
-// *Observer disables everything (the engine nil-checks before every
-// recording call).
+// Observer bundles one run's observability surface: the metric registry
+// and the optional JSONL trace sink. A nil *Observer disables everything
+// (the engine nil-checks before every recording call).
 type Observer struct {
-	reg  *Registry
-	ring *Ring
+	reg *Registry
 
-	mu    sync.Mutex
-	trace *TraceWriter
-	file  io.Closer // the trace file Open created, until Close closes it
-	seq   uint64
+	// enc is set by New and never changes, so RecordCell tests it
+	// without the lock; nil means no sink.
+	enc *json.Encoder
+
+	mu   sync.Mutex
+	bw   *bufio.Writer
+	err  error     // the sink's first write, flush or close error; sticky
+	file io.Closer // the trace file Open created, until Close closes it
+	seq  uint64
 }
 
 // Options tunes New. The zero value is usable.
 type Options struct {
-	// RingSize bounds the per-cell event ring (events beyond it evict the
-	// oldest). 0 means DefaultRingSize.
-	RingSize int
-
 	// TraceOut, when non-nil, receives every recorded cell event as one
-	// JSON line (see TraceWriter for the schema). The writer is driven
-	// under the observer's lock; wrap slow destinations in a bufio.Writer
-	// and call Flush when the run ends.
+	// JSON line (docs/OBSERVABILITY.md documents the schema). The writer
+	// is driven under the observer's lock through a buffer; call Flush or
+	// Close when the run ends.
 	TraceOut io.Writer
 }
 
-// DefaultRingSize is the event ring capacity when Options.RingSize is 0.
-const DefaultRingSize = 4096
-
-// New returns an Observer with a fresh registry and event ring.
+// New returns an Observer with a fresh registry and the sink opt names.
 func New(opt Options) *Observer {
-	n := opt.RingSize
-	if n <= 0 {
-		n = DefaultRingSize
-	}
-	o := &Observer{reg: NewRegistry(), ring: NewRing(n)}
+	o := &Observer{reg: NewRegistry()}
 	if opt.TraceOut != nil {
-		o.trace = NewTraceWriter(opt.TraceOut)
+		o.bw = bufio.NewWriter(opt.TraceOut)
+		o.enc = json.NewEncoder(o.bw)
 	}
 	return o
 }
@@ -67,32 +61,22 @@ func New(opt Options) *Observer {
 // Registry returns the observer's metric registry.
 func (o *Observer) Registry() *Registry { return o.reg }
 
-// Ring returns the observer's bounded cell-event ring.
-func (o *Observer) Ring() *Ring { return o.ring }
-
-// RecordCell stamps the event with the next sequence number, appends it to
-// the ring and, when a trace sink is attached, writes it as one JSON line.
-// Safe for concurrent use.
+// RecordCell stamps the event with the next sequence number and writes it
+// to the trace sink as one JSON line. Without a sink it returns at once:
+// no lock, no sequence number. After the sink's first error, later events
+// are dropped, so a full disk mid-run never aborts a legalization. Safe
+// for concurrent use.
 func (o *Observer) RecordCell(ev CellEvent) {
+	if o.enc == nil {
+		return
+	}
 	o.mu.Lock()
 	o.seq++
 	ev.Seq = o.seq
-	o.ring.Push(ev)
-	if o.trace != nil {
-		o.trace.Write(ev)
+	if o.err == nil {
+		o.err = o.enc.Encode(ev) // Encode appends the trailing newline
 	}
 	o.mu.Unlock()
-}
-
-// TraceErr returns the first error the JSONL sink hit, if any (nil when no
-// sink is attached).
-func (o *Observer) TraceErr() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.trace == nil {
-		return nil
-	}
-	return o.trace.Err()
 }
 
 // CellOutcome classifies how one cell attempt ended.
@@ -113,7 +97,7 @@ const (
 
 // CellEvent is one entry of the per-cell trace: a single placement attempt
 // (or the end-of-run "final" summary of one placed cell). All fields are
-// plain values so events copy into the ring without allocating.
+// plain values, so building one allocates nothing.
 type CellEvent struct {
 	Seq       uint64        `json:"seq"`
 	Cell      int           `json:"cell"`

@@ -1,18 +1,19 @@
 package obs
 
 import (
-	"fmt"
+	"bytes"
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
-// TestRegistryRace hammers every metric kind and the event ring from
+// TestRegistryRace hammers every metric kind and the trace sink from
 // GOMAXPROCS goroutines. Run under -race (CI does) this is the data-race
-// gate for the whole layer; the totals assert that no increment was lost.
+// gate for the whole layer; the totals assert that no increment and no
+// event was lost.
 func TestRegistryRace(t *testing.T) {
-	o := New(Options{RingSize: 128})
+	var buf bytes.Buffer
+	o := New(Options{TraceOut: &buf})
 	r := o.Registry()
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
@@ -37,7 +38,7 @@ func TestRegistryRace(t *testing.T) {
 				if i%256 == 0 {
 					// Concurrent readers must see a consistent view.
 					_ = r.Snapshot()
-					_ = o.Ring().Events()
+					_ = o.Flush()
 				}
 			}
 		}(w)
@@ -51,11 +52,20 @@ func TestRegistryRace(t *testing.T) {
 	if got := h.Count(); got != want {
 		t.Errorf("histogram count: got %d, want %d", got, want)
 	}
-	if got := o.Ring().Total(); got != uint64(want) {
-		t.Errorf("ring total: got %d, want %d", got, want)
+	if err := o.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if got := o.Ring().Len(); got != 128 {
-		t.Errorf("ring len: got %d, want capacity 128", got)
+	evs, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(evs)) != want {
+		t.Errorf("trace: got %d events, want %d", len(evs), want)
+	}
+	for i, ev := range evs {
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("trace line %d: seq %d, want %d", i, ev.Seq, i+1)
+		}
 	}
 }
 
@@ -106,48 +116,5 @@ func TestWithLabels(t *testing.T) {
 	}
 	if WithLabels("bare") != "bare" {
 		t.Error("no-label name must pass through")
-	}
-}
-
-// TestRingEviction checks ordering and eviction of the bounded ring.
-func TestRingEviction(t *testing.T) {
-	r := NewRing(4)
-	for i := 1; i <= 6; i++ {
-		r.Push(CellEvent{Cell: i})
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("len=%d, want 4", len(evs))
-	}
-	for i, want := range []int{3, 4, 5, 6} {
-		if evs[i].Cell != want {
-			t.Errorf("events[%d].Cell=%d, want %d", i, evs[i].Cell, want)
-		}
-	}
-	if r.Total() != 6 {
-		t.Errorf("total=%d, want 6", r.Total())
-	}
-	var visited []int
-	r.Do(func(ev *CellEvent) bool {
-		visited = append(visited, ev.Cell)
-		return ev.Cell < 5
-	})
-	if fmt.Sprint(visited) != "[3 4 5]" {
-		t.Errorf("Do early-stop visited %v, want [3 4 5]", visited)
-	}
-}
-
-// TestObserverSequencing checks RecordCell stamps dense 1-based sequence
-// numbers in record order.
-func TestObserverSequencing(t *testing.T) {
-	o := New(Options{RingSize: 8})
-	for i := 0; i < 3; i++ {
-		o.RecordCell(CellEvent{Cell: i, Dur: time.Millisecond})
-	}
-	evs := o.Ring().Events()
-	for i, ev := range evs {
-		if ev.Seq != uint64(i+1) {
-			t.Errorf("event %d: seq=%d, want %d", i, ev.Seq, i+1)
-		}
 	}
 }

@@ -1,57 +1,30 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"os"
 )
 
-// TraceWriter encodes cell events as JSON Lines: one CellEvent object per
-// line, in record order (docs/OBSERVABILITY.md documents the schema). The
-// first write error is sticky — later writes are dropped and the error is
-// reported by Err, so a full disk mid-run never aborts a legalization.
-type TraceWriter struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	err error
-}
-
-// NewTraceWriter wraps w in a buffered JSONL encoder.
-func NewTraceWriter(w io.Writer) *TraceWriter {
-	bw := bufio.NewWriter(w)
-	return &TraceWriter{bw: bw, enc: json.NewEncoder(bw)}
-}
-
-// Write appends one event line. Serialized by the owning Observer.
-func (t *TraceWriter) Write(ev CellEvent) {
-	if t.err != nil {
-		return
-	}
-	t.err = t.enc.Encode(ev) // Encode appends the trailing newline
-}
-
-// Flush drains the buffer to the underlying writer.
-func (t *TraceWriter) Flush() error {
-	if t.err != nil {
-		return t.err
-	}
-	t.err = t.bw.Flush()
-	return t.err
-}
-
-// Err returns the sticky first error.
-func (t *TraceWriter) Err() error { return t.err }
-
-// Flush drains the observer's trace sink, if any. Call it when the run
-// ends, before closing the destination file.
+// Flush drains the observer's trace sink, if any, and returns the sink's
+// first write or flush error. Call it when the run ends, before closing
+// the destination file.
 func (o *Observer) Flush() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.trace == nil {
+	if o.enc == nil {
 		return nil
 	}
-	return o.trace.Flush()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.flushLocked()
+}
+
+// flushLocked drains the buffer unless the sink already failed, and
+// returns the sticky error. Caller holds o.mu.
+func (o *Observer) flushLocked() error {
+	if o.err == nil {
+		o.err = o.bw.Flush()
+	}
+	return o.err
 }
 
 // Open returns a new Observer with default options whose trace sink is
@@ -77,23 +50,19 @@ func Open(path string) (*Observer, error) {
 // returns the sink's first write, flush or close error. A second call
 // returns the same error; on a nil Observer Close returns nil.
 func (o *Observer) Close() error {
-	if o == nil {
+	if o == nil || o.enc == nil {
 		return nil
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.trace == nil {
-		return nil
-	}
-	err := o.trace.Flush() // the sink's first write or flush error
+	o.flushLocked() // the sink's first write or flush error wins
 	if o.file != nil {
-		if cerr := o.file.Close(); err == nil {
-			err = cerr
+		if cerr := o.file.Close(); o.err == nil {
+			o.err = cerr
 		}
 		o.file = nil
-		o.trace.err = err
 	}
-	return err
+	return o.err
 }
 
 // ReadTrace decodes a JSONL trace stream back into events, for tests and

@@ -43,8 +43,8 @@ func TestChaosServiceUnderFaultsAndOverload(t *testing.T) {
 			Workers:    8,
 			QueueBound: 32,
 			PerTenant:  8,
-			JobTimeout: 30 * time.Second,
 		},
+		Limits:       Limits{MaxDeadline: 30 * time.Second},
 		DrainTimeout: 30 * time.Second,
 		Log:          log.New(io.Discard, "", 0),
 		Faults: &faultinject.JobInjector{
@@ -229,8 +229,8 @@ func TestChaosShutdownDuringLoad(t *testing.T) {
 			Workers:    4,
 			QueueBound: 64,
 			PerTenant:  64,
-			JobTimeout: 30 * time.Second,
 		},
+		Limits:       Limits{MaxDeadline: 30 * time.Second},
 		DrainTimeout: 30 * time.Second,
 		Log:          log.New(io.Discard, "", 0),
 		Faults:       &faultinject.JobInjector{PanicStartEvery: 5, CellFaultEvery: 40},

@@ -27,7 +27,8 @@ type Limits struct {
 	MaxRows int
 	// MaxNets caps the net count. Default 4,000,000.
 	MaxNets int
-	// MaxDeadline caps the client-requested job deadline. Default 10m.
+	// MaxDeadline is the deadline of every job and session open; a
+	// request's deadline_ms can only shorten it. Default 10m.
 	MaxDeadline time.Duration
 	// MaxDeltasPerBatch caps the deltas one session frame may carry.
 	// Default 10,000.
@@ -72,9 +73,9 @@ type SubmitRequest struct {
 	// Config overrides the server's base legalizer configuration.
 	Config *ConfigJSON `json:"config,omitempty"`
 
-	// DeadlineMS bounds the job's execution in milliseconds (0 = server
-	// default; capped by Limits.MaxDeadline). When the deadline expires
-	// the job still returns a best-effort report with timed_out set.
+	// DeadlineMS shortens the job's deadline, Limits.MaxDeadline, to
+	// this many milliseconds; 0 keeps it. When the deadline expires the
+	// job still returns a best-effort report with timed_out set.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
@@ -196,14 +197,15 @@ func decodeSubmitReq(req *SubmitRequest, text []byte, base core.Config, lim Limi
 	return &jobPayload{d: d, nl: nl, cfg: cfg, deadline: deadline}, nil
 }
 
-// jobDeadline turns a request's deadline_ms into the job deadline,
-// clamped to lim.MaxDeadline. The clamp compares milliseconds, because
-// a huge deadline_ms converted to a time.Duration first would wrap.
+// jobDeadline turns a request's deadline_ms into the job deadline:
+// lim.MaxDeadline, which a positive deadline_ms can only shorten. The
+// comparison is in milliseconds, because a huge deadline_ms converted to
+// a time.Duration first would wrap.
 func jobDeadline(ms int64, lim Limits) (time.Duration, error) {
 	if ms < 0 {
 		return 0, badf("deadline_ms must be non-negative")
 	}
-	if ms > lim.MaxDeadline.Milliseconds() {
+	if ms == 0 || ms > lim.MaxDeadline.Milliseconds() {
 		return lim.MaxDeadline, nil
 	}
 	return time.Duration(ms) * time.Millisecond, nil

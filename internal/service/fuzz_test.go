@@ -144,9 +144,10 @@ func FuzzDecodeSubmit(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// An admitted job's deadline is deadline_ms capped at MaxDeadline.
+		// An admitted job's deadline is MaxDeadline, which a positive
+		// deadline_ms can only shorten.
 		want := lim.MaxDeadline
-		if ms := rreq.DeadlineMS; ms < lim.MaxDeadline.Milliseconds() {
+		if ms := rreq.DeadlineMS; ms > 0 && ms < lim.MaxDeadline.Milliseconds() {
 			want = time.Duration(ms) * time.Millisecond
 		}
 		if p.deadline != want {

@@ -98,7 +98,7 @@ type Config struct {
 }
 
 // Server is the legalization job server. Create with New, start with
-// Start (or drive the full lifecycle with Run), stop with Close.
+// Start, stop with Close.
 type Server struct {
 	cfg      Config
 	base     core.Config
@@ -220,18 +220,6 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Run starts the server and blocks until ctx is done (typically a
-// SIGTERM/SIGINT via signal.NotifyContext), then shuts down gracefully.
-func (s *Server) Run(ctx context.Context) error {
-	if err := s.Start(); err != nil {
-		return err
-	}
-	s.log.Printf("mrserve: listening on http://%s", s.Addr())
-	<-ctx.Done()
-	s.log.Printf("mrserve: shutdown requested, draining (deadline %s)", s.cfg.DrainTimeout)
-	return s.Close()
-}
-
 // Close shuts the server down gracefully: admission stops first (readyz
 // answers 503, submits answer 503 + Retry-After), then queued and
 // running jobs drain — hard-canceled if Config.DrainTimeout expires —
@@ -293,11 +281,7 @@ func (s *Server) runJob(ctx context.Context, id string, payload any) (any, error
 	if s.cfg.testGate != nil {
 		s.cfg.testGate(ctx, id)
 	}
-	l, err := core.NewLegalizer(p.d, p.cfg)
-	if err != nil {
-		return nil, badf("%v", err)
-	}
-	rep, err := l.LegalizeBestEffort(ctx)
+	_, rep, err := legalize(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -307,6 +291,17 @@ func (s *Server) runJob(ctx context.Context, id string, payload any) (any, error
 		}
 	}
 	return &jobResult{rep: rep, d: p.d, nl: p.nl, checksum: p.d.PlacementChecksum()}, nil
+}
+
+// legalize is the engine step jobs and session opens share: a legalizer
+// over the payload's design, then best-effort legalization under ctx.
+func legalize(ctx context.Context, p *jobPayload) (*core.Legalizer, *core.Report, error) {
+	l, err := core.NewLegalizer(p.d, p.cfg)
+	if err != nil {
+		return nil, nil, badf("%v", err)
+	}
+	rep, err := l.LegalizeBestEffort(ctx)
+	return l, rep, err
 }
 
 // ---- wire types ----

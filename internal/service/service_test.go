@@ -25,7 +25,8 @@ import (
 func newTestServer(t *testing.T, mut func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := Config{
-		Queue:        jobq.Config{Workers: 2, QueueBound: 8, PerTenant: 8, JobTimeout: 30 * time.Second},
+		Queue:        jobq.Config{Workers: 2, QueueBound: 8, PerTenant: 8},
+		Limits:       Limits{MaxDeadline: 30 * time.Second},
 		DrainTimeout: 10 * time.Second,
 		Log:          log.New(io.Discard, "", 0),
 	}
@@ -204,7 +205,7 @@ func TestSubmitPollReportPlacement(t *testing.T) {
 func TestOverloadAnswers429(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := newTestServer(t, func(c *Config) {
-		c.Queue = jobq.Config{Workers: 1, QueueBound: 1, PerTenant: 2, JobTimeout: 30 * time.Second}
+		c.Queue = jobq.Config{Workers: 1, QueueBound: 1, PerTenant: 2}
 		c.RetryAfter = 3 * time.Second
 		c.testGate = func(ctx context.Context, id string) {
 			select {
@@ -401,6 +402,41 @@ func TestJobDeadlinePartialReport(t *testing.T) {
 	}
 }
 
+// TestJobDeadlineIsMaxDeadline checks the one deadline rule: with default
+// Limits every job runs under MaxDeadline, 10 minutes, and deadline_ms
+// can only shorten it.
+func TestJobDeadlineIsMaxDeadline(t *testing.T) {
+	left := make(chan time.Duration, 1)
+	_, ts := newTestServer(t, func(c *Config) {
+		c.Limits = Limits{}
+		c.testGate = func(ctx context.Context, id string) {
+			var d time.Duration // no deadline at all
+			if dl, ok := ctx.Deadline(); ok {
+				d = time.Until(dl)
+			}
+			left <- d
+		}
+	})
+	text := benchText(t, 10, 1)
+	for _, c := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, 10 * time.Minute},
+		{2000, 2 * time.Second},
+		{(30 * time.Minute).Milliseconds(), 10 * time.Minute},
+	} {
+		resp, job := submit(t, ts, "", submitJSON(t, SubmitRequest{DesignText: text, DeadlineMS: c.ms}))
+		if job == nil {
+			t.Fatalf("deadline_ms %d: submit answered %d", c.ms, resp.StatusCode)
+		}
+		if got := <-left; got > c.want || got < c.want-time.Second {
+			t.Errorf("deadline_ms %d: job deadline %v away, want about %v", c.ms, got, c.want)
+		}
+		poll(t, ts, job.ID)
+	}
+}
+
 // TestHealthAndMetrics checks the probe and exposition routes.
 func TestHealthAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t, nil)
@@ -499,7 +535,8 @@ func TestShutdownForceCancels(t *testing.T) {
 // configured hint, minimum 1).
 func TestRetryAfterSeconds(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) {
-		c.Queue = jobq.Config{Workers: 1, QueueBound: 1, PerTenant: 1, JobTimeout: time.Second}
+		c.Queue = jobq.Config{Workers: 1, QueueBound: 1, PerTenant: 1}
+		c.Limits.MaxDeadline = time.Second
 		c.RetryAfter = 250 * time.Millisecond
 		c.testGate = func(ctx context.Context, id string) { <-ctx.Done() }
 	})

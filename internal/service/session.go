@@ -10,8 +10,8 @@ package service
 // A session pins a legalized design in memory so ECO edits pay only for
 // the perturbed neighborhood instead of a full resubmission. Admission
 // is bounded exactly like jobs: jobq.SessionRegistry enforces global and
-// per-tenant caps (429), and shutdown drains in-flight delta batches
-// before tearing sessions down.
+// per-tenant caps (429) before the initial legalization runs, and
+// shutdown drains in-flight delta batches before tearing sessions down.
 //
 // The delta route streams: the server reads one length-prefixed frame at
 // a time into a reused buffer, applies it atomically under the session
@@ -62,36 +62,28 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	l, err := core.NewLegalizer(p.d, p.cfg)
-	if err != nil {
-		s.fail(w, route, badf("%v", err))
-		return
-	}
-	// The initial full legalization runs inline under the job deadline
-	// (Limits.MaxDeadline when the client asked for none): create is
+	// The registry takes the session's slot before the initial full
+	// legalization runs, inline under the job deadline: create is
 	// synchronous — the client needs the session id and the baseline
 	// checksum before streaming deltas.
-	deadline := p.deadline
-	if deadline <= 0 {
-		deadline = s.cfg.Limits.MaxDeadline
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-	rep, err := l.LegalizeBestEffort(ctx)
+	var rep *core.Report
+	reg, err := s.sessions.Open(tenant, func() (any, error) {
+		ctx, cancel := context.WithTimeout(r.Context(), p.deadline)
+		defer cancel()
+		l, lrep, err := legalize(ctx, p)
+		if err != nil {
+			return nil, err
+		}
+		rep = lrep
+		ses, err := core.NewSession(l)
+		if err != nil {
+			// Best-effort legalization left failures (or the input was
+			// not legalizable): no legal baseline, no session.
+			return nil, fmt.Errorf("design is not legal after initial legalization (%d failures): %w", len(lrep.Failed), err)
+		}
+		return ses, nil
+	})
 	if err != nil {
-		s.fail(w, route, err)
-		return
-	}
-	ses, err := core.NewSession(l)
-	if err != nil {
-		// Best-effort legalization left failures (or the input was not
-		// legalizable): no legal baseline, no session.
-		s.fail(w, route, fmt.Errorf("design is not legal after initial legalization (%d failures): %w", len(rep.Failed), err))
-		return
-	}
-	reg, err := s.sessions.Open(tenant, ses)
-	if err != nil {
-		ses.Close()
 		s.fail(w, route, err)
 		return
 	}

@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"mrlegal/internal/core"
 	"mrlegal/internal/design"
 	"mrlegal/internal/geom"
 	"mrlegal/internal/jobq"
+	"mrlegal/internal/obs"
 	"mrlegal/internal/segment"
 )
 
@@ -337,6 +339,85 @@ func TestSessionAdmissionCaps(t *testing.T) {
 	if e := apiError(t, resp); resp.StatusCode != http.StatusTooManyRequests || e.Code != CodeSessionLimit {
 		t.Fatalf("global overflow: %d %+v", resp.StatusCode, e)
 	}
+}
+
+// TestSessionOpenOverCapRunsNoEngine checks a session open takes its slot
+// before the engine runs: an open over either cap answers 429 without a
+// legalization, and concurrent opens against one slot legalize once.
+func TestSessionOpenOverCapRunsNoEngine(t *testing.T) {
+	body := submitJSON(t, SubmitRequest{DesignText: benchText(t, 40, 7)})
+	// newServer returns a one-session server and its count of engine
+	// runs (the mrlegal_run_seconds histogram's).
+	newServer := func(t *testing.T) (*httptest.Server, func() int64) {
+		ob := obs.New(obs.Options{})
+		_, ts := newTestServer(t, func(c *Config) {
+			base := core.DefaultConfig()
+			base.Obs = ob
+			c.Obs, c.BaseCfg = ob, &base
+			c.Sessions = jobq.SessionConfig{MaxSessions: 1, PerTenant: 1}
+		})
+		return ts, func() int64 { return ob.Registry().Snapshot().Hists["mrlegal_run_seconds"].Count }
+	}
+
+	t.Run("over_cap", func(t *testing.T) {
+		ts, runs := newServer(t)
+		if _, sj := createSession(t, ts, "a", body); sj == nil {
+			t.Fatal("first open failed")
+		}
+		before := runs()
+		for _, tenant := range []string{"a", "b"} { // the tenant cap, then the global one
+			resp, sj := createSession(t, ts, tenant, body)
+			if sj != nil {
+				t.Fatalf("open by %s over the cap succeeded", tenant)
+			}
+			if e := apiError(t, resp); resp.StatusCode != http.StatusTooManyRequests || e.Code != CodeSessionLimit {
+				t.Fatalf("open by %s over the cap: %d %+v", tenant, resp.StatusCode, e)
+			}
+		}
+		if got := runs() - before; got != 0 {
+			t.Errorf("two over-cap opens ran %d legalizations, want 0", got)
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		ts, runs := newServer(t)
+		const m = 6
+		codes := make([]int, m)
+		var wg sync.WaitGroup
+		for i := range codes {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				req, _ := http.NewRequest("POST", ts.URL+"/v1/sessions", strings.NewReader(body))
+				req.Header.Set("X-Tenant", fmt.Sprintf("t%d", i))
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				codes[i] = resp.StatusCode
+			}(i)
+		}
+		wg.Wait()
+		created := 0
+		for _, c := range codes {
+			switch c {
+			case http.StatusCreated:
+				created++
+			case http.StatusTooManyRequests:
+			default:
+				t.Errorf("open answered %d, want 201 or 429", c)
+			}
+		}
+		if created != 1 {
+			t.Errorf("%d of %d concurrent opens got 201, want 1", created, m)
+		}
+		if got := runs(); got != 1 {
+			t.Errorf("%d concurrent opens ran %d legalizations, want 1", m, got)
+		}
+	})
 }
 
 func TestSessionUnknownIDAndBadCreate(t *testing.T) {

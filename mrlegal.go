@@ -189,8 +189,8 @@ func NewSession(l *Legalizer) (*Session, error) { return core.NewSession(l) }
 // Config.Obs to collect metrics and per-cell trace events; a nil observer
 // keeps the engine on its allocation-free fast path.
 type (
-	// Observer bundles a metric registry, a bounded per-cell event ring
-	// and an optional JSONL trace sink.
+	// Observer bundles a metric registry and an optional JSONL trace
+	// sink.
 	Observer = obs.Observer
 	// ObserverOptions tunes NewObserver.
 	ObserverOptions = obs.Options
