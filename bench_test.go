@@ -211,10 +211,10 @@ var longRowGrid = sync.OnceValues(func() (*segment.Grid, error) {
 })
 
 // BenchmarkPlacementChecksum digests every cell of a legalized
-// GenerateSized design, as each session frame does. At 50k cells (the
-// eco_stream design) every field is below 2^16; at 200k cells (the
-// large_200k design) two IDs in three are not, and take the kernel's
-// general path.
+// GenerateSized design from scratch, as a job report, a session open
+// and a checkpoint do; a session frame reads the digest its session
+// keeps instead. The 50k-cell design has the eco_stream shape and the
+// 200k-cell one the large_200k shape.
 func BenchmarkPlacementChecksum(b *testing.B) {
 	b.Run("sized_50k", func(b *testing.B) {
 		d, err := ecoDesign()

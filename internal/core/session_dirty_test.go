@@ -120,8 +120,8 @@ func TestSessionDirtyCellsMatchUndoLog(t *testing.T) {
 		if rep.DirtyCells != want {
 			t.Errorf("batch %d: DirtyCells %d, undo-log reference %d", batch, rep.DirtyCells, want)
 		}
-		if got, ref := l.D.PlacementChecksum(), twinD.PlacementChecksum(); got != ref {
-			t.Fatalf("batch %d: twin diverged from the session (%016x vs %016x)", batch, ref, got)
+		if got, ref := l.D.PlacementChecksum(), twinD.PlacementChecksum(); got != ref || s.PlacementChecksum() != got {
+			t.Fatalf("batch %d: twin diverged from the session (%016x vs %016x, kept %016x)", batch, ref, got, s.PlacementChecksum())
 		}
 	}
 	if committed < 6 || retried < 3 {
@@ -138,7 +138,8 @@ func TestSessionDirtyCellsMatchUndoLog(t *testing.T) {
 // audit-every-placement config. A batch's rounds stay inside its one
 // transaction whatever AuditEvery says, so every failed batch must leave
 // the placement, the roster, the grid and legality as they were, and
-// both configs must end on the same placement.
+// both configs must end on the same placement. After every batch the
+// session's kept digest must equal a from-scratch one.
 func TestSessionFailedBatchLeavesNoTrace(t *testing.T) {
 	variants := []struct {
 		name string
@@ -163,7 +164,11 @@ func TestSessionFailedBatchLeavesNoTrace(t *testing.T) {
 					TX: float64(c.X + pick.rangeInt(4)), TY: float64(c.Y)}
 			}
 			sum0, n0 := l.D.PlacementChecksum(), len(l.D.Cells)
-			if _, err := s.ApplyDelta(context.Background(), deltas); err == nil {
+			_, err := s.ApplyDelta(context.Background(), deltas)
+			if got := s.PlacementChecksum(); got != l.D.PlacementChecksum() {
+				t.Fatalf("%s batch %d: kept digest %016x, from scratch %016x", v.name, batch, got, l.D.PlacementChecksum())
+			}
+			if err == nil {
 				committed++
 				continue
 			} else if !errors.Is(err, ErrNoInsertionPoint) {

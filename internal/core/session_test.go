@@ -126,8 +126,8 @@ func TestSessionBatchIsAtomic(t *testing.T) {
 	if !errors.Is(err, core.ErrCellTooWide) {
 		t.Fatalf("err = %v, want ErrCellTooWide", err)
 	}
-	if got := d.PlacementChecksum(); got != sum0 {
-		t.Fatalf("checksum changed across failed batch: %016x != %016x", got, sum0)
+	if got := d.PlacementChecksum(); got != sum0 || s.PlacementChecksum() != sum0 {
+		t.Fatalf("checksum changed across failed batch: %016x (kept %016x) != %016x", got, s.PlacementChecksum(), sum0)
 	}
 	if len(d.Cells) != cells0 {
 		t.Fatalf("cell roster leaked: %d cells, want %d", len(d.Cells), cells0)
@@ -140,6 +140,9 @@ func TestSessionBatchIsAtomic(t *testing.T) {
 	// The session stays usable after an aborted batch.
 	if _, err := s.ApplyDelta(context.Background(), batch[:3]); err != nil {
 		t.Fatalf("batch after abort: %v", err)
+	}
+	if got, want := s.PlacementChecksum(), d.PlacementChecksum(); got != want {
+		t.Fatalf("kept digest %016x, from scratch %016x", got, want)
 	}
 	assertSessionLegal(t, s)
 }
@@ -442,6 +445,31 @@ func TestSessionFixedPointSeesCorruptGrid(t *testing.T) {
 	}
 }
 
+// TestSessionFixedPointSeesCellChangedBehindLog flips one placed cell's
+// orientation directly in the design, behind the session's undo log. The
+// grid does not record orientation, so it stays consistent, but the
+// session's kept digest no longer matches the design, and the oracle
+// must read false until the flip is undone.
+func TestSessionFixedPointSeesCellChangedBehindLog(t *testing.T) {
+	s, l := legalSession(t, 400, 11, nil)
+	c := l.D.Cell(movableCells(l.D)[7])
+	orient := c.Orient
+	c.Orient = design.FS
+	if orient == design.FS {
+		c.Orient = design.N
+	}
+	if err := l.G.CheckConsistency(); err != nil {
+		t.Fatalf("an orientation flip broke the grid: %v", err)
+	}
+	if fp, err := s.FixedPoint(context.Background()); err != nil || fp {
+		t.Fatalf("a cell flipped behind the log: fixed point %v, error %v; want false", fp, err)
+	}
+	c.Orient = orient
+	if fp, err := s.FixedPoint(context.Background()); err != nil || !fp {
+		t.Fatalf("flip undone: fixed point %v, error %v; want true", fp, err)
+	}
+}
+
 func TestSessionDeleteThenInsertReusesSpace(t *testing.T) {
 	s, l := legalSession(t, 150, 17, nil)
 	ids := movableCells(l.D)
@@ -500,8 +528,8 @@ func TestSessionCanceledContext(t *testing.T) {
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	if l.D.PlacementChecksum() != sum0 {
-		t.Fatal("canceled batch mutated the design")
+	if l.D.PlacementChecksum() != sum0 || s.PlacementChecksum() != sum0 {
+		t.Fatal("canceled batch mutated the design or the kept digest")
 	}
 
 	// Canceled inside the retry ladder: before its first round, and
@@ -517,8 +545,8 @@ func TestSessionCanceledContext(t *testing.T) {
 		if !errors.Is(err, core.ErrCanceled) {
 			t.Fatalf("n=%d: err = %v, want ErrCanceled", n, err)
 		}
-		if l.D.PlacementChecksum() != sum0 {
-			t.Fatalf("n=%d: batch canceled mid-ladder mutated the design", n)
+		if l.D.PlacementChecksum() != sum0 || s.PlacementChecksum() != sum0 {
+			t.Fatalf("n=%d: batch canceled mid-ladder mutated the design or the kept digest", n)
 		}
 	}
 	assertSessionLegal(t, s)

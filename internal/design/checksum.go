@@ -1,63 +1,55 @@
 package design
 
-import "math/bits"
-
-// FNV-1a 64 parameters (hash/fnv is not used so the mix stays inlinable
-// and allocation-free).
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-// fnvPow[k] is fnvPrime64^k mod 2^64.
-var fnvPow = func() (t [9]uint64) {
-	t[0] = 1
-	for k := 1; k < len(t); k++ {
-		t[k] = t[k-1] * fnvPrime64
-	}
-	return t
-}()
-
-// PlacementChecksum returns an FNV-1a 64 digest of the placement state:
-// for every cell, in ID order, the (ID, X, Y, Placed, Orient) tuple — the
-// same fields the determinism tests compare byte for byte. Two designs
-// with identical cell rosters have equal checksums exactly when their
-// placements are identical, so the golden determinism suite pins one
-// uint64 per benchmark instead of a full placement dump.
+// PlacementChecksum returns the placement digest of the design: the sum,
+// mod 2^64, of every cell's ChecksumTerm, dead and unplaced cells
+// included. Two designs with the same roster have equal digests when
+// their cells agree on (ID, X, Y, W, Orient, Placed, Dead); designs that
+// differ collide only by chance, about once in 2^64.
 //
-// The byte stream is four little-endian 8-byte words per cell: ID, X and
-// Y (each sign-extended to 64 bits), then Orient<<1 | Placed. Each byte b
-// updates the state as h = (h ^ b) * fnvPrime64.
+// The sum is additive: changing one set of cells moves it by the new
+// terms minus the old ones, whatever the rest of the design holds. An
+// ECO session therefore keeps it current from its undo log, at the cost
+// of the cells a batch touched (core.Session.PlacementChecksum), and
+// jobs, checkpoints and tests compute it from scratch here. The mix is
+// fixed and unkeyed: the digest guards integrity, not security, and
+// anyone can build two placements with one digest on purpose.
 func (d *Design) PlacementChecksum() uint64 {
-	h := fnvOffset64
+	var sum uint64
 	for i := range d.Cells {
-		c := &d.Cells[i]
-		flags := uint64(c.Orient) << 1
-		if c.Placed {
-			flags |= 1
-		}
-		h = mixWord(h, uint64(c.ID))
-		h = mixWord(h, uint64(c.X))
-		h = mixWord(h, uint64(c.Y))
-		h = mixWord(h, flags)
+		sum += d.Cells[i].ChecksumTerm()
 	}
-	return h
+	return sum
 }
 
-// mixWord feeds the eight little-endian bytes of v to the FNV-1a state h.
-// The step on a zero byte is a bare multiply by the prime p, and
-// multiplication mod 2^64 is associative, so the k zero bytes above v's
-// last significant byte cost one multiply by p^k, which folds into that
-// byte's own multiply: one step by p^(k+1). A word below 2^16 takes two
-// dependent steps instead of eight.
-func mixWord(h, v uint64) uint64 {
-	if v < 1<<16 {
-		return ((h^v&0xff)*fnvPrime64 ^ v>>8) * fnvPow[7]
+// ChecksumTerm returns the cell's term of PlacementChecksum. It feeds
+// five full 64-bit words through the splitmix64 finalizer, chained: ID,
+// X, Y and W (each sign-extended) and Orient<<2 | Dead<<1 | Placed. Each
+// step is a bijection of the running state for a fixed word and of the
+// word for a fixed state, so two states of one cell that differ in a
+// single field never share a term.
+func (c *Cell) ChecksumTerm() uint64 {
+	flags := uint64(c.Orient) << 2
+	if c.Dead {
+		flags |= 2
 	}
-	n := (bits.Len64(v) + 7) >> 3 // significant bytes, 3..8
-	for i := 1; i < n; i++ {
-		h = (h ^ v&0xff) * fnvPrime64
-		v >>= 8
+	if c.Placed {
+		flags |= 1
 	}
-	return (h ^ v) * fnvPow[9-n]
+	h := mix64(termSeed ^ uint64(c.ID))
+	h = mix64(h ^ uint64(c.X))
+	h = mix64(h ^ uint64(c.Y))
+	h = mix64(h ^ uint64(c.W))
+	return mix64(h ^ flags)
+}
+
+// termSeed starts every term away from mix64's fixed point at zero
+// (splitmix64's increment, the 64-bit golden ratio).
+const termSeed uint64 = 0x9e3779b97f4a7c15
+
+// mix64 is splitmix64's finalizer, a bijection on 64-bit words in which
+// every input bit reaches every output bit.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }

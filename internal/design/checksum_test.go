@@ -6,66 +6,36 @@ import (
 	"testing"
 )
 
-// referenceChecksum is the byte-at-a-time definition of PlacementChecksum:
-// 32 dependent xor-multiply steps per cell. PlacementChecksum must return
-// its value on every design.
-//
-// The golden suites cannot stand in for this comparison. They run at
-// scale 800, where every design has fewer than 2^16 cells and small
-// non-negative coordinates, so every field there takes the kernel's fast
-// path; IDs of 2^16 and above and negative or wide coordinates, which take
-// the general path, are reached only here.
-func referenceChecksum(d *Design) uint64 {
-	h := fnvOffset64
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= fnvPrime64
-			v >>= 8
-		}
+// referenceTerm is ChecksumTerm written out plainly: starting from
+// splitmix64's increment, each of the five words is xored into the state,
+// which then runs through the three xor-shift and two multiply steps of
+// splitmix64's finalizer.
+func referenceTerm(c *Cell) uint64 {
+	var flags uint64
+	if c.Placed {
+		flags += 1
 	}
-	for i := range d.Cells {
-		c := &d.Cells[i]
-		mix(uint64(c.ID))
-		mix(uint64(int64(c.X)))
-		mix(uint64(int64(c.Y)))
-		flags := uint64(c.Orient) << 1
-		if c.Placed {
-			flags |= 1
-		}
-		mix(flags)
+	if c.Dead {
+		flags += 2
+	}
+	flags += 4 * uint64(c.Orient)
+	words := []uint64{uint64(int64(c.ID)), uint64(int64(c.X)), uint64(int64(c.Y)), uint64(int64(c.W)), flags}
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, w := range words {
+		z := h ^ w
+		z ^= z >> 30
+		z *= 0xbf58476d1ce4e5b9
+		z ^= z >> 27
+		z *= 0x94d049bb133111eb
+		z ^= z >> 31
+		h = z
 	}
 	return h
 }
 
-// randWord returns a value with exactly class significant bytes (0–8).
-// Each byte below the top one is zero a quarter of the time, so zero
-// bytes inside the significant run are common.
-func randWord(r *rand.Rand, class int) uint64 {
-	if class == 0 {
-		return 0
-	}
-	var v uint64
-	for i := 0; i < class-1; i++ {
-		if r.Intn(4) != 0 {
-			v |= uint64(r.Intn(256)) << (8 * i)
-		}
-	}
-	return v | uint64(1+r.Intn(255))<<(8*(class-1))
-}
-
-// signed negates v half the time; a negative value sign-extends to eight
-// significant bytes.
-func signed(r *rand.Rand, v uint64) int {
-	if r.Intn(2) == 0 {
-		return -int(v)
-	}
-	return int(v)
-}
-
-// randCoord draws a coordinate of a random byte-length class, or now and
-// then one of the extremes.
-func randCoord(r *rand.Rand) int {
+// randInt draws an int from a random bit length, signed half the time,
+// or now and then one of the extremes.
+func randInt(r *rand.Rand) int {
 	switch r.Intn(16) {
 	case 0:
 		return math.MinInt64
@@ -74,81 +44,84 @@ func randCoord(r *rand.Rand) int {
 	case 2:
 		return -1
 	}
-	return signed(r, randWord(r, r.Intn(9)))
+	v := int(r.Uint64() >> r.Intn(64))
+	if r.Intn(2) == 0 {
+		return -v
+	}
+	return v
 }
 
-// TestPlacementChecksumMatchesReference compares the kernel with the
-// byte loop on 20,000 fixed-seed random rosters. Iteration i takes its
-// first cell's ID, X and Y byte-length classes from the base-9 digits of
-// i mod 729, so every class triple occurs, and its first cell's
-// (Placed, Orient) pair from i mod 512, so every pair occurs; later cells
-// draw theirs at random, extremes included. One roster in four (i mod 4
-// = 3) takes consecutive IDs that cross 2^8, 2^16 or 2^24 in place of
-// the drawn ones; as 729 is 1 mod 4, every class triple still occurs in
-// the other three.
+// TestPlacementChecksumMatchesReference compares PlacementChecksum with
+// the sum of referenceTerm on 20,000 fixed-seed random rosters whose
+// fields span every bit length, huge and negative coordinates, widths
+// and IDs included, and every Orient, Placed and Dead value. It also
+// pins mix64 to splitmix64's published first output for seed 0.
 func TestPlacementChecksumMatchesReference(t *testing.T) {
+	if got := mix64(termSeed); got != 0xe220a8397b1dcdaf {
+		t.Fatalf("mix64(termSeed) = %#x, want splitmix64's first output 0xe220a8397b1dcdaf", got)
+	}
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 20000; i++ {
-		n := 1 + r.Intn(12)
-		base := -1
-		if i%4 == 3 {
-			n++ // at least two IDs, one on each side of the boundary
-			base = 1<<(8*(1+r.Intn(3))) - 1 - r.Intn(n-1)
-		}
-		cells := make([]Cell, n)
+		cells := make([]Cell, 1+r.Intn(12))
+		var want uint64
 		for j := range cells {
 			c := &cells[j]
-			if j == 0 {
-				c.ID = CellID(randWord(r, i%9))
-				c.X, c.Y = signed(r, randWord(r, i/9%9)), signed(r, randWord(r, i/81%9))
-				c.Orient, c.Placed = Orient(i%256), i/256%2 == 1
-			} else {
-				c.ID = CellID(randWord(r, r.Intn(9)))
-				c.X, c.Y = randCoord(r), randCoord(r)
-				c.Orient, c.Placed = Orient(r.Intn(256)), r.Intn(2) == 0
+			c.ID = CellID(randInt(r))
+			c.X, c.Y, c.W = randInt(r), randInt(r), randInt(r)
+			c.Orient = Orient(r.Intn(256))
+			c.Placed, c.Dead = r.Intn(2) == 0, r.Intn(4) == 0
+			if got, ref := c.ChecksumTerm(), referenceTerm(c); got != ref {
+				t.Fatalf("iteration %d cell %d: term %#x, reference %#x on %+v", i, j, got, ref, *c)
 			}
-			if base >= 0 {
-				c.ID = CellID(base + j)
-			}
-			c.Dead = r.Intn(8) == 0
+			want += referenceTerm(c)
 		}
 		d := &Design{Cells: cells}
-		if got, want := d.PlacementChecksum(), referenceChecksum(d); got != want {
+		if got := d.PlacementChecksum(); got != want {
 			t.Fatalf("iteration %d: checksum %#x, reference %#x on %+v", i, got, want, cells)
 		}
 	}
 }
 
-// TestPlacementChecksumABI pins the digests of three hand-built designs,
-// so the definition itself (offset, prime, field order, widths) cannot
-// drift along with the reference.
+// TestPlacementChecksumABI pins the digests of hand-built designs, so the
+// definition itself (seed, mix, field order, widths, flag bits) cannot
+// drift along with the reference. The resized and deleted designs are
+// the base design after a one-site shrink of cell 1 and after deleting
+// cell 0; all four digests must differ.
 func TestPlacementChecksumABI(t *testing.T) {
+	base := func() []Cell {
+		return []Cell{
+			{ID: 0, X: 5, Y: 1, W: 3, Placed: true, Orient: FS},
+			{ID: 1, X: 300, Y: 2, W: 4, Placed: true},
+			{ID: 2, W: 2},
+		}
+	}
+	resized, deleted := base(), base()
+	resized[1].W--
+	deleted[0] = Cell{ID: 0, W: 3, Dead: true, Orient: FS}
 	cases := []struct {
 		name  string
 		cells []Cell
 		want  uint64
 	}{
-		{"ordinary", []Cell{
-			{ID: 0, X: 5, Y: 1, Placed: true, Orient: FS},
-			{ID: 1, X: 300, Y: 2, Placed: true},
-			{ID: 2, Dead: true},
-		}, 0xad5c2938e97b31d5},
-		{"negative x", []Cell{
-			{ID: 0, X: -7, Y: 3, Placed: true},
-			{ID: 1, X: 12, Y: 0, Orient: FS},
-		}, 0xd24844a8e96a8176},
-		{"id above 2^16", []Cell{
-			{ID: 70000, X: 12, Y: 0, Placed: true, Orient: FS},
-		}, 0x05f6894b085c7e4c},
+		{"base", base(), 0x7e1afa709f5b197b},
+		{"resized", resized, 0xc7dbc6ce5111205b},
+		{"deleted", deleted, 0x90eecc0cf49a2af3},
+		{"negative x, id above 2^16", []Cell{
+			{ID: 70000, X: -7, Y: 3, W: 2, Placed: true},
+			{ID: 70001, X: 12, Y: 0, W: 5, Orient: FS},
+		}, 0x19d945342ed59b45},
 	}
+	seen := map[uint64]string{}
 	for _, tc := range cases {
 		d := &Design{Cells: tc.cells}
-		if got := d.PlacementChecksum(); got != tc.want {
+		got := d.PlacementChecksum()
+		if got != tc.want {
 			t.Errorf("%s: checksum %#016x, want %#016x", tc.name, got, tc.want)
 		}
-		if ref := referenceChecksum(d); ref != tc.want {
-			t.Errorf("%s: reference %#016x, want %#016x", tc.name, ref, tc.want)
+		if prev, ok := seen[got]; ok {
+			t.Errorf("%s and %s share the digest %#016x", prev, tc.name, got)
 		}
+		seen[got] = tc.name
 	}
 }
 

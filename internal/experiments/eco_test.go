@@ -44,7 +44,8 @@ func ecoDeltas(d *design.Design, n int, seed int64) []core.Delta {
 // §9): on a Table-1 subset, an ECO session built over a legalized design
 // must stay legal after a mixed delta batch. It also calls the
 // fixed-point oracle, which holds by construction (a full pass places
-// only unplaced cells, and a session leaves none); TestGoldenSessions
+// only unplaced cells, and a session leaves none), and requires the
+// session's kept digest to equal a from-scratch one; TestGoldenSessions
 // pins which legal placement each batch of a session stream produces.
 func TestEcoEquivalence(t *testing.T) {
 	specs := bengen.Table1Specs(800)
@@ -74,6 +75,9 @@ func TestEcoEquivalence(t *testing.T) {
 		if _, err := ses.ApplyDelta(context.Background(), deltas); err != nil {
 			t.Fatalf("%s: apply: %v", name, err)
 		}
+		if got, want := ses.PlacementChecksum(), d.PlacementChecksum(); got != want {
+			t.Fatalf("%s: kept digest %016x, from scratch %016x", name, got, want)
+		}
 		if v := ses.Verify(4); len(v) != 0 {
 			t.Fatalf("%s: %d violations after batch: %v", name, len(v), v[0])
 		}
@@ -84,5 +88,58 @@ func TestEcoEquivalence(t *testing.T) {
 		if !fp {
 			t.Fatalf("%s: fixed-point oracle failed", name)
 		}
+	}
+}
+
+// TestSessionResizeMovesDigest shrinks one cell of fft_a at scale 800 by
+// one site in a batch of its own. The cell keeps its slot and pushes
+// nothing, so the FNV hash of the goldens, which reads neither widths nor
+// tombstones, stays put; the placement digest covers W and must move, and
+// the session's kept digest must follow it.
+func TestSessionResizeMovesDigest(t *testing.T) {
+	var spec bengen.Spec
+	for _, s := range bengen.Table1Specs(goldenScale) {
+		if s.Name == "fft_a" {
+			spec = s
+		}
+	}
+	d := Prepare(spec, 0).Bench.D.Clone()
+	l, err := core.NewLegalizer(d, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Legalize(); err != nil {
+		t.Fatal(err)
+	}
+	ses, err := core.NewSession(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := design.CellID(-1)
+	for i := range d.Cells {
+		if c := &d.Cells[i]; !c.Fixed && c.W > 1 {
+			id = c.ID
+			break
+		}
+	}
+	if id < 0 {
+		t.Fatal("fft_a has no movable cell wider than one site")
+	}
+	c := d.Cell(id)
+	x, y, hash, sum := c.X, c.Y, fnvPlacement(d), ses.PlacementChecksum()
+	rep, err := ses.ApplyDelta(context.Background(), []core.Delta{{Op: core.DeltaResize, Cell: id, NewW: c.W - 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rep.Results[0]; r.X != x || r.Y != y || rep.DirtyCells != 1 {
+		t.Fatalf("the shrink moved its cell to (%d,%d) from (%d,%d) or pushed others (%d dirty cells)",
+			r.X, r.Y, x, y, rep.DirtyCells)
+	}
+	if got := fnvPlacement(d); got != hash {
+		t.Fatalf("FNV hash moved %016x -> %016x on a shrink in place", hash, got)
+	}
+	if got := ses.PlacementChecksum(); got == sum || got != d.PlacementChecksum() {
+		t.Fatalf("digest %016x -> kept %016x, from scratch %016x; want a move, kept equal to from scratch",
+			sum, got, d.PlacementChecksum())
 	}
 }

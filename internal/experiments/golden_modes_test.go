@@ -63,7 +63,7 @@ func TestGoldenModes(t *testing.T) {
 			if err := l.Legalize(); err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
-			sums[key] = d.PlacementChecksum()
+			sums[key] = fnvPlacement(d)
 		}
 	}
 	if *updateGolden {
@@ -182,8 +182,9 @@ func sessionBatch(d *design.Design, b int, deleted []design.CellID) []core.Delta
 // session on it and applies a fixed stream of delta batches: moves,
 // resizes, inserts with deletes, and batches that must fail. It pins
 // each batch's outcome (ok or the sentinel its error wraps) and the
-// placement checksum after it, and requires a failed batch to leave the
-// checksum where the batch before left it.
+// placement hash after it, and requires a failed batch to leave the hash
+// and the session's kept digest where the batch before left them. After
+// every batch the kept digest must equal a from-scratch one.
 func TestGoldenSessions(t *testing.T) {
 	var lines []string
 	for _, spec := range bengen.Table1Specs(goldenScale) {
@@ -201,14 +202,17 @@ func TestGoldenSessions(t *testing.T) {
 			t.Fatalf("%s: session: %v", spec.Name, err)
 		}
 		var deleted []design.CellID
-		before := d.PlacementChecksum()
+		before, kept := fnvPlacement(d), ses.PlacementChecksum()
 		for b := 0; b < sessionBatches; b++ {
 			deltas := sessionBatch(d, b, deleted)
 			_, err := ses.ApplyDelta(context.Background(), deltas)
-			sum := d.PlacementChecksum()
-			if err != nil && sum != before {
-				t.Errorf("%s batch %d: failed (%v) but moved the checksum %016x -> %016x",
-					spec.Name, b, err, before, sum)
+			sum := fnvPlacement(d)
+			if err != nil && (sum != before || ses.PlacementChecksum() != kept) {
+				t.Errorf("%s batch %d: failed (%v) but moved the hash %016x -> %016x or the digest %016x -> %016x",
+					spec.Name, b, err, before, sum, kept, ses.PlacementChecksum())
+			}
+			if kept = ses.PlacementChecksum(); kept != d.PlacementChecksum() {
+				t.Errorf("%s batch %d: kept digest %016x, from scratch %016x", spec.Name, b, kept, d.PlacementChecksum())
 			}
 			if err == nil {
 				for _, dl := range deltas {

@@ -3,8 +3,10 @@ package experiments
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,8 +22,8 @@ import (
 	"mrlegal/internal/verify"
 )
 
-// The golden determinism suite pins one placement checksum per Table-1
-// benchmark and recomputes it under every configuration the engine
+// The golden determinism suite pins one placement hash (fnvPlacement)
+// per Table-1 benchmark and recomputes it under every configuration the engine
 // claims is result-identical: best-first and exhaustive search, mid-run
 // audits every 50 placements, and an empty constraint set. Any
 // divergence — between configurations, between machines, or against the
@@ -77,6 +79,30 @@ func goldenConfigs() []struct {
 		add("empty-constraints", cfg)
 	}
 	return out
+}
+
+// fnvPlacement is the placement hash the golden files pin: FNV-1a 64
+// over four little-endian 8-byte words per cell, in ID order — ID, X and
+// Y (each sign-extended) and Orient<<1 | Placed. It reads neither W nor
+// Dead. It is the library's placement checksum from before that became
+// an additive digest (design.PlacementChecksum), kept here so the
+// pinned files keep their values.
+func fnvPlacement(d *design.Design) uint64 {
+	h := fnv.New64a()
+	var word [32]byte
+	for i := range d.Cells {
+		c := &d.Cells[i]
+		flags := uint64(c.Orient) << 1
+		if c.Placed {
+			flags |= 1
+		}
+		binary.LittleEndian.PutUint64(word[0:], uint64(c.ID))
+		binary.LittleEndian.PutUint64(word[8:], uint64(c.X))
+		binary.LittleEndian.PutUint64(word[16:], uint64(c.Y))
+		binary.LittleEndian.PutUint64(word[24:], flags)
+		h.Write(word[:])
+	}
+	return h.Sum64()
 }
 
 func readGolden(t *testing.T, goldenFile string) map[string]uint64 {
@@ -152,7 +178,7 @@ func TestGoldenPlacements(t *testing.T) {
 			if err := l.Legalize(); err != nil {
 				t.Fatalf("%s %s: %v", spec.Name, gc.tag, err)
 			}
-			sum := d.PlacementChecksum()
+			sum := fnvPlacement(d)
 			if i == 0 {
 				ref = sum
 			} else if sum != ref {
@@ -276,7 +302,7 @@ func TestGoldenConstraintPlacements(t *testing.T) {
 			}, 0) {
 				t.Errorf("%s: %s", key, v)
 			}
-			sums[key] = d.PlacementChecksum()
+			sums[key] = fnvPlacement(d)
 		}
 	}
 

@@ -26,6 +26,7 @@ import (
 
 	"mrlegal/internal/abacus"
 	"mrlegal/internal/design"
+	"mrlegal/internal/geom"
 	"mrlegal/internal/netlist"
 )
 
@@ -109,6 +110,7 @@ func Place(d *design.Design, nl *netlist.Netlist, cfg Config) Stats {
 	ax, ay := newAxes(d, nl, idx, n)
 
 	st := Stats{MovableCells: n}
+	sp := newSpreader(d, movable)
 	for iter := 1; iter <= maxIters; iter++ {
 		st.Iters = iter
 		aw := baseAnchorW * float64(iter)
@@ -122,11 +124,14 @@ func Place(d *design.Design, nl *netlist.Netlist, cfg Config) Stats {
 		wg.Wait()
 		clampCenters(d, movable, x, y)
 
-		peak := spread(d, movable, x, y, anchorX, anchorY)
-		st.PeakUtil = peak
-		if peak <= targetUtil && iter >= 4 {
+		// The congestion this iteration leaves decides whether another
+		// runs; the last one stops before spreading, because no solve
+		// would read the anchors it writes.
+		st.PeakUtil = sp.peakUtil(x, y)
+		if iter == maxIters || st.PeakUtil <= targetUtil && iter >= 4 {
 			break
 		}
+		sp.spread(x, y, anchorX, anchorY)
 	}
 	clampCenters(d, movable, x, y)
 	if !cfg.SkipRough {
@@ -421,73 +426,94 @@ type spreadItem struct {
 	area float64
 }
 
-// spread computes look-ahead spread targets: it copies the current
-// positions and alternately equalizes cell area in x (within horizontal
-// bin bands) and in y (within vertical bin bands) until the peak bin
-// utilization drops below the target or a pass budget runs out, then
-// writes the damped result into anchorX/anchorY. It returns the peak bin
-// utilization of the *input* positions (the congestion the next outer
-// iteration is asked to resolve).
-func spread(d *design.Design, movable []design.CellID, x, y []float64, anchorX, anchorY []float64) float64 {
-	bb := d.Bounds()
-	nby := max(1, (bb.H+binH-1)/binH)
+// spreader holds what spreading needs across outer iterations: the die's
+// bin geometry and each movable cell's area, computed once per Place,
+// and the buffers every iteration reuses.
+type spreader struct {
+	bb       geom.Rect
+	cnx, cny int // congestion windows per row and column
+	area     []float64
+	util     []float64 // cell area per congestion window
+	px, py   []float64 // the equalized positions
+	all      []spreadItem
+	bands    [][]spreadItem // one per horizontal bin band
+}
 
-	area := make([]float64, len(movable))
+// Congestion is judged on windows 4×4 bins large, congW sites by congH
+// rows: single-bin peaks are dominated by cell-size granularity noise,
+// while the legalizer cares about window-scale density.
+const congW, congH = 4 * binW, 4 * binH
+
+// newSpreader sizes a spreader for the movable cells of d.
+func newSpreader(d *design.Design, movable []design.CellID) *spreader {
+	bb := d.Bounds()
+	n := len(movable)
+	sp := &spreader{
+		bb:    bb,
+		cnx:   max(1, (bb.W+congW-1)/congW),
+		cny:   max(1, (bb.H+congH-1)/congH),
+		area:  make([]float64, n),
+		px:    make([]float64, n),
+		py:    make([]float64, n),
+		all:   make([]spreadItem, n),
+		bands: make([][]spreadItem, max(1, (bb.H+binH-1)/binH)),
+	}
+	sp.util = make([]float64, sp.cnx*sp.cny)
 	for vi, id := range movable {
 		c := d.Cell(id)
-		area[vi] = float64(c.W * c.H)
+		sp.area[vi] = float64(c.W * c.H)
 	}
-	binY := func(py float64) int {
-		return min(nby-1, max(0, int((py-float64(bb.Y))/float64(binH))))
-	}
-	// Congestion is judged on windows 4×4 bins large: single-bin peaks
-	// are dominated by cell-size granularity noise, while the legalizer
-	// cares about window-scale density.
-	cbw, cbh := 4*binW, 4*binH
-	cnx := max(1, (bb.W+cbw-1)/cbw)
-	cny := max(1, (bb.H+cbh-1)/cbh)
-	peakUtil := func(px, py []float64) float64 {
-		util := make([]float64, cnx*cny)
-		for vi := range movable {
-			bx := min(cnx-1, max(0, int((px[vi]-float64(bb.X))/float64(cbw))))
-			by := min(cny-1, max(0, int((py[vi]-float64(bb.Y))/float64(cbh))))
-			util[by*cnx+bx] += area[vi]
-		}
-		peak := 0.0
-		for _, u := range util {
-			if r := u / float64(cbw*cbh); r > peak {
-				peak = r
-			}
-		}
-		return peak
-	}
-	inPeak := peakUtil(x, y)
+	return sp
+}
 
-	// Deterministic two-step remap to a uniform density field: first
-	// equalize cumulative cell area globally in y, then equalize x within
-	// each resulting bin band. The damped blend below keeps the move
-	// gentle so the next quadratic solve can trade it off against
-	// wirelength.
-	px := append([]float64(nil), x...)
-	py := append([]float64(nil), y...)
-	all := make([]spreadItem, len(movable))
-	for vi := range movable {
-		all[vi] = spreadItem{vi, py[vi], area[vi]}
+// peakUtil returns the peak congestion-window utilization of the cell
+// centers (x, y).
+func (sp *spreader) peakUtil(x, y []float64) float64 {
+	bb := sp.bb
+	clear(sp.util)
+	for vi := range x {
+		bx := min(sp.cnx-1, max(0, int((x[vi]-float64(bb.X))/congW)))
+		by := min(sp.cny-1, max(0, int((y[vi]-float64(bb.Y))/congH)))
+		sp.util[by*sp.cnx+bx] += sp.area[vi]
 	}
-	equalize(all, float64(bb.Y), float64(bb.Y2()), py, py, 1.0)
-	bands := make([][]spreadItem, nby)
-	for vi := range movable {
-		b := binY(py[vi])
-		bands[b] = append(bands[b], spreadItem{vi, px[vi], area[vi]})
+	peak := 0.0
+	for _, u := range sp.util {
+		if r := u / (congW * congH); r > peak {
+			peak = r
+		}
 	}
-	for _, band := range bands {
+	return peak
+}
+
+// spread writes look-ahead spread targets for the cell centers (x, y)
+// into anchorX/anchorY by a deterministic two-step remap to a uniform
+// density field: first equalize cumulative cell area globally in y, then
+// equalize x within each resulting bin band. The damped blend keeps the
+// move gentle so the next quadratic solve can trade it off against
+// wirelength.
+func (sp *spreader) spread(x, y, anchorX, anchorY []float64) {
+	bb := sp.bb
+	px, py := sp.px, sp.py
+	copy(px, x)
+	copy(py, y)
+	for vi := range sp.all {
+		sp.all[vi] = spreadItem{vi, py[vi], sp.area[vi]}
+	}
+	equalize(sp.all, float64(bb.Y), float64(bb.Y2()), py, py, 1.0)
+	for b := range sp.bands {
+		sp.bands[b] = sp.bands[b][:0]
+	}
+	for vi := range px {
+		b := min(len(sp.bands)-1, max(0, int((py[vi]-float64(bb.Y))/binH)))
+		sp.bands[b] = append(sp.bands[b], spreadItem{vi, px[vi], sp.area[vi]})
+	}
+	for _, band := range sp.bands {
 		equalize(band, float64(bb.X), float64(bb.X2()), px, px, 1.0)
 	}
-	for vi := range movable {
+	for vi := range px {
 		anchorX[vi] = x[vi] + spreadDamping*(px[vi]-x[vi])
 		anchorY[vi] = y[vi] + spreadDamping*(py[vi]-y[vi])
 	}
-	return inPeak
 }
 
 // equalize redistributes the items of one band uniformly along [lo, hi] by

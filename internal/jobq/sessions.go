@@ -9,9 +9,10 @@ package jobq
 // time per session, extra callers queue on the session mutex so TCP flow
 // control is the only backpressure a client sees), and drain-aware
 // shutdown (CloseAll waits for every in-flight batch to finish before
-// tearing a session down).
+// tearing a session down, and for opens still building up to a deadline).
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -92,6 +93,7 @@ type SessionRegistry struct {
 	mu        sync.Mutex
 	sessions  map[string]*Session
 	opening   int            // slots held by opens whose build is running
+	building  sync.WaitGroup // the same opens, for CloseAll to wait on
 	perTenant map[string]int // slots held per tenant: open plus opening
 	seq       uint64
 	shutdown  bool
@@ -149,6 +151,7 @@ func (r *SessionRegistry) Open(tenant string, build func() (any, error)) (*Sessi
 		if s == nil {
 			r.release(tenant)
 		}
+		r.building.Done()
 	}()
 	payload, err := build()
 	if err != nil {
@@ -183,6 +186,7 @@ func (r *SessionRegistry) reserve(tenant string) error {
 		return fmt.Errorf("%w: tenant %q has %d sessions", ErrSessionLimit, tenant, r.perTenant[tenant])
 	}
 	r.opening++
+	r.building.Add(1)
 	r.perTenant[tenant]++
 	return nil
 }
@@ -275,11 +279,17 @@ func (s *Session) teardown() {
 
 // CloseAll stops admission and closes every session, waiting for each
 // in-flight delta batch to finish (batches are bounded work — one frame —
-// so the wait is short by construction). New opens fail with
-// ErrShuttingDown from the moment CloseAll is entered.
-func (r *SessionRegistry) CloseAll() {
+// so the wait is short by construction). It then waits until every open
+// whose build is still running has returned, as Queue.Shutdown waits for
+// running jobs, or until ctx is done, when it returns ctx's error; the
+// goroutine that waits for the builds exits once the last one returns.
+// New opens fail with ErrShuttingDown from the moment CloseAll is
+// entered, and a payload built after that is released through onClose.
+// A later call waits for the builds again.
+func (r *SessionRegistry) CloseAll(ctx context.Context) error {
 	r.mu.Lock()
 	r.shutdown = true
+	building := r.opening > 0
 	all := make([]*Session, 0, len(r.sessions))
 	for _, s := range r.sessions {
 		all = append(all, s)
@@ -290,6 +300,20 @@ func (r *SessionRegistry) CloseAll() {
 	r.mu.Unlock()
 	for _, s := range all {
 		s.teardown()
+	}
+	if !building {
+		return nil
+	}
+	done := make(chan struct{})
+	go func() {
+		r.building.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 

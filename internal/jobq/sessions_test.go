@@ -1,6 +1,7 @@
 package jobq
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -136,7 +137,12 @@ func TestSessionCloseAllDrains(t *testing.T) {
 	}()
 	<-started
 	closeDone := make(chan struct{})
-	go func() { r.CloseAll(); close(closeDone) }()
+	go func() {
+		if err := r.CloseAll(context.Background()); err != nil {
+			t.Errorf("CloseAll with no open building: %v", err)
+		}
+		close(closeDone)
+	}()
 
 	// CloseAll unregisters every session before waiting out the drain;
 	// once the index is empty, admission must already be stopped.
@@ -164,8 +170,9 @@ func TestSessionCloseAllDrains(t *testing.T) {
 
 // TestSessionOpenBuild checks the slot an open takes before its build:
 // a failing or panicking build frees it, a build still running holds it
-// against both caps without running the other opens' builds, and a
-// payload built after CloseAll began is released through onClose.
+// against both caps without running the other opens' builds, CloseAll
+// waits for that build until its context is done, and a payload built
+// after CloseAll began is released through onClose.
 func TestSessionOpenBuild(t *testing.T) {
 	var released []any
 	r := NewSessionRegistry(SessionConfig{MaxSessions: 1, PerTenant: 1}, func(p any) { released = append(released, p) })
@@ -207,10 +214,17 @@ func TestSessionOpenBuild(t *testing.T) {
 		}
 	}
 
-	r.CloseAll()
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := r.CloseAll(expired); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CloseAll beside a running build, context done: err = %v, want its error", err)
+	}
 	close(finish)
 	if err := <-opened; !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("build finished after CloseAll: err = %v, want ErrShuttingDown", err)
+	}
+	if err := r.CloseAll(context.Background()); err != nil {
+		t.Fatalf("CloseAll after the build returned: %v", err)
 	}
 	if len(released) != 1 || released[0] != "late" {
 		t.Fatalf("onClose got %v, want the late payload", released)

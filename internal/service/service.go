@@ -112,6 +112,12 @@ type Server struct {
 
 	ready    atomic.Bool
 	httpReqs func(route string, status int)
+
+	// Each session open's legalization context also derives from
+	// opensCtx, which Close cancels once the drain deadline has passed or
+	// no open is left.
+	opensCtx  context.Context
+	stopOpens context.CancelFunc
 }
 
 // New validates cfg, the base legalizer config included, and builds the
@@ -138,6 +144,7 @@ func New(cfg Config) (*Server, error) {
 	cfg.Limits.defaults()
 
 	s := &Server{cfg: cfg, obs: cfg.Obs, log: cfg.Log}
+	s.opensCtx, s.stopOpens = context.WithCancel(context.Background())
 	s.base = core.DefaultConfig()
 	if cfg.BaseCfg != nil {
 		s.base = *cfg.BaseCfg
@@ -222,9 +229,12 @@ func (s *Server) Addr() string {
 
 // Close shuts the server down gracefully: admission stops first (readyz
 // answers 503, submits answer 503 + Retry-After), then queued and
-// running jobs drain — hard-canceled if Config.DrainTimeout expires —
-// then the HTTP listener stops and trace sinks flush. Close returns nil
-// when the drain completed in time.
+// running jobs and session opens still legalizing drain — hard-canceled
+// if Config.DrainTimeout expires — then the HTTP listener stops and
+// trace sinks flush. Close returns nil when every job drained in time.
+// A canceled session open answers 503 shutting_down and does not fail
+// Close: unlike a job, it was never acknowledged, so no client loses
+// work the server accepted.
 func (s *Server) Close() error {
 	s.ready.Store(false)
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
@@ -237,8 +247,15 @@ func (s *Server) Close() error {
 
 	// Sessions drain after the queue: admission is already closed (ready
 	// is false), and CloseAll waits out any delta batch still applying
-	// before tearing each session down.
-	s.sessions.CloseAll()
+	// before tearing each session down. Opens still legalizing get what
+	// is left of the drain deadline; those left then are canceled, and a
+	// second CloseAll waits for them to unwind.
+	openErr := s.sessions.CloseAll(ctx)
+	s.stopOpens()
+	if openErr != nil {
+		s.log.Printf("mrserve: drain deadline expired; session opens canceled")
+		_ = s.sessions.CloseAll(context.Background())
+	}
 
 	// The job queue is settled; give in-flight HTTP exchanges (status
 	// polls, result fetches) a short grace period of their own.

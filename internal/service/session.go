@@ -65,12 +65,18 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// The registry takes the session's slot before the initial full
 	// legalization runs, inline under the job deadline: create is
 	// synchronous — the client needs the session id and the baseline
-	// checksum before streaming deltas.
+	// checksum before streaming deltas. Close cancels the legalization
+	// once its drain deadline has passed, and the open answers 503.
 	var rep *core.Report
+	var sum uint64
 	reg, err := s.sessions.Open(tenant, func() (any, error) {
 		ctx, cancel := context.WithTimeout(r.Context(), p.deadline)
 		defer cancel()
+		defer context.AfterFunc(s.opensCtx, cancel)()
 		l, lrep, err := legalize(ctx, p)
+		if s.opensCtx.Err() != nil {
+			return nil, errDraining
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -81,6 +87,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			// not legalizable): no legal baseline, no session.
 			return nil, fmt.Errorf("design is not legal after initial legalization (%d failures): %w", len(lrep.Failed), err)
 		}
+		sum = ses.PlacementChecksum()
 		return ses, nil
 	})
 	if err != nil {
@@ -92,7 +99,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		ID:     reg.ID(),
 		Tenant: tenant,
 		Cells:  len(p.d.Cells),
-		Report: EncodeReport(rep, p.d.PlacementChecksum()),
+		Report: EncodeReport(rep, sum),
 	})
 }
 
@@ -160,7 +167,7 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 			if aerr != nil {
 				return aerr
 			}
-			frame = encodeDeltaFrame(rep, ses.Design().PlacementChecksum())
+			frame = encodeDeltaFrame(rep, ses.PlacementChecksum())
 			return nil
 		})
 		if doErr != nil {

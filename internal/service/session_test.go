@@ -6,15 +6,19 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"mrlegal/internal/bengen"
 	"mrlegal/internal/core"
 	"mrlegal/internal/design"
 	"mrlegal/internal/geom"
+	"mrlegal/internal/iodesign"
 	"mrlegal/internal/jobq"
 	"mrlegal/internal/obs"
 	"mrlegal/internal/segment"
@@ -471,5 +475,67 @@ func TestSessionDrainOnShutdown(t *testing.T) {
 	}
 	if e := apiError(t, resp); resp.StatusCode != http.StatusServiceUnavailable || e.Code != CodeShuttingDown {
 		t.Fatalf("create during shutdown: %d %+v", resp.StatusCode, e)
+	}
+}
+
+// TestCloseCancelsSessionOpens closes a started server while a session
+// open is still legalizing: a dense 10,000-cell design with die-sized
+// windows and exact evaluation, which runs for many seconds. Close must
+// give the open the drain deadline, then cancel it and wait for it to
+// unwind, and return nil within about a second more; by then the open
+// must have answered 503 shutting_down.
+func TestCloseCancelsSessionOpens(t *testing.T) {
+	const drain = 500 * time.Millisecond
+	s, err := New(Config{
+		Limits:       Limits{MaxDeadline: time.Minute},
+		DrainTimeout: drain,
+		Log:          log.New(io.Discard, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	b := bengen.Generate(bengen.Spec{Name: "slow", NumCells: 10000, Density: 0.85, Seed: 3})
+	var text bytes.Buffer
+	if err := iodesign.Write(&text, b.D, b.NL); err != nil {
+		t.Fatal(err)
+	}
+	body := withConfig(t, text.String(), `"rx":100000,"ry":10000,"exact_eval":true`)
+	opened := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Post("http://"+s.Addr()+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+		}
+		opened <- resp
+	}()
+	for wait := time.Now().Add(10 * time.Second); s.Sessions().ActiveFor("default") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(wait) {
+			t.Fatal("the open never took its slot")
+		}
+	}
+
+	start := time.Now()
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if took := time.Since(start); took > drain+time.Second {
+		t.Errorf("Close took %v with a %v drain deadline", took, drain)
+	}
+	if n := httpRequests(s, "session_create")["503"]; n != 1 {
+		t.Errorf("the open had answered 503 %d times when Close returned, want once", n)
+	}
+	select {
+	case resp := <-opened:
+		if resp == nil {
+			return
+		}
+		if e := apiError(t, resp); resp.StatusCode != http.StatusServiceUnavailable || e.Code != CodeShuttingDown {
+			t.Fatalf("open during shutdown: %d %+v", resp.StatusCode, e)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the open had no answer 5 s after Close returned")
 	}
 }

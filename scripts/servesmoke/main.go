@@ -2,8 +2,12 @@
 // builds and starts the real binary, submits a generated-and-globally-
 // placed benchmark over HTTP, polls the job to completion, and checks
 // the served placement checksum is byte-identical to running the
-// library directly on the same input. It finishes by sending SIGTERM
-// and requiring a clean (exit 0) graceful shutdown.
+// library directly on the same input. It then opens an ECO session on
+// the same input and streams a few delta frames, one of them a
+// resize-only shrink, checking every frame's checksum against an
+// in-process core.Session fed the same deltas and the last one against
+// a checkpoint. It finishes by sending SIGTERM and requiring a clean
+// (exit 0) graceful shutdown.
 //
 // Run from the repository root:
 //
@@ -13,8 +17,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -25,8 +31,10 @@ import (
 
 	"mrlegal/internal/bengen"
 	"mrlegal/internal/core"
+	"mrlegal/internal/design"
 	"mrlegal/internal/experiments"
 	"mrlegal/internal/iodesign"
+	"mrlegal/internal/service"
 )
 
 func main() {
@@ -182,6 +190,10 @@ func run() error {
 		return fmt.Errorf("served placement checksum %s, want %s", got, want)
 	}
 
+	if err := sessionLeg(base, text, l); err != nil {
+		return fmt.Errorf("session: %w", err)
+	}
+
 	// Graceful shutdown: SIGTERM must drain and exit 0.
 	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
 		return err
@@ -197,6 +209,131 @@ func run() error {
 		return fmt.Errorf("mrserve did not exit within 45s of SIGTERM")
 	}
 	fmt.Println("servesmoke: graceful shutdown OK")
+	return nil
+}
+
+// sessionLeg opens a session on text, streams four delta frames in one
+// request (moves, a resize-only shrink, inserts with a delete, moves)
+// and takes a checkpoint. A twin session over l, the direct run's
+// legalizer of the same input, is fed the same decoded deltas; its
+// design, digested from scratch, must match the open's checksum and
+// every frame's. The shrink must change the checksum, and the checkpoint
+// must report a legal fixed point at the last frame's checksum.
+func sessionLeg(base, text string, l *core.Legalizer) error {
+	twin, err := core.NewSession(l)
+	if err != nil {
+		return err
+	}
+	d := l.D
+	sum := func() string { return fmt.Sprintf("%016x", d.PlacementChecksum()) }
+
+	body, err := json.Marshal(map[string]any{"design_text": text})
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post(base+"/v1/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	var opened service.SessionJSON
+	err = json.NewDecoder(resp.Body).Decode(&opened)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated || opened.Report == nil {
+		return fmt.Errorf("open: status %d, decode %v", resp.StatusCode, err)
+	}
+	if got := opened.Report.PlacementChecksum; got != sum() {
+		return fmt.Errorf("open checksum %s, twin %s", got, sum())
+	}
+
+	// Four batches over distinct live movable cells, chosen up front.
+	var ids []int
+	for i := range d.Cells {
+		if c := &d.Cells[i]; !c.Fixed && c.W > 1 {
+			ids = append(ids, i)
+		}
+	}
+	if len(ids) < 12 {
+		return fmt.Errorf("only %d movable cells wider than a site", len(ids))
+	}
+	cell := func(i int) *design.Cell { return &d.Cells[ids[i]] }
+	move := func(i, dx int) service.DeltaJSON {
+		x, y := float64(cell(i).X+dx), float64(cell(i).Y)
+		return service.DeltaJSON{Op: "move", Cell: &ids[i], X: &x, Y: &y}
+	}
+	w := cell(5).W - 1
+	master := cell(6).Master
+	ix, iy := float64(cell(6).X+2), float64(cell(6).Y)
+	batches := [][]service.DeltaJSON{
+		{move(0, 3), move(1, -4), move(2, 5), move(3, -2), move(4, 6)},
+		{{Op: "resize", Cell: &ids[5], W: &w}},
+		{{Op: "insert", Master: &master, X: &ix, Y: &iy}, {Op: "insert", Master: &master, X: &ix, Y: &iy}, {Op: "delete", Cell: &ids[7]}},
+		{move(8, 4), move(9, -3), move(10, 2)},
+	}
+	var stream bytes.Buffer
+	var payloads [][]byte
+	for _, b := range batches {
+		payload, err := json.Marshal(service.DeltaBatchJSON{Deltas: b})
+		if err != nil {
+			return err
+		}
+		binary.Write(&stream, binary.BigEndian, uint32(len(payload)))
+		stream.Write(payload)
+		payloads = append(payloads, payload)
+	}
+
+	resp, err = http.Post(base+"/v1/sessions/"+opened.ID+"/deltas", "application/vnd.mrlegal.frames", &stream)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("deltas: status %d", resp.StatusCode)
+	}
+	prev := opened.Report.PlacementChecksum
+	for f, payload := range payloads {
+		var n uint32
+		if err := binary.Read(resp.Body, binary.BigEndian, &n); err != nil {
+			return fmt.Errorf("frame %d: header: %w", f, err)
+		}
+		b := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, b); err != nil {
+			return fmt.Errorf("frame %d: body: %w", f, err)
+		}
+		var fr service.DeltaFrameJSON
+		if err := json.Unmarshal(b, &fr); err != nil || fr.Error != nil {
+			return fmt.Errorf("frame %d: %s (decode error %v)", f, b, err)
+		}
+		deltas, err := service.DecodeDeltaBatch(payload, service.Limits{})
+		if err != nil {
+			return err
+		}
+		if _, err := twin.ApplyDelta(context.Background(), deltas); err != nil {
+			return fmt.Errorf("frame %d: twin: %w", f, err)
+		}
+		if fr.PlacementChecksum != sum() {
+			return fmt.Errorf("frame %d: checksum %s, twin %s", f, fr.PlacementChecksum, sum())
+		}
+		if f == 1 && fr.PlacementChecksum == prev {
+			return fmt.Errorf("frame %d: the resize-only frame left the checksum at %s", f, prev)
+		}
+		prev = fr.PlacementChecksum
+	}
+
+	resp, err = http.Post(base+"/v1/sessions/"+opened.ID+"/checkpoint?oracle=1", "application/json", nil)
+	if err != nil {
+		return err
+	}
+	var cp service.CheckpointJSON
+	err = json.NewDecoder(resp.Body).Decode(&cp)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("checkpoint: status %d, decode %v", resp.StatusCode, err)
+	}
+	if cp.PlacementChecksum != prev || !cp.Legal || cp.FixedPoint == nil || !*cp.FixedPoint {
+		return fmt.Errorf("checkpoint %+v, want legal, a fixed point and checksum %s", cp, prev)
+	}
+	fmt.Printf("servesmoke: session %s: %d frames match the in-process twin, checkpoint %s\n",
+		opened.ID, len(payloads), cp.PlacementChecksum)
 	return nil
 }
 
