@@ -13,6 +13,7 @@
 package mrlegal_test
 
 import (
+	"context"
 	"testing"
 
 	"mrlegal/internal/core"
@@ -42,7 +43,7 @@ func legalizedFFT(t *testing.T, cfg core.Config) (*core.Legalizer, []design.Cell
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ids := make([]design.CellID, 0, len(d.Cells))
@@ -104,7 +105,7 @@ func TestResizeCellAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(400, func() {
 		id := ids[i%len(ids)]
 		w := l.D.Cell(id).W
-		if !l.ResizeCell(id, w+1) || !l.ResizeCell(id, w) {
+		if l.ResizeCell(id, w+1) != nil || l.ResizeCell(id, w) != nil {
 			failed++
 		}
 		i++

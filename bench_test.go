@@ -8,6 +8,7 @@ package mrlegal_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -57,7 +58,7 @@ func prepared2(b testing.TB, name string, scale int) *experiments.Prepared {
 
 func legalizeOnce(b *testing.B, p *experiments.Prepared, cfg core.Config) {
 	b.Helper()
-	res := experiments.RunOne(p, cfg)
+	res := experiments.RunOne(context.Background(), p, cfg)
 	if res.Err != "" {
 		b.Fatalf("legalization failed: %s", res.Err)
 	}
@@ -126,8 +127,8 @@ func BenchmarkRelaxationExperiment(b *testing.B) {
 	relaxed := core.DefaultConfig()
 	relaxed.PowerAlign = false
 	for i := 0; i < b.N; i++ {
-		ra := experiments.RunOne(p, aligned)
-		rr := experiments.RunOne(p, relaxed)
+		ra := experiments.RunOne(context.Background(), p, aligned)
+		rr := experiments.RunOne(context.Background(), p, relaxed)
 		if ra.Err != "" || rr.Err != "" {
 			b.Fatal("legalization failed")
 		}
@@ -207,7 +208,7 @@ var longRowGrid = sync.OnceValues(func() (*segment.Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.G, l.Legalize()
+	return l.G, l.Legalize(context.Background())
 })
 
 // BenchmarkPlacementChecksum digests every cell of a legalized
@@ -240,7 +241,7 @@ var ecoDesign = sync.OnceValues(func() (*design.Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d, l.Legalize()
+	return d, l.Legalize(context.Background())
 })
 
 var checksumSink uint64
@@ -260,7 +261,7 @@ func BenchmarkInsertionPointEnumeration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	bb := d.Bounds()
@@ -291,7 +292,7 @@ func BenchmarkSingleMLLCall(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	ids := make([]int, 0, len(base.Cells))
@@ -305,7 +306,7 @@ func BenchmarkSingleMLLCall(b *testing.B) {
 		id := base.Cells[ids[i%len(ids)]].ID
 		c := base.Cell(id)
 		// Move each cell a few sites away and back: two MLL invocations.
-		if !l.MoveCell(id, float64(c.X+5), float64(c.Y)) {
+		if l.MoveCell(id, float64(c.X+5), float64(c.Y)) != nil {
 			continue
 		}
 	}
@@ -324,7 +325,7 @@ func BenchmarkSingleMLLCallObserved(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	ids := make([]int, 0, len(base.Cells))
@@ -337,7 +338,7 @@ func BenchmarkSingleMLLCallObserved(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		id := base.Cells[ids[i%len(ids)]].ID
 		c := base.Cell(id)
-		if !l.MoveCell(id, float64(c.X+5), float64(c.Y)) {
+		if l.MoveCell(id, float64(c.X+5), float64(c.Y)) != nil {
 			continue
 		}
 	}
@@ -385,7 +386,7 @@ func BenchmarkSegmentGridRebuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -417,7 +418,7 @@ func BenchmarkDetailedPlaceMedianMoves(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := l.Legalize(); err != nil {
+		if err := l.Legalize(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		st := detailed.Optimize(l, p.Bench.NL, detailed.Config{Passes: 2})
@@ -435,7 +436,7 @@ func BenchmarkDetailedPlaceSwaps(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := l.Legalize(); err != nil {
+		if err := l.Legalize(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		detailed.OptimizeSwaps(l, p.Bench.NL, 0)
@@ -492,7 +493,7 @@ func BenchmarkRenderSVG(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -514,7 +515,7 @@ func BenchmarkILPLocalProblem(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	bb := d.Bounds()

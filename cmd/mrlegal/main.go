@@ -11,7 +11,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -143,9 +142,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// SIGINT/SIGTERM cancel the run context: LegalizeCtx unwinds at the
-	// next placement boundary (the design stays transactionally
-	// consistent) and profiles and traces are flushed, not truncated.
+	// SIGINT/SIGTERM cancel the run context: the run unwinds at the next
+	// placement boundary (the design stays transactionally consistent)
+	// and profiles and traces are flushed, not truncated.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	if *timeout > 0 {
@@ -154,23 +153,23 @@ func main() {
 		defer cancel()
 	}
 	start := time.Now()
-	allPlaced := true
-	if *bestEffort {
-		rep, err := l.LegalizeBestEffort(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		allPlaced = len(rep.Failed) == 0
-		if !*quiet || !allPlaced {
-			fmt.Fprint(os.Stderr, rep.Summary(10))
-		}
-	} else if err := l.LegalizeCtx(ctx); err != nil {
-		if errors.Is(err, core.ErrCanceled) && ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "mrlegal: interrupted; partial placement discarded (use -best-effort to keep partial results)")
-		}
+	rep, err := l.LegalizeBestEffort(ctx)
+	elapsed := time.Since(start)
+	if err != nil {
 		fatal(err)
 	}
-	elapsed := time.Since(start)
+	allPlaced := len(rep.Failed) == 0
+	if !*quiet || !allPlaced {
+		fmt.Fprint(os.Stderr, rep.Summary(10))
+	}
+	if !allPlaced && !*bestEffort {
+		if rep.TimedOut {
+			fatal(fmt.Errorf("interrupted; partial placement discarded, %d cells unplaced (use -best-effort to keep partial results): %w",
+				len(rep.Failed), core.ErrCanceled))
+		}
+		fatal(fmt.Errorf("%d cells unplaced after %d rounds; no output written (use -best-effort to keep partial results)",
+			len(rep.Failed), rep.Rounds))
+	}
 
 	if err := observer.Close(); err != nil {
 		fatal(fmt.Errorf("trace-out: %w", err))
@@ -185,24 +184,15 @@ func main() {
 		os.Exit(2)
 	}
 	if !*quiet {
-		_, avg := d.TotalDispSites()
-		after := nl.HPWL(d)
-		st := l.Stats()
+		st, ph := rep.Stats, rep.Phases
 		fmt.Fprintf(os.Stderr, "legalized %d cells in %s\n", len(d.Cells), elapsed.Round(time.Millisecond))
-		fmt.Fprintf(os.Stderr, "  avg displacement : %.4f site widths\n", avg)
-		fmt.Fprintf(os.Stderr, "  ΔHPWL            : %+.3f%%\n", netlist.HPWLDelta(before, after)*100)
+		fmt.Fprintf(os.Stderr, "  ΔHPWL            : %+.3f%%\n", netlist.HPWLDelta(before, nl.HPWL(d))*100)
 		fmt.Fprintf(os.Stderr, "  direct placements: %d, MLL calls: %d (%d failed), retry rounds: %d\n",
 			st.DirectPlacements, st.MLLCalls, st.MLLFailures, st.RetryRounds)
-		fmt.Fprintf(os.Stderr, "  search           : %d evaluated", st.InsertionPoints)
-		if st.CandidatesPruned > 0 || st.SearchNodesCut > 0 || st.WindowsPruned > 0 {
-			fmt.Fprintf(os.Stderr, ", %d candidates pruned, %d subtrees cut, %d windows pruned",
-				st.CandidatesPruned, st.SearchNodesCut, st.WindowsPruned)
-		}
-		fmt.Fprintln(os.Stderr)
 		if st.ConstraintFiltered > 0 {
 			fmt.Fprintf(os.Stderr, "  constraints      : %d candidate positions filtered\n", st.ConstraintFiltered)
 		}
-		if ph := l.Phases(); ph.Total() > 0 {
+		if ph.Total() > 0 {
 			fmt.Fprintf(os.Stderr, "  MLL phase times  : extract %s, enumerate %s, evaluate %s, realize %s\n",
 				ph.Extract.Round(time.Millisecond), ph.Enumerate.Round(time.Millisecond),
 				ph.Evaluate.Round(time.Millisecond), ph.Realize.Round(time.Millisecond))

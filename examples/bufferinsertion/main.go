@@ -37,7 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	hpwl0 := nl.HPWL(d)
@@ -138,7 +138,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := fl.Legalize(); err != nil {
+	if err := fl.Legalize(context.Background()); err != nil {
 		log.Fatalf("full-relegalization path failed: %v", err)
 	}
 	if !mrlegal.IsLegal(fullPath, mrlegal.VerifyOptions{RequirePlaced: true, PowerAlignment: true}) {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -26,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("initial placement legal, density %.2f\n", d.Density())
@@ -40,12 +41,12 @@ func main() {
 		c := d.Cell(id)
 		if i < 200 {
 			up++
-			if l.ResizeCell(id, c.W+1+rng.Intn(3)) {
+			if l.ResizeCell(id, c.W+1+rng.Intn(3)) == nil {
 				upOK++
 			}
 		} else {
 			down++
-			if c.W > 1 && l.ResizeCell(id, c.W-1) {
+			if c.W > 1 && l.ResizeCell(id, c.W-1) == nil {
 				downOK++
 			}
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -51,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	start := nl.HPWL(d)
@@ -79,12 +80,13 @@ func main() {
 		before := nl.HPWL(d)
 		c := d.Cell(id)
 		oldX, oldY := c.X, c.Y
-		if !l.MoveCell(id, tx, ty) {
+		if l.MoveCell(id, tx, ty) != nil {
 			continue
 		}
 		tried++
 		if nl.HPWL(d) >= before {
-			l.MoveCell(id, float64(oldX), float64(oldY))
+			// A failed undo leaves the cell at its new, still legal spot.
+			_ = l.MoveCell(id, float64(oldX), float64(oldY))
 		} else {
 			accepted++
 		}

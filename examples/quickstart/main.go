@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -41,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 

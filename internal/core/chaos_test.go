@@ -114,7 +114,7 @@ func TestChaosMoveCellPanicRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	verify.MustLegal(d, verify.Options{RequirePlaced: true, PowerAlignment: true})
@@ -127,7 +127,7 @@ func TestChaosMoveCellPanicRollsBack(t *testing.T) {
 	mover := ids[0]
 	oldX, oldY := d.Cell(mover).X, d.Cell(mover).Y
 	// Target an occupied stretch so the move must go through MLL.
-	err = l.TryMoveCell(mover, float64(d.Cell(ids[3]).X), 0)
+	err = l.MoveCell(mover, float64(d.Cell(ids[3]).X), 0)
 	if err == nil {
 		t.Fatal("move should fail under an always-panicking realizer")
 	}
@@ -158,14 +158,14 @@ func TestChaosMoveCellInsertFailureRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	inj := &faultinject.Injector{FailInsertEvery: 1} // every insert fails
 	l.Cfg.Faults = inj
 	mover := ids[1]
 	oldX, oldY := d.Cell(mover).X, d.Cell(mover).Y
-	err = l.TryMoveCell(mover, float64(d.Cell(ids[4]).X), 0)
+	err = l.MoveCell(mover, float64(d.Cell(ids[4]).X), 0)
 	if err == nil {
 		t.Fatal("move should fail when every grid insert fails")
 	}
@@ -269,7 +269,7 @@ func TestBestEffortInfeasibleBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.Legalize(); !errors.Is(err, core.ErrCellTooWide) || !errors.Is(err, core.ErrRoundsExhausted) {
+	if err := l2.Legalize(context.Background()); !errors.Is(err, core.ErrCellTooWide) || !errors.Is(err, core.ErrRoundsExhausted) {
 		t.Fatalf("strict err = %v, want ErrRoundsExhausted wrapping ErrCellTooWide", err)
 	}
 }
@@ -282,7 +282,7 @@ func TestLegalizeCtxCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the run starts
-	err = l.LegalizeCtx(ctx)
+	err = l.Legalize(ctx)
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -302,7 +302,7 @@ func TestLegalizeCtxCancellation(t *testing.T) {
 	}
 
 	// An un-canceled context must still legalize everything.
-	if err := l.LegalizeCtx(context.Background()); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	assertSane(t, l, true)
@@ -315,19 +315,16 @@ func TestResizeUnplacedRejectsUnplaceableWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.TryResizeCell(id, 30); !errors.Is(err, core.ErrCellTooWide) {
+	if err := l.ResizeCell(id, 30); !errors.Is(err, core.ErrCellTooWide) {
 		t.Fatalf("resize beyond widest segment = %v, want ErrCellTooWide", err)
 	}
 	if got := d.Cell(id).W; got != 4 {
 		t.Fatalf("width mutated to %d on rejected resize", got)
 	}
-	if l.ResizeCell(id, 30) {
-		t.Fatal("bool API must agree with the error API")
+	if err := l.ResizeCell(id, 18); err != nil {
+		t.Fatalf("fitting width rejected: %v", err)
 	}
-	if !l.ResizeCell(id, 18) {
-		t.Fatal("fitting width rejected")
-	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	assertSane(t, l, true)

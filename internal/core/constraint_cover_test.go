@@ -159,7 +159,7 @@ func TestIntervalAtLeavesConstraintFiltered(t *testing.T) {
 	l.resetCancel(sc)
 	l.armConstraints(sc, c, 10)
 	r := sc.extract(l.G, mllWindow(c, 10, 0, 50, 2))
-	rel := 0 - r.Window().Y
+	rel := 0 - r.Win.Y
 
 	// A clamp no interval meets: every interval of the region is removed.
 	sc.conTLo, sc.conTHi = 1000, 2000
@@ -201,7 +201,7 @@ func TestIntervalAtConstraintClamp(t *testing.T) {
 	l.resetCancel(sc)
 	l.armConstraints(sc, c, 10)
 	r := sc.extract(l.G, mllWindow(c, 10, 0, 50, 2))
-	rel := 0 - r.Window().Y
+	rel := 0 - r.Win.Y
 
 	conIv, ok := r.IntervalAt(rel, 1, c.W) // the A..B gap
 	if !ok {

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestLegalizeDeterminismOnBenchmark(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Legalize(); err != nil {
+		if err := l.Legalize(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer

@@ -20,17 +20,12 @@ import (
 // offsets growing as ±Rx·(k−1), ±Ry·(k−1) for round k.
 //
 // It returns an error when cells remain unplaced after Cfg.MaxRounds
-// rounds (for example a cell wider than every segment). The design is
-// left legal for all placed cells in every outcome.
-func (l *Legalizer) Legalize() error {
-	return l.LegalizeCtx(context.Background())
-}
-
-// LegalizeCtx is Legalize with cancellation: the run stops at the next
-// cell boundary (or mid-enumeration) once ctx is done and returns an
-// error wrapping ErrCanceled. Cells placed before cancellation stay
-// placed and legal.
-func (l *Legalizer) LegalizeCtx(ctx context.Context) error {
+// rounds (for example a cell wider than every segment), wrapping
+// ErrRoundsExhausted, and one wrapping ErrCanceled when ctx ended the run
+// first: the run stops at the next cell boundary (or mid-enumeration)
+// once ctx is done. The design is left legal for all placed cells in
+// every outcome.
+func (l *Legalizer) Legalize(ctx context.Context) error {
 	rep, err := l.run(ctx)
 	if err != nil {
 		return err
@@ -376,31 +371,6 @@ func (l *Legalizer) lift(id design.CellID) {
 	}
 }
 
-// PlaceCell places the unplaced cell id as close as possible to the
-// desired position (tx, ty): directly when the nearest site-aligned,
-// rail-compatible position is free, through MLL otherwise. It reports
-// success; on failure the design is unchanged.
-func (l *Legalizer) PlaceCell(id design.CellID, tx, ty float64) bool {
-	return l.TryPlaceCell(id, tx, ty) == nil
-}
-
-// TryPlaceCell is PlaceCell with a structured error: on failure it
-// reports why the cell could not be placed (wrapping ErrNoInsertionPoint,
-// ErrCellTooWide, ErrPanicked, ...), with all intermediate state rolled
-// back.
-func (l *Legalizer) TryPlaceCell(id design.CellID, tx, ty float64) error {
-	c := l.D.Cell(id)
-	if c.Placed {
-		panic("core: PlaceCell target must be unplaced")
-	}
-	if !validTarget(tx, ty) {
-		return l.cellErr(id, ErrInvalidTarget)
-	}
-	return l.edit(id, func() error {
-		return l.place(id, tx, ty, l.Cfg.Rx, l.Cfg.Ry, true)
-	})
-}
-
 // validTarget reports whether (tx, ty) is a usable desired position: both
 // coordinates finite and within ±design.MaxCoord. Go converts NaN, an
 // infinity or an out-of-range float to int in an implementation-dependent
@@ -462,29 +432,22 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// MoveCell relocates a placed cell toward (tx, ty) using MLL, keeping the
-// placement legal at every instant (the "instant legalization" usage of
-// §1: detailed placement moves, gate sizing, buffer insertion). On
-// failure the cell keeps its original position and the design is
-// unchanged.
-func (l *Legalizer) MoveCell(id design.CellID, tx, ty float64) bool {
-	return l.TryMoveCell(id, tx, ty) == nil
-}
-
-// TryMoveCell is MoveCell with a structured error. The move runs as one
-// attempt on the undo log: any failure — including a panic
-// mid-realization — rolls the cell back to its original position with
-// the grid intact.
-func (l *Legalizer) TryMoveCell(id design.CellID, tx, ty float64) error {
-	c := l.D.Cell(id)
-	if c.Fixed {
+// MoveCell places cell id as close as possible to the desired position
+// (tx, ty), keeping the placement legal at every instant (the "instant
+// legalization" usage of §1: detailed placement moves, gate sizing,
+// buffer insertion): directly when the nearest site-aligned,
+// rail-compatible position is free, through MLL otherwise. A placed cell
+// is lifted out first; an unplaced one, such as an inserted buffer, is
+// simply placed. The move runs as one attempt on the undo log: on any
+// failure — including a panic mid-realization — it returns why
+// (wrapping ErrNoInsertionPoint, ErrFixedCell, ErrInvalidTarget,
+// ErrPanicked, ...) and the design is unchanged.
+func (l *Legalizer) MoveCell(id design.CellID, tx, ty float64) error {
+	if l.D.Cell(id).Fixed {
 		return l.cellErr(id, ErrFixedCell)
 	}
 	if !validTarget(tx, ty) {
 		return l.cellErr(id, ErrInvalidTarget)
-	}
-	if !c.Placed {
-		return l.TryPlaceCell(id, tx, ty)
 	}
 	return l.edit(id, func() error {
 		l.lift(id)
@@ -492,18 +455,12 @@ func (l *Legalizer) TryMoveCell(id design.CellID, tx, ty float64) error {
 	})
 }
 
-// ResizeCell changes the width of a placed cell (gate sizing) and locally
-// re-legalizes it near its current position. On failure the original
-// width and position are restored. The cell keeps its master index; only
-// the instance width changes.
-func (l *Legalizer) ResizeCell(id design.CellID, newW int) bool {
-	return l.TryResizeCell(id, newW) == nil
-}
-
-// TryResizeCell is ResizeCell with a structured error, run as one
-// attempt on the undo log so every failure path restores the original
-// width and position.
-func (l *Legalizer) TryResizeCell(id design.CellID, newW int) error {
+// ResizeCell changes the width of a cell (gate sizing) and, when it is
+// placed, locally re-legalizes it near its current position. The cell
+// keeps its master index; only the instance width changes. It runs as
+// one attempt on the undo log, so every failure path restores the
+// original width and position.
+func (l *Legalizer) ResizeCell(id design.CellID, newW int) error {
 	if newW < 1 {
 		return l.cellErr(id, ErrInvalidWidth)
 	}

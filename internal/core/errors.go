@@ -8,9 +8,10 @@ import (
 )
 
 // Error taxonomy of the legalization engine. Every failure surfaced by the
-// transactional paths (Legalize*, TryMoveCell, TryResizeCell, TryPlaceCell)
-// wraps one of these sentinels, so callers can classify failures with
-// errors.Is regardless of the per-cell context attached around them.
+// transactional paths (Legalize, LegalizeBestEffort, MLL, MoveCell,
+// ResizeCell, Session.ApplyDelta) wraps one of these sentinels, so
+// callers can classify failures with errors.Is regardless of the per-cell
+// context attached around them.
 var (
 	// ErrCellTooWide marks a cell that cannot fit any segment of any
 	// rail-compatible row — unplaceable no matter how many rounds run.

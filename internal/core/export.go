@@ -1,9 +1,6 @@
 package core
 
-import (
-	"mrlegal/internal/design"
-	"mrlegal/internal/geom"
-)
+import "mrlegal/internal/design"
 
 // This file exposes the region internals that external local solvers (the
 // ILP baseline, ablation benchmarks, tests) need, without widening the
@@ -89,9 +86,6 @@ func (r *Region) EvaluateExact(ip *InsertionPoint, wt int, tx, ty float64) Evalu
 func (r *Region) EvaluateApprox(ip *InsertionPoint, wt int, tx, ty float64) Evaluation {
 	return r.evaluateApprox(ip, wt, tx, ty)
 }
-
-// Window returns the clipped window rectangle of the region.
-func (r *Region) Window() geom.Rect { return r.Win }
 
 // RowCells returns the IDs of the local cells on window-relative row rel,
 // ordered by x, in a new slice: the cells between which the gaps of the

@@ -85,8 +85,8 @@ func TestBuildInsertionPoint(t *testing.T) {
 	if evE.Cost > evA.Cost+1e-9 && evA.Cost > evE.Cost+1e-9 {
 		t.Fatal("inconsistent evaluations")
 	}
-	if r.Window() != (geom.Rect{X: 0, Y: 0, W: 30, H: 2}) {
-		t.Fatalf("window = %v", r.Window())
+	if r.Win != (geom.Rect{X: 0, Y: 0, W: 30, H: 2}) {
+		t.Fatalf("window = %v", r.Win)
 	}
 }
 
@@ -199,7 +199,7 @@ func TestLastMovedReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !l.MLL(tgt, 6, 0) {
+	if l.MLL(tgt, 6, 0) != nil {
 		t.Fatal("MLL failed")
 	}
 	moved := l.LastMoved()
@@ -215,7 +215,7 @@ func TestLastMovedReporting(t *testing.T) {
 	}
 	// A free placement clears the list.
 	free := dtest.Unplaced(d, 2, 1, 16, 0)
-	if !l.PlaceCell(free, 16, 0) {
+	if l.MoveCell(free, 16, 0) != nil {
 		t.Fatal("free placement failed")
 	}
 	if len(l.LastMoved()) != 0 {

@@ -61,9 +61,9 @@ type Config struct {
 	Workers int
 
 	// PhaseTiming enables the per-phase wall-clock breakdown
-	// (extract/enumerate/evaluate/realize) reported via Phases and
-	// Report.Phases. Off by default: the accounting adds time syscalls to
-	// the enumeration hot loop.
+	// (extract/enumerate/evaluate/realize) reported in Report.Phases. Off
+	// by default: the accounting adds time syscalls to the enumeration hot
+	// loop.
 	PhaseTiming bool
 
 	// Constraints composes additional placement rules on top of the
@@ -266,10 +266,6 @@ func NewLegalizer(d *design.Design, cfg Config) (*Legalizer, error) {
 // Stats returns a snapshot of activity counters.
 func (l *Legalizer) Stats() Stats { return l.sc.stats }
 
-// Phases returns the per-phase wall-clock breakdown accumulated so far.
-// All-zero unless Cfg.PhaseTiming is on.
-func (l *Legalizer) Phases() PhaseTimes { return l.sc.phases }
-
 // SchedCounters is the per-cell claim-scheduling activity of a parallel
 // round driver. The engine has none, so every field reads zero; the type
 // stays for callers that read it.
@@ -376,18 +372,18 @@ func (l *Legalizer) constraintsOKAt(sc *scratch, c *design.Cell, x, y int) bool 
 // MLL runs Multi-row Local Legalization (§4) for the unplaced cell id
 // with desired position (tx, ty) in fractional site units: it extracts
 // the local region around the target, enumerates valid insertion points,
-// evaluates them, and realizes the best one. It reports whether a legal
-// placement was found; on failure the design is unchanged (the attempt
-// runs behind a savepoint, so even a panic mid-realization rolls back).
-// A non-finite or out-of-range target (validTarget) fails at once.
-func (l *Legalizer) MLL(id design.CellID, tx, ty float64) bool {
+// evaluates them, and realizes the best one, without MoveCell's direct
+// probe of the snapped slot. On failure it returns why and the design is
+// unchanged (the attempt runs behind a savepoint, so even a panic
+// mid-realization rolls back). A non-finite or out-of-range target
+// (validTarget) fails at once with ErrInvalidTarget.
+func (l *Legalizer) MLL(id design.CellID, tx, ty float64) error {
 	if !validTarget(tx, ty) {
-		return false
+		return l.cellErr(id, ErrInvalidTarget)
 	}
-	err := l.edit(id, func() error {
+	return l.edit(id, func() error {
 		return l.place(id, tx, ty, l.Cfg.Rx, l.Cfg.Ry, false)
 	})
-	return err == nil
 }
 
 // resetCancel arms the scratch's per-attempt cancellation state.

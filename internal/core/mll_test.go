@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestMLLPlacesIntoGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !l.MLL(tgt, 10, 0) {
+	if l.MLL(tgt, 10, 0) != nil {
 		t.Fatal("MLL failed on easy instance")
 	}
 	verify.MustLegal(d, verify.Options{RequirePlaced: true, PowerAlignment: true})
@@ -48,7 +49,7 @@ func TestMLLFailsWhenNoSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.MLL(tgt, 3, 0) {
+	if l.MLL(tgt, 3, 0) == nil {
 		t.Fatal("MLL should fail on a full row")
 	}
 	if d.Cell(tgt).Placed {
@@ -70,7 +71,7 @@ func TestMLLRespectsPowerAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !l.MLL(tgt, 10, 1.0) {
+	if l.MLL(tgt, 10, 1.0) != nil {
 		t.Fatal("MLL failed")
 	}
 	c := d.Cell(tgt)
@@ -89,7 +90,7 @@ func TestMLLRespectsPowerAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !l2.MLL(tgt2, 10, 1.0) {
+	if l2.MLL(tgt2, 10, 1.0) != nil {
 		t.Fatal("relaxed MLL failed")
 	}
 	if d2.Cell(tgt2).Y != 1 {
@@ -105,7 +106,7 @@ func TestMLLPrefersZeroDisplacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !l.MLL(tgt, 40, 1) {
+	if l.MLL(tgt, 40, 1) != nil {
 		t.Fatal("MLL failed")
 	}
 	c := d.Cell(tgt)
@@ -136,7 +137,7 @@ func TestLegalizeSmallDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Legalize(); err != nil {
+			if err := l.Legalize(context.Background()); err != nil {
 				t.Fatalf("exact=%v align=%v: %v", exact, align, err)
 			}
 			verify.MustLegal(d, verify.Options{RequirePlaced: true, PowerAlignment: align})
@@ -164,7 +165,7 @@ func TestLegalizeDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Legalize(); err != nil {
+		if err := l.Legalize(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		var xs []int
@@ -190,7 +191,7 @@ func TestLegalizeReportsImpossible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err == nil {
+	if err := l.Legalize(context.Background()); err == nil {
 		t.Fatal("expected an error for an unplaceable cell")
 	}
 }
@@ -208,7 +209,7 @@ func TestMoveCellKeepsLegality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 50; trial++ {
@@ -229,14 +230,14 @@ func TestMoveCellRestoresOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	_ = b
 	// Row is full: any move keeps a legal layout (cells just swap or
 	// shift); move to an impossible spot (off-row) must restore.
 	oldX, oldY := d.Cell(a).X, d.Cell(a).Y
-	if l.MoveCell(a, 0, 10) {
+	if l.MoveCell(a, 0, 10) == nil {
 		// Row 10 doesn't exist; MLL windows clip back onto row 0, so the
 		// move may still succeed within row 0. If it succeeded, legality
 		// must hold.
@@ -258,10 +259,10 @@ func TestResizeCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if !l.ResizeCell(a, 8) {
+	if l.ResizeCell(a, 8) != nil {
 		t.Fatal("upsize failed")
 	}
 	if d.Cell(a).W != 8 {
@@ -271,7 +272,7 @@ func TestResizeCell(t *testing.T) {
 	if err := l.G.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	if !l.ResizeCell(bid, 2) {
+	if l.ResizeCell(bid, 2) != nil {
 		t.Fatal("downsize failed")
 	}
 	verify.MustLegal(d, verify.Options{RequirePlaced: true, PowerAlignment: true})
@@ -285,10 +286,10 @@ func TestResizeCellRestoreOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if l.ResizeCell(a, 8) {
+	if l.ResizeCell(a, 8) == nil {
 		t.Fatal("resize should fail: row already full")
 	}
 	if d.Cell(a).W != 6 || !d.Cell(a).Placed {
@@ -348,7 +349,7 @@ func TestLegalizeRandomProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Legalize(); err != nil {
+		if err := l.Legalize(context.Background()); err != nil {
 			t.Fatalf("trial %d (rows=%d width=%d area=%d): %v", trial, rows, width, area, err)
 		}
 		verify.MustLegal(d, verify.Options{RequirePlaced: true, PowerAlignment: cfg.PowerAlign})
@@ -395,7 +396,7 @@ func TestWindowEscalationResolvesDenseInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatalf("escalation should succeed: %v", err)
 	}
 	if !d.Cell(tgt).Placed {

@@ -188,13 +188,13 @@ func TestPanickedAttemptCountedAtOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	before := l.Stats()
 	l.Cfg.Faults = &faultinject.Injector{PanicRealizeEvery: 1}
 	// An occupied target, so the move goes through MLL and panics there.
-	if err := l.TryMoveCell(ids[0], float64(d.Cell(ids[3]).X), 0); !errors.Is(err, core.ErrPanicked) {
+	if err := l.MoveCell(ids[0], float64(d.Cell(ids[3]).X), 0); !errors.Is(err, core.ErrPanicked) {
 		t.Fatalf("err = %v, want ErrPanicked", err)
 	}
 	failed := l.Stats()
@@ -208,7 +208,7 @@ func TestPanickedAttemptCountedAtOnce(t *testing.T) {
 	// none of the panicked attempt's work.
 	l.Cfg.Faults = nil
 	c := d.Cell(ids[5])
-	if err := l.TryMoveCell(c.ID, float64(c.X), float64(c.Y)); err != nil {
+	if err := l.MoveCell(c.ID, float64(c.X), float64(c.Y)); err != nil {
 		t.Fatal(err)
 	}
 	next := l.Stats()
@@ -234,7 +234,7 @@ func TestObsDoesNotChangePlacements(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Legalize(); err != nil {
+		if err := l.Legalize(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return b.D.PlacementChecksum()
@@ -317,7 +317,7 @@ func TestObsTxnCounters(t *testing.T) {
 	legal := func(t *testing.T) (*core.Legalizer, *obs.Observer, design.CellID) {
 		t.Helper()
 		l, o := fresh(t, 0, nil)
-		if err := l.Legalize(); err != nil {
+		if err := l.Legalize(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		for i := range l.D.Cells {
@@ -340,7 +340,7 @@ func TestObsTxnCounters(t *testing.T) {
 	}{
 		{"run without audits", func(t *testing.T) (*obs.Observer, int64, int64, int64, int64) {
 			l, o := fresh(t, 0, nil)
-			if err := l.Legalize(); err != nil {
+			if err := l.Legalize(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			return o, 0, 0, 1, 0
@@ -360,7 +360,7 @@ func TestObsTxnCounters(t *testing.T) {
 			l, o, id := legal(t)
 			c0, r0 := counts(o)
 			c := l.D.Cell(id)
-			if err := l.TryMoveCell(id, float64(c.X+2), float64(c.Y)); err != nil {
+			if err := l.MoveCell(id, float64(c.X+2), float64(c.Y)); err != nil {
 				t.Fatal(err)
 			}
 			return o, c0, r0, 1, 0
@@ -370,7 +370,7 @@ func TestObsTxnCounters(t *testing.T) {
 			c0, r0 := counts(o)
 			l.Cfg.Faults = &faultinject.Injector{FailInsertEvery: 1}
 			c := l.D.Cell(id)
-			if err := l.TryMoveCell(id, float64(c.X+2), float64(c.Y)); err == nil {
+			if err := l.MoveCell(id, float64(c.X+2), float64(c.Y)); err == nil {
 				t.Fatal("move succeeded under a failing grid")
 			}
 			return o, c0, r0, 0, 1
@@ -378,7 +378,7 @@ func TestObsTxnCounters(t *testing.T) {
 		{"ResizeCell rejected", func(t *testing.T) (*obs.Observer, int64, int64, int64, int64) {
 			l, o, id := legal(t)
 			c0, r0 := counts(o)
-			if err := l.TryResizeCell(id, 0); !errors.Is(err, core.ErrInvalidWidth) {
+			if err := l.ResizeCell(id, 0); !errors.Is(err, core.ErrInvalidWidth) {
 				t.Fatalf("err = %v, want ErrInvalidWidth", err)
 			}
 			return o, c0, r0, 0, 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -51,7 +52,7 @@ func fft1Grid(b *testing.B, keepOneIn int) *segment.Grid {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := l.Legalize(); err != nil {
+		if err := l.Legalize(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		for i := range bench.D.Cells {
@@ -82,7 +83,7 @@ var longRowGrid = sync.OnceValues(func() (*segment.Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.G, l.Legalize()
+	return l.G, l.Legalize(context.Background())
 })
 
 // benchTargetW is the width of the sweep's single-row target.

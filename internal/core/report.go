@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -16,12 +17,18 @@ type CellFailure struct {
 	Err  error
 }
 
+// String names the cell once: an Err that is already the cell's own
+// *CellError prints as it is.
 func (f CellFailure) String() string {
+	var ce *CellError
+	if errors.As(f.Err, &ce) && ce.Cell == f.Cell {
+		return f.Err.Error()
+	}
 	return fmt.Sprintf("cell %d (%s): %v", f.Cell, f.Name, f.Err)
 }
 
 // Report summarizes a legalization run. LegalizeBestEffort always returns
-// one; the strict entry points use it internally to build their errors.
+// one; Legalize uses it internally to build its error.
 type Report struct {
 	// Placed and Failed partition the movable cells the run was asked to
 	// place. Every cell in Failed is unplaced; the design is legal for all

@@ -42,7 +42,7 @@ func dirtyFixture(t *testing.T, mut func(*Config)) (*Session, []design.CellID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewSession(l)

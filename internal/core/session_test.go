@@ -25,7 +25,7 @@ func legalSession(t *testing.T, cells int, seed int64, mut func(*core.Config)) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatalf("base legalization: %v", err)
 	}
 	s, err := core.NewSession(l)
@@ -158,7 +158,7 @@ func TestSessionResultsAreCommittedPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	s, err := core.NewSession(l)
@@ -501,7 +501,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if _, err := core.NewSession(l); !errors.Is(err, core.ErrNotLegal) {
 		t.Fatalf("NewSession on unplaced design: err = %v, want ErrNotLegal", err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	s, err := core.NewSession(l)

@@ -20,8 +20,7 @@ var badCoords = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 2e12, -2e12}
 
 // TestInvalidTargetRejected drives every move and insert entry point with
 // a NaN, infinite or out-of-range target on TX and on TY. Each call must
-// fail with ErrInvalidTarget (MLL and the bool wrappers with false) and
-// leave the placement checksum unchanged.
+// fail with ErrInvalidTarget and leave the placement checksum unchanged.
 func TestInvalidTargetRejected(t *testing.T) {
 	ctx := context.Background()
 	s, sl := legalSession(t, 300, 3, nil)
@@ -33,7 +32,7 @@ func TestInvalidTargetRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(ctx); err != nil {
 		t.Fatal(err)
 	}
 	d := l.D
@@ -59,12 +58,6 @@ func TestInvalidTargetRejected(t *testing.T) {
 					t.Errorf("%s with %s = %v: err = %v, want ErrInvalidTarget", what, name, v, err)
 				}
 			}
-			wantFalse := func(what string, ok bool) {
-				t.Helper()
-				if ok {
-					t.Errorf("%s with %s = %v succeeded", what, name, v)
-				}
-			}
 
 			tx, ty := target(mover.GX, mover.GY)
 			_, err := s.ApplyDelta(ctx, []core.Delta{{Op: core.DeltaMove, Cell: mover.ID, TX: tx, TY: ty}})
@@ -73,12 +66,9 @@ func TestInvalidTargetRejected(t *testing.T) {
 			wantErr("ApplyDelta insert", err)
 
 			tx, ty = target(placed.GX, placed.GY)
-			wantErr("TryMoveCell", l.TryMoveCell(placed.ID, tx, ty))
-			wantFalse("MoveCell", l.MoveCell(placed.ID, tx, ty))
-			wantErr("TryMoveCell on an unplaced cell", l.TryMoveCell(unplaced, tx, ty))
-			wantErr("TryPlaceCell", l.TryPlaceCell(unplaced, tx, ty))
-			wantFalse("PlaceCell", l.PlaceCell(unplaced, tx, ty))
-			wantFalse("MLL", l.MLL(unplaced, tx, ty))
+			wantErr("MoveCell", l.MoveCell(placed.ID, tx, ty))
+			wantErr("MoveCell on an unplaced cell", l.MoveCell(unplaced, tx, ty))
+			wantErr("MLL", l.MLL(unplaced, tx, ty))
 
 			if got := sd.PlacementChecksum(); got != sessionSum {
 				t.Fatalf("%s = %v: session checksum %016x, want %016x", name, v, got, sessionSum)
@@ -160,7 +150,7 @@ func TestInvalidInputPositionNeverAttempted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := l2.Legalize(); !errors.Is(err, core.ErrInvalidTarget) {
+			if err := l2.Legalize(context.Background()); !errors.Is(err, core.ErrInvalidTarget) {
 				t.Fatalf("Legalize = %v, want ErrInvalidTarget", err)
 			}
 		})

@@ -17,8 +17,8 @@ import (
 // empty whenever no call is in flight:
 //   - attempt marks before one cell's placement step and unwinds to its
 //     mark on any failure, a recovered panic included;
-//   - MLL, PlaceCell, MoveCell and ResizeCell each wrap one attempt and
-//     then commit or roll back to 0 (edit);
+//   - MLL, MoveCell and ResizeCell each wrap one attempt and then commit
+//     or roll back to 0 (edit);
 //   - a full run drops the records after each placed cell when audits are
 //     off, because nothing can roll back past the placement just made;
 //     with audits on it commits or rolls back to 0 at each audit, and it
@@ -196,10 +196,9 @@ func (l *Legalizer) attempt(id design.CellID, fn func() error) (err error) {
 	return fn()
 }
 
-// edit runs fn as the one attempt of a single-cell call (MLL, PlaceCell,
-// MoveCell, ResizeCell) and then ends the call: it commits on success and
-// rolls back to 0 on failure, where attempt has already unwound its
-// changes.
+// edit runs fn as the one attempt of a single-cell call (MLL, MoveCell,
+// ResizeCell) and then ends the call: it commits on success and rolls
+// back to 0 on failure, where attempt has already unwound its changes.
 func (l *Legalizer) edit(id design.CellID, fn func() error) error {
 	err := l.attempt(id, fn)
 	if err == nil {

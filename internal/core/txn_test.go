@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -253,7 +254,7 @@ func TestUndoLogHoldsOnlyOpenAttempt(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.l = l
-			if err := l.Legalize(); err != nil {
+			if err := l.Legalize(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			if p.inserts < v.cells {

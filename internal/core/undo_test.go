@@ -96,18 +96,21 @@ func TestUndoLogEmptyBetweenCalls(t *testing.T) {
 			t.Fatalf("err = %v, want %v", err, sentinel)
 		}
 	}
+	// The TryMoveCell, TryResizeCell and LegalizeCtx labels are kept as
+	// stable test names; those forms became MoveCell, ResizeCell and
+	// Legalize(ctx).
 	cases := []struct {
 		name string
 		run  func(t *testing.T) *Legalizer
 	}{
 		{"Legalize/success", func(t *testing.T) *Legalizer {
 			l := undoFixture(t, nil)
-			must(t, l.Legalize())
+			must(t, l.Legalize(bg))
 			return l
 		}},
 		{"Legalize/rounds exhausted", func(t *testing.T) *Legalizer {
 			l, _, _, _ := crowded(t, func(c *Config) { c.MaxRounds = 2 })
-			want(t, l.Legalize(), ErrRoundsExhausted)
+			want(t, l.Legalize(bg), ErrRoundsExhausted)
 			return l
 		}},
 		{"LegalizeBestEffort/panic", func(t *testing.T) *Legalizer {
@@ -133,84 +136,82 @@ func TestUndoLogEmptyBetweenCalls(t *testing.T) {
 		{"LegalizeCtx/canceled", func(t *testing.T) *Legalizer {
 			ctx, inj := cancelAt(t, 50)
 			l := undoFixture(t, func(c *Config) { c.Faults = inj })
-			want(t, l.LegalizeCtx(ctx), ErrCanceled)
+			want(t, l.Legalize(ctx), ErrCanceled)
 			return l
 		}},
 		{"LegalizeCtx/canceled audited", func(t *testing.T) *Legalizer {
 			ctx, inj := cancelAt(t, 50)
 			l := undoFixture(t, func(c *Config) { c.AuditEvery, c.Faults = 7, inj })
-			want(t, l.LegalizeCtx(ctx), ErrCanceled)
+			want(t, l.Legalize(ctx), ErrCanceled)
 			return l
 		}},
 		{"MLL/success", func(t *testing.T) *Legalizer {
 			l, _, a, _ := crowded(t, nil)
-			if !l.MLL(a, 2, 0) {
-				t.Fatal("MLL failed")
-			}
+			must(t, l.MLL(a, 2, 0))
 			return l
 		}},
 		{"MLL/failure", func(t *testing.T) *Legalizer {
 			l, _, a, b := crowded(t, nil)
-			if !l.MLL(a, 2, 0) || l.MLL(b, 2, 0) {
+			if l.MLL(a, 2, 0) != nil || l.MLL(b, 2, 0) == nil {
 				t.Fatal("want the first MLL to succeed and the second to fail")
 			}
 			return l
 		}},
-		{"TryPlaceCell/success", func(t *testing.T) *Legalizer {
+		{"MoveCell/unplaced success", func(t *testing.T) *Legalizer {
 			l, _, a, _ := crowded(t, nil)
-			must(t, l.TryPlaceCell(a, 2, 0))
+			must(t, l.MoveCell(a, 2, 0))
 			return l
 		}},
-		{"TryPlaceCell/failure", func(t *testing.T) *Legalizer {
+		{"MoveCell/unplaced failure", func(t *testing.T) *Legalizer {
 			l, _, a, b := crowded(t, nil)
-			must(t, l.TryPlaceCell(a, 2, 0))
-			want(t, l.TryPlaceCell(b, 2, 0), ErrNoInsertionPoint)
+			must(t, l.MoveCell(a, 2, 0))
+			want(t, l.MoveCell(b, 2, 0), ErrNoInsertionPoint)
 			return l
 		}},
-		{"TryPlaceCell/panic", func(t *testing.T) *Legalizer {
+		{"MoveCell/unplaced panic", func(t *testing.T) *Legalizer {
 			l, _, a, _ := crowded(t, func(c *Config) { c.Faults = &faultinject.Injector{PanicRealizeEvery: 1} })
-			want(t, l.TryPlaceCell(a, 2, 0), ErrPanicked)
+			want(t, l.MoveCell(a, 2, 0), ErrPanicked)
 			return l
 		}},
 		{"TryMoveCell/success", func(t *testing.T) *Legalizer {
 			s, live := session(t)
 			c := s.l.D.Cell(live[0])
-			must(t, s.l.TryMoveCell(c.ID, float64(c.X+3), float64(c.Y)))
+			must(t, s.l.MoveCell(c.ID, float64(c.X+3), float64(c.Y)))
 			return s.l
 		}},
 		{"TryMoveCell/insert failure", func(t *testing.T) *Legalizer {
 			s, live := session(t)
 			s.l.Cfg.Faults = &faultinject.Injector{FailInsertEvery: 1}
 			c := s.l.D.Cell(live[0])
-			want(t, s.l.TryMoveCell(c.ID, float64(c.X+3), float64(c.Y)), faultinject.ErrInjected)
+			want(t, s.l.MoveCell(c.ID, float64(c.X+3), float64(c.Y)), faultinject.ErrInjected)
 			return s.l
 		}},
 		{"TryMoveCell/panic", func(t *testing.T) *Legalizer {
 			l, placed, a, _ := crowded(t, nil)
-			must(t, l.TryPlaceCell(a, 2, 0))
+			must(t, l.MoveCell(a, 2, 0))
 			l.Cfg.Faults = &faultinject.Injector{PanicRealizeEvery: 1}
-			want(t, l.TryMoveCell(placed, float64(l.D.Cell(a).X), 0), ErrPanicked)
+			want(t, l.MoveCell(placed, float64(l.D.Cell(a).X), 0), ErrPanicked)
 			return l
 		}},
 		{"TryResizeCell/success", func(t *testing.T) *Legalizer {
 			l, placed, _, _ := crowded(t, nil)
-			must(t, l.TryResizeCell(placed, 5))
+			must(t, l.ResizeCell(placed, 5))
 			return l
 		}},
 		{"TryResizeCell/too wide", func(t *testing.T) *Legalizer {
 			l, placed, _, _ := crowded(t, nil)
-			want(t, l.TryResizeCell(placed, 9), ErrCellTooWide)
+			want(t, l.ResizeCell(placed, 9), ErrCellTooWide)
 			return l
 		}},
 		{"TryResizeCell/no room", func(t *testing.T) *Legalizer {
 			l, placed, a, _ := crowded(t, nil)
-			must(t, l.TryPlaceCell(a, 2, 0))
-			want(t, l.TryResizeCell(placed, 5), ErrNoInsertionPoint)
+			must(t, l.MoveCell(a, 2, 0))
+			want(t, l.ResizeCell(placed, 5), ErrNoInsertionPoint)
 			return l
 		}},
 		{"TryResizeCell/unplaced", func(t *testing.T) *Legalizer {
 			l, _, a, _ := crowded(t, nil)
-			must(t, l.TryResizeCell(a, 3))
+			must(t, l.ResizeCell(a, 3))
 			return l
 		}},
 		{"ApplyDelta/commit", func(t *testing.T) *Legalizer {

@@ -69,9 +69,6 @@ type Master struct {
 	BottomRail Rail
 }
 
-// MultiRow reports whether the master spans more than one row.
-func (m *Master) MultiRow() bool { return m.Height > 1 }
-
 // Row is one placement row of the floorplan. All rows are one site height
 // tall. BottomRail alternates between adjacent rows as in a standard
 // flipped-row power mesh.

@@ -83,7 +83,7 @@ func Optimize(l *core.Legalizer, nl *netlist.Netlist, cfg Config) Stats {
 				continue
 			}
 			st.Attempted++
-			if !l.MoveCell(id, tx, ty) {
+			if l.MoveCell(id, tx, ty) != nil {
 				continue
 			}
 			st.Moved++
@@ -265,12 +265,17 @@ func OptimizeSwaps(l *core.Legalizer, nl *netlist.Netlist, maxPairs int) SwapSta
 }
 
 // trySwap exchanges two equal-footprint placed cells and keeps the swap
-// only when the cached HPWL improves. Equal footprints make the exchange
-// trivially legal, so it bypasses MLL and manipulates the grid directly.
+// only when the cached HPWL improves. Equal footprints of one constraint
+// class make the exchange trivially legal, since every plugin's gaps, row
+// admission and x-clamp depend only on the class, so it bypasses MLL and
+// manipulates the grid directly.
 func trySwap(l *core.Legalizer, cache *hpwlCache, a, b design.CellID) bool {
 	d := l.D
 	ca, cb := d.Cell(a), d.Cell(b)
 	if ca.W != cb.W || ca.H != cb.H {
+		return false
+	}
+	if cons := l.Cfg.Constraints; cons.Class(d.MasterOf(a), ca.W, ca.H) != cons.Class(d.MasterOf(b), cb.W, cb.H) {
 		return false
 	}
 	// Rail parity: even-height cells on different-parity rows cannot swap.

@@ -1,10 +1,12 @@
 package detailed
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"mrlegal/internal/bengen"
+	"mrlegal/internal/constraint"
 	"mrlegal/internal/core"
 	"mrlegal/internal/design"
 	"mrlegal/internal/dtest"
@@ -21,7 +23,7 @@ func preparedLegal(t *testing.T, cells int, density float64, seed int64) (*core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return l, b.NL
@@ -190,5 +192,55 @@ func TestTrySwapParityGuard(t *testing.T) {
 	cache := newHPWLCache(d, nl)
 	if trySwap(l, cache, a, b) {
 		t.Fatal("parity-violating swap accepted")
+	}
+}
+
+// TestTrySwapConstraintClassGuard: two equal-footprint cells of different
+// triple-patterning colors must not trade places. On one 20-site row
+// under tpl:sep=2, c1 (INV) sits at x 0, p (BUF) at 2 and q (INV) at 10,
+// and nets pull q toward x 2 and p toward x 11. Swapping p and q would
+// cut HPWL but leave q right of the same-colored c1 with no gap.
+func TestTrySwapConstraintClassGuard(t *testing.T) {
+	d := dtest.Flat(1, 20)
+	rail := d.RowBottomRail(0)
+	inv := d.AddMaster(design.Master{Name: "INV", Width: 2, Height: 1, BottomRail: rail})
+	buf := d.AddMaster(design.Master{Name: "BUF", Width: 2, Height: 1, BottomRail: rail})
+	place := func(name string, m, x int) design.CellID {
+		id := d.AddCell(name, m, float64(x), 0)
+		d.Place(id, x, 0)
+		return id
+	}
+	place("c1", inv, 0)
+	p := place("p", buf, 2)
+	q := place("q", inv, 10)
+	nl := netlist.New()
+	nl.AddNet("toP", netlist.Pin{Cell: p}, netlist.Pin{Cell: design.NoCell, DX: 12})
+	nl.AddNet("toQ", netlist.Pin{Cell: q}, netlist.Pin{Cell: design.NoCell, DX: 3})
+	nl.AddNet("pq", netlist.Pin{Cell: p}, netlist.Pin{Cell: q})
+	nl.BuildIndex(len(d.Cells))
+
+	cons, err := constraint.Parse("tpl:sep=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cons.Class(&d.Lib[inv], 2, 1) == cons.Class(&d.Lib[buf], 2, 1) {
+		t.Fatal("INV and BUF share a color; the design needs two")
+	}
+	cfg := core.DefaultConfig()
+	cfg.Constraints = cons
+	l, err := core.NewLegalizer(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := verify.Options{RequirePlaced: true, PowerAlignment: true, Extra: cons.Checkers()}
+	if vs := verify.Check(d, opt, 0); len(vs) > 0 {
+		t.Fatalf("design illegal before the pass: %v", vs)
+	}
+	OptimizeSwaps(l, nl, 0)
+	if vs := verify.Check(d, opt, 0); len(vs) > 0 {
+		t.Fatalf("OptimizeSwaps broke the tpl rule: %v", vs)
+	}
+	if d.Cell(p).X != 2 || d.Cell(q).X != 10 {
+		t.Fatalf("p at %d, q at %d: cells of two colors swapped", d.Cell(p).X, d.Cell(q).X)
 	}
 }

@@ -31,8 +31,8 @@ func RunEvalAblation(cfg Table1Config) []EvalAblationRow {
 		ex.ExactEval = true
 		row := EvalAblationRow{
 			Name:   spec.Name,
-			Approx: RunOneCtx(cfg.ctx(), p, ap),
-			Exact:  RunOneCtx(cfg.ctx(), p, ex),
+			Approx: RunOne(cfg.ctx(), p, ap),
+			Exact:  RunOne(cfg.ctx(), p, ex),
 		}
 		rows = append(rows, row)
 		if cfg.Progress != nil {
@@ -91,7 +91,7 @@ func RunWindowSweep(cfg Table1Config, name string, rxs, rys []int) []WindowRow {
 			for _, ry := range rys {
 				c := cfg.coreConfig(true, false)
 				c.Rx, c.Ry = rx, ry
-				res := RunOneCtx(cfg.ctx(), p, c)
+				res := RunOne(cfg.ctx(), p, c)
 				rows = append(rows, WindowRow{Rx: rx, Ry: ry, Result: res})
 				if cfg.Progress != nil {
 					fmt.Fprintf(cfg.Progress, "Rx=%-3d Ry=%-2d disp=%.3f ΔHPWL=%.2f%% t=%s fails=%d\n",
@@ -128,7 +128,7 @@ func RunBaselines(cfg Table1Config) []BaselineRow {
 	var rows []BaselineRow
 	cfg.roster(func(spec bengen.Spec, p *Prepared) {
 		row := BaselineRow{Name: spec.Name}
-		row.MLL = RunOneCtx(cfg.ctx(), p, cfg.coreConfig(true, false))
+		row.MLL = RunOne(cfg.ctx(), p, cfg.coreConfig(true, false))
 
 		measure := func(run func(d *design.Design) error) LegalizeResult {
 			d := p.Bench.D.Clone()
@@ -205,7 +205,7 @@ func RunHeightMix(cfg Table1Config) []HeightMixRow {
 		spec.TripleFrac = m.triple
 		spec.QuadFrac = m.quad
 		p := Prepare(spec, cfg.Seed)
-		res := RunOneCtx(cfg.ctx(), p, cfg.coreConfig(true, false))
+		res := RunOne(cfg.ctx(), p, cfg.coreConfig(true, false))
 		rows = append(rows, HeightMixRow{MaxHeight: m.maxH, Result: res})
 		if cfg.Progress != nil {
 			fmt.Fprintf(cfg.Progress, "maxH=%d disp=%.3f ΔHPWL=%.2f%% t=%s err=%q\n",
@@ -243,7 +243,7 @@ func RunOrderAblation(cfg Table1Config) []OrderRow {
 		tall := cfg.coreConfig(true, false)
 		input := tall
 		input.TallFirst = false
-		row := OrderRow{Name: spec.Name, TallFirst: RunOneCtx(cfg.ctx(), p, tall), InputOrder: RunOneCtx(cfg.ctx(), p, input)}
+		row := OrderRow{Name: spec.Name, TallFirst: RunOne(cfg.ctx(), p, tall), InputOrder: RunOne(cfg.ctx(), p, input)}
 		rows = append(rows, row)
 		if cfg.Progress != nil {
 			fmt.Fprintf(cfg.Progress, "%-16s tall-first: disp=%.3f err=%q | input-order: disp=%.3f err=%q\n",
@@ -284,7 +284,7 @@ func RunScaling(cfg Table1Config, name string, scales []int) []ScalingRow {
 	for _, sc := range scales {
 		cfg.Scale = sc
 		cfg.roster(func(spec bengen.Spec, p *Prepared) {
-			res := RunOneCtx(cfg.ctx(), p, cfg.coreConfig(true, false))
+			res := RunOne(cfg.ctx(), p, cfg.coreConfig(true, false))
 			rows = append(rows, ScalingRow{Cells: spec.NumCells, Result: res})
 			if cfg.Progress != nil {
 				fmt.Fprintf(cfg.Progress, "scale=%d cells=%d t=%s disp=%.3f err=%q\n",
@@ -332,8 +332,8 @@ func RunSearchAblation(cfg Table1Config) []SearchAblationRow {
 		row := SearchAblationRow{
 			Name:       spec.Name,
 			Cells:      len(p.Bench.D.Cells),
-			BestFirst:  RunOneCtx(cfg.ctx(), p, bf),
-			Exhaustive: RunOneCtx(cfg.ctx(), p, ex),
+			BestFirst:  RunOne(cfg.ctx(), p, bf),
+			Exhaustive: RunOne(cfg.ctx(), p, ex),
 		}
 		rows = append(rows, row)
 		if cfg.Progress != nil {

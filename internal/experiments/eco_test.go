@@ -108,7 +108,7 @@ func TestSessionResizeMovesDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ses, err := core.NewSession(l)

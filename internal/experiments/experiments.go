@@ -3,7 +3,7 @@
 // the 20 ISPD-2015-shaped benchmarks), the §6 relaxation comparison, and
 // the ablations called out in DESIGN.md (approximate vs. exact insertion
 // point evaluation, window-size sweep, related-work baselines, best-first
-// vs. exhaustive search). Every MLL run goes through RunOneCtx.
+// vs. exhaustive search). Every MLL run goes through RunOne.
 package experiments
 
 import (
@@ -115,22 +115,17 @@ func Prepare(spec bengen.Spec, seed int64) *Prepared {
 }
 
 // RunOne legalizes a fresh clone of the prepared benchmark with the given
-// configuration and measures the Table-1 metrics.
-func RunOne(p *Prepared, cfg core.Config) LegalizeResult {
-	return RunOneCtx(context.Background(), p, cfg)
-}
-
-// RunOneCtx is RunOne under a cancelable context: canceling ctx unwinds
+// configuration and measures the Table-1 metrics. Canceling ctx unwinds
 // the run at the next placement boundary and reports it as a failed
 // result rather than a partial placement.
-func RunOneCtx(ctx context.Context, p *Prepared, cfg core.Config) LegalizeResult {
+func RunOne(ctx context.Context, p *Prepared, cfg core.Config) LegalizeResult {
 	d := p.Bench.D.Clone()
 	l, err := core.NewLegalizer(d, cfg)
 	if err != nil {
 		return LegalizeResult{Err: err.Error()}
 	}
 	start := time.Now()
-	lerr := l.LegalizeCtx(ctx)
+	lerr := l.Legalize(ctx)
 	elapsed := time.Since(start)
 
 	res := LegalizeResult{Runtime: elapsed, Stats: l.Stats(), Checksum: d.PlacementChecksum()}
@@ -201,7 +196,7 @@ func RunTable1(cfg Table1Config) []Table1Row {
 			GPHPWL:  p.GPHPWL * 1e-9, // DBU (nm) → metres
 		}
 		run := func(align, useILP bool) LegalizeResult {
-			r := RunOneCtx(cfg.ctx(), p, cfg.coreConfig(align, useILP))
+			r := RunOne(cfg.ctx(), p, cfg.coreConfig(align, useILP))
 			if cfg.Progress != nil {
 				mode := "relaxed"
 				if align {

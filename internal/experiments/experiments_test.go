@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -225,7 +226,7 @@ func TestRunOneRespectsSolver(t *testing.T) {
 	cfg := core.DefaultConfig()
 	sol := &ilplegal.Solver{}
 	cfg.Solver = sol
-	res := RunOne(p, cfg)
+	res := RunOne(context.Background(), p, cfg)
 	if res.Err != "" || !res.Legal {
 		t.Fatalf("ILP run failed: %+v", res)
 	}

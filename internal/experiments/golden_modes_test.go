@@ -60,7 +60,7 @@ func TestGoldenModes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
-			if err := l.Legalize(); err != nil {
+			if err := l.Legalize(context.Background()); err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
 			sums[key] = fnvPlacement(d)
@@ -194,7 +194,7 @@ func TestGoldenSessions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		if err := l.Legalize(); err != nil {
+		if err := l.Legalize(context.Background()); err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
 		ses, err := core.NewSession(l)

@@ -175,7 +175,7 @@ func TestGoldenPlacements(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", spec.Name, gc.tag, err)
 			}
-			if err := l.Legalize(); err != nil {
+			if err := l.Legalize(context.Background()); err != nil {
 				t.Fatalf("%s %s: %v", spec.Name, gc.tag, err)
 			}
 			sum := fnvPlacement(d)

@@ -1,5 +1,5 @@
 // Package geom provides the geometric primitives used throughout the
-// legalizer: integer points, rectangles and half-open intervals measured in
+// legalizer: integer rectangles and half-open intervals measured in
 // placement-site units (see §2.1.1 of the paper), plus conversions to
 // database units (DBU) for displacement and wirelength reporting.
 //
@@ -9,19 +9,6 @@
 package geom
 
 import "fmt"
-
-// Point is a location in site units. X counts site widths, Y counts rows.
-type Point struct {
-	X, Y int
-}
-
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p minus q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-func (p Point) String() string { return fmt.Sprintf("(%d,%d)", p.X, p.Y) }
 
 // Rect is an axis-aligned rectangle in site units, half-open on both axes:
 // it covers x ∈ [X, X+W) and y ∈ [Y, Y+H).

@@ -149,7 +149,7 @@ func (s *Solver) solveRow(r *core.Region, rowCells [][]design.CellID, c *design.
 			for _, id := range rowCells[rel] {
 				info, _ := r.Info(id)
 				for h := 0; h < info.H; h++ {
-					rr := info.Y + h - r.Window().Y
+					rr := info.Y + h - r.Win.Y
 					if !inRow[rr] {
 						inRow[rr] = true
 						changed = true
@@ -217,7 +217,7 @@ func (s *Solver) solveRow(r *core.Region, rowCells [][]design.CellID, c *design.
 		info, _ := r.Info(id)
 		cl, cu := math.Inf(-1), math.Inf(1)
 		for h := 0; h < info.H; h++ {
-			rel := info.Y + h - r.Window().Y
+			rel := info.Y + h - r.Win.Y
 			sp := r.Segs[rel].Span
 			cl = math.Max(cl, float64(sp.Lo))
 			cu = math.Min(cu, float64(sp.Hi-info.W))

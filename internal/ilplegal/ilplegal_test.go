@@ -1,6 +1,7 @@
 package ilplegal
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -133,7 +134,7 @@ func TestILPLegalizeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	verify.MustLegal(d, verify.Options{RequirePlaced: true, PowerAlignment: true})

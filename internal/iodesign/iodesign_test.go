@@ -2,6 +2,7 @@ package iodesign
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -220,7 +221,7 @@ func TestReadRowsInAnyOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if v := verify.Check(d, verify.Options{RequirePlaced: true, PowerAlignment: true}, 10); len(v) > 0 {

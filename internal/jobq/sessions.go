@@ -9,7 +9,9 @@ package jobq
 // time per session, extra callers queue on the session mutex so TCP flow
 // control is the only backpressure a client sees), and drain-aware
 // shutdown (CloseAll waits for every in-flight batch to finish before
-// tearing a session down, and for opens still building up to a deadline).
+// tearing a session down, and for opens still building up to a deadline,
+// then cancels them through the registry's base context, as
+// Queue.Shutdown cancels its jobs).
 
 import (
 	"context"
@@ -68,9 +70,6 @@ type Session struct {
 // ID returns the registry-assigned session id.
 func (s *Session) ID() string { return s.id }
 
-// Tenant returns the owning tenant.
-func (s *Session) Tenant() string { return s.tenant }
-
 // Do runs fn with exclusive access to the session payload. Calls are
 // serialized per session; a call that arrives while another is in flight
 // blocks until its turn (the HTTP layer reads one delta frame at a time,
@@ -89,6 +88,11 @@ func (s *Session) Do(fn func(payload any) error) error {
 // zero-value is not usable; call NewSessionRegistry.
 type SessionRegistry struct {
 	cfg SessionConfig
+
+	// baseCtx parents every build's context beside the opener's own;
+	// CloseAll cancels it once its drain deadline has passed.
+	baseCtx    context.Context
+	baseCancel context.CancelFunc
 
 	mu        sync.Mutex
 	sessions  map[string]*Session
@@ -117,11 +121,14 @@ type sessionMetrics struct {
 // hook for releasing engine resources.
 func NewSessionRegistry(cfg SessionConfig, onClose func(payload any)) *SessionRegistry {
 	cfg.defaults()
+	ctx, cancel := context.WithCancel(context.Background())
 	r := &SessionRegistry{
-		cfg:       cfg,
-		sessions:  make(map[string]*Session),
-		perTenant: make(map[string]int),
-		onClose:   onClose,
+		cfg:        cfg,
+		baseCtx:    ctx,
+		baseCancel: cancel,
+		sessions:   make(map[string]*Session),
+		perTenant:  make(map[string]int),
+		onClose:    onClose,
 	}
 	if cfg.Obs != nil {
 		reg := cfg.Obs.Registry()
@@ -137,12 +144,14 @@ func NewSessionRegistry(cfg SessionConfig, onClose func(payload any)) *SessionRe
 
 // Open admits a new session for the tenant. It takes a slot under both
 // caps, where opens whose build still runs count too, and only then calls
-// build, outside the registry lock; the session holds the payload build
+// build, outside the registry lock, under a context that ends with ctx or
+// when CloseAll cancels the builds; the session holds the payload build
 // returns. A build that fails or panics frees its slot, and Open returns
-// its error (a panic goes on up). Admission fails with ErrSessionLimit at
-// either cap and with ErrShuttingDown after CloseAll began; a payload
-// built after CloseAll began is released through onClose.
-func (r *SessionRegistry) Open(tenant string, build func() (any, error)) (*Session, error) {
+// its error (a panic goes on up), or ErrShuttingDown when CloseAll
+// canceled the build. Admission fails with ErrSessionLimit at either cap
+// and with ErrShuttingDown after CloseAll began; a payload built after
+// CloseAll began is released through onClose.
+func (r *SessionRegistry) Open(ctx context.Context, tenant string, build func(context.Context) (any, error)) (*Session, error) {
 	if err := r.reserve(tenant); err != nil {
 		return nil, err
 	}
@@ -153,8 +162,14 @@ func (r *SessionRegistry) Open(tenant string, build func() (any, error)) (*Sessi
 		}
 		r.building.Done()
 	}()
-	payload, err := build()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(r.baseCtx, cancel)()
+	payload, err := build(ctx)
 	if err != nil {
+		if r.baseCtx.Err() != nil {
+			return nil, ErrShuttingDown
+		}
 		return nil, err
 	}
 	if s = r.register(tenant, payload); s == nil {
@@ -281,11 +296,11 @@ func (s *Session) teardown() {
 // in-flight delta batch to finish (batches are bounded work — one frame —
 // so the wait is short by construction). It then waits until every open
 // whose build is still running has returned, as Queue.Shutdown waits for
-// running jobs, or until ctx is done, when it returns ctx's error; the
-// goroutine that waits for the builds exits once the last one returns.
-// New opens fail with ErrShuttingDown from the moment CloseAll is
-// entered, and a payload built after that is released through onClose.
-// A later call waits for the builds again.
+// running jobs. If ctx is done first, it cancels the builds still running,
+// waits for them to return and returns ctx's error. New opens fail with
+// ErrShuttingDown from the moment CloseAll is entered, and a payload
+// built after that is released through onClose. A later call waits for
+// the builds again.
 func (r *SessionRegistry) CloseAll(ctx context.Context) error {
 	r.mu.Lock()
 	r.shutdown = true
@@ -313,8 +328,10 @@ func (r *SessionRegistry) CloseAll(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		return ctx.Err()
 	}
+	r.baseCancel()
+	<-done
+	return ctx.Err()
 }
 
 // Active returns the number of open sessions.

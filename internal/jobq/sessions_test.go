@@ -10,36 +10,36 @@ import (
 )
 
 // built returns a build that yields payload.
-func built(payload any) func() (any, error) {
-	return func() (any, error) { return payload, nil }
+func built(payload any) func(context.Context) (any, error) {
+	return func(context.Context) (any, error) { return payload, nil }
 }
 
 func TestSessionRegistryCaps(t *testing.T) {
 	r := NewSessionRegistry(SessionConfig{MaxSessions: 3, PerTenant: 2}, nil)
 
-	a1, err := r.Open("a", built(1))
+	a1, err := r.Open(context.Background(), "a", built(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Open("a", built(2)); err != nil {
+	if _, err := r.Open(context.Background(), "a", built(2)); err != nil {
 		t.Fatal(err)
 	}
 	// Tenant cap.
-	if _, err := r.Open("a", built(3)); !errors.Is(err, ErrSessionLimit) {
+	if _, err := r.Open(context.Background(), "a", built(3)); !errors.Is(err, ErrSessionLimit) {
 		t.Fatalf("per-tenant overflow: err = %v, want ErrSessionLimit", err)
 	}
-	if _, err := r.Open("b", built(4)); err != nil {
+	if _, err := r.Open(context.Background(), "b", built(4)); err != nil {
 		t.Fatal(err)
 	}
 	// Global cap.
-	if _, err := r.Open("c", built(5)); !errors.Is(err, ErrSessionLimit) {
+	if _, err := r.Open(context.Background(), "c", built(5)); !errors.Is(err, ErrSessionLimit) {
 		t.Fatalf("global overflow: err = %v, want ErrSessionLimit", err)
 	}
 	// Closing frees both caps.
 	if err := r.Close(a1.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Open("c", built(6)); err != nil {
+	if _, err := r.Open(context.Background(), "c", built(6)); err != nil {
 		t.Fatalf("open after close: %v", err)
 	}
 	if got := r.Active(); got != 3 {
@@ -53,7 +53,7 @@ func TestSessionRegistryCaps(t *testing.T) {
 func TestSessionRegistryLifecycle(t *testing.T) {
 	var closed atomic.Int32
 	r := NewSessionRegistry(SessionConfig{}, func(p any) { closed.Add(1) })
-	s, err := r.Open("t", built("payload"))
+	s, err := r.Open(context.Background(), "t", built("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSessionRegistryLifecycle(t *testing.T) {
 
 func TestSessionDoSerializes(t *testing.T) {
 	r := NewSessionRegistry(SessionConfig{}, nil)
-	s, err := r.Open("t", built(nil))
+	s, err := r.Open(context.Background(), "t", built(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,8 @@ func TestSessionDoSerializes(t *testing.T) {
 func TestSessionCloseAllDrains(t *testing.T) {
 	var closed atomic.Int32
 	r := NewSessionRegistry(SessionConfig{MaxSessions: 8}, func(any) { closed.Add(1) })
-	s1, _ := r.Open("a", built(nil))
-	_, _ = r.Open("b", built(nil))
+	s1, _ := r.Open(context.Background(), "a", built(nil))
+	_, _ = r.Open(context.Background(), "b", built(nil))
 
 	// Hold a batch in flight; CloseAll must wait for it.
 	started := make(chan struct{})
@@ -149,7 +149,7 @@ func TestSessionCloseAllDrains(t *testing.T) {
 	for r.Active() != 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := r.Open("c", built(nil)); !errors.Is(err, ErrShuttingDown) {
+	if _, err := r.Open(context.Background(), "c", built(nil)); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("open during shutdown: err = %v, want ErrShuttingDown", err)
 	}
 	select {
@@ -171,14 +171,15 @@ func TestSessionCloseAllDrains(t *testing.T) {
 // TestSessionOpenBuild checks the slot an open takes before its build:
 // a failing or panicking build frees it, a build still running holds it
 // against both caps without running the other opens' builds, CloseAll
-// waits for that build until its context is done, and a payload built
-// after CloseAll began is released through onClose.
+// waits for that build until its context is done, then cancels it and
+// waits for it to return, and a payload built after CloseAll began is
+// released through onClose.
 func TestSessionOpenBuild(t *testing.T) {
 	var released []any
 	r := NewSessionRegistry(SessionConfig{MaxSessions: 1, PerTenant: 1}, func(p any) { released = append(released, p) })
 
 	boom := errors.New("boom")
-	if _, err := r.Open("a", func() (any, error) { return nil, boom }); err != boom {
+	if _, err := r.Open(context.Background(), "a", func(context.Context) (any, error) { return nil, boom }); err != boom {
 		t.Fatalf("failing build: err = %v, want its error", err)
 	}
 	func() {
@@ -187,25 +188,25 @@ func TestSessionOpenBuild(t *testing.T) {
 				t.Fatal("a build's panic did not reach Open's caller")
 			}
 		}()
-		_, _ = r.Open("a", func() (any, error) { panic("build") })
+		_, _ = r.Open(context.Background(), "a", func(context.Context) (any, error) { panic("build") })
 	}()
 	if got := r.ActiveFor("a"); got != 0 {
 		t.Fatalf("ActiveFor(a) = %d after a failed and a panicked build, want 0", got)
 	}
 
-	building, finish := make(chan struct{}), make(chan struct{})
+	building := make(chan struct{})
 	opened := make(chan error, 1)
 	go func() {
-		_, err := r.Open("a", func() (any, error) {
+		_, err := r.Open(context.Background(), "a", func(ctx context.Context) (any, error) {
 			close(building)
-			<-finish
+			<-ctx.Done()
 			return "late", nil
 		})
 		opened <- err
 	}()
 	<-building
 	for _, tenant := range []string{"a", "b"} {
-		_, err := r.Open(tenant, func() (any, error) {
+		_, err := r.Open(context.Background(), tenant, func(context.Context) (any, error) {
 			t.Errorf("open by %s beside a running build ran its build", tenant)
 			return nil, nil
 		})
@@ -219,7 +220,6 @@ func TestSessionOpenBuild(t *testing.T) {
 	if err := r.CloseAll(expired); !errors.Is(err, context.Canceled) {
 		t.Fatalf("CloseAll beside a running build, context done: err = %v, want its error", err)
 	}
-	close(finish)
 	if err := <-opened; !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("build finished after CloseAll: err = %v, want ErrShuttingDown", err)
 	}

@@ -240,10 +240,6 @@ func (g *Grid) indexIn(s *Segment, id design.CellID) int {
 	return -1
 }
 
-// IndexOf exposes the position of cell id within segment s's ordered
-// list, or -1 when absent.
-func (g *Grid) IndexOf(s *Segment, id design.CellID) int { return g.indexIn(s, id) }
-
 // ShiftX moves a placed cell horizontally to newX, updating its position.
 // The relative order within every segment list must be preserved by the
 // caller (the legalizer only shifts cells within their gaps), so the lists

@@ -85,7 +85,7 @@ func TestDecodeSubmitDesignJSON(t *testing.T) {
 		`"nets":[{"name":"n0","pins":[{"cell":0,"dx":1,"dy":0.5},{"cell":1,"dx":0,"dy":0},{"cell":-1,"dx":40,"dy":2}]}]},` +
 		`"config":{"rx":20,"seed":7}}`
 	_, err := DecodeSubmit(strings.NewReader(jsonBody), core.DefaultConfig(), Limits{})
-	if code, ok := IsBadRequest(err); !ok || !strings.Contains(err.Error(), `unknown field "design"`) {
+	if code := ErrorCode(err); code != CodeBadRequest || !strings.Contains(err.Error(), `unknown field "design"`) {
 		t.Fatalf("JSON design: got %v (code %q), want a bad request for the unknown field", err, code)
 	}
 	text := "design j 200 2000\nrow 0 0 50\nrow 1 0 50\nmaster INV 2 1 VSS\nmaster DFF 4 2 VSS\n" +
@@ -166,7 +166,7 @@ func TestDecodeSubmitRejects(t *testing.T) {
 			if err == nil {
 				t.Fatal("accepted")
 			}
-			if _, ok := IsBadRequest(err); !ok {
+			if ErrorCode(err) != CodeBadRequest {
 				t.Fatalf("not a bad request: %v", err)
 			}
 		})
@@ -193,7 +193,7 @@ func TestDecodeSubmitRejectsInvalidDesigns(t *testing.T) {
 				t.Fatal("the edit did not apply")
 			}
 			_, err := DecodeSubmit(strings.NewReader(c.body), core.DefaultConfig(), Limits{})
-			if code, ok := IsBadRequest(err); !ok || strings.Contains(err.Error(), "invalid design: ") ||
+			if code := ErrorCode(err); code != CodeBadRequest || strings.Contains(err.Error(), "invalid design: ") ||
 				!strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %v (code %q), want a bad request that is not a recovered panic and names %q", err, code, c.want)
 			}
@@ -210,7 +210,7 @@ func TestDecodeSubmitNetLimit(t *testing.T) {
 	t.Run("design_text", func(t *testing.T) {
 		body := submitJSON(t, SubmitRequest{DesignText: text})
 		_, err := DecodeSubmit(strings.NewReader(body), core.DefaultConfig(), Limits{MaxNets: 2})
-		if code, ok := IsBadRequest(err); !ok || !strings.Contains(err.Error(), "3 nets exceeds the limit of 2") {
+		if code := ErrorCode(err); code != CodeBadRequest || !strings.Contains(err.Error(), "3 nets exceeds the limit of 2") {
 			t.Fatalf("MaxNets 2: got %v (code %q), want a 3-nets bad request", err, code)
 		}
 		p, err := DecodeSubmit(strings.NewReader(body), core.DefaultConfig(), Limits{MaxNets: 3})

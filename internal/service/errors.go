@@ -119,15 +119,6 @@ func badf(format string, args ...any) error {
 	return &requestError{fmt.Sprintf(format, args...), errBadRequest}
 }
 
-// IsBadRequest reports whether err is a client-side submission error and
-// returns its API code.
-func IsBadRequest(err error) (code string, ok bool) {
-	if errors.Is(err, errBadRequest) {
-		return CodeBadRequest, true
-	}
-	return "", false
-}
-
 // answer returns err's code and HTTP status from codeTable.
 func answer(err error) (code string, status int) {
 	for _, e := range codeTable {

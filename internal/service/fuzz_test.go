@@ -165,9 +165,8 @@ func samePayload(p *jobPayload, tenant string, err error, rp *jobPayload, rreq *
 		return fmt.Sprintf("error %v, reference %v", err, rerr)
 	}
 	if err != nil {
-		code, ok := IsBadRequest(err)
-		rcode, rok := IsBadRequest(rerr)
-		if err.Error() != rerr.Error() || code != rcode || ok != rok {
+		code, rcode := ErrorCode(err), ErrorCode(rerr)
+		if err.Error() != rerr.Error() || code != rcode {
 			return fmt.Sprintf("error %q (code %q), reference %q (code %q)", err, code, rerr, rcode)
 		}
 		return ""
@@ -230,7 +229,7 @@ func FuzzDecodeDelta(f *testing.F) {
 			if ds != nil {
 				t.Fatal("non-nil batch alongside an error")
 			}
-			if code, ok := IsBadRequest(err); !ok || code == "" {
+			if ErrorCode(err) != CodeBadRequest {
 				t.Fatalf("decode error is not a stable bad request: %v", err)
 			}
 		}

@@ -112,12 +112,6 @@ type Server struct {
 
 	ready    atomic.Bool
 	httpReqs func(route string, status int)
-
-	// Each session open's legalization context also derives from
-	// opensCtx, which Close cancels once the drain deadline has passed or
-	// no open is left.
-	opensCtx  context.Context
-	stopOpens context.CancelFunc
 }
 
 // New validates cfg, the base legalizer config included, and builds the
@@ -144,7 +138,6 @@ func New(cfg Config) (*Server, error) {
 	cfg.Limits.defaults()
 
 	s := &Server{cfg: cfg, obs: cfg.Obs, log: cfg.Log}
-	s.opensCtx, s.stopOpens = context.WithCancel(context.Background())
 	s.base = core.DefaultConfig()
 	if cfg.BaseCfg != nil {
 		s.base = *cfg.BaseCfg
@@ -248,13 +241,10 @@ func (s *Server) Close() error {
 	// Sessions drain after the queue: admission is already closed (ready
 	// is false), and CloseAll waits out any delta batch still applying
 	// before tearing each session down. Opens still legalizing get what
-	// is left of the drain deadline; those left then are canceled, and a
-	// second CloseAll waits for them to unwind.
-	openErr := s.sessions.CloseAll(ctx)
-	s.stopOpens()
-	if openErr != nil {
+	// is left of the drain deadline; CloseAll then cancels them and waits
+	// for them to unwind.
+	if err := s.sessions.CloseAll(ctx); err != nil {
 		s.log.Printf("mrserve: drain deadline expired; session opens canceled")
-		_ = s.sessions.CloseAll(context.Background())
 	}
 
 	// The job queue is settled; give in-flight HTTP exchanges (status

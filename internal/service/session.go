@@ -65,18 +65,15 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// The registry takes the session's slot before the initial full
 	// legalization runs, inline under the job deadline: create is
 	// synchronous — the client needs the session id and the baseline
-	// checksum before streaming deltas. Close cancels the legalization
-	// once its drain deadline has passed, and the open answers 503.
+	// checksum before streaming deltas. The registry cancels the
+	// legalization once Close's drain deadline has passed, and the open
+	// answers 503.
+	ctx, cancel := context.WithTimeout(r.Context(), p.deadline)
+	defer cancel()
 	var rep *core.Report
 	var sum uint64
-	reg, err := s.sessions.Open(tenant, func() (any, error) {
-		ctx, cancel := context.WithTimeout(r.Context(), p.deadline)
-		defer cancel()
-		defer context.AfterFunc(s.opensCtx, cancel)()
+	reg, err := s.sessions.Open(ctx, tenant, func(ctx context.Context) (any, error) {
 		l, lrep, err := legalize(ctx, p)
-		if s.opensCtx.Err() != nil {
-			return nil, errDraining
-		}
 		if err != nil {
 			return nil, err
 		}

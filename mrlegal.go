@@ -25,8 +25,14 @@
 //
 //	l, err := mrlegal.NewLegalizer(d, mrlegal.DefaultConfig())
 //	if err != nil { ... }
-//	if err := l.Legalize(); err != nil { ... }
+//	if err := l.Legalize(ctx); err != nil { ... }
 //	// d now holds a legal placement; inspect d.Cells[i].X/Y.
+//
+// Each operation has one method, and each reports failure as an error
+// that unwraps to one of the Err* sentinels: Legalize(ctx) for a full
+// run (LegalizeBestEffort(ctx) keeps partial results in a Report), and
+// MLL, MoveCell and ResizeCell for single-cell edits. MoveCell places an
+// unplaced cell too, which is how a new buffer is inserted.
 //
 // The packages under internal/ implement the substrates: the segment
 // bookkeeping, the scanline enumeration and evaluation, an ILP reference
@@ -55,8 +61,6 @@ import (
 
 // Geometry types (site-unit coordinate system; see §2.1.1 of the paper).
 type (
-	// Point is a location in site units.
-	Point = geom.Point
 	// Rect is a half-open rectangle in site units.
 	Rect = geom.Rect
 	// Span is a half-open 1-D interval in site units.
@@ -133,8 +137,8 @@ type (
 )
 
 // Error taxonomy. Every per-cell failure recorded in a Report, and every
-// error returned by the Try* mutation methods, unwraps (errors.Is) to one
-// of these sentinels.
+// error returned by Legalize, MLL, MoveCell and ResizeCell, unwraps
+// (errors.Is) to one of these sentinels.
 var (
 	ErrCellTooWide      = core.ErrCellTooWide
 	ErrNoInsertionPoint = core.ErrNoInsertionPoint

@@ -1,6 +1,7 @@
 package mrlegal_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !mrlegal.IsLegal(d, mrlegal.VerifyOptions{RequirePlaced: true, PowerAlignment: true}) {
@@ -48,18 +49,18 @@ func TestFacadeIncrementalOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if !l.MoveCell(ids[0], 30, 4) {
+	if l.MoveCell(ids[0], 30, 4) != nil {
 		t.Fatal("move failed")
 	}
-	if !l.ResizeCell(ids[1], 5) {
+	if l.ResizeCell(ids[1], 5) != nil {
 		t.Fatal("resize failed")
 	}
 	// Insert a new cell into the already-legal design (buffer insertion).
 	nb := d.AddCell("buf", m, 25, 3)
-	if !l.PlaceCell(nb, 25, 3) {
+	if l.MoveCell(nb, 25, 3) != nil {
 		t.Fatal("insert failed")
 	}
 	if !mrlegal.IsLegal(d, mrlegal.VerifyOptions{RequirePlaced: true, PowerAlignment: true}) {
@@ -77,7 +78,7 @@ func TestFacadeBenchmarkAndGP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Legalize(); err != nil {
+	if err := l.Legalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !mrlegal.IsLegal(b.D, mrlegal.VerifyOptions{RequirePlaced: true, PowerAlignment: true}) {
